@@ -1,10 +1,17 @@
 """Exact rational vectors, matrices, determinants, and determinant bounds.
 
-Everything is built on ``fractions.Fraction``: arithmetic is exact, values
-are always in lowest terms, and there is no rounding anywhere.  Vectors are
-plain tuples of Fractions; matrices are a thin immutable wrapper around a
-tuple of row tuples.  Determinants use fraction-free (Bareiss) elimination,
-so integer inputs stay integer throughout the elimination.
+Vectors and matrices hold ``fractions.Fraction`` entries: arithmetic is
+exact, values are always in lowest terms, and there is no rounding anywhere.
+Vectors are plain tuples of Fractions; matrices are a thin immutable wrapper
+around a tuple of row tuples.
+
+Determinants work on plain ``int`` lists instead.  A matrix is converted once
+into an integer grid by clearing each row's denominators, which records one
+scale per row; fraction-free (Bareiss) elimination then stays in the
+integers, and a determinant of the original is the integer determinant
+divided by the product of the chosen rows' scales.  The subdeterminant scan
+builds that grid once per matrix, not once per submatrix, and skips every
+submatrix with a zero row or a zero column, whose determinant is 0.
 """
 
 from __future__ import annotations
@@ -155,24 +162,33 @@ def _bareiss_int(a: list[list[int]]) -> int:
     return sign * a[-1][-1]
 
 
+def _scaled_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Clear each row's denominators: the integer grid and one scale per row.
+
+    Row ``i`` of the grid is row ``i`` of the input times ``scales[i]``, the
+    least common multiple of that row's denominators.
+    """
+    grid: list[list[int]] = []
+    scales: list[int] = []
+    for row in rows:
+        mult = math.lcm(*(x.denominator for x in row))
+        grid.append([x.numerator * (mult // x.denominator) for x in row])
+        scales.append(mult)
+    return grid, scales
+
+
 def det(m: Matrix) -> Fraction:
     """Exact determinant of a square matrix (fraction-free elimination).
 
-    Rational entries are handled by clearing each row's denominators first
-    and dividing the integer determinant by the product of the scalers.
+    The rows are scaled to an integer grid, whose determinant is divided by
+    the product of the row scales.
     """
     if not m.is_square:
         raise ValueError(f"determinant needs a square matrix, got {m.nrows}x{m.ncols}")
-    n = m.nrows
-    if n == 0:
+    if m.nrows == 0:
         return Fraction(1)
-    scale = 1
-    grid: list[list[int]] = []
-    for row in m.rows:
-        mult = math.lcm(*(x.denominator for x in row))
-        scale *= mult
-        grid.append([int(x * mult) for x in row])
-    return Fraction(_bareiss_int(grid), scale)
+    grid, scales = _scaled_rows(m.rows)
+    return Fraction(_bareiss_int(grid), math.prod(scales))
 
 
 @dataclass(frozen=True)
@@ -196,7 +212,17 @@ def max_subdet_all(m: Matrix, budget: int = 10_000_000, force: bool = False) -> 
     The enumeration count is checked up front against ``budget``; oversize
     inputs are refused unless ``force`` is set (then a cost warning is
     emitted and the enumeration runs anyway).  The witness is the first
-    maximizer in (size ascending, rows lex, cols lex) order.
+    maximizer in (size ascending, rows lex, cols lex) order; an all-zero
+    matrix has value 0 with witness ((0,), (0,)).  ``submatrices_scanned``
+    is the full enumeration count.
+
+    The matrix is scaled once to an integer grid with one scale per row.  For
+    each row set only the columns whose support meets those rows are offered,
+    and a column set that leaves one of the rows all zero is skipped.  Both
+    kinds of submatrix have determinant 0, so skipping them changes neither
+    the maximum nor, when it is non-zero, its first maximizer.  Every other
+    submatrix gets an exact integer determinant, divided by the product of
+    its row scales.
     """
     if m.nrows == 0 or m.ncols == 0:
         raise ValueError("max_subdet_all needs a non-empty matrix")
@@ -210,18 +236,30 @@ def max_subdet_all(m: Matrix, budget: int = 10_000_000, force: bool = False) -> 
             f"subdeterminant enumeration over budget ({total} > {budget}); forced anyway",
             stacklevel=2,
         )
-    best = Fraction(-1)
-    best_rows: tuple[int, ...] = ()
-    best_cols: tuple[int, ...] = ()
-    scanned = 0
+    grid, scales = _scaled_rows(m.rows)
+    # support[j] has bit i set when grid[i][j] != 0
+    support = [sum(1 << i for i, row in enumerate(grid) if row[j]) for j in range(m.ncols)]
+    # the best value so far is best_num / best_den; comparisons cross-multiply
+    best_num, best_den = 0, 1
+    best_rows: tuple[int, ...] = (0,)
+    best_cols: tuple[int, ...] = (0,)
     for k in range(1, min(m.nrows, m.ncols) + 1):
         for ri in combinations(range(m.nrows), k):
-            for ci in combinations(range(m.ncols), k):
-                scanned += 1
-                d = abs(det(m.submatrix(ri, ci)))
-                if d > best:
-                    best, best_rows, best_cols = d, ri, ci
-    return SubdetResult(best, best_rows, best_cols, scanned)
+            mask = sum(1 << i for i in ri)
+            cols = [j for j in range(m.ncols) if support[j] & mask]
+            rows = [grid[i] for i in ri]
+            scale = math.prod(scales[i] for i in ri)
+            for ci in combinations(cols, k):
+                covered = 0
+                for j in ci:
+                    covered |= support[j]
+                if covered & mask != mask:
+                    continue
+                num = abs(_bareiss_int([[row[j] for j in ci] for row in rows]))
+                if num * best_den > best_num * scale:
+                    best_num, best_den = num, scale
+                    best_rows, best_cols = ri, ci
+    return SubdetResult(Fraction(best_num, best_den), best_rows, best_cols, total)
 
 
 def isqrt_ceil(n: int) -> int:

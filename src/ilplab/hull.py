@@ -123,7 +123,8 @@ def integer_points_in_hull(
         cr = coord_range(depth_lp(k), ())
         if cr.empty:
             return True
-        assert cr.hi is not None, "hull coordinates are bounded"
+        if cr.hi is None:
+            raise AssertionError("hull coordinates are bounded")
         for v in range(math.ceil(cr.lo), math.floor(cr.hi) + 1):
             prefix.append(v)
             ok = walk()
@@ -149,6 +150,7 @@ def integer_points_in_hull(
     certificates = []
     for p in extras:
         ok, lam = hull_membership(cols, p)
-        assert ok and lam is not None, "walk produced a point outside the hull"
+        if not ok or lam is None:
+            raise AssertionError("walk produced a point outside the hull")
         certificates.append(lam)
     return HullReport(verdict, tuple(found), extras, exhausted, lp_calls, tuple(certificates))

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BudgetExceededError, EmbeddingError
-from .exactla import Matrix, Vec, rat, vec, vec_str
+from .exactla import Matrix, Vec, vec, vec_str
 from .lp import StandardLp, is_feasible_point
 from .petersen import build_matching_system
 
@@ -199,7 +199,8 @@ def p_q_constants(delta: int, d: int) -> tuple[int, int]:
         raise ValueError("d must be odd and >= 1")
     p = sum(delta ** (2 * i - 1) for i in range(1, (d - 1) // 2 + 1))
     q = sum(delta ** (2 * i - 2) for i in range(1, (d + 1) // 2 + 1))
-    assert p == delta * (q - delta ** (d - 1)), "tail-sum identity failed"
+    if p != delta * (q - delta ** (d - 1)):
+        raise AssertionError("tail-sum identity failed")
     return p, q
 
 
@@ -363,23 +364,53 @@ def instance_to_doc(inst: IlpInstance) -> dict:
     return doc
 
 
+def _list(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list for {key!r}, got {type(value).__name__}")
+    return value
+
+
+def _int(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer for {key!r}, got {value!r}")
+    return value
+
+
+def _rationals(value, key: str) -> Vec:
+    """A list of ints or 'p/q' strings, the document's form of a rational vector."""
+    for x in _list(value, key):
+        if isinstance(x, bool) or not isinstance(x, (int, str)):
+            raise ValueError(f"expected an integer or a 'p/q' string for {key!r}, got {x!r}")
+    return vec(value)
+
+
 def instance_from_doc(doc: dict) -> IlpInstance:
+    """Parse an instance document; every schema violation is a ``ValueError``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"an instance document is a JSON object, not {type(doc).__name__}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
     family = doc["family"]
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    lp = StandardLp(Matrix.from_json(doc["matrix"]), vec(doc["b"]), vec(doc["c"]))
+    notes = doc.get("notes", "")
+    if not isinstance(notes, str):
+        raise ValueError(f"expected a string for 'notes', got {notes!r}")
+    a = Matrix(tuple(_rationals(row, "matrix") for row in _list(doc["matrix"], "matrix")))
+    lp = StandardLp(a, _rationals(doc["b"], "b"), _rationals(doc["c"], "c"))
+    b_prime, sizes, epsilon, c1 = (doc.get(k) for k in ("b_prime", "sizes", "epsilon", "c1_indices"))
+    if c1 is not None:
+        c1 = tuple(_int(j, "c1_indices") for j in _list(c1, "c1_indices"))
     return IlpInstance(
         lp,
         family,
-        int(doc["delta"]),
-        int(doc["d"]),
-        alt_rhs=vec(doc["b_prime"]) if doc.get("b_prime") is not None else None,
-        notes=doc.get("notes", ""),
-        sizes=vec(doc["sizes"]) if doc.get("sizes") is not None else None,
-        epsilon=rat(doc["epsilon"]) if doc.get("epsilon") is not None else None,
-        c1_indices=tuple(doc["c1_indices"]) if doc.get("c1_indices") is not None else None,
+        _int(doc["delta"], "delta"),
+        _int(doc["d"], "d"),
+        alt_rhs=_rationals(b_prime, "b_prime") if b_prime is not None else None,
+        notes=notes,
+        sizes=_rationals(sizes, "sizes") if sizes is not None else None,
+        epsilon=_rationals([epsilon], "epsilon")[0] if epsilon is not None else None,
+        c1_indices=c1,
     )
 
 

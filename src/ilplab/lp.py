@@ -230,7 +230,8 @@ def _simplex_core(
                 cost[j] -= row[j]
         cost[-1] -= row[-1]
     status = _iterate(tableau, cost, basis, m)
-    assert status == OPTIMAL, "phase-1 objective is bounded below by zero"
+    if status != OPTIMAL:
+        raise AssertionError("phase-1 objective is bounded below by zero")
     if -cost[-1] > 0:
         return INFEASIBLE, None, None
 
@@ -352,7 +353,8 @@ def coord_range(lp: StandardLp, fixed: Sequence[Fraction | int | str] = ()) -> C
     res_lo = lp_solve(StandardLp(rest, rhs, c_lo))
     if res_lo.status == INFEASIBLE:
         return CoordRange(empty=True)
-    assert res_lo.status == OPTIMAL, "objective x_k >= 0 cannot be unbounded below"
+    if res_lo.status != OPTIMAL:
+        raise AssertionError("objective x_k >= 0 cannot be unbounded below")
     c_hi = vec([-1] + [0] * (m - 1))
     res_hi = lp_solve(StandardLp(rest, rhs, c_hi))
     hi = None if res_hi.status == UNBOUNDED else -res_hi.objective

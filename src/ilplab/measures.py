@@ -108,7 +108,10 @@ def cook_bounds(
     subdet_budget: int = 10_000_000,
     allow_hadamard_fallback: bool = True,
 ) -> CookBounds:
+    """Cook et al.'s bounds for ``inst``; they hold for integral A only."""
     a = inst.lp.a
+    if any(x.denominator != 1 for row in a.rows for x in row):
+        raise ValueError("the Cook bounds hold for an integral matrix A only")
     had = hadamard_bound(a, a.nrows).closed_form
     subdet: Fraction | None
     try:
@@ -350,7 +353,8 @@ def norm_floor(inst: IlpInstance, x: Sequence) -> Fraction:
     )
     nx = sum(xt, Fraction(0))
     # feasibility pins the tail, so the norm identity must hold exactly
-    assert nx == ny + (15 - coverage) * q + coverage * p, "forced-tail identity failed"
+    if nx != ny + (15 - coverage) * q + coverage * p:
+        raise AssertionError("forced-tail identity failed")
     bound = ny + (15 - coverage) * inst.delta * p + coverage * p
     if nx < bound:
         raise ClaimFalsifiedError(
@@ -442,7 +446,8 @@ def fuzz_cook(
             continue
         done += 1
         frac = lp_solve(lp)
-        assert frac.status == OPTIMAL, "bounded feasible system must solve"
+        if frac.status != OPTIMAL:
+            raise AssertionError("bounded feasible system must solve")
         subdet = max_subdet_all(a).value
         n_sub = Fraction(n) * subdet
         prox_dist, _ = dist_point_set(frac.solution, sols.solutions, NORM_LINF)

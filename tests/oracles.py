@@ -34,6 +34,23 @@ def cofactor_det(rows: list[list[Fraction]]) -> Fraction:
     return total
 
 
+def max_subdet_oracle(m: Matrix) -> tuple[Fraction, tuple[int, ...], tuple[int, ...], int]:
+    """Max |det| over every square submatrix by cofactor expansion, no pruning.
+
+    Returns the value, the first maximizer's rows and columns in (size, rows
+    lex, cols lex) order, and the number of submatrices evaluated.
+    """
+    best, best_rows, best_cols, scanned = Fraction(-1), (), (), 0
+    for k in range(1, min(m.nrows, m.ncols) + 1):
+        for ri in combinations(range(m.nrows), k):
+            for ci in combinations(range(m.ncols), k):
+                scanned += 1
+                value = abs(cofactor_det([[m.rows[i][j] for j in ci] for i in ri]))
+                if value > best:
+                    best, best_rows, best_cols = value, ri, ci
+    return best, best_rows, best_cols, scanned
+
+
 def brute_force_optima(lp: StandardLp, box: list[int]) -> tuple[tuple[tuple[int, ...], ...], Fraction | None]:
     """All optimal integral solutions by scanning the whole box."""
     best = None

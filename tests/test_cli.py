@@ -137,6 +137,36 @@ class TestMeasure:
         assert code == EXIT_USAGE
 
 
+class TestMalformedInstance:
+    def write(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        return str(path)
+
+    def test_float_matrix_entries_are_usage_error(self, sens_file, tmp_path, capsys):
+        with open(sens_file) as fh:
+            doc = json.load(fh)
+        doc["matrix"] = [[float(x) for x in row] for row in doc["matrix"]]
+        path = self.write(tmp_path, json.dumps(doc))
+        code, _, stderr = run(capsys, "measure", "sens", "--in", path)
+        assert code == EXIT_USAGE
+        assert "usage error" in stderr and "'matrix'" in stderr
+
+    def test_non_object_document_is_usage_error(self, tmp_path, capsys):
+        code, _, stderr = run(capsys, "measure", "sens", "--in", self.write(tmp_path, "[1, 2]"))
+        assert code == EXIT_USAGE
+        assert "usage error" in stderr and "JSON object" in stderr
+
+    def test_bounds_refuse_non_integral_matrix(self, sens_file, tmp_path, capsys):
+        with open(sens_file) as fh:
+            doc = json.load(fh)
+        doc["family"] = "custom"
+        doc["matrix"][0][0] = "1/2"
+        code, _, stderr = run(capsys, "bounds", "--in", self.write(tmp_path, json.dumps(doc)))
+        assert code == EXIT_USAGE
+        assert "integral" in stderr
+
+
 class TestSweep:
     def test_grid_rows_in_order(self, capsys):
         code, stdout, _ = run(capsys, "sweep", "sensitivity", "--delta", "1:2", "--d", "2,4")

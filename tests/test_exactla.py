@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ilplab.errors import BudgetExceededError
@@ -19,13 +19,34 @@ from ilplab.exactla import (
 )
 from ilplab.instances import gen_sensitivity
 
-from oracles import cofactor_det
+from oracles import cofactor_det, max_subdet_oracle
 
 small_int = st.integers(min_value=-4, max_value=4)
 
 
 def square(n):
     return st.lists(st.lists(small_int, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Small integer or rational matrices, many zeros, some zero rows and columns."""
+    nrows = draw(st.integers(min_value=1, max_value=4))
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    nonzero = small_int.map(F)
+    if draw(st.booleans()):
+        nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    entry = st.one_of(st.just(F(0)), nonzero)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    zero_rows = draw(st.sets(st.integers(min_value=0, max_value=nrows - 1)))
+    zero_cols = draw(st.sets(st.integers(min_value=0, max_value=ncols - 1)))
+    return Matrix.from_rows(
+        [
+            [F(0) if i in zero_rows or j in zero_cols else x for j, x in enumerate(r)]
+            for i, r in enumerate(rows)
+        ]
+    )
 
 
 class TestDet:
@@ -119,6 +140,21 @@ class TestMaxSubdet:
             res = max_subdet_all(m)
             sub = m.submatrix(res.row_indices, res.col_indices)
             assert res.value <= hadamard_bound(sub, sub.nrows).column_norm
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_matrices())
+    @example(Matrix.from_rows([[0] * 4 for _ in range(3)]))
+    @example(Matrix.from_rows([[F(1, 10), 0], [0, F(1, 10)], [0, 0]]))
+    def test_matches_cofactor_oracle(self, m):
+        res = max_subdet_all(m)
+        assert (res.value, res.row_indices, res.col_indices, res.submatrices_scanned) == max_subdet_oracle(m)
+
+    def test_sensitivity_family_at_3_10(self):
+        res = max_subdet_all(gen_sensitivity(3, 10).lp.a)
+        assert res.value == 19683 == 3**9
+        assert res.row_indices == tuple(range(1, 10))
+        assert res.col_indices == tuple(range(0, 9))
+        assert res.submatrices_scanned == subdet_enumeration_count(10, 10)
 
     def test_budget_refusal_and_force(self):
         big = Matrix.from_rows([[1] * 10 for _ in range(10)])

@@ -221,6 +221,13 @@ class TestCookBounds:
         with pytest.raises(BudgetExceededError):
             cook_bounds(gen_proximity(2, 3), subdet_budget=100, allow_hadamard_fallback=False)
 
+    def test_non_integral_matrix_refused(self):
+        # the closed form understates this matrix's subdet (3/500 < 1/10)
+        a = Matrix.from_rows([[F(1, 10), 0], [0, F(1, 10)], [0, 0]])
+        inst = IlpInstance(StandardLp(a, vec([0, 0, 0]), vec([1, 1])), FAMILY_CUSTOM, 1, 2)
+        with pytest.raises(ValueError, match="integral"):
+            cook_bounds(inst)
+
     def test_measured_below_bound_on_small_grid(self):
         for delta in (1, 2, 3):
             for d in (2, 4):
