@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from .errors import BudgetExceededError, ClaimFalsifiedError, EmbeddingError, UnboundedSearchError
@@ -229,7 +231,8 @@ def _cmd_measure(args) -> int:
     return EXIT_OK
 
 
-def _sweep_cell(job: tuple) -> tuple[int, int, str]:
+def _sweep_cell(job: tuple) -> tuple[int, int, str, int, str]:
+    """One sweep cell: (delta, d, CSV row, exit code, message for stderr)."""
     family, delta, d, norm, node_budget, subdet_budget = job
     try:
         inst = _generate(family, delta, d)
@@ -237,10 +240,15 @@ def _sweep_cell(job: tuple) -> tuple[int, int, str]:
             report = measure_sensitivity(inst, node_budget=node_budget, subdet_budget=subdet_budget)
         else:
             report = measure_proximity_lb(inst, node_budget=node_budget, subdet_budget=subdet_budget)
-        return delta, d, report.csv_row(norm)
+        return delta, d, report.csv_row(norm), EXIT_OK, ""
     except Exception as exc:  # per-cell failures land in the row, sweep continues
         row = f"{family},{delta},{d},{norm},,,,,,error:{type(exc).__name__}"
-        return delta, d, row
+        code = _exit_code(exc)
+        if isinstance(exc, _CONTRACT_ERRORS):
+            message = f"{_EXIT_LABELS[code]}: {exc}"
+        else:  # a defect: keep its traceback
+            message = traceback.format_exc()
+        return delta, d, row, code, message
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -250,7 +258,14 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
 
+def _sweep_workers(jobs: int, cells: int) -> int:
+    """Worker processes for a sweep: no more than the cells or the CPUs."""
+    return min(jobs, cells, os.cpu_count() or 1)
+
+
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     family = _GEN_FAMILIES[args.family]
     deltas = _parse_int_list(args.delta)
     ds = _parse_int_list(args.d)
@@ -259,13 +274,14 @@ def _cmd_sweep(args) -> int:
         for delta in deltas
         for d in ds
     ]
-    if args.jobs > 1 and jobs:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = _sweep_workers(args.jobs, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, jobs))
     else:
         results = [_sweep_cell(job) for job in jobs]
     results.sort(key=lambda item: (item[0], item[1]))
-    lines = [CSV_HEADER] + [row for _, _, row in results]
+    lines = [CSV_HEADER] + [row for _, _, row, _, _ in results]
     text = "\n".join(lines) + "\n"
     if args.out and args.out != "-":
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -273,7 +289,11 @@ def _cmd_sweep(args) -> int:
         print(f"wrote {args.out} ({len(results)} rows)")
     else:
         sys.stdout.write(text)
-    return EXIT_OK
+    failed = [(delta, d, code, message) for delta, d, _, code, message in results if code != EXIT_OK]
+    for delta, d, _, message in failed:
+        print(f"cell delta={delta} d={d}: {message.rstrip()}", file=sys.stderr)
+    # the first failing cell in (delta, d) order, whatever the worker count
+    return failed[0][2] if failed else EXIT_OK
 
 
 def _cmd_fuzz(args) -> int:
@@ -365,26 +385,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exceptions the exit-code contract maps to a code; see ``_exit_code``.
+_CONTRACT_ERRORS = (
+    _UsageError,
+    BudgetExceededError,
+    UnboundedSearchError,
+    ClaimFalsifiedError,
+    EmbeddingError,
+    ValueError,
+)
+
+_EXIT_LABELS = {
+    EXIT_CHECK_FAILED: "check failed",
+    EXIT_BUDGET: "budget exceeded",
+    EXIT_USAGE: "usage error",
+}
+
+
+def _exit_code(exc: BaseException) -> int:
+    """The exit code for an exception: budget 2, claim/embedding 1, usage 3.
+
+    Any other exception is a defect, not an outcome the contract names; it
+    gets 1, the code an uncaught exception exits with.
+    """
+    if isinstance(exc, BudgetExceededError):
+        return EXIT_BUDGET
+    if isinstance(exc, (_UsageError, UnboundedSearchError, ValueError)):
+        return EXIT_USAGE
+    return EXIT_CHECK_FAILED
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except UnboundedSearchError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ClaimFalsifiedError, EmbeddingError) as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except _CONTRACT_ERRORS as exc:
+        code = _exit_code(exc)
+        print(f"{_EXIT_LABELS[code]}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 Vectors and matrices hold ``fractions.Fraction`` entries: arithmetic is
 exact, values are always in lowest terms, and there is no rounding anywhere.
 Vectors are plain tuples of Fractions; matrices are a thin immutable wrapper
-around a tuple of row tuples.
+around a tuple of row tuples, which also keeps each row's non-zero pattern
+once it has been asked for (see ``Matrix``).
 
 Determinants work on plain ``int`` lists instead.  A matrix is converted once
 into an integer grid by clearing each row's denominators, which records one
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -60,11 +62,23 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Dense rectangular matrix of exact rationals."""
+    """Dense rectangular matrix of exact rationals.
+
+    ``rows`` is a tuple of row tuples (other sequences are converted), so a
+    matrix never changes after it is built and work derived from it can be
+    kept for as long as the matrix lives.  ``sparse_rows`` is such work: the
+    non-zero pattern of every row, computed on first use and then kept.
+    ``tail(k)`` drops the first k columns and hands the child a pattern
+    derived from this one in O(nnz), so a chain of column drops scans the
+    dense entries once; ``vstack`` joins the patterns of the blocks it
+    stacks, so rows reused across many stacks are scanned once.
+    """
 
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
+        if type(self.rows) is not tuple or any(type(r) is not tuple for r in self.rows):
+            object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
         if self.rows:
             w = len(self.rows[0])
             if any(len(r) != w for r in self.rows):
@@ -115,6 +129,32 @@ class Matrix:
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         return Matrix(tuple(tuple(self.rows[i][j] for j in col_idx) for i in row_idx))
+
+    # cached_property keeps its value in the instance dict, where ``vstack``
+    # and ``tail`` seed it with a pattern they derived
+    @cached_property
+    def sparse_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Per row, its (column, entry) pairs with non-zero entry, in column order."""
+        return tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in self.rows)
+
+    @classmethod
+    def vstack(cls, parts: Sequence["Matrix"]) -> "Matrix":
+        """The rows of ``parts`` one after another, with the parts' patterns joined."""
+        stacked = cls(tuple(r for part in parts for r in part.rows))
+        stacked.__dict__["sparse_rows"] = tuple(r for part in parts for r in part.sparse_rows)
+        return stacked
+
+    def tail(self, k: int) -> "Matrix":
+        """The matrix without its first ``k`` columns; ``tail(0)`` is this matrix."""
+        if not 0 <= k <= self.ncols:
+            raise ValueError(f"cannot drop {k} of {self.ncols} columns")
+        if k == 0:
+            return self
+        child = Matrix(tuple(r[k:] for r in self.rows))
+        child.__dict__["sparse_rows"] = tuple(
+            tuple((j - k, x) for j, x in row if j >= k) for row in self.sparse_rows
+        )
+        return child
 
     def mul_vec(self, v: Sequence[Fraction]) -> Vec:
         if len(v) != self.ncols:

@@ -99,16 +99,20 @@ def integer_points_in_hull(
     exhausted = False
     prefix: list[int] = []
 
+    # Variables: the next coordinate value, then the convex weights.  Depth k
+    # bounds coordinate k (head row k) with coordinates 0..k-1 pinned to the
+    # prefix (coordinate rows 0..k-1) and the weights summing to 1.  Each row
+    # is a one-row matrix built once per walk, so its sparse pattern is too.
+    zero, one = Fraction(0), Fraction(1)
+    head_rows = [Matrix(((one,) + tuple(Fraction(-c[k]) for c in shifted),)) for k in range(dim)]
+    coord_rows = [Matrix(((zero,) + tuple(Fraction(c[i]) for c in shifted),)) for i in range(dim)]
+    weight_row = Matrix(((zero,) + (one,) * n,))
+    no_cost = (zero,) * (n + 1)
+
     def depth_lp(k: int) -> StandardLp:
-        # Variables: the next coordinate value, then the convex weights.
-        rows = [vec([1] + [-c[k] for c in shifted])]
-        rhs: list[Fraction] = [Fraction(0)]
-        for i in range(k):
-            rows.append(vec([0] + [c[i] for c in shifted]))
-            rhs.append(Fraction(prefix[i]))
-        rows.append(vec([0] + [1] * n))
-        rhs.append(Fraction(1))
-        return StandardLp(Matrix(tuple(rows)), tuple(rhs), vec([0] * (n + 1)))
+        a = Matrix.vstack((head_rows[k], *coord_rows[:k], weight_row))
+        rhs = (zero, *map(Fraction, prefix), one)
+        return StandardLp(a, rhs, no_cost)
 
     def walk() -> bool:
         """Returns False when the LP budget ran out."""
@@ -120,7 +124,7 @@ def integer_points_in_hull(
         if lp_calls + 2 > lp_budget:
             return False
         lp_calls += 2
-        cr = coord_range(depth_lp(k), ())
+        cr = coord_range(depth_lp(k))
         if cr.empty:
             return True
         if cr.hi is None:

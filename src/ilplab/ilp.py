@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BudgetExceededError, UnboundedSearchError
-from .exactla import Matrix, Vec, dot, vec
-from .lp import INFEASIBLE, OPTIMAL, StandardLp, coord_range, lp_solve
+from .exactla import dot, vec
+from .lp import INFEASIBLE, OPTIMAL, CoordRange, StandardLp, coord_range, lp_solve
 
 _ZERO = Fraction(0)
 
@@ -90,9 +90,32 @@ def enumerate_integral_optima(
     nodes = 0
     c_last_nonzero = max((j for j in range(n) if lp.c[j] != 0), default=-1)
 
-    def rest_lp(k: int, c_rest: Vec) -> StandardLp:
-        rest = Matrix(tuple(r[k:] for r in lp.a.rows))
-        return StandardLp(rest, tuple(residual), c_rest)
+    def node_range(k: int) -> CoordRange | None:
+        """The LP range of x_k at the current node; None when the node is pruned.
+
+        The bound solve and both ``coord_range`` solves see the same matrix
+        object and right-hand side, so they share one presolve and phase 1.
+        The residual matrix is dropped on return, before the search goes
+        deeper, so the recursion holds no matrix per level.
+        """
+        rest = lp.a.tail(k)
+        rhs = tuple(residual)
+        # Objective-bound pruning: only subtrees strictly worse than the
+        # incumbent may be cut, equal-valued ones can hold more optima.
+        if incumbent is not None:
+            bound = sum((lp.c[j] * prefix[j] for j in range(k) if prefix[j]), _ZERO)
+            if k <= c_last_nonzero:
+                res = lp_solve(StandardLp(rest, rhs, tuple(lp.c[k:])))
+                if res.status == INFEASIBLE:
+                    return None
+                if res.status != OPTIMAL:
+                    res = None  # unbounded relaxation gives no usable bound
+                if res is not None:
+                    bound += res.objective
+            if bound > incumbent:
+                return None
+        cr = coord_range(StandardLp(rest, rhs, (_ZERO,) * (n - k)))
+        return None if cr.empty else cr
 
     def visit():
         nonlocal nodes, incumbent
@@ -110,22 +133,8 @@ def enumerate_integral_optima(
                 elif obj == incumbent:
                     sols.append(tuple(prefix))
             return
-        # Objective-bound pruning: only subtrees strictly worse than the
-        # incumbent may be cut, equal-valued ones can hold more optima.
-        if incumbent is not None:
-            bound = sum((lp.c[j] * prefix[j] for j in range(k) if prefix[j]), _ZERO)
-            if k <= c_last_nonzero:
-                res = lp_solve(rest_lp(k, tuple(lp.c[k:])))
-                if res.status == INFEASIBLE:
-                    return
-                if res.status != OPTIMAL:
-                    res = None  # unbounded relaxation gives no usable bound
-                if res is not None:
-                    bound += res.objective
-            if bound > incumbent:
-                return
-        cr = coord_range(rest_lp(k, vec([0] * (n - k))), ())
-        if cr.empty:
+        cr = node_range(k)
+        if cr is None:
             return
         lo = max(0, math.ceil(cr.lo))
         hi = box[k] if cr.hi is None else min(box[k], math.floor(cr.hi))

@@ -12,6 +12,22 @@ first and repeatedly applies three exact reductions:
 
 On the staircase systems this package mostly deals with, presolve pins
 almost every variable, so the simplex core usually sees a small residue.
+
+A solve has two parts.  Preparing (A, b) covers everything that does not
+depend on c: the sparse rows (kept by the ``Matrix``), presolve, the dense
+core over the variables presolve left free, and phase 1, which ends in a
+feasible basis of that core or proves the system infeasible.  Phase 2 then
+prices c against a copy of the prepared tableau and pivots to optimality.
+
+The last preparation is remembered, keyed on the identity of the matrix
+object and the value of b.  That is exact: a ``Matrix`` holds only tuples,
+so the same object always has the same entries; the memo holds the matrix,
+so its identity cannot pass to another one; and phase 2 never writes into
+the prepared tableau.  A reused preparation is the one a cold solve would
+compute, so results are bit-for-bit those of a cold solve.  The hit comes
+from callers that solve one system under several objectives:
+``coord_range``'s min and max, and the enumeration's objective bound at a
+node followed by that node's ``coord_range``.
 """
 
 from __future__ import annotations
@@ -20,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactla import Matrix, Vec, dot, vec
+from .exactla import Matrix, Vec, vec
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -162,7 +178,7 @@ def _presolve(rows: list[dict[int, Fraction]], rhs: list[Fraction]):
 
 
 # ---------------------------------------------------------------------------
-# simplex core
+# simplex: phase 1 needs only (A, b), phase 2 adds c
 
 
 def _pivot(tableau: list[list[Fraction]], cost: list[Fraction], basis: list[int], pr: int, pc: int):
@@ -207,11 +223,15 @@ def _iterate(tableau: list[list[Fraction]], cost: list[Fraction], basis: list[in
         _pivot(tableau, cost, basis, pr, pc)
 
 
-def _simplex_core(
-    rows: list[list[Fraction]], rhs: list[Fraction], c: list[Fraction]
-) -> tuple[str, list[Fraction] | None, list[int] | None]:
-    """Two-phase simplex on a dense system; returns (status, x, basis)."""
-    r, m = len(rows), len(c)
+def _phase1(
+    rows: list[list[Fraction]], rhs: list[Fraction]
+) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]] | None:
+    """Phase 1 on a dense system: a feasible basis, or None when infeasible.
+
+    Returns the tableau over the real columns (right-hand side last), with
+    redundant rows dropped, and its basis.  Nothing here depends on c.
+    """
+    r, m = len(rows), len(rows[0])
     rows = [list(row) for row in rows]
     rhs = list(rhs)
     for i in range(r):
@@ -219,7 +239,7 @@ def _simplex_core(
             rows[i] = [-x for x in rows[i]]
             rhs[i] = -rhs[i]
 
-    # Phase 1: artificial variables m..m+r-1, objective = their sum.
+    # Artificial variables m..m+r-1, objective = their sum.
     tableau = [rows[i] + [_ONE if k == i else _ZERO for k in range(r)] + [rhs[i]] for i in range(r)]
     basis = list(range(m, m + r))
     cost = [_ZERO] * (m + r + 1)
@@ -233,7 +253,7 @@ def _simplex_core(
     if status != OPTIMAL:
         raise AssertionError("phase-1 objective is bounded below by zero")
     if -cost[-1] > 0:
-        return INFEASIBLE, None, None
+        return None
 
     # Pivot leftover artificials out; an all-zero row is redundant.
     drop: list[int] = []
@@ -247,25 +267,97 @@ def _simplex_core(
             else:
                 drop.append(i)
     keep = [i for i in range(r) if i not in drop]
+    return (
+        tuple(tuple(tableau[i][:m]) + (tableau[i][-1],) for i in keep),
+        tuple(basis[i] for i in keep),
+    )
 
-    # Phase 2 on the real columns only.
-    tableau2 = [[tableau[i][j] for j in range(m)] + [tableau[i][-1]] for i in keep]
-    basis2 = [basis[i] for i in keep]
-    cost2 = list(c) + [_ZERO]
-    for i, row in enumerate(tableau2):
-        cb = c[basis2[i]]
+
+def _phase2(
+    tableau: Sequence[Sequence[Fraction]], basis: Sequence[int], c: list[Fraction]
+) -> tuple[str, list[Fraction] | None, list[int] | None]:
+    """Phase 2 from a phase-1 tableau; returns (status, x, basis).
+
+    The given rows are tuples and ``_pivot`` replaces rows instead of writing
+    into them, so copying the outer list leaves the given tableau untouched.
+    """
+    m = len(c)
+    tableau = list(tableau)
+    basis = list(basis)
+    cost = list(c) + [_ZERO]
+    for i, row in enumerate(tableau):
+        cb = c[basis[i]]
         if cb:
             for j in range(m):
                 if row[j]:
-                    cost2[j] -= cb * row[j]
-            cost2[-1] -= cb * row[-1]
-    status = _iterate(tableau2, cost2, basis2, m)
+                    cost[j] -= cb * row[j]
+            cost[-1] -= cb * row[-1]
+    status = _iterate(tableau, cost, basis, m)
     if status == UNBOUNDED:
         return UNBOUNDED, None, None
     x = [_ZERO] * m
-    for i, bi in enumerate(basis2):
-        x[bi] = tableau2[i][-1]
-    return OPTIMAL, x, basis2
+    for i, bi in enumerate(basis):
+        x[bi] = tableau[i][-1]
+    return OPTIMAL, x, basis
+
+
+# ---------------------------------------------------------------------------
+# preparation of (A, b)
+
+
+@dataclass(frozen=True)
+class _Prepared:
+    """The objective-independent part of a solve of a feasible (A, b).
+
+    ``tableau`` is the phase-1 tableau over the ``free`` columns, or None when
+    presolve settled every row; ``basis`` indexes into ``free``.
+    """
+
+    fixed: tuple[tuple[int, Fraction], ...]
+    free: tuple[int, ...]
+    tableau: tuple[tuple[Fraction, ...], ...] | None
+    basis: tuple[int, ...]
+
+
+def _prepare_cold(a: Matrix, b: Vec) -> _Prepared | None:
+    """Presolve and phase 1 of {x >= 0 : a x = b}; None when it is infeasible."""
+    rows = [dict(r) for r in a.sparse_rows]
+    rhs = list(b)
+    feasible, fixedvals = _presolve(rows, rhs)
+    if not feasible:
+        return None
+    free = tuple(sorted(set(range(a.ncols)) - fixedvals.keys()))
+    fixed = tuple(fixedvals.items())
+    if not rows:
+        return _Prepared(fixed, free, None, ())
+    colmap = {j: k for k, j in enumerate(free)}
+    dense = [[_ZERO] * len(free) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, coef in row.items():
+            dense[i][colmap[j]] = coef
+    phase1 = _phase1(dense, rhs)
+    if phase1 is None:
+        return None
+    return _Prepared(fixed, free, *phase1)
+
+
+#: (a, b, preparation) of the last system prepared.  ``a`` is held, so its
+#: identity cannot pass to another matrix while it is remembered.  Every
+#: caller in the process shares it, which changes no result: an entry is
+#: only ever reused for the system it was computed from.
+_last_prepared: tuple[Matrix, Vec, _Prepared | None] | None = None
+
+
+def _prepare(a: Matrix, b: Vec) -> _Prepared | None:
+    """``_prepare_cold(a, b)``, reusing the last result for the same matrix and b."""
+    global _last_prepared
+    b = tuple(b)
+    last = _last_prepared  # one read, so a concurrent update cannot split the entry
+    if last is not None and last[0] is a and last[1] == b:
+        return last[2]
+    prep = _prepare_cold(a, b)
+    _last_prepared = (a, b, prep)
+    return prep
 
 
 # ---------------------------------------------------------------------------
@@ -274,38 +366,29 @@ def _simplex_core(
 
 def lp_solve(lp: StandardLp) -> LpResult:
     """Exact optimal basic solution, or an infeasible/unbounded certificate status."""
-    n = lp.n
-    rows = [{j: x for j, x in enumerate(r) if x} for r in lp.a.rows]
-    rhs = list(lp.b)
-    feasible, fixedvals = _presolve(rows, rhs)
-    if not feasible:
+    prep = _prepare(lp.a, lp.b)
+    if prep is None:
         return LpResult(INFEASIBLE)
-
-    free = sorted(set(range(n)) - fixedvals.keys())
-    x = [_ZERO] * n
-    for j, v in fixedvals.items():
+    x = [_ZERO] * lp.n
+    for j, v in prep.fixed:
         x[j] = v
 
     core_basis: list[int] = []
-    if rows:
-        colmap = {j: k for k, j in enumerate(free)}
-        dense = [[_ZERO] * len(free) for _ in rows]
-        for i, row in enumerate(rows):
-            for j, coef in row.items():
-                dense[i][colmap[j]] = coef
-        status, core_x, basis = _simplex_core(dense, rhs, [lp.c[j] for j in free])
+    if prep.tableau is not None:
+        status, core_x, basis = _phase2(prep.tableau, prep.basis, [lp.c[j] for j in prep.free])
         if status != OPTIMAL:
             return LpResult(status)
-        for k, j in enumerate(free):
+        for k, j in enumerate(prep.free):
             x[j] = core_x[k]
-        core_basis = [free[k] for k in basis]
-    elif free:
+        core_basis = [prep.free[k] for k in basis]
+    elif prep.free:
         # No constraints left: minimize over the non-negative orthant.
-        if any(lp.c[j] < 0 for j in free):
+        if any(lp.c[j] < 0 for j in prep.free):
             return LpResult(UNBOUNDED)
 
-    objective = dot(lp.c, x)
-    basis_set = frozenset(core_basis) | {j for j, v in fixedvals.items() if v != 0}
+    # c is mostly zero (coord_range's has one non-zero entry): skip zero terms
+    objective = sum((cj * x[j] for j, cj in enumerate(lp.c) if cj), _ZERO)
+    basis_set = frozenset(core_basis) | {j for j, v in prep.fixed if v != 0}
     return LpResult(OPTIMAL, tuple(x), objective, basis_set)
 
 
@@ -321,7 +404,6 @@ def is_feasible_point(lp: StandardLp, x: Sequence[Fraction | int | str]) -> bool
 
 def _restricted(lp: StandardLp, fixed: Sequence[Fraction]) -> tuple[Matrix, Vec] | None:
     """Substitute fixed leading coordinates; None if a fixed value is negative."""
-    k = len(fixed)
     if any(v < 0 for v in fixed):
         return None
     rhs = list(lp.b)
@@ -331,15 +413,16 @@ def _restricted(lp: StandardLp, fixed: Sequence[Fraction]) -> tuple[Matrix, Vec]
                 coef = lp.a.rows[i][j]
                 if coef:
                     rhs[i] -= coef * v
-    rest = Matrix(tuple(r[k:] for r in lp.a.rows))
-    return rest, tuple(rhs)
+    return lp.a.tail(len(fixed)), tuple(rhs)
 
 
 def coord_range(lp: StandardLp, fixed: Sequence[Fraction | int | str] = ()) -> CoordRange:
     """Exact [min, max] of the next free coordinate, given fixed leading ones.
 
     Returns an empty range when the fixed prefix is infeasible; ``hi`` is
-    None when the coordinate is unbounded above.
+    None when the coordinate is unbounded above.  Both solves see the same
+    matrix object and right-hand side, so the second reuses the first's
+    preparation.
     """
     fixedv = vec(fixed)
     if len(fixedv) >= lp.n:
@@ -348,14 +431,12 @@ def coord_range(lp: StandardLp, fixed: Sequence[Fraction | int | str] = ()) -> C
     if restricted is None:
         return CoordRange(empty=True)
     rest, rhs = restricted
-    m = rest.ncols
-    c_lo = vec([1] + [0] * (m - 1))
-    res_lo = lp_solve(StandardLp(rest, rhs, c_lo))
+    zeros = (_ZERO,) * (rest.ncols - 1)
+    res_lo = lp_solve(StandardLp(rest, rhs, (_ONE,) + zeros))
     if res_lo.status == INFEASIBLE:
         return CoordRange(empty=True)
     if res_lo.status != OPTIMAL:
         raise AssertionError("objective x_k >= 0 cannot be unbounded below")
-    c_hi = vec([-1] + [0] * (m - 1))
-    res_hi = lp_solve(StandardLp(rest, rhs, c_hi))
+    res_hi = lp_solve(StandardLp(rest, rhs, (-_ONE,) + zeros))
     hi = None if res_hi.status == UNBOUNDED else -res_hi.objective
     return CoordRange(False, res_lo.objective, hi)

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from ilplab.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
+from ilplab import cli
+from ilplab.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from ilplab.instances import instance_from_doc
 from ilplab.measures import CSV_HEADER
 
@@ -185,12 +186,44 @@ class TestSweep:
 
     def test_cell_failure_recorded_not_fatal(self, capsys):
         # delta=1 cannot be embedded into a bin-packing system
-        code, stdout, _ = run(capsys, "sweep", "binpack-sens", "--delta", "1:2", "--d", "2")
-        assert code == EXIT_OK
+        code, stdout, stderr = run(capsys, "sweep", "binpack-sens", "--delta", "1:2", "--d", "2")
+        assert code == EXIT_CHECK_FAILED
         lines = stdout.strip().splitlines()
         assert len(lines) == 3
         assert lines[1].endswith("error:EmbeddingError")
         assert lines[2].endswith("ok")
+        assert "cell delta=1 d=2: check failed:" in stderr
+
+    def test_budget_failure_exits_with_budget_code(self, capsys):
+        code, stdout, _ = run(
+            capsys, "sweep", "sensitivity", "--delta", "1:2", "--d", "2", "--node-budget", "1"
+        )
+        assert code == EXIT_BUDGET
+        rows = stdout.strip().splitlines()[1:]
+        assert len(rows) == 2 and all(r.endswith("error:BudgetExceededError") for r in rows)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_first_failing_cell_sets_the_exit_code(self, capsys, jobs):
+        # delta=1 fails to embed (1) before delta=2 runs out of nodes (2)
+        args = ("sweep", "binpack-sens", "--delta", "1:2", "--d", "2", "--node-budget", "1")
+        code, stdout, _ = run(capsys, *args, "--jobs", jobs)
+        assert code == EXIT_CHECK_FAILED
+        rows = stdout.strip().splitlines()[1:]
+        assert rows[0].endswith("error:EmbeddingError")
+        assert rows[1].endswith("error:BudgetExceededError")
+
+    def test_jobs_below_one_is_a_usage_error(self, capsys):
+        code, stdout, _ = run(capsys, "sweep", "sensitivity", "--delta", "2", "--d", "2", "--jobs", "0")
+        assert code == EXIT_USAGE and stdout == ""
+
+    def test_worker_count_is_capped(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        assert cli._sweep_workers(64, 100) == 4
+        assert cli._sweep_workers(64, 3) == 3
+        assert cli._sweep_workers(2, 100) == 2
+        assert cli._sweep_workers(8, 0) == 0
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._sweep_workers(64, 100) == 1
 
     def test_worker_pool_matches_sequential(self, capsys):
         args = ("sweep", "sensitivity", "--delta", "1:2", "--d", "2,4")

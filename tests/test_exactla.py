@@ -166,6 +166,44 @@ class TestMaxSubdet:
         assert res.value == 1
 
 
+class TestSparseRows:
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_matrices())
+    def test_tail_pattern_matches_its_dense_rows(self, m):
+        assert m.tail(0) is m
+        for k in range(m.ncols):
+            t = m.tail(k)
+            assert t.rows == tuple(r[k:] for r in m.rows)
+            # the pattern derived from the parent's, against one from scratch
+            assert t.sparse_rows == tuple(
+                tuple((j, x) for j, x in enumerate(r) if x != 0) for r in t.rows
+            )
+            if k + 1 < m.ncols:
+                assert t.tail(1).sparse_rows == m.tail(k + 1).sparse_rows
+
+    @settings(max_examples=40, deadline=None)
+    @given(sparse_matrices(), st.data())
+    def test_vstack_pattern_matches_its_dense_rows(self, m, data):
+        cuts = sorted(data.draw(st.lists(st.integers(0, m.nrows), max_size=3)))
+        bounds = [0, *cuts, m.nrows]
+        parts = [Matrix(m.rows[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+        stacked = Matrix.vstack(parts)
+        assert stacked == m
+        assert stacked.sparse_rows == Matrix(m.rows).sparse_rows
+
+    def test_tail_bounds(self):
+        m = Matrix.from_rows([[1, 0, 2]])
+        assert m.tail(3).ncols == 0
+        for k in (-1, 4):
+            with pytest.raises(ValueError):
+                m.tail(k)
+
+    def test_rows_are_tuples(self):
+        m = Matrix([[F(1), F(0)], [F(0), F(1)]])
+        assert type(m.rows) is tuple and all(type(r) is tuple for r in m.rows)
+        assert m == Matrix.identity(2)
+
+
 class TestHadamard:
     def test_identity_column_norms(self):
         hb = hadamard_bound(Matrix.identity(2), 2)

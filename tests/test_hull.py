@@ -1,8 +1,13 @@
+import functools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ilplab import lp as lp_module
 from ilplab.hull import (
     VERDICT_INCONCLUSIVE,
     VERDICT_NOT_POLYTOPISH,
@@ -107,6 +112,17 @@ class TestIntegerPoints:
             assert set(cols) <= set(report.hull_integer_points)
             assert report.hull_integer_points == box_oracle(cols)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda dim: st.lists(
+                st.tuples(*[st.integers(-2, 3)] * dim), min_size=1, max_size=4
+            )
+        )
+    )
+    def test_matches_box_oracle_property(self, cols):
+        assert integer_points_in_hull(cols).hull_integer_points == box_oracle(cols)
+
     def test_json_report(self):
         doc = integer_points_in_hull([(0, 1), (1, 2)]).to_json()
         assert doc["verdict"] == VERDICT_POLYTOPISH
@@ -115,3 +131,31 @@ class TestIntegerPoints:
     def test_fractional_columns_rejected(self):
         with pytest.raises(ValueError):
             integer_points_in_hull([(F(1, 2), 0)])
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Wrap every binding of ``fn`` in the loaded ilplab modules; one entry per call."""
+    calls = []
+
+    @functools.wraps(fn)
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "ilplab" and getattr(mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, counted)
+    return calls
+
+
+class TestCallGraph:
+    def test_each_depth_is_one_coord_range_and_two_lp_solves(self, monkeypatch):
+        # the benchmark's traced run checks exactly these identities on this
+        # instance; each depth must stay one public coord_range call and two
+        # public lp_solve calls, whatever work they share underneath
+        solves = count_calls(monkeypatch, lp_module.lp_solve)
+        ranges = count_calls(monkeypatch, lp_module.coord_range)
+        report = integer_points_in_hull(gen_proximity(2, 3).lp.a.cols())
+        assert report.verdict == VERDICT_POLYTOPISH
+        assert len(report.hull_integer_points) == 51
+        assert report.lp_calls == len(solves) == 2 * len(ranges) > 0

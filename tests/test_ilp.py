@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ilplab.errors import BudgetExceededError, UnboundedSearchError
 from ilplab.exactla import Matrix, vec
@@ -102,6 +104,16 @@ class TestGeneralBehaviour:
             expected_sols, expected_obj = brute_force_optima(lp, box)
             assert got.solutions == expected_sols
             assert got.objective == expected_obj
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_matches_box_brute_force_property(self, seed):
+        # a non-zero objective makes every node solve its objective bound on
+        # the same residual system that coord_range then bounds
+        lp, _ = random_feasible_ilp(random.Random(seed), max_dim=3, max_cols=4, max_entry=3)
+        box = [min(u, 5) for u in implied_box(lp)]
+        got = enumerate_integral_optima(lp, box=box)
+        assert (got.solutions, got.objective) == brute_force_optima(lp, box)
 
     def test_unbounded_search_detected(self):
         # second column is identically zero: no finite bound is derivable

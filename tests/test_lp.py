@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ilplab.exactla import Matrix, dot, vec
 from ilplab.instances import expected_sensitivity_pair, fractional_certificate, gen_proximity, gen_sensitivity
@@ -93,6 +95,33 @@ class TestLpSolve:
         assert seen_infeasible > 0
 
 
+@st.composite
+def lp_variants(draw):
+    """A random feasible LP, a second objective and a second feasible b."""
+    lp, _ = random_feasible_ilp(random.Random(draw(st.integers(0, 2**32))), max_dim=3, max_cols=5)
+    c2 = vec(draw(st.lists(st.integers(-2, 2), min_size=lp.n, max_size=lp.n)))
+    x2 = vec(draw(st.lists(st.integers(0, 2), min_size=lp.n, max_size=lp.n)))
+    return lp, c2, lp.a.mul_vec(x2)
+
+
+class TestSharedPreparation:
+    @settings(max_examples=80, deadline=None)
+    @given(lp_variants())
+    def test_reused_preparation_matches_cold_solves(self, case):
+        lp, c2, b2 = case
+        # consecutive solves on one matrix object: the second and the fourth
+        # reuse the preparation of the solve before them
+        systems = [(lp.b, lp.c), (lp.b, c2), (b2, lp.c), (b2, c2)]
+        warm = [lp_solve(StandardLp(lp.a, b, c)) for b, c in systems]
+        for (b, c), got in zip(systems, warm):
+            cold_lp = StandardLp(Matrix(lp.a.rows), b, c)  # a fresh matrix object
+            assert got == lp_solve(cold_lp)
+            assert got.status == OPTIMAL  # non-negative columns bound the region
+            oracle = lp_basic_solution_optimum(cold_lp)
+            if oracle is not None:
+                assert got.objective == oracle
+
+
 class TestIsFeasiblePoint:
     def test_examples(self):
         inst = gen_sensitivity(2, 4)
@@ -139,7 +168,8 @@ class TestCoordRange:
             cr = coord_range(lp)
             assert not cr.empty
             lo = lp_solve(StandardLp(lp.a, lp.b, vec([1] + [0] * (lp.n - 1))))
-            assert cr.lo == lo.objective
+            hi = lp_solve(StandardLp(lp.a, lp.b, vec([-1] + [0] * (lp.n - 1))))
+            assert (cr.lo, cr.hi) == (lo.objective, -hi.objective)
 
     def test_all_fixed_rejected(self):
         with pytest.raises(ValueError):
