@@ -1,9 +1,20 @@
 """Exact rational linear programming in equality form min{c.x : Ax = b, x >= 0}.
 
-The solver is a two-phase tableau simplex over Fractions with Bland's
-smallest-index rule for both the entering and the leaving variable, which
-makes it terminating and bit-for-bit deterministic.  A presolve pass runs
-first and repeatedly applies three exact reductions:
+The solver is a two-phase tableau simplex with Bland's smallest-index rule
+for both the entering and the leaving variable, which makes it terminating
+and bit-for-bit deterministic.  It pivots fraction-free (Bareiss 1968,
+Edmonds 1967): each tableau row, the cost row included, is a list of Python
+ints over one positive int denominator, kept primitive by dividing out the
+gcd after every update.  Each such row stands for exactly the rational row
+of a tableau kept in Fractions, and Bland's rule reads only what that
+tableau would give it: the sign of a cost entry is the sign of its
+numerator, and the ratio rhs/entry of a row is the ratio of its numerators,
+since the row's denominator cancels; two ratios are compared by
+cross-multiplication.  So every pivot, basis, solution and objective is the
+one the Fraction tableau reaches.  Fractions appear only where the dense
+core and c are scaled to integer rows and at the basic values returned.
+
+A presolve pass runs first and repeatedly applies three exact reductions:
 
   * a row with no remaining variables must have zero right-hand side;
   * a row with one remaining variable forces that variable's value;
@@ -34,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .exactla import Matrix, Vec, vec
@@ -83,7 +95,7 @@ class LpResult:
 class CoordRange:
     """Exact range of one coordinate over an LP feasible region.
 
-    ``empty`` marks an infeasible prefix.  ``hi`` is None when the
+    ``empty`` marks an infeasible system.  ``hi`` is None when the
     coordinate is unbounded above.
     """
 
@@ -96,50 +108,76 @@ class CoordRange:
 # presolve
 
 
+def _dominates(ri: dict[int, Fraction], rk: dict[int, Fraction]) -> bool:
+    """True iff ri - rk is entrywise >= 0, read without building the difference."""
+    get = ri.get
+    for j, coef in rk.items():
+        if get(j, 0) < coef:
+            return False
+    for j, coef in ri.items():
+        if coef < 0 and j not in rk:
+            return False
+    return True
+
+
 def _presolve(rows: list[dict[int, Fraction]], rhs: list[Fraction]):
     """Apply the exact reductions to fixpoint.
 
-    Mutates ``rows``/``rhs``.  Returns (feasible, fixed) where fixed maps
-    column index -> forced value; on infeasibility returns (False, fixed).
+    Mutates ``rows``/``rhs`` into the rows left over, in their order.
+    Returns (feasible, fixed) where fixed maps column index -> forced value,
+    in the order the values were forced; on infeasibility returns
+    (False, fixed).
+
+    The live rows are ``[row, rhs]`` entries, and a holder index maps each
+    column to the entries whose row holds it.  Forcing a column visits only
+    those entries and then drops the column from the index, since no row
+    holds it any more; rows never gain columns, so the index needs no other
+    upkeep.  A row deleted while it still holds columns (a duplicate) is
+    emptied, so the index entries that still name it do nothing.
     """
+    live = [[row, b] for row, b in zip(rows, rhs)]
+    holders: dict[int, list[list]] = {}
+    for entry in live:
+        for j in entry[0]:
+            holders.setdefault(j, []).append(entry)
     fixed: dict[int, Fraction] = {}
 
     def substitute(j: int, value: Fraction) -> bool:
         if value < 0:
             return False
         fixed[j] = value
-        for i, row in enumerate(rows):
-            coef = row.pop(j, None)
+        for entry in holders.pop(j, ()):
+            coef = entry[0].pop(j, None)
             if coef is not None and value != 0:
-                rhs[i] -= coef * value
+                entry[1] -= coef * value
         return True
 
     changed = True
     while changed:
         changed = False
         i = 0
-        while i < len(rows):
-            row = rows[i]
+        while i < len(live):
+            row, b = live[i]
             if not row:
-                if rhs[i] != 0:
+                if b != 0:
                     return False, fixed
-                del rows[i], rhs[i]
+                del live[i]
                 changed = True
                 continue
             if len(row) == 1:
                 ((j, coef),) = row.items()
-                if not substitute(j, rhs[i] / coef):
+                if not substitute(j, b / coef):
                     return False, fixed
-                del rows[i], rhs[i]
+                del live[i]
                 changed = True
                 continue
-            if rhs[i] == 0:
+            if b == 0:
                 signs = {coef > 0 for coef in row.values()}
                 if len(signs) == 1:
                     for j in list(row):
                         if not substitute(j, _ZERO):
                             return False, fixed
-                    del rows[i], rhs[i]
+                    del live[i]
                     changed = True
                     continue
             i += 1
@@ -147,17 +185,14 @@ def _presolve(rows: list[dict[int, Fraction]], rhs: list[Fraction]):
             continue
         # Row-difference dominance: if row_i - row_k is entrywise >= 0 then
         # (row_i - row_k).x = rhs_i - rhs_k with x >= 0 forces conclusions.
-        for i in range(len(rows)):
-            for k in range(len(rows)):
-                if i == k:
+        for i, (ri, bi) in enumerate(live):
+            for k, (rk, bk) in enumerate(live):
+                if i == k or not _dominates(ri, rk):
                     continue
-                ri, rk = rows[i], rows[k]
                 diff = dict(ri)
                 for j, coef in rk.items():
                     diff[j] = diff.get(j, _ZERO) - coef
-                if any(dv < 0 for dv in diff.values()):
-                    continue
-                gap = rhs[i] - rhs[k]
+                gap = bi - bk
                 if gap < 0:
                     return False, fixed
                 if gap == 0:
@@ -168,40 +203,58 @@ def _presolve(rows: list[dict[int, Fraction]], rhs: list[Fraction]):
                                 return False, fixed
                         changed = True
                     elif all(dv == 0 for dv in diff.values()):
-                        del rows[k], rhs[k]
+                        live.pop(k)[0].clear()
                         changed = True
                 if changed:
                     break
             if changed:
                 break
+    rows[:] = [row for row, _ in live]
+    rhs[:] = [b for _, b in live]
     return True, fixed
 
 
 # ---------------------------------------------------------------------------
-# simplex: phase 1 needs only (A, b), phase 2 adds c
+# simplex on integer rows: phase 1 needs only (A, b), phase 2 adds c
+#
+# A tableau is ``rows``, ``dens`` and ``basis``: row i stands for the rational
+# row rows[i][j] / dens[i] (right-hand side last), with gcd(dens[i], *rows[i])
+# == 1, dens[i] > 0 and rows[i][basis[i]] == dens[i].  The last row is the
+# cost row and has no basis entry.
 
 
-def _pivot(tableau: list[list[Fraction]], cost: list[Fraction], basis: list[int], pr: int, pc: int):
-    prow = tableau[pr]
-    piv = prow[pc]
-    if piv != 1:
-        inv = _ONE / piv
-        tableau[pr] = prow = [x * inv if x else x for x in prow]
-    for i, row in enumerate(tableau):
-        if i == pr:
-            continue
+def _primitive(row: list[int], den: int) -> tuple[list[int], int]:
+    """The same rational row with gcd(den, *row) == 1."""
+    g = gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [x // g for x in row], den // g
+
+
+def _pivot(rows: list[list[int]], dens: list[int], basis: list[int], pr: int, pc: int):
+    # The pivot row over its pivot entry q needs no gcd step: a row's entry
+    # in its own basic column equals its denominator, so gcd(*prow) divides
+    # that denominator and, the row being primitive, is 1.
+    prow = rows[pr]
+    q = prow[pc]
+    if q < 0:
+        prow = [-x for x in prow]
+        q = -q
+        rows[pr] = prow
+    dens[pr] = q
+    for i, row in enumerate(rows):
         f = row[pc]
-        if f:
-            tableau[i] = [a - f * b if b else a for a, b in zip(row, prow)]
-    f = cost[pc]
-    if f:
-        cost[:] = [a - f * b if b else a for a, b in zip(cost, prow)]
+        if not f or i == pr:
+            continue
+        new = [a * q - f * b for a, b in zip(row, prow)]
+        rows[i], dens[i] = _primitive(new, dens[i] * q)
     basis[pr] = pc
 
 
-def _iterate(tableau: list[list[Fraction]], cost: list[Fraction], basis: list[int], n_enter: int) -> str:
+def _iterate(rows: list[list[int]], dens: list[int], basis: list[int], n_enter: int) -> str:
     """Run simplex pivots until optimal or unbounded (Bland's rule)."""
     while True:
+        cost = rows[-1]
         pc = -1
         for j in range(n_enter):
             if cost[j] < 0:
@@ -209,50 +262,69 @@ def _iterate(tableau: list[list[Fraction]], cost: list[Fraction], basis: list[in
                 break
         if pc < 0:
             return OPTIMAL
+        # least ratio row[-1] / row[pc] (the row's denominator cancels),
+        # ties to the smaller basic index
         pr = -1
-        best: Fraction | None = None
-        best_var = -1
-        for i, row in enumerate(tableau):
+        best_t = best_a = best_var = 0
+        for i, bi in enumerate(basis):
+            row = rows[i]
             a = row[pc]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < best_var):
-                    best, pr, best_var = ratio, i, basis[i]
+                t = row[-1]
+                if pr >= 0:
+                    lhs, rhs = t * best_a, best_t * a
+                    if lhs > rhs or (lhs == rhs and bi > best_var):
+                        continue
+                pr, best_t, best_a, best_var = i, t, a, bi
         if pr < 0:
             return UNBOUNDED
-        _pivot(tableau, cost, basis, pr, pc)
+        _pivot(rows, dens, basis, pr, pc)
 
 
 def _phase1(
     rows: list[list[Fraction]], rhs: list[Fraction]
-) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]] | None:
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]] | None:
     """Phase 1 on a dense system: a feasible basis, or None when infeasible.
 
-    Returns the tableau over the real columns (right-hand side last), with
-    redundant rows dropped, and its basis.  Nothing here depends on c.
+    Returns the tableau over the real columns (right-hand side last) as
+    integer rows and their denominators, with redundant rows dropped, and
+    its basis.  Nothing here depends on c.
     """
     r, m = len(rows), len(rows[0])
-    rows = [list(row) for row in rows]
-    rhs = list(rhs)
-    for i in range(r):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-
-    # Artificial variables m..m+r-1, objective = their sum.
-    tableau = [rows[i] + [_ONE if k == i else _ZERO for k in range(r)] + [rhs[i]] for i in range(r)]
+    # Each row and its rhs, scaled by the lcm of their denominators (and
+    # negated when the rhs is negative); artificial variables m..m+r-1.
+    tableau: list[list[int]] = []
+    dens: list[int] = []
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        den = lcm(b.denominator, *(x.denominator for x in row))
+        nums = [x.numerator * (den // x.denominator) for x in row]
+        t = b.numerator * (den // b.denominator)
+        if t < 0:
+            nums = [-x for x in nums]
+            t = -t
+        artificial = [0] * r
+        artificial[i] = den
+        tableau.append(nums + artificial + [t])
+        dens.append(den)
     basis = list(range(m, m + r))
-    cost = [_ZERO] * (m + r + 1)
-    for i in range(r):
-        row = tableau[i]
+
+    # Objective = sum of the artificials, priced out: minus the sum of rows.
+    cost_den = lcm(*dens)
+    cost = [0] * (m + r + 1)
+    for row, den in zip(tableau, dens):
+        f = cost_den // den
         for j in range(m):
             if row[j]:
-                cost[j] -= row[j]
-        cost[-1] -= row[-1]
-    status = _iterate(tableau, cost, basis, m)
+                cost[j] -= f * row[j]
+        cost[-1] -= f * row[-1]
+    cost, cost_den = _primitive(cost, cost_den)
+    tableau.append(cost)
+    dens.append(cost_den)
+
+    status = _iterate(tableau, dens, basis, m)
     if status != OPTIMAL:
         raise AssertionError("phase-1 objective is bounded below by zero")
-    if -cost[-1] > 0:
+    if tableau[-1][-1] < 0:
         return None
 
     # Pivot leftover artificials out; an all-zero row is redundant.
@@ -262,42 +334,52 @@ def _phase1(
             row = tableau[i]
             for j in range(m):
                 if row[j]:
-                    _pivot(tableau, cost, basis, i, j)
+                    _pivot(tableau, dens, basis, i, j)
                     break
             else:
                 drop.append(i)
     keep = [i for i in range(r) if i not in drop]
+    # without the artificial columns a row can share a factor with its den
+    prepared = [_primitive(tableau[i][:m] + tableau[i][-1:], dens[i]) for i in keep]
     return (
-        tuple(tuple(tableau[i][:m]) + (tableau[i][-1],) for i in keep),
+        tuple(tuple(row) for row, _ in prepared),
+        tuple(den for _, den in prepared),
         tuple(basis[i] for i in keep),
     )
 
 
 def _phase2(
-    tableau: Sequence[Sequence[Fraction]], basis: Sequence[int], c: list[Fraction]
+    tableau: Sequence[Sequence[int]], dens: Sequence[int], basis: Sequence[int], c: list[Fraction]
 ) -> tuple[str, list[Fraction] | None, list[int] | None]:
     """Phase 2 from a phase-1 tableau; returns (status, x, basis).
 
     The given rows are tuples and ``_pivot`` replaces rows instead of writing
-    into them, so copying the outer list leaves the given tableau untouched.
+    into them, so copying the outer lists leaves the given tableau untouched.
     """
     m = len(c)
-    tableau = list(tableau)
+    rows = list(tableau)
+    dens = list(dens)
     basis = list(basis)
-    cost = list(c) + [_ZERO]
-    for i, row in enumerate(tableau):
-        cb = c[basis[i]]
-        if cb:
-            for j in range(m):
-                if row[j]:
-                    cost[j] -= cb * row[j]
-            cost[-1] -= cb * row[-1]
-    status = _iterate(tableau, cost, basis, m)
+    # cost = c - sum_i c[basis[i]] * row_i, over c's scale times the lcm of
+    # the denominators of the rows it takes
+    c_den = lcm(*(x.denominator for x in c))
+    cn = [x.numerator * (c_den // x.denominator) for x in c]
+    rows_den = lcm(*(dens[i] for i, bi in enumerate(basis) if cn[bi]))
+    cost = [x * rows_den for x in cn] + [0]
+    for i, bi in enumerate(basis):
+        if cn[bi]:
+            f = cn[bi] * (rows_den // dens[i])
+            cost = [a - f * b if b else a for a, b in zip(cost, rows[i])]
+    cost, cost_den = _primitive(cost, c_den * rows_den)
+    rows.append(cost)
+    dens.append(cost_den)
+
+    status = _iterate(rows, dens, basis, m)
     if status == UNBOUNDED:
         return UNBOUNDED, None, None
     x = [_ZERO] * m
     for i, bi in enumerate(basis):
-        x[bi] = tableau[i][-1]
+        x[bi] = Fraction(rows[i][-1], dens[i])
     return OPTIMAL, x, basis
 
 
@@ -309,13 +391,15 @@ def _phase2(
 class _Prepared:
     """The objective-independent part of a solve of a feasible (A, b).
 
-    ``tableau`` is the phase-1 tableau over the ``free`` columns, or None when
-    presolve settled every row; ``basis`` indexes into ``free``.
+    ``tableau`` is the phase-1 tableau over the ``free`` columns as integer
+    rows over ``dens``, or None when presolve settled every row; ``basis``
+    indexes into ``free``.
     """
 
     fixed: tuple[tuple[int, Fraction], ...]
     free: tuple[int, ...]
-    tableau: tuple[tuple[Fraction, ...], ...] | None
+    tableau: tuple[tuple[int, ...], ...] | None
+    dens: tuple[int, ...]
     basis: tuple[int, ...]
 
 
@@ -329,7 +413,7 @@ def _prepare_cold(a: Matrix, b: Vec) -> _Prepared | None:
     free = tuple(sorted(set(range(a.ncols)) - fixedvals.keys()))
     fixed = tuple(fixedvals.items())
     if not rows:
-        return _Prepared(fixed, free, None, ())
+        return _Prepared(fixed, free, None, (), ())
     colmap = {j: k for k, j in enumerate(free)}
     dense = [[_ZERO] * len(free) for _ in rows]
     for i, row in enumerate(rows):
@@ -375,7 +459,7 @@ def lp_solve(lp: StandardLp) -> LpResult:
 
     core_basis: list[int] = []
     if prep.tableau is not None:
-        status, core_x, basis = _phase2(prep.tableau, prep.basis, [lp.c[j] for j in prep.free])
+        status, core_x, basis = _phase2(prep.tableau, prep.dens, prep.basis, [lp.c[j] for j in prep.free])
         if status != OPTIMAL:
             return LpResult(status)
         for k, j in enumerate(prep.free):
@@ -402,41 +486,21 @@ def is_feasible_point(lp: StandardLp, x: Sequence[Fraction | int | str]) -> bool
     return lp.a.mul_vec(xv) == tuple(lp.b)
 
 
-def _restricted(lp: StandardLp, fixed: Sequence[Fraction]) -> tuple[Matrix, Vec] | None:
-    """Substitute fixed leading coordinates; None if a fixed value is negative."""
-    if any(v < 0 for v in fixed):
-        return None
-    rhs = list(lp.b)
-    for j, v in enumerate(fixed):
-        if v:
-            for i in range(lp.d):
-                coef = lp.a.rows[i][j]
-                if coef:
-                    rhs[i] -= coef * v
-    return lp.a.tail(len(fixed)), tuple(rhs)
+def coord_range(lp: StandardLp) -> CoordRange:
+    """Exact [min, max] of x_0 over {x >= 0 : A x = b}.
 
-
-def coord_range(lp: StandardLp, fixed: Sequence[Fraction | int | str] = ()) -> CoordRange:
-    """Exact [min, max] of the next free coordinate, given fixed leading ones.
-
-    Returns an empty range when the fixed prefix is infeasible; ``hi`` is
-    None when the coordinate is unbounded above.  Both solves see the same
-    matrix object and right-hand side, so the second reuses the first's
-    preparation.
+    Returns an empty range when the system is infeasible; ``hi`` is None
+    when x_0 is unbounded above.  Both solves see the same matrix object
+    and right-hand side, so the second reuses the first's preparation.
+    A caller that fixes leading coordinates passes the system left over:
+    ``a.tail(k)`` and b minus the fixed columns times their values.
     """
-    fixedv = vec(fixed)
-    if len(fixedv) >= lp.n:
-        raise ValueError("no free coordinate left to bound")
-    restricted = _restricted(lp, fixedv)
-    if restricted is None:
-        return CoordRange(empty=True)
-    rest, rhs = restricted
-    zeros = (_ZERO,) * (rest.ncols - 1)
-    res_lo = lp_solve(StandardLp(rest, rhs, (_ONE,) + zeros))
+    zeros = (_ZERO,) * (lp.n - 1)
+    res_lo = lp_solve(StandardLp(lp.a, lp.b, (_ONE,) + zeros))
     if res_lo.status == INFEASIBLE:
         return CoordRange(empty=True)
     if res_lo.status != OPTIMAL:
-        raise AssertionError("objective x_k >= 0 cannot be unbounded below")
-    res_hi = lp_solve(StandardLp(rest, rhs, (-_ONE,) + zeros))
+        raise AssertionError("objective x_0 >= 0 cannot be unbounded below")
+    res_hi = lp_solve(StandardLp(lp.a, lp.b, (-_ONE,) + zeros))
     hi = None if res_hi.status == UNBOUNDED else -res_hi.objective
     return CoordRange(False, res_lo.objective, hi)

@@ -5,6 +5,14 @@ different route than the library: Laplace cofactor expansion instead of
 fraction-free elimination, full box enumeration instead of LP-pruned
 search, basic-solution enumeration instead of the simplex, and
 Caratheodory-style simplex-subset search instead of a feasibility LP.
+
+The LP layer also keeps its Fraction reference route here:
+``fraction_presolve`` is the presolve that scans every row on each
+substitution and builds each row difference in full, and
+``fraction_simplex`` is the cold two-phase Bland simplex on Fraction rows
+(``fraction_prepare`` is its presolve and phase 1).  The library's integer-row core over
+one denominator per row must reproduce them bit for bit: the same presolve
+result, the same tableaus as rationals, the same pivots and bases.
 """
 
 from __future__ import annotations
@@ -12,9 +20,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Sequence
 
 from ilplab.exactla import Matrix
-from ilplab.lp import StandardLp
+from ilplab.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, StandardLp
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def cofactor_det(rows: list[list[Fraction]]) -> Fraction:
@@ -185,3 +197,260 @@ def random_feasible_ilp(rng: random.Random, max_dim=3, max_cols=4, max_entry=3):
         b = a.mul_vec(tuple(Fraction(v) for v in x_star))
         c = tuple(Fraction(rng.randint(-1, 2)) for _ in range(n))
         return StandardLp(a, b, c), x_star
+
+
+# ---------------------------------------------------------------------------
+# the Fraction reference route of the LP layer
+
+
+def fraction_presolve(rows: list[dict[int, Fraction]], rhs: list[Fraction]):
+    """Apply the exact reductions to fixpoint.
+
+    Mutates ``rows``/``rhs``.  Returns (feasible, fixed) where fixed maps
+    column index -> forced value; on infeasibility returns (False, fixed).
+    """
+    fixed: dict[int, Fraction] = {}
+
+    def substitute(j: int, value: Fraction) -> bool:
+        if value < 0:
+            return False
+        fixed[j] = value
+        for i, row in enumerate(rows):
+            coef = row.pop(j, None)
+            if coef is not None and value != 0:
+                rhs[i] -= coef * value
+        return True
+
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i < len(rows):
+            row = rows[i]
+            if not row:
+                if rhs[i] != 0:
+                    return False, fixed
+                del rows[i], rhs[i]
+                changed = True
+                continue
+            if len(row) == 1:
+                ((j, coef),) = row.items()
+                if not substitute(j, rhs[i] / coef):
+                    return False, fixed
+                del rows[i], rhs[i]
+                changed = True
+                continue
+            if rhs[i] == 0:
+                signs = {coef > 0 for coef in row.values()}
+                if len(signs) == 1:
+                    for j in list(row):
+                        if not substitute(j, _ZERO):
+                            return False, fixed
+                    del rows[i], rhs[i]
+                    changed = True
+                    continue
+            i += 1
+        if changed:
+            continue
+        # Row-difference dominance: if row_i - row_k is entrywise >= 0 then
+        # (row_i - row_k).x = rhs_i - rhs_k with x >= 0 forces conclusions.
+        for i in range(len(rows)):
+            for k in range(len(rows)):
+                if i == k:
+                    continue
+                ri, rk = rows[i], rows[k]
+                diff = dict(ri)
+                for j, coef in rk.items():
+                    diff[j] = diff.get(j, _ZERO) - coef
+                if any(dv < 0 for dv in diff.values()):
+                    continue
+                gap = rhs[i] - rhs[k]
+                if gap < 0:
+                    return False, fixed
+                if gap == 0:
+                    positive = [j for j, dv in diff.items() if dv > 0]
+                    if positive:
+                        for j in positive:
+                            if not substitute(j, _ZERO):
+                                return False, fixed
+                        changed = True
+                    elif all(dv == 0 for dv in diff.values()):
+                        del rows[k], rhs[k]
+                        changed = True
+                if changed:
+                    break
+            if changed:
+                break
+    return True, fixed
+
+
+def _fraction_pivot(tableau: list[list[Fraction]], cost: list[Fraction], basis: list[int], pr: int, pc: int):
+    prow = tableau[pr]
+    piv = prow[pc]
+    if piv != 1:
+        inv = _ONE / piv
+        tableau[pr] = prow = [x * inv if x else x for x in prow]
+    for i, row in enumerate(tableau):
+        if i == pr:
+            continue
+        f = row[pc]
+        if f:
+            tableau[i] = [a - f * b if b else a for a, b in zip(row, prow)]
+    f = cost[pc]
+    if f:
+        cost[:] = [a - f * b if b else a for a, b in zip(cost, prow)]
+    basis[pr] = pc
+
+
+def _fraction_iterate(tableau: list[list[Fraction]], cost: list[Fraction], basis: list[int], n_enter: int) -> str:
+    """Run simplex pivots until optimal or unbounded (Bland's rule)."""
+    while True:
+        pc = -1
+        for j in range(n_enter):
+            if cost[j] < 0:
+                pc = j
+                break
+        if pc < 0:
+            return OPTIMAL
+        pr = -1
+        best: Fraction | None = None
+        best_var = -1
+        for i, row in enumerate(tableau):
+            a = row[pc]
+            if a > 0:
+                ratio = row[-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < best_var):
+                    best, pr, best_var = ratio, i, basis[i]
+        if pr < 0:
+            return UNBOUNDED
+        _fraction_pivot(tableau, cost, basis, pr, pc)
+
+
+def _fraction_phase1(
+    rows: list[list[Fraction]], rhs: list[Fraction]
+) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]] | None:
+    """Phase 1 on a dense system: a feasible basis, or None when infeasible.
+
+    Returns the tableau over the real columns (right-hand side last), with
+    redundant rows dropped, and its basis.  Nothing here depends on c.
+    """
+    r, m = len(rows), len(rows[0])
+    rows = [list(row) for row in rows]
+    rhs = list(rhs)
+    for i in range(r):
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+
+    # Artificial variables m..m+r-1, objective = their sum.
+    tableau = [rows[i] + [_ONE if k == i else _ZERO for k in range(r)] + [rhs[i]] for i in range(r)]
+    basis = list(range(m, m + r))
+    cost = [_ZERO] * (m + r + 1)
+    for i in range(r):
+        row = tableau[i]
+        for j in range(m):
+            if row[j]:
+                cost[j] -= row[j]
+        cost[-1] -= row[-1]
+    status = _fraction_iterate(tableau, cost, basis, m)
+    if status != OPTIMAL:
+        raise AssertionError("phase-1 objective is bounded below by zero")
+    if -cost[-1] > 0:
+        return None
+
+    # Pivot leftover artificials out; an all-zero row is redundant.
+    drop: list[int] = []
+    for i in range(r):
+        if basis[i] >= m:
+            row = tableau[i]
+            for j in range(m):
+                if row[j]:
+                    _fraction_pivot(tableau, cost, basis, i, j)
+                    break
+            else:
+                drop.append(i)
+    keep = [i for i in range(r) if i not in drop]
+    return (
+        tuple(tuple(tableau[i][:m]) + (tableau[i][-1],) for i in keep),
+        tuple(basis[i] for i in keep),
+    )
+
+
+def _fraction_phase2(
+    tableau: Sequence[Sequence[Fraction]], basis: Sequence[int], c: list[Fraction]
+) -> tuple[str, list[Fraction] | None, list[int] | None]:
+    """Phase 2 from a phase-1 tableau; returns (status, x, basis).
+
+    The given rows are tuples and ``_pivot`` replaces rows instead of writing
+    into them, so copying the outer list leaves the given tableau untouched.
+    """
+    m = len(c)
+    tableau = list(tableau)
+    basis = list(basis)
+    cost = list(c) + [_ZERO]
+    for i, row in enumerate(tableau):
+        cb = c[basis[i]]
+        if cb:
+            for j in range(m):
+                if row[j]:
+                    cost[j] -= cb * row[j]
+            cost[-1] -= cb * row[-1]
+    status = _fraction_iterate(tableau, cost, basis, m)
+    if status == UNBOUNDED:
+        return UNBOUNDED, None, None
+    x = [_ZERO] * m
+    for i, bi in enumerate(basis):
+        x[bi] = tableau[i][-1]
+    return OPTIMAL, x, basis
+
+
+def fraction_prepare(a: Matrix, b) -> tuple | None:
+    """Presolve and phase 1 of {x >= 0 : a x = b} over Fractions, with no memo.
+
+    Returns (fixed items, free columns, phase-1 tableau, basis), the tableau
+    None when presolve settled every row; None when the system is infeasible.
+    """
+    rows = [dict(r) for r in a.sparse_rows]
+    rhs = list(b)
+    feasible, fixedvals = fraction_presolve(rows, rhs)
+    if not feasible:
+        return None
+    free = tuple(sorted(set(range(a.ncols)) - fixedvals.keys()))
+    fixed = tuple(fixedvals.items())
+    if not rows:
+        return fixed, free, None, ()
+    colmap = {j: k for k, j in enumerate(free)}
+    dense = [[_ZERO] * len(free) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, coef in row.items():
+            dense[i][colmap[j]] = coef
+    phase1 = _fraction_phase1(dense, rhs)
+    if phase1 is None:
+        return None
+    return (fixed, free, *phase1)
+
+
+def fraction_simplex(lp: StandardLp) -> LpResult:
+    """Cold presolve, phase 1 and phase 2 of ``lp`` over Fractions, with no memo."""
+    prep = fraction_prepare(lp.a, lp.b)
+    if prep is None:
+        return LpResult(INFEASIBLE)
+    fixed, free, tableau, basis = prep
+    x = [_ZERO] * lp.n
+    for j, v in fixed:
+        x[j] = v
+    core_basis: list[int] = []
+    if tableau is not None:
+        status, core_x, basis = _fraction_phase2(tableau, basis, [lp.c[j] for j in free])
+        if status != OPTIMAL:
+            return LpResult(status)
+        for k, j in enumerate(free):
+            x[j] = core_x[k]
+        core_basis = [free[k] for k in basis]
+    elif free:
+        # No constraints left: minimize over the non-negative orthant.
+        if any(lp.c[j] < 0 for j in free):
+            return LpResult(UNBOUNDED)
+    objective = sum((cj * xj for cj, xj in zip(lp.c, x)), _ZERO)
+    basis_set = frozenset(core_basis) | {j for j, v in fixed if v != 0}
+    return LpResult(OPTIMAL, tuple(x), objective, basis_set)
