@@ -3,16 +3,24 @@
 Vectors and matrices hold ``fractions.Fraction`` entries: arithmetic is
 exact, values are always in lowest terms, and there is no rounding anywhere.
 Vectors are plain tuples of Fractions; matrices are a thin immutable wrapper
-around a tuple of row tuples, which also keeps each row's non-zero pattern
-once it has been asked for (see ``Matrix``).
+around a tuple of row tuples.
 
-Determinants work on plain ``int`` lists instead.  A matrix is converted once
-into an integer grid by clearing each row's denominators, which records one
-scale per row; fraction-free (Bareiss) elimination then stays in the
-integers, and a determinant of the original is the integer determinant
-divided by the product of the chosen rows' scales.  The subdeterminant scan
-builds that grid once per matrix, not once per submatrix, and skips every
-submatrix with a zero row or a zero column, whose determinant is 0.
+Most work reads a matrix as integers instead.  Clearing each row's
+denominators gives an integer row and one positive scale per row, and the
+rational row is the integer row divided by its scale.  A ``Matrix`` keeps one
+such pattern, its non-zero (column, numerator) pairs per row with the row's
+scale, computed once; the LP layer presolves and starts phase 1 from it, and
+``mul_vec`` reads only its non-zeros.  A matrix derived from another by
+dropping leading columns (``tail``) or stacking (``vstack``) derives its
+pattern from the parent's and keeps the parent's scales, which need not be
+the least ones: every reader divides by the scale exactly.
+
+Determinants work on the dense integer grid of the same row scaling, so
+fraction-free (Bareiss) elimination stays in the integers, and a determinant
+of the original is the integer determinant divided by the product of the
+chosen rows' scales.  The subdeterminant scan builds that grid once per
+matrix, not once per submatrix, and skips every submatrix with a zero row or
+a zero column, whose determinant is 0.
 """
 
 from __future__ import annotations
@@ -29,6 +37,11 @@ from .errors import BudgetExceededError
 
 Vec = tuple[Fraction, ...]
 
+#: One row of a matrix's integer pattern: a positive int scale s and the
+#: (column, numerator) pairs of the row's non-zero entries in column order;
+#: the entry in a listed column is numerator / s, every other entry is 0.
+PatternRow = tuple[int, tuple[tuple[int, int], ...]]
+
 #: Serialized rationals look like "3/4", or just "3" for integers.
 #: ``str(Fraction)`` already produces exactly this form.
 
@@ -40,10 +53,6 @@ def rat(x: int | str | Fraction) -> Fraction:
     if isinstance(x, int) or isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
-
-
-def rat_str(x: Fraction) -> str:
-    return str(x)
 
 
 def vec(entries: Iterable[int | str | Fraction]) -> Vec:
@@ -67,11 +76,14 @@ class Matrix:
     ``rows`` is a tuple of row tuples (other sequences are converted), so a
     matrix never changes after it is built and work derived from it can be
     kept for as long as the matrix lives.  ``sparse_rows`` is such work: the
-    non-zero pattern of every row, computed on first use and then kept.
-    ``tail(k)`` drops the first k columns and hands the child a pattern
-    derived from this one in O(nnz), so a chain of column drops scans the
-    dense entries once; ``vstack`` joins the patterns of the blocks it
-    stacks, so rows reused across many stacks are scanned once.
+    matrix's one integer pattern, per row a positive scale and the
+    (column, numerator) pairs of the non-zero entries, computed on first use
+    and then kept.  On a matrix built from its entries the scale is the lcm
+    of the row's denominators, so it is 1 on every integral row.  ``tail(k)``
+    drops the first k columns and hands the child a pattern derived from
+    this one in O(nnz), keeping this one's scales, so a chain of column
+    drops scans the dense entries once; ``vstack`` joins the patterns of the
+    blocks it stacks, so rows reused across many stacks are scanned once.
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
@@ -127,15 +139,15 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(tuple(self.col(j) for j in range(self.ncols)))
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix(tuple(tuple(self.rows[i][j] for j in col_idx) for i in row_idx))
-
     # cached_property keeps its value in the instance dict, where ``vstack``
     # and ``tail`` seed it with a pattern they derived
     @cached_property
-    def sparse_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """Per row, its (column, entry) pairs with non-zero entry, in column order."""
-        return tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in self.rows)
+    def sparse_rows(self) -> tuple[PatternRow, ...]:
+        """Per row, its scale and the (column, numerator) pairs of its non-zero entries."""
+        grid, scales = _scaled_rows(self.rows)
+        return tuple(
+            (s, tuple((j, v) for j, v in enumerate(row) if v)) for row, s in zip(grid, scales)
+        )
 
     @classmethod
     def vstack(cls, parts: Sequence["Matrix"]) -> "Matrix":
@@ -152,14 +164,19 @@ class Matrix:
             return self
         child = Matrix(tuple(r[k:] for r in self.rows))
         child.__dict__["sparse_rows"] = tuple(
-            tuple((j - k, x) for j, x in row if j >= k) for row in self.sparse_rows
+            (s, tuple((j - k, v) for j, v in pairs if j >= k)) for s, pairs in self.sparse_rows
         )
         return child
 
     def mul_vec(self, v: Sequence[Fraction]) -> Vec:
+        """The product with ``v``, summing only the pattern's non-zero terms."""
         if len(v) != self.ncols:
             raise ValueError(f"matrix has {self.ncols} columns, vector has {len(v)}")
-        return tuple(dot(r, v) for r in self.rows)
+        out = []
+        for s, pairs in self.sparse_rows:
+            total = sum((num * v[j] for j, num in pairs), Fraction(0))
+            out.append(total if s == 1 else total / s)
+        return tuple(out)
 
     def max_abs(self) -> Fraction:
         """Largest absolute entry (infinity norm of the coefficient grid)."""
@@ -167,10 +184,6 @@ class Matrix:
 
     def to_json(self) -> list[list[str]]:
         return [[str(x) for x in r] for r in self.rows]
-
-    @classmethod
-    def from_json(cls, data: Sequence[Sequence[str]]) -> "Matrix":
-        return cls.from_rows(data)
 
 
 def _bareiss_int(a: list[list[int]]) -> int:

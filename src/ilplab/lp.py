@@ -11,8 +11,8 @@ tableau would give it: the sign of a cost entry is the sign of its
 numerator, and the ratio rhs/entry of a row is the ratio of its numerators,
 since the row's denominator cancels; two ratios are compared by
 cross-multiplication.  So every pivot, basis, solution and objective is the
-one the Fraction tableau reaches.  Fractions appear only where the dense
-core and c are scaled to integer rows and at the basic values returned.
+one the Fraction tableau reaches.  Fractions appear only where c is scaled
+to an integer row, where b enters presolve, and at the values returned.
 
 A presolve pass runs first and repeatedly applies three exact reductions:
 
@@ -23,11 +23,24 @@ A presolve pass runs first and repeatedly applies three exact reductions:
 
 On the staircase systems this package mostly deals with, presolve pins
 almost every variable, so the simplex core usually sees a small residue.
+Presolve is integer-native too.  Each live row is an int row, an int
+right-hand side and one positive int scale, standing for the rational row
+and right-hand side both divided by the scale; the rows start from the
+matrix's integer pattern.  The reductions read exactly the rationals a
+Fraction presolve would: a scale is positive, so entry signs are numerator
+signs; entries and right-hand sides of two rows are compared by
+cross-multiplying with the other row's scale; and a forced value is a
+reduced int pair p/q, substituted as ``t - coef*p`` once the row's entries,
+right-hand side and scale are multiplied by q.  So presolve forces the same
+values in the same order and leaves the same rows.  Phase 1 divides each
+left-over row by the gcd of its scale and entries, which gives back the
+unique primitive integer row of those rationals, the row the simplex
+starts from.
 
 A solve has two parts.  Preparing (A, b) covers everything that does not
-depend on c: the sparse rows (kept by the ``Matrix``), presolve, the dense
-core over the variables presolve left free, and phase 1, which ends in a
-feasible basis of that core or proves the system infeasible.  Phase 2 then
+depend on c: presolve from the matrix's integer pattern, the dense core over
+the variables presolve left free, and phase 1, which ends in a feasible
+basis of that core or proves the system infeasible.  Phase 2 then
 prices c against a copy of the prepared tableau and pivots to optimality.
 
 The last preparation is remembered, keyed on the identity of the matrix
@@ -48,7 +61,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .exactla import Matrix, Vec, vec
+from .exactla import Matrix, PatternRow, Vec, vec
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -108,11 +121,15 @@ class CoordRange:
 # presolve
 
 
-def _dominates(ri: dict[int, Fraction], rk: dict[int, Fraction]) -> bool:
-    """True iff ri - rk is entrywise >= 0, read without building the difference."""
+def _dominates(ri: dict[int, int], si: int, rk: dict[int, int], sk: int) -> bool:
+    """True iff ri/si - rk/sk is entrywise >= 0, read without building the difference.
+
+    Both scales are positive, so entry j of the difference has the sign of
+    ri[j]*sk - rk[j]*si.
+    """
     get = ri.get
     for j, coef in rk.items():
-        if get(j, 0) < coef:
+        if get(j, 0) * sk < coef * si:
             return False
     for j, coef in ri.items():
         if coef < 0 and j not in rk:
@@ -120,36 +137,55 @@ def _dominates(ri: dict[int, Fraction], rk: dict[int, Fraction]) -> bool:
     return True
 
 
-def _presolve(rows: list[dict[int, Fraction]], rhs: list[Fraction]):
-    """Apply the exact reductions to fixpoint.
+def _presolve(pattern: Sequence[PatternRow], b: Vec):
+    """Apply the exact reductions to {x >= 0 : A x = b} to fixpoint.
 
-    Mutates ``rows``/``rhs`` into the rows left over, in their order.
-    Returns (feasible, fixed) where fixed maps column index -> forced value,
-    in the order the values were forced; on infeasibility returns
-    (False, fixed).
+    ``pattern`` is A's integer pattern (``Matrix.sparse_rows``).  Returns
+    (feasible, fixed, live): fixed maps column index -> forced value as a
+    reduced int pair (p, q) with q > 0, in the order the values were
+    forced, and live holds the rows left over, in their order, as
+    ``[row, t, s]`` entries: an int row dict, an int right-hand side and a
+    positive int scale, standing for row/s . x = t/s.  On infeasibility
+    returns (False, fixed, live) as far as it got.
 
-    The live rows are ``[row, rhs]`` entries, and a holder index maps each
+    Row i starts as the pattern's numerators over its scale s with
+    b_i = p/q as right-hand side, all over s*q.  A holder index maps each
     column to the entries whose row holds it.  Forcing a column visits only
     those entries and then drops the column from the index, since no row
     holds it any more; rows never gain columns, so the index needs no other
     upkeep.  A row deleted while it still holds columns (a duplicate) is
     emptied, so the index entries that still name it do nothing.
     """
-    live = [[row, b] for row, b in zip(rows, rhs)]
+    live: list[list] = []
+    for (s, pairs), bi in zip(pattern, b):
+        p, q = bi.numerator, bi.denominator
+        if q == 1:
+            live.append([dict(pairs), p * s, s])
+        else:
+            live.append([{j: v * q for j, v in pairs}, p * s, s * q])
     holders: dict[int, list[list]] = {}
     for entry in live:
         for j in entry[0]:
             holders.setdefault(j, []).append(entry)
-    fixed: dict[int, Fraction] = {}
+    fixed: dict[int, tuple[int, int]] = {}
 
-    def substitute(j: int, value: Fraction) -> bool:
-        if value < 0:
+    def substitute(j: int, p: int, q: int) -> bool:
+        """Force x_j = p/q (q > 0) in every row that holds column j."""
+        if p < 0:
             return False
-        fixed[j] = value
+        fixed[j] = (p, q)
         for entry in holders.pop(j, ()):
-            coef = entry[0].pop(j, None)
-            if coef is not None and value != 0:
-                entry[1] -= coef * value
+            row = entry[0]
+            coef = row.pop(j, None)
+            if coef is None or not p:
+                continue
+            if q != 1:
+                # t/s - coef*p/(q*s) is (t*q - coef*p)/(s*q): the row over s*q
+                for col in row:
+                    row[col] *= q
+                entry[1] *= q
+                entry[2] *= q
+            entry[1] -= coef * p
         return True
 
     changed = True
@@ -157,26 +193,31 @@ def _presolve(rows: list[dict[int, Fraction]], rhs: list[Fraction]):
         changed = False
         i = 0
         while i < len(live):
-            row, b = live[i]
+            row, t, _ = live[i]
             if not row:
-                if b != 0:
-                    return False, fixed
+                if t != 0:
+                    return False, fixed, live
                 del live[i]
                 changed = True
                 continue
             if len(row) == 1:
+                # the scale cancels: the value is t / coef
                 ((j, coef),) = row.items()
-                if not substitute(j, b / coef):
-                    return False, fixed
+                g = gcd(t, coef)
+                p, q = t // g, coef // g
+                if q < 0:
+                    p, q = -p, -q
+                if not substitute(j, p, q):
+                    return False, fixed, live
                 del live[i]
                 changed = True
                 continue
-            if b == 0:
+            if t == 0:
                 signs = {coef > 0 for coef in row.values()}
                 if len(signs) == 1:
                     for j in list(row):
-                        if not substitute(j, _ZERO):
-                            return False, fixed
+                        if not substitute(j, 0, 1):
+                            return False, fixed, live
                     del live[i]
                     changed = True
                     continue
@@ -185,22 +226,23 @@ def _presolve(rows: list[dict[int, Fraction]], rhs: list[Fraction]):
             continue
         # Row-difference dominance: if row_i - row_k is entrywise >= 0 then
         # (row_i - row_k).x = rhs_i - rhs_k with x >= 0 forces conclusions.
-        for i, (ri, bi) in enumerate(live):
-            for k, (rk, bk) in enumerate(live):
-                if i == k or not _dominates(ri, rk):
+        # The difference is kept over si*sk.
+        for i, (ri, ti, si) in enumerate(live):
+            for k, (rk, tk, sk) in enumerate(live):
+                if i == k or not _dominates(ri, si, rk, sk):
                     continue
-                diff = dict(ri)
+                diff = {j: v * sk for j, v in ri.items()}
                 for j, coef in rk.items():
-                    diff[j] = diff.get(j, _ZERO) - coef
-                gap = bi - bk
+                    diff[j] = diff.get(j, 0) - coef * si
+                gap = ti * sk - tk * si
                 if gap < 0:
-                    return False, fixed
+                    return False, fixed, live
                 if gap == 0:
                     positive = [j for j, dv in diff.items() if dv > 0]
                     if positive:
                         for j in positive:
-                            if not substitute(j, _ZERO):
-                                return False, fixed
+                            if not substitute(j, 0, 1):
+                                return False, fixed, live
                         changed = True
                     elif all(dv == 0 for dv in diff.values()):
                         live.pop(k)[0].clear()
@@ -209,9 +251,7 @@ def _presolve(rows: list[dict[int, Fraction]], rhs: list[Fraction]):
                     break
             if changed:
                 break
-    rows[:] = [row for row, _ in live]
-    rhs[:] = [b for _, b in live]
-    return True, fixed
+    return True, fixed, live
 
 
 # ---------------------------------------------------------------------------
@@ -282,29 +322,27 @@ def _iterate(rows: list[list[int]], dens: list[int], basis: list[int], n_enter: 
 
 
 def _phase1(
-    rows: list[list[Fraction]], rhs: list[Fraction]
+    rows: list[list[int]], rhs: list[int], scales: list[int]
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]] | None:
     """Phase 1 on a dense system: a feasible basis, or None when infeasible.
 
+    Row i is rows[i] . x = rhs[i], both over the positive scale scales[i].
     Returns the tableau over the real columns (right-hand side last) as
     integer rows and their denominators, with redundant rows dropped, and
     its basis.  Nothing here depends on c.
     """
     r, m = len(rows), len(rows[0])
-    # Each row and its rhs, scaled by the lcm of their denominators (and
-    # negated when the rhs is negative); artificial variables m..m+r-1.
+    # Each row and its rhs as a primitive integer row over its denominator
+    # (negated when the rhs is negative); artificial variables m..m+r-1.
     tableau: list[list[int]] = []
     dens: list[int] = []
-    for i, (row, b) in enumerate(zip(rows, rhs)):
-        den = lcm(b.denominator, *(x.denominator for x in row))
-        nums = [x.numerator * (den // x.denominator) for x in row]
-        t = b.numerator * (den // b.denominator)
-        if t < 0:
+    for i, (row, t, s) in enumerate(zip(rows, rhs, scales)):
+        nums, den = _primitive(row + [t], s)
+        if nums[-1] < 0:
             nums = [-x for x in nums]
-            t = -t
         artificial = [0] * r
         artificial[i] = den
-        tableau.append(nums + artificial + [t])
+        tableau.append(nums[:-1] + artificial + nums[-1:])
         dens.append(den)
     basis = list(range(m, m + r))
 
@@ -405,21 +443,19 @@ class _Prepared:
 
 def _prepare_cold(a: Matrix, b: Vec) -> _Prepared | None:
     """Presolve and phase 1 of {x >= 0 : a x = b}; None when it is infeasible."""
-    rows = [dict(r) for r in a.sparse_rows]
-    rhs = list(b)
-    feasible, fixedvals = _presolve(rows, rhs)
+    feasible, fixedvals, live = _presolve(a.sparse_rows, b)
     if not feasible:
         return None
     free = tuple(sorted(set(range(a.ncols)) - fixedvals.keys()))
-    fixed = tuple(fixedvals.items())
-    if not rows:
+    fixed = tuple((j, Fraction(p, q) if p else _ZERO) for j, (p, q) in fixedvals.items())
+    if not live:
         return _Prepared(fixed, free, None, (), ())
     colmap = {j: k for k, j in enumerate(free)}
-    dense = [[_ZERO] * len(free) for _ in rows]
-    for i, row in enumerate(rows):
+    dense = [[0] * len(free) for _ in live]
+    for i, (row, _, _) in enumerate(live):
         for j, coef in row.items():
             dense[i][colmap[j]] = coef
-    phase1 = _phase1(dense, rhs)
+    phase1 = _phase1(dense, [t for _, t, _ in live], [s for _, _, s in live])
     if phase1 is None:
         return None
     return _Prepared(fixed, free, *phase1)

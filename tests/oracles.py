@@ -10,9 +10,12 @@ The LP layer also keeps its Fraction reference route here:
 ``fraction_presolve`` is the presolve that scans every row on each
 substitution and builds each row difference in full, and
 ``fraction_simplex`` is the cold two-phase Bland simplex on Fraction rows
-(``fraction_prepare`` is its presolve and phase 1).  The library's integer-row core over
-one denominator per row must reproduce them bit for bit: the same presolve
-result, the same tableaus as rationals, the same pivots and bases.
+(``fraction_prepare`` is its presolve and phase 1).  The library's integer
+core, presolve on int rows over one scale per row and the simplex on int
+rows over one denominator per row, must reproduce them bit for bit: the
+same presolve result, the same tableaus as rationals, the same pivots and
+bases.  The reference route reads a matrix's dense ``rows`` (``dict_rows``),
+never its integer pattern, so a pattern bug cannot hide on both sides.
 """
 
 from __future__ import annotations
@@ -27,6 +30,11 @@ from ilplab.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, StandardLp
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def submatrix(m: Matrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> Matrix:
+    """The entries of ``m`` in the given rows and columns, in the given order."""
+    return Matrix(tuple(tuple(m.rows[i][j] for j in col_idx) for i in row_idx))
 
 
 def cofactor_det(rows: list[list[Fraction]]) -> Fraction:
@@ -201,6 +209,11 @@ def random_feasible_ilp(rng: random.Random, max_dim=3, max_cols=4, max_entry=3):
 
 # ---------------------------------------------------------------------------
 # the Fraction reference route of the LP layer
+
+
+def dict_rows(m: Matrix) -> list[dict[int, Fraction]]:
+    """Each dense row of ``m`` as a {column: entry} dict of its non-zero entries."""
+    return [{j: x for j, x in enumerate(row) if x} for row in m.rows]
 
 
 def fraction_presolve(rows: list[dict[int, Fraction]], rhs: list[Fraction]):
@@ -410,7 +423,7 @@ def fraction_prepare(a: Matrix, b) -> tuple | None:
     Returns (fixed items, free columns, phase-1 tableau, basis), the tableau
     None when presolve settled every row; None when the system is infeasible.
     """
-    rows = [dict(r) for r in a.sparse_rows]
+    rows = dict_rows(a)
     rhs = list(b)
     feasible, fixedvals = fraction_presolve(rows, rhs)
     if not feasible:

@@ -9,6 +9,7 @@ from ilplab.errors import BudgetExceededError
 from ilplab.exactla import (
     Matrix,
     det,
+    dot,
     hadamard_bound,
     isqrt_ceil,
     max_subdet_all,
@@ -19,7 +20,7 @@ from ilplab.exactla import (
 )
 from ilplab.instances import gen_sensitivity
 
-from oracles import cofactor_det, max_subdet_oracle
+from oracles import cofactor_det, max_subdet_oracle, submatrix
 
 small_int = st.integers(min_value=-4, max_value=4)
 
@@ -130,7 +131,7 @@ class TestMaxSubdet:
             k = rng.randint(1, 4)
             ri = sorted(rng.sample(range(4), k))
             ci = sorted(rng.sample(range(5), k))
-            assert abs(det(m.submatrix(ri, ci))) <= res.value
+            assert abs(det(submatrix(m, ri, ci))) <= res.value
 
     def test_bounded_by_column_norms_of_maximizer(self):
         rng = random.Random(17)
@@ -138,7 +139,7 @@ class TestMaxSubdet:
             rows = [[rng.randint(-2, 3) for _ in range(4)] for _ in range(4)]
             m = Matrix.from_rows(rows)
             res = max_subdet_all(m)
-            sub = m.submatrix(res.row_indices, res.col_indices)
+            sub = submatrix(m, res.row_indices, res.col_indices)
             assert res.value <= hadamard_bound(sub, sub.nrows).column_norm
 
     @settings(max_examples=200, deadline=None)
@@ -166,30 +167,49 @@ class TestMaxSubdet:
         assert res.value == 1
 
 
+def assert_pattern_matches_dense_rows(m):
+    """Each pattern row over its scale is exactly its dense row's non-zeros."""
+    assert len(m.sparse_rows) == m.nrows
+    for (s, pairs), row in zip(m.sparse_rows, m.rows):
+        assert s > 0
+        assert all(num for _, num in pairs)
+        assert [j for j, _ in pairs] == sorted({j for j, _ in pairs})
+        assert {j: F(num, s) for j, num in pairs} == {j: x for j, x in enumerate(row) if x}
+
+
+def stacked_parts(m, data):
+    """``m`` cut into consecutive row blocks at drawn places, and their vstack."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, m.nrows), max_size=3)))
+    bounds = [0, *cuts, m.nrows]
+    return Matrix.vstack([Matrix(m.rows[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if hi > lo])
+
+
 class TestSparseRows:
+    def test_fresh_scale_clears_the_row_denominators(self):
+        m = Matrix.from_rows([[1, 0, -2], [F(1, 2), 0, F(-2, 3)], [0, 0, 0]])
+        assert m.sparse_rows == ((1, ((0, 1), (2, -2))), (6, ((0, 3), (2, -4))), (1, ()))
+
     @settings(max_examples=60, deadline=None)
     @given(sparse_matrices())
     def test_tail_pattern_matches_its_dense_rows(self, m):
         assert m.tail(0) is m
+        assert_pattern_matches_dense_rows(m)
         for k in range(m.ncols):
             t = m.tail(k)
             assert t.rows == tuple(r[k:] for r in m.rows)
-            # the pattern derived from the parent's, against one from scratch
-            assert t.sparse_rows == tuple(
-                tuple((j, x) for j, x in enumerate(r) if x != 0) for r in t.rows
-            )
+            # the pattern derived from the parent's, against the dense rows
+            assert_pattern_matches_dense_rows(t)
             if k + 1 < m.ncols:
+                assert_pattern_matches_dense_rows(t.tail(1))
                 assert t.tail(1).sparse_rows == m.tail(k + 1).sparse_rows
 
     @settings(max_examples=40, deadline=None)
     @given(sparse_matrices(), st.data())
     def test_vstack_pattern_matches_its_dense_rows(self, m, data):
-        cuts = sorted(data.draw(st.lists(st.integers(0, m.nrows), max_size=3)))
-        bounds = [0, *cuts, m.nrows]
-        parts = [Matrix(m.rows[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-        stacked = Matrix.vstack(parts)
+        stacked = stacked_parts(m, data)
         assert stacked == m
         assert stacked.sparse_rows == Matrix(m.rows).sparse_rows
+        assert_pattern_matches_dense_rows(stacked)
 
     def test_tail_bounds(self):
         m = Matrix.from_rows([[1, 0, 2]])
@@ -202,6 +222,25 @@ class TestSparseRows:
         m = Matrix([[F(1), F(0)], [F(0), F(1)]])
         assert type(m.rows) is tuple and all(type(r) is tuple for r in m.rows)
         assert m == Matrix.identity(2)
+
+
+class TestMulVec:
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_matrices(), st.data())
+    def test_matches_dense_dot(self, m, data):
+        v = vec(data.draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=m.ncols, max_size=m.ncols)))
+        children = [m, stacked_parts(m, data), *(m.tail(k) for k in range(1, m.ncols + 1))]
+        if m.ncols > 1:
+            children.append(m.tail(1).tail(1))
+        for child in children:
+            w = v[m.ncols - child.ncols :]
+            got = child.mul_vec(w)
+            assert got == tuple(dot(row, w) for row in child.rows)
+            assert all(type(x) is F for x in got)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            Matrix.identity(2).mul_vec(vec([1]))
 
 
 class TestHadamard:
@@ -247,7 +286,7 @@ class TestSerialization:
 
     def test_matrix_round_trip(self):
         m = Matrix.from_rows([[F(1, 2), 3], [0, F(-5, 7)]])
-        assert Matrix.from_json(m.to_json()) == m
+        assert Matrix.from_rows(m.to_json()) == m
         assert m.to_json() == [["1/2", "3"], ["0", "-5/7"]]
 
     def test_vector_helpers(self):

@@ -12,6 +12,7 @@ from ilplab.instances import expected_sensitivity_pair, fractional_certificate, 
 from ilplab.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, StandardLp, coord_range, is_feasible_point, lp_solve
 
 from oracles import (
+    dict_rows,
     fraction_prepare,
     fraction_presolve,
     fraction_simplex,
@@ -147,15 +148,22 @@ def rational_systems(draw):
 
     Some rows repeat another (the dominance deletion), or are a sum or a
     negative multiple of others, which keeps them past presolve as redundant
-    rows that leave an artificial basic after phase 1.  b is either A x for
-    a drawn x >= 0, so the system is feasible, or drawn freely.
+    rows that leave an artificial basic after phase 1.  Some rows hold one
+    column that another row also holds, so presolve forces a value, often a
+    non-integral one, into a row that keeps other columns.  b is either A x
+    for a drawn x >= 0, so the system is feasible, or drawn freely.
     """
     d, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     grid = [draw(st.lists(_ENTRIES, min_size=n, max_size=n)) for _ in range(d)]
     for _ in range(draw(st.integers(0, 2))):
-        kind = draw(st.sampled_from(["copy", "sum", "negative"]))
+        kind = draw(st.sampled_from(["copy", "sum", "negative", "single"]))
         i, k = draw(st.integers(0, len(grid) - 1)), draw(st.integers(0, len(grid) - 1))
-        if kind == "copy":
+        if kind == "single":
+            j = draw(st.integers(0, n - 1))
+            grid[i][j] = grid[i][j] or draw(st.sampled_from([1, -1, F(2, 3)]))
+            coef = draw(st.sampled_from([2, 3, -2, F(3, 2)]))
+            grid.append([coef if col == j else 0 for col in range(n)])
+        elif kind == "copy":
             grid.append(list(grid[i]))
         elif kind == "sum":
             grid.append([x + y for x, y in zip(grid[i], grid[k])])
@@ -181,14 +189,21 @@ class TestIntegerCore:
     @settings(max_examples=400, deadline=None)
     @given(rational_systems())
     def test_presolve_matches_reference(self, lp):
-        rows, rhs = [dict(r) for r in lp.a.sparse_rows], list(lp.b)
-        ref_rows, ref_rhs = [dict(r) for r in lp.a.sparse_rows], list(lp.b)
-        feasible, fixed = lp_module._presolve(rows, rhs)
-        ref_feasible, ref_fixed = fraction_presolve(ref_rows, ref_rhs)
-        assert feasible == ref_feasible
-        assert list(fixed.items()) == list(ref_fixed.items())
-        if feasible:
-            assert (rows, rhs) == (ref_rows, ref_rhs)
+        # a tail's pattern keeps its parent's scales, which need not be least
+        for a in (lp.a, lp.a.tail(1)):
+            feasible, fixed, live = lp_module._presolve(a.sparse_rows, lp.b)
+            ref_rows, ref_rhs = dict_rows(a), list(lp.b)
+            ref_feasible, ref_fixed = fraction_presolve(ref_rows, ref_rhs)
+            assert feasible == ref_feasible
+            assert all(q > 0 and gcd(p, q) == 1 for p, q in fixed.values())
+            assert [(j, F(p, q)) for j, (p, q) in fixed.items()] == list(ref_fixed.items())
+            if feasible:
+                assert all(s > 0 for _, _, s in live)
+                # rows as (column, value) lists, so their column order is pinned too
+                assert [[(j, F(x, s)) for j, x in row.items()] for row, _, s in live] == [
+                    list(row.items()) for row in ref_rows
+                ]
+                assert [F(t, s) for _, t, s in live] == ref_rhs
 
     @settings(max_examples=400, deadline=None)
     @given(rational_systems())
