@@ -8,7 +8,7 @@ from .errors import (
 )
 from .exactla import Matrix, Vec, det, hadamard_bound, max_subdet_all, rat, vec
 from .hull import HullReport, hull_membership, integer_points_in_hull
-from .ilp import IntegralSolutionSet, enumerate_integral_optima, ilp_solve
+from .ilp import IntegralSolutionSet, enumerate_integral_optima
 from .instances import (
     BinPackingInstance,
     ConfigurationSet,

@@ -269,6 +269,9 @@ def _cmd_sweep(args) -> int:
     family = _GEN_FAMILIES[args.family]
     deltas = _parse_int_list(args.delta)
     ds = _parse_int_list(args.d)
+    for axis, text, values in (("--delta", args.delta, deltas), ("--d", args.d, ds)):
+        if not values:
+            raise _UsageError(f"{axis} {text!r} gives no values, so the grid is empty")
     jobs = [
         (family, delta, d, args.norm, args.node_budget, args.subdet_budget)
         for delta in deltas

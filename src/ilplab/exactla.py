@@ -9,11 +9,10 @@ Most work reads a matrix as integers instead.  Clearing each row's
 denominators gives an integer row and one positive scale per row, and the
 rational row is the integer row divided by its scale.  A ``Matrix`` keeps one
 such pattern, its non-zero (column, numerator) pairs per row with the row's
-scale, computed once; the LP layer presolves and starts phase 1 from it, and
-``mul_vec`` reads only its non-zeros.  A matrix derived from another by
-dropping leading columns (``tail``) or stacking (``vstack``) derives its
-pattern from the parent's and keeps the parent's scales, which need not be
-the least ones: every reader divides by the scale exactly.
+scale, computed once; the LP layer presolves and starts phase 1 from it, the
+enumeration reads its residuals and columns from it, and ``mul_vec`` reads
+only its non-zeros.  A matrix stacked from others (``vstack``) joins their
+patterns instead of scanning its entries again.
 
 Determinants work on the dense integer grid of the same row scaling, so
 fraction-free (Bareiss) elimination stays in the integers, and a determinant
@@ -79,11 +78,9 @@ class Matrix:
     matrix's one integer pattern, per row a positive scale and the
     (column, numerator) pairs of the non-zero entries, computed on first use
     and then kept.  On a matrix built from its entries the scale is the lcm
-    of the row's denominators, so it is 1 on every integral row.  ``tail(k)``
-    drops the first k columns and hands the child a pattern derived from
-    this one in O(nnz), keeping this one's scales, so a chain of column
-    drops scans the dense entries once; ``vstack`` joins the patterns of the
-    blocks it stacks, so rows reused across many stacks are scanned once.
+    of the row's denominators, so it is 1 on every integral row.  ``vstack``
+    joins the patterns of the blocks it stacks, so rows reused across many
+    stacks are scanned once.
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
@@ -140,7 +137,7 @@ class Matrix:
         return Matrix(tuple(self.col(j) for j in range(self.ncols)))
 
     # cached_property keeps its value in the instance dict, where ``vstack``
-    # and ``tail`` seed it with a pattern they derived
+    # seeds it with the pattern it joined
     @cached_property
     def sparse_rows(self) -> tuple[PatternRow, ...]:
         """Per row, its scale and the (column, numerator) pairs of its non-zero entries."""
@@ -155,18 +152,6 @@ class Matrix:
         stacked = cls(tuple(r for part in parts for r in part.rows))
         stacked.__dict__["sparse_rows"] = tuple(r for part in parts for r in part.sparse_rows)
         return stacked
-
-    def tail(self, k: int) -> "Matrix":
-        """The matrix without its first ``k`` columns; ``tail(0)`` is this matrix."""
-        if not 0 <= k <= self.ncols:
-            raise ValueError(f"cannot drop {k} of {self.ncols} columns")
-        if k == 0:
-            return self
-        child = Matrix(tuple(r[k:] for r in self.rows))
-        child.__dict__["sparse_rows"] = tuple(
-            (s, tuple((j - k, v) for j, v in pairs if j >= k)) for s, pairs in self.sparse_rows
-        )
-        return child
 
     def mul_vec(self, v: Sequence[Fraction]) -> Vec:
         """The product with ``v``, summing only the pattern's non-zero terms."""

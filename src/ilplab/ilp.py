@@ -1,11 +1,19 @@
 """Exhaustive, exact enumeration of all optimal integral solutions of small ILPs.
 
 Depth-first search over the variables in index order.  At every node the
-current variable is bounded by the exact LP range of the residual problem
-(``lp.coord_range``), subtrees are pruned when the LP relaxation is
-infeasible or provably worse than the incumbent objective, and every leaf is
-checked exactly.  The search is complete: with a valid box it visits every
-optimal integral point.
+current variable is bounded by the exact LP range of the residual problem,
+subtrees are pruned when the LP relaxation is infeasible or provably worse
+than the incumbent objective, and every leaf is checked exactly.  The search
+is complete: with a valid box it visits every optimal integral point.
+
+The search runs on ints.  Row i of A x = b is read over the fixed scale
+s_i*q_i, where s_i is the row's scale in the matrix's integer pattern and
+q_i is b_i's denominator, so the residual b - A x of a prefix is one int
+per row, updated from integer columns built once per enumeration.  The
+objective is c times the lcm of c's denominators, an int at every point.
+Each non-leaf node makes one call into the LP layer, ``lp.residual_range``,
+which prepares the residual system once and answers both the objective
+bound and the range of the node's variable, as ints.
 """
 
 from __future__ import annotations
@@ -16,10 +24,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BudgetExceededError, UnboundedSearchError
-from .exactla import dot, vec
-from .lp import INFEASIBLE, OPTIMAL, CoordRange, StandardLp, coord_range, lp_solve
+from .lp import StandardLp, _int_rhs, residual_range
 
-_ZERO = Fraction(0)
+# Not called here.  perfbench/test_perfbench.py checks that its tracer wraps
+# every module's binding of ``lp_solve``, this one included.
+from .lp import lp_solve  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -40,20 +49,39 @@ class IntegralSolutionSet:
         return len(self.solutions)
 
 
+def _integer_system(lp: StandardLp) -> tuple[list[int], list[int], list[list[tuple[int, int]]]]:
+    """A x = b on the ints: the right-hand sides, their multipliers q_i and the columns.
+
+    Row i is read over the scale s_i*q_i: b_i is rhs[i] over it, and
+    column j holds the pair (i, numerator*q_i) for each non-zero entry of
+    A's integer pattern in row i.
+    """
+    pattern = lp.a.sparse_rows
+    rhs, mults = _int_rhs(pattern, lp.b)
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(lp.n)]
+    for i, ((_, pairs), q) in enumerate(zip(pattern, mults)):
+        for j, num in pairs:
+            cols[j].append((i, num * q))
+    return rhs, mults, cols
+
+
 def implied_box(lp: StandardLp) -> list[int] | None:
     """Per-variable upper bounds b_i // a_ij, valid when A >= 0 and b >= 0.
 
     A variable whose column is identically zero gets bound 0 when its cost
     is positive (no optimum can use it); otherwise, or when some entry is
-    negative, no finite bound is derivable and None is returned.
+    negative, no finite bound is derivable and None is returned.  The
+    bounds are read from the integer system: b_i / a_ij is rhs[i] over the
+    column's int entry, both over the row's scale, so its floor is an int
+    floor division.
     """
-    if any(x < 0 for row in lp.a.rows for x in row) or any(v < 0 for v in lp.b):
+    rhs, _, cols = _integer_system(lp)
+    if any(t < 0 for t in rhs) or any(w < 0 for col in cols for _, w in col):
         return None
     box = []
-    for j in range(lp.n):
-        bounds = [lp.b[i] / lp.a.rows[i][j] for i in range(lp.d) if lp.a.rows[i][j] > 0]
-        if bounds:
-            box.append(math.floor(min(bounds)))
+    for j, col in enumerate(cols):
+        if col:
+            box.append(min(rhs[i] // w for i, w in col))
         elif lp.c[j] > 0:  # zero column: only usable at cost, so never in an optimum
             box.append(0)
         else:
@@ -81,92 +109,56 @@ def enumerate_integral_optima(
         if any(u < 0 for u in box):
             raise ValueError("box bounds must be non-negative")
 
-    cols = [lp.a.col(j) for j in range(lp.n)]
-    n, d = lp.n, lp.d
-    residual = list(lp.b)
+    a, n = lp.a, lp.n
+    residual, mults, cols = _integer_system(lp)
+    c_den = math.lcm(*(cj.denominator for cj in lp.c))
+    cost = [cj.numerator * (c_den // cj.denominator) for cj in lp.c]
     prefix: list[int] = []
-    incumbent: Fraction | None = None
+    prefix_cost = 0
+    incumbent: int | None = None
     sols: list[tuple[int, ...]] = []
     nodes = 0
-    c_last_nonzero = max((j for j in range(n) if lp.c[j] != 0), default=-1)
-
-    def node_range(k: int) -> CoordRange | None:
-        """The LP range of x_k at the current node; None when the node is pruned.
-
-        The bound solve and both ``coord_range`` solves see the same matrix
-        object and right-hand side, so they share one presolve and phase 1.
-        The residual matrix is dropped on return, before the search goes
-        deeper, so the recursion holds no matrix per level.
-        """
-        rest = lp.a.tail(k)
-        rhs = tuple(residual)
-        # Objective-bound pruning: only subtrees strictly worse than the
-        # incumbent may be cut, equal-valued ones can hold more optima.
-        if incumbent is not None:
-            bound = sum((lp.c[j] * prefix[j] for j in range(k) if prefix[j]), _ZERO)
-            if k <= c_last_nonzero:
-                res = lp_solve(StandardLp(rest, rhs, tuple(lp.c[k:])))
-                if res.status == INFEASIBLE:
-                    return None
-                if res.status != OPTIMAL:
-                    res = None  # unbounded relaxation gives no usable bound
-                if res is not None:
-                    bound += res.objective
-            if bound > incumbent:
-                return None
-        cr = coord_range(StandardLp(rest, rhs, (_ZERO,) * (n - k)))
-        return None if cr.empty else cr
 
     def visit():
-        nonlocal nodes, incumbent
+        nonlocal nodes, incumbent, prefix_cost
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(f"enumeration exceeded node budget {node_budget}")
         k = len(prefix)
         if k == n:
-            if all(v == 0 for v in residual):
-                obj = dot(lp.c, vec(prefix))
-                if incumbent is None or obj < incumbent:
-                    incumbent = obj
+            if not any(residual):
+                if incumbent is None or prefix_cost < incumbent:
+                    incumbent = prefix_cost
                     sols.clear()
                     sols.append(tuple(prefix))
-                elif obj == incumbent:
+                elif prefix_cost == incumbent:
                     sols.append(tuple(prefix))
             return
-        cr = node_range(k)
-        if cr is None:
+        # Objective-bound pruning: only subtrees strictly worse than the
+        # incumbent may be cut, equal-valued ones can hold more optima.
+        cutoff = None if incumbent is None else incumbent - prefix_cost
+        ends = residual_range(a, k, residual, mults, cost, cutoff)
+        if ends is None:
             return
-        lo = max(0, math.ceil(cr.lo))
-        hi = box[k] if cr.hi is None else min(box[k], math.floor(cr.hi))
-        col = cols[k]
+        lo, hi = ends
+        hi = box[k] if hi is None else min(box[k], hi)
+        col, ck = cols[k], cost[k]
         # High values first: on the staircase families this finds the cheap
         # incumbent immediately, which lets the bound prune everything else.
         for v in range(hi, lo - 1, -1):
             prefix.append(v)
             if v:
-                for i in range(d):
-                    if col[i]:
-                        residual[i] -= col[i] * v
+                for i, w in col:
+                    residual[i] -= w * v
+                prefix_cost += ck * v
             visit()
             if v:
-                for i in range(d):
-                    if col[i]:
-                        residual[i] += col[i] * v
+                for i, w in col:
+                    residual[i] += w * v
+                prefix_cost -= ck * v
             prefix.pop()
 
     visit()
     sols.sort()
-    return IntegralSolutionSet(tuple(sols), incumbent, exhaustive)
-
-
-def ilp_solve(
-    lp: StandardLp,
-    box: Sequence[int] | None = None,
-    node_budget: int = 10_000_000,
-) -> tuple[int, ...] | None:
-    """One canonical (lexicographically smallest) optimal integral solution.
-
-    Returns None when no integral feasible point exists.
-    """
-    result = enumerate_integral_optima(lp, box=box, node_budget=node_budget)
-    return result.solutions[0] if result.solutions else None
+    objective = None if incumbent is None else Fraction(incumbent, c_den)
+    return IntegralSolutionSet(tuple(sols), objective, exhaustive)

@@ -11,8 +11,8 @@ tableau would give it: the sign of a cost entry is the sign of its
 numerator, and the ratio rhs/entry of a row is the ratio of its numerators,
 since the row's denominator cancels; two ratios are compared by
 cross-multiplication.  So every pivot, basis, solution and objective is the
-one the Fraction tableau reaches.  Fractions appear only where c is scaled
-to an integer row, where b enters presolve, and at the values returned.
+one the Fraction tableau reaches.  Fractions appear only where
+``lp_solve`` scales c and b to ints and builds the values it returns.
 
 A presolve pass runs first and repeatedly applies three exact reductions:
 
@@ -25,10 +25,14 @@ On the staircase systems this package mostly deals with, presolve pins
 almost every variable, so the simplex core usually sees a small residue.
 Presolve is integer-native too.  Each live row is an int row, an int
 right-hand side and one positive int scale, standing for the rational row
-and right-hand side both divided by the scale; the rows start from the
-matrix's integer pattern.  The reductions read exactly the rationals a
-Fraction presolve would: a scale is positive, so entry signs are numerator
-signs; entries and right-hand sides of two rows are compared by
+and right-hand side both divided by the scale.  Row i starts from the
+matrix's integer pattern, over its pattern scale s_i times a multiplier
+q_i: for ``lp_solve``, b_i = p/q gives the right-hand side p*s_i over
+s_i*q; for an enumeration node, q_i stays b_i's denominator and the
+right-hand side is the int residual over the same scale, with the fixed
+leading columns left out.  That scale need not be the least one.  The
+reductions read exactly the rationals a Fraction presolve would: a scale is
+positive, so entry signs are numerator signs; entries and right-hand sides of two rows are compared by
 cross-multiplying with the other row's scale; and a forced value is a
 reduced int pair p/q, substituted as ``t - coef*p`` once the row's entries,
 right-hand side and scale are multiplied by q.  So presolve forces the same
@@ -41,22 +45,30 @@ A solve has two parts.  Preparing (A, b) covers everything that does not
 depend on c: presolve from the matrix's integer pattern, the dense core over
 the variables presolve left free, and phase 1, which ends in a feasible
 basis of that core or proves the system infeasible.  Phase 2 then
-prices c against a copy of the prepared tableau and pivots to optimality.
+prices c, scaled to an int row, against a copy of the prepared tableau and
+pivots to optimality; the optimum is the cost row's right-hand side,
+negated, over its denominator.  ``lp_solve`` and the enumeration's node
+solve ``residual_range`` share that one preparation routine.
 
-The last preparation is remembered, keyed on the identity of the matrix
-object and the value of b.  That is exact: a ``Matrix`` holds only tuples,
-so the same object always has the same entries; the memo holds the matrix,
-so its identity cannot pass to another one; and phase 2 never writes into
-the prepared tableau.  A reused preparation is the one a cold solve would
-compute, so results are bit-for-bit those of a cold solve.  The hit comes
-from callers that solve one system under several objectives:
-``coord_range``'s min and max, and the enumeration's objective bound at a
-node followed by that node's ``coord_range``.
+``lp_solve`` remembers its last preparation, keyed on the identity of the
+matrix object and the value of b.  That is exact: a ``Matrix`` holds only
+tuples, so the same object always has the same entries; the memo holds the
+matrix, so its identity cannot pass to another one; and phase 2 never
+writes into the prepared tableau.  A reused preparation is the one a cold
+solve would compute, so results are bit-for-bit those of a cold solve.  The
+hit comes from ``coord_range``, whose min and max solve one system; the
+second solve also reuses the fixed-value vector and the set of non-zero
+fixed columns that the preparation keeps.
+
+An enumeration node needs no memo.  ``residual_range`` prepares the node's
+residual system once and reads the objective bound and both ends of the
+node's variable off it, by one phase 2 each, all in ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -137,10 +149,22 @@ def _dominates(ri: dict[int, int], si: int, rk: dict[int, int], sk: int) -> bool
     return True
 
 
-def _presolve(pattern: Sequence[PatternRow], b: Vec):
-    """Apply the exact reductions to {x >= 0 : A x = b} to fixpoint.
+def _int_rhs(pattern: Sequence[PatternRow], b: Vec) -> tuple[list[int], list[int]]:
+    """b as the int right-hand sides ``_presolve`` takes, and their multipliers.
 
-    ``pattern`` is A's integer pattern (``Matrix.sparse_rows``).  Returns
+    b_i = p/q becomes p*s over the scale s*q, where s is row i's pattern
+    scale; the multipliers are the q.
+    """
+    return [bi.numerator * s for (s, _), bi in zip(pattern, b)], [bi.denominator for bi in b]
+
+
+def _presolve(pattern: Sequence[PatternRow], k: int, rhs: Sequence[int], mults: Sequence[int]):
+    """Apply the exact reductions to {x_k.. >= 0 : A[:, k:] x = r} to fixpoint.
+
+    ``pattern`` is A's integer pattern (``Matrix.sparse_rows``), and row i
+    keeps its columns j >= k, each as its numerator times mults[i], with
+    rhs[i] as right-hand side, all over the scale s*mults[i]; that is, r_i
+    is rhs[i] / (s*mults[i]).  Columns keep their indices in A.  Returns
     (feasible, fixed, live): fixed maps column index -> forced value as a
     reduced int pair (p, q) with q > 0, in the order the values were
     forced, and live holds the rows left over, in their order, as
@@ -148,21 +172,20 @@ def _presolve(pattern: Sequence[PatternRow], b: Vec):
     positive int scale, standing for row/s . x = t/s.  On infeasibility
     returns (False, fixed, live) as far as it got.
 
-    Row i starts as the pattern's numerators over its scale s with
-    b_i = p/q as right-hand side, all over s*q.  A holder index maps each
-    column to the entries whose row holds it.  Forcing a column visits only
-    those entries and then drops the column from the index, since no row
-    holds it any more; rows never gain columns, so the index needs no other
-    upkeep.  A row deleted while it still holds columns (a duplicate) is
-    emptied, so the index entries that still name it do nothing.
+    A holder index maps each column to the entries whose row holds it.
+    Forcing a column visits only those entries and then drops the column
+    from the index, since no row holds it any more; rows never gain
+    columns, so the index needs no other upkeep.  A row deleted while it
+    still holds columns (a duplicate) is emptied, so the index entries that
+    still name it do nothing.
     """
     live: list[list] = []
-    for (s, pairs), bi in zip(pattern, b):
-        p, q = bi.numerator, bi.denominator
+    for (s, pairs), t, q in zip(pattern, rhs, mults):
         if q == 1:
-            live.append([dict(pairs), p * s, s])
+            row = dict(pairs) if not k else {j: v for j, v in pairs if j >= k}
         else:
-            live.append([{j: v * q for j, v in pairs}, p * s, s * q])
+            row = {j: v * q for j, v in pairs if j >= k}
+        live.append([row, t, s * q])
     holders: dict[int, list[list]] = {}
     for entry in live:
         for j in entry[0]:
@@ -387,70 +410,87 @@ def _phase1(
 
 
 def _phase2(
-    tableau: Sequence[Sequence[int]], dens: Sequence[int], basis: Sequence[int], c: list[Fraction]
-) -> tuple[str, list[Fraction] | None, list[int] | None]:
-    """Phase 2 from a phase-1 tableau; returns (status, x, basis).
+    tableau: Sequence[Sequence[int]], dens: Sequence[int], basis: Sequence[int], cost: Sequence[int]
+) -> tuple[list[list[int]], list[int], list[int]] | None:
+    """Phase 2 from a phase-1 tableau under the int costs ``cost``; None when unbounded.
 
-    The given rows are tuples and ``_pivot`` replaces rows instead of writing
-    into them, so copying the outer lists leaves the given tableau untouched.
+    Returns the optimal tableau, cost row last, with its denominators and
+    basis.  The cost row stands for cost - y.A, with -z as right-hand side,
+    z the optimum of cost.x.  The given rows are tuples and ``_pivot``
+    replaces rows instead of writing into them, so copying the outer lists
+    leaves the given tableau untouched.
     """
-    m = len(c)
+    m = len(cost)
     rows = list(tableau)
     dens = list(dens)
     basis = list(basis)
-    # cost = c - sum_i c[basis[i]] * row_i, over c's scale times the lcm of
-    # the denominators of the rows it takes
-    c_den = lcm(*(x.denominator for x in c))
-    cn = [x.numerator * (c_den // x.denominator) for x in c]
-    rows_den = lcm(*(dens[i] for i, bi in enumerate(basis) if cn[bi]))
-    cost = [x * rows_den for x in cn] + [0]
+    # cost - sum_i cost[basis[i]] * row_i, over the lcm of the denominators
+    # of the rows it takes
+    rows_den = lcm(*(dens[i] for i, bi in enumerate(basis) if cost[bi]))
+    crow = [x * rows_den for x in cost] + [0]
     for i, bi in enumerate(basis):
-        if cn[bi]:
-            f = cn[bi] * (rows_den // dens[i])
-            cost = [a - f * b if b else a for a, b in zip(cost, rows[i])]
-    cost, cost_den = _primitive(cost, c_den * rows_den)
-    rows.append(cost)
+        if cost[bi]:
+            f = cost[bi] * (rows_den // dens[i])
+            crow = [a - f * b if b else a for a, b in zip(crow, rows[i])]
+    crow, cost_den = _primitive(crow, rows_den)
+    rows.append(crow)
     dens.append(cost_den)
-
-    status = _iterate(rows, dens, basis, m)
-    if status == UNBOUNDED:
-        return UNBOUNDED, None, None
-    x = [_ZERO] * m
-    for i, bi in enumerate(basis):
-        x[bi] = Fraction(rows[i][-1], dens[i])
-    return OPTIMAL, x, basis
+    if _iterate(rows, dens, basis, m) == UNBOUNDED:
+        return None
+    return rows, dens, basis
 
 
 # ---------------------------------------------------------------------------
-# preparation of (A, b)
+# preparation of a residual system
 
 
 @dataclass(frozen=True)
 class _Prepared:
-    """The objective-independent part of a solve of a feasible (A, b).
+    """The objective-independent part of a solve of a feasible residual system.
 
-    ``tableau`` is the phase-1 tableau over the ``free`` columns as integer
-    rows over ``dens``, or None when presolve settled every row; ``basis``
-    indexes into ``free``.
+    ``fixed`` maps each column presolve forced to its value as a reduced int
+    pair (p, q), in forcing order.  ``tableau`` is the phase-1 tableau over
+    the ``free`` columns as integer rows over ``dens``, or None when presolve
+    settled every row; ``basis`` indexes into ``free``.  ``x`` and
+    ``fixed_support``, what every ``lp_solve`` answer starts from, are
+    computed on first use and kept with the preparation.
     """
 
-    fixed: tuple[tuple[int, Fraction], ...]
+    n: int
+    fixed: dict[int, tuple[int, int]]
     free: tuple[int, ...]
     tableau: tuple[tuple[int, ...], ...] | None
     dens: tuple[int, ...]
     basis: tuple[int, ...]
 
+    @cached_property
+    def x(self) -> Vec:
+        """The fixed values at their columns, 0 everywhere else."""
+        x = [_ZERO] * self.n
+        for j, (p, q) in self.fixed.items():
+            if p:
+                x[j] = Fraction(p, q)
+        return tuple(x)
 
-def _prepare_cold(a: Matrix, b: Vec) -> _Prepared | None:
-    """Presolve and phase 1 of {x >= 0 : a x = b}; None when it is infeasible."""
-    feasible, fixedvals, live = _presolve(a.sparse_rows, b)
+    @cached_property
+    def fixed_support(self) -> frozenset[int]:
+        """The fixed columns with a non-zero value, which every basis holds."""
+        return frozenset(j for j, (p, _) in self.fixed.items() if p)
+
+
+def _prepare(a: Matrix, k: int, rhs: Sequence[int], mults: Sequence[int]) -> _Prepared | None:
+    """Presolve and phase 1 of {x_k.. >= 0 : A[:, k:] x = r}; None when it is infeasible.
+
+    The system and its arguments are ``_presolve``'s; columns keep their
+    indices in A, and ``free`` lists the columns >= k presolve left.
+    """
+    feasible, fixed, live = _presolve(a.sparse_rows, k, rhs, mults)
     if not feasible:
         return None
-    free = tuple(sorted(set(range(a.ncols)) - fixedvals.keys()))
-    fixed = tuple((j, Fraction(p, q) if p else _ZERO) for j, (p, q) in fixedvals.items())
+    free = tuple(j for j in range(k, a.ncols) if j not in fixed)
     if not live:
-        return _Prepared(fixed, free, None, (), ())
-    colmap = {j: k for k, j in enumerate(free)}
+        return _Prepared(a.ncols, fixed, free, None, (), ())
+    colmap = {j: i for i, j in enumerate(free)}
     dense = [[0] * len(free) for _ in live]
     for i, (row, _, _) in enumerate(live):
         for j, coef in row.items():
@@ -458,24 +498,24 @@ def _prepare_cold(a: Matrix, b: Vec) -> _Prepared | None:
     phase1 = _phase1(dense, [t for _, t, _ in live], [s for _, _, s in live])
     if phase1 is None:
         return None
-    return _Prepared(fixed, free, *phase1)
+    return _Prepared(a.ncols, fixed, free, *phase1)
 
 
-#: (a, b, preparation) of the last system prepared.  ``a`` is held, so its
-#: identity cannot pass to another matrix while it is remembered.  Every
-#: caller in the process shares it, which changes no result: an entry is
-#: only ever reused for the system it was computed from.
+#: (a, b, preparation) of the last system ``lp_solve`` prepared.  ``a`` is
+#: held, so its identity cannot pass to another matrix while it is
+#: remembered.  Every caller in the process shares it, which changes no
+#: result: an entry is only ever reused for the system it was computed from.
 _last_prepared: tuple[Matrix, Vec, _Prepared | None] | None = None
 
 
-def _prepare(a: Matrix, b: Vec) -> _Prepared | None:
-    """``_prepare_cold(a, b)``, reusing the last result for the same matrix and b."""
+def _prepare_system(a: Matrix, b: Vec) -> _Prepared | None:
+    """The preparation of {x >= 0 : a x = b}, reusing the last one for the same matrix and b."""
     global _last_prepared
     b = tuple(b)
     last = _last_prepared  # one read, so a concurrent update cannot split the entry
     if last is not None and last[0] is a and last[1] == b:
         return last[2]
-    prep = _prepare_cold(a, b)
+    prep = _prepare(a, 0, *_int_rhs(a.sparse_rows, b))
     _last_prepared = (a, b, prep)
     return prep
 
@@ -486,21 +526,24 @@ def _prepare(a: Matrix, b: Vec) -> _Prepared | None:
 
 def lp_solve(lp: StandardLp) -> LpResult:
     """Exact optimal basic solution, or an infeasible/unbounded certificate status."""
-    prep = _prepare(lp.a, lp.b)
+    prep = _prepare_system(lp.a, lp.b)
     if prep is None:
         return LpResult(INFEASIBLE)
-    x = [_ZERO] * lp.n
-    for j, v in prep.fixed:
-        x[j] = v
-
+    x = list(prep.x)
     core_basis: list[int] = []
     if prep.tableau is not None:
-        status, core_x, basis = _phase2(prep.tableau, prep.dens, prep.basis, [lp.c[j] for j in prep.free])
-        if status != OPTIMAL:
-            return LpResult(status)
-        for k, j in enumerate(prep.free):
-            x[j] = core_x[k]
-        core_basis = [prep.free[k] for k in basis]
+        free = prep.free
+        c = [lp.c[j] for j in free]
+        c_den = lcm(*(cj.denominator for cj in c))
+        done = _phase2(
+            prep.tableau, prep.dens, prep.basis, [cj.numerator * (c_den // cj.denominator) for cj in c]
+        )
+        if done is None:
+            return LpResult(UNBOUNDED)
+        rows, dens, basis = done
+        for i, k in enumerate(basis):
+            x[free[k]] = Fraction(rows[i][-1], dens[i])
+        core_basis = [free[k] for k in basis]
     elif prep.free:
         # No constraints left: minimize over the non-negative orthant.
         if any(lp.c[j] < 0 for j in prep.free):
@@ -508,8 +551,71 @@ def lp_solve(lp: StandardLp) -> LpResult:
 
     # c is mostly zero (coord_range's has one non-zero entry): skip zero terms
     objective = sum((cj * x[j] for j, cj in enumerate(lp.c) if cj), _ZERO)
-    basis_set = frozenset(core_basis) | {j for j, v in prep.fixed if v != 0}
-    return LpResult(OPTIMAL, tuple(x), objective, basis_set)
+    return LpResult(OPTIMAL, tuple(x), objective, prep.fixed_support.union(core_basis))
+
+
+def _minimum(prep: _Prepared, cost: Sequence[int]) -> tuple[int, int] | None:
+    """min cost.x over a prepared system as num / den with den > 0; None when unbounded.
+
+    ``cost`` is indexed by column of A; only the prepared system's columns
+    are read.  The free columns' part is read off the optimal cost row,
+    whose right-hand side is -z over the row's denominator.
+    """
+    num, den = 0, 1
+    if prep.tableau is not None:
+        core = [cost[j] for j in prep.free]
+        if any(core):
+            done = _phase2(prep.tableau, prep.dens, prep.basis, core)
+            if done is None:
+                return None
+            num, den = -done[0][-1][-1], done[1][-1]
+    elif any(cost[j] < 0 for j in prep.free):
+        return None  # no rows left: the orthant is unbounded along that column
+    for j, (p, q) in prep.fixed.items():
+        w = cost[j]
+        if w and p:
+            num, den = num * q + w * p * den, den * q
+    return num, den
+
+
+def residual_range(
+    a: Matrix,
+    k: int,
+    rhs: Sequence[int],
+    mults: Sequence[int],
+    cost: Sequence[int],
+    cutoff: int | None,
+) -> tuple[int, int | None] | None:
+    """The integer range of x_k over a residual system, or None when it is pruned.
+
+    The system is {x_k.. >= 0 : A[:, k:] x = r}, what is left of A x = b
+    once x_0..x_{k-1} are fixed, given as ``_presolve`` takes it: r_i is
+    rhs[i] / (s_i*mults[i]), with s_i row i's pattern scale.  Returns
+    (ceil(min x_k), floor(max x_k)), the second None when x_k is unbounded
+    above.  Returns None when the system is infeasible, or when ``cutoff``
+    is given and the minimum of cost.x over the system (``cost`` is
+    indexed by column of A) is larger than it; an unbounded minimum prunes
+    nothing.
+
+    All three answers come from one preparation, presolve and phase 1,
+    each by a phase 2 on a copy of its tableau, and all are ints: no
+    Fraction is built.
+    """
+    prep = _prepare(a, k, rhs, mults)
+    if prep is None:
+        return None
+    if cutoff is not None:
+        bound = _minimum(prep, cost)
+        if bound is not None and bound[0] > cutoff * bound[1]:
+            return None
+    unit = [0] * a.ncols
+    unit[k] = 1
+    low = _minimum(prep, unit)
+    if low is None:
+        raise AssertionError("objective x_k >= 0 cannot be unbounded below")
+    unit[k] = -1
+    high = _minimum(prep, unit)  # max x_k is -min(-x_k)
+    return -(-low[0] // low[1]), None if high is None else -high[0] // high[1]
 
 
 def is_feasible_point(lp: StandardLp, x: Sequence[Fraction | int | str]) -> bool:
@@ -528,8 +634,6 @@ def coord_range(lp: StandardLp) -> CoordRange:
     Returns an empty range when the system is infeasible; ``hi`` is None
     when x_0 is unbounded above.  Both solves see the same matrix object
     and right-hand side, so the second reuses the first's preparation.
-    A caller that fixes leading coordinates passes the system left over:
-    ``a.tail(k)`` and b minus the fixed columns times their values.
     """
     zeros = (_ZERO,) * (lp.n - 1)
     res_lo = lp_solve(StandardLp(lp.a, lp.b, (_ONE,) + zeros))

@@ -417,6 +417,8 @@ def fuzz_cook(
     Trials whose enumeration exceeds the per-trial node budget are redrawn
     (counted in ``skipped``); violations are returned, never raised.
     """
+    if trials < 1:
+        raise ValueError(f"fuzzing needs at least 1 trial, got {trials}")
     rng = random.Random(seed)
     done = 0
     skipped = 0

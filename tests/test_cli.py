@@ -178,11 +178,16 @@ class TestSweep:
         assert [(r[1], r[2]) for r in rows] == [("1", "2"), ("1", "4"), ("2", "2"), ("2", "4")]
         assert all(r[4] == str(int(r[1]) ** (int(r[2]) - 1)) for r in rows)
 
-    def test_empty_range_gives_header_only(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "axis, text, other", [("--delta", "", "--d"), ("--delta", "3:2", "--d"), ("--d", ",", "--delta")]
+    )
+    def test_empty_grid_is_a_usage_error(self, tmp_path, capsys, axis, text, other):
+        # an empty grid would measure nothing and pass vacuously
         out = tmp_path / "sweep.csv"
-        code, _, _ = run(capsys, "sweep", "sensitivity", "--delta", "", "--d", "2", "--out", str(out))
-        assert code == EXIT_OK
-        assert out.read_text() == CSV_HEADER + "\n"
+        code, stdout, stderr = run(capsys, "sweep", "sensitivity", axis, text, other, "2", "--out", str(out))
+        assert code == EXIT_USAGE and stdout == ""
+        assert axis in stderr and "no values" in stderr
+        assert not out.exists()
 
     def test_cell_failure_recorded_not_fatal(self, capsys):
         # delta=1 cannot be embedded into a bin-packing system
@@ -241,6 +246,13 @@ class TestFuzzAndBounds:
         assert code == EXIT_OK
         doc = json.loads(stdout)
         assert doc["trials"] == 25 and doc["violations"] == []
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_fuzz_without_trials_is_a_usage_error(self, capsys, trials):
+        # zero trials would report no violations for checking nothing
+        code, stdout, stderr = run(capsys, "fuzz", "--seed", "7", "--trials", trials)
+        assert code == EXIT_USAGE and stdout == ""
+        assert "at least 1 trial" in stderr
 
     def test_bounds(self, sens_file, capsys):
         code, stdout, _ = run(capsys, "bounds", "--in", sens_file)

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from ilplab.errors import BudgetExceededError, UnboundedSearchError
 from ilplab.exactla import Matrix, vec
-from ilplab.ilp import enumerate_integral_optima, ilp_solve, implied_box
+from ilplab.ilp import enumerate_integral_optima, implied_box
 from ilplab.instances import expected_sensitivity_pair, gen_proximity, gen_sensitivity
 from ilplab.lp import StandardLp, is_feasible_point
 from ilplab.petersen import build_matching_system
@@ -46,8 +48,8 @@ class TestStaircaseFamily:
         alt = StandardLp(inst.lp.a, inst.alt_rhs, inst.lp.c)
         assert enumerate_integral_optima(alt).solutions == ((0, 2, 0, 8),)
 
-    def test_ilp_solve_forward_substitution(self):
-        assert ilp_solve(gen_sensitivity(3, 2).lp) == (1, 0)
+    def test_forward_substitution_optimum(self):
+        assert enumerate_integral_optima(gen_sensitivity(3, 2).lp).solutions == ((1, 0),)
 
     @pytest.mark.parametrize("delta", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("d", [2, 4, 6, 8])
@@ -72,11 +74,34 @@ class TestBlockFamily:
 
     def test_lex_smallest(self):
         inst = gen_proximity(2, 3)
-        assert ilp_solve(inst.lp) == expected_block_optima(2, 3)[0]
+        assert enumerate_integral_optima(inst.lp).solutions[0] == expected_block_optima(2, 3)[0]
 
     def test_d1_has_seven_optima(self):
         got = enumerate_integral_optima(gen_proximity(2, 1).lp)
         assert len(got) == 7
+
+
+_ENTRIES = st.sampled_from([0, 0, 1, 2, 3, -1, -2, F(1, 2), F(-2, 3), F(3, 2)])
+
+
+@st.composite
+def boxed_rational_systems(draw):
+    """A small system with negative and rational entries, rational b and c, and a box.
+
+    b is either A x for a drawn x in the box, so the system has an integral
+    point there, or drawn freely (often with no integral point, or no point
+    at all).  Rational rows and a rational b give rows whose integer scale
+    s_i*q_i is neither 1 nor the same across rows.
+    """
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    a = Matrix.from_rows([draw(st.lists(_ENTRIES, min_size=n, max_size=n)) for _ in range(d)])
+    box = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        b = a.mul_vec(vec([draw(st.integers(0, u)) for u in box]))
+    else:
+        b = vec(draw(st.lists(st.sampled_from([0, 1, -1, 2, F(1, 2), F(-3, 2), F(5, 3)]), min_size=d, max_size=d)))
+    c = vec(draw(st.lists(st.sampled_from([0, 0, 1, -1, 2, F(1, 2), F(-2, 3)]), min_size=n, max_size=n)))
+    return StandardLp(a, b, c), box
 
 
 class TestGeneralBehaviour:
@@ -84,7 +109,6 @@ class TestGeneralBehaviour:
         lp = StandardLp(Matrix.from_rows([[2]]), vec([1]), vec([0]))
         got = enumerate_integral_optima(lp)
         assert got.solutions == () and got.objective is None
-        assert ilp_solve(lp) is None
 
     def test_every_solution_is_feasible_and_integral(self):
         rng = random.Random(31)
@@ -114,6 +138,40 @@ class TestGeneralBehaviour:
         box = [min(u, 5) for u in implied_box(lp)]
         got = enumerate_integral_optima(lp, box=box)
         assert (got.solutions, got.objective) == brute_force_optima(lp, box)
+
+    @settings(max_examples=300, deadline=None)
+    @given(boxed_rational_systems())
+    def test_rational_systems_match_box_brute_force(self, case):
+        lp, box = case
+        got = enumerate_integral_optima(lp, box=box)
+        assert (got.solutions, got.objective) == brute_force_optima(lp, box)
+
+    @settings(max_examples=200, deadline=None)
+    @given(boxed_rational_systems())
+    def test_implied_box_matches_dense_floors(self, case):
+        # the integer floor division against floor(min b_i / a_ij) on the dense rationals
+        lp, _ = case
+        rows = lp.a.rows
+        expected = None
+        if all(x >= 0 for r in rows for x in r) and all(v >= 0 for v in lp.b):
+            expected = []
+            for j in range(lp.n):
+                bounds = [lp.b[i] / r[j] for i, r in enumerate(rows) if r[j] > 0]
+                if bounds:
+                    expected.append(math.floor(min(bounds)))
+                elif lp.c[j] > 0:
+                    expected.append(0)
+                else:
+                    expected = None
+                    break
+        assert implied_box(lp) == expected
+
+    def test_unbounded_relaxation_prunes_nothing(self):
+        # min x0 - x2 with x0 + x1 - x2 = 1: after x0 = 1 gives -1 at (1, 2, 2),
+        # the node x0 = 0 has an unbounded relaxation and still holds (0, 2, 1)
+        lp = StandardLp(Matrix.from_rows([[1, 1, -1]]), vec([1]), vec([1, 0, -1]))
+        got = enumerate_integral_optima(lp, box=[1, 2, 2])
+        assert got.solutions == ((0, 2, 1), (1, 2, 2)) and got.objective == -1
 
     def test_unbounded_search_detected(self):
         # second column is identically zero: no finite bound is derivable

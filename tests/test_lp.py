@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import ceil, floor, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +29,7 @@ def restricted(lp, prefix):
     """The system left once the leading coordinates are fixed to ``prefix``."""
     k = len(prefix)
     rhs = tuple(bi - dot(row[:k], vec(prefix)) for bi, row in zip(lp.b, lp.a.rows))
-    return StandardLp(lp.a.tail(k), rhs, lp.c[k:])
+    return StandardLp(Matrix(tuple(row[k:] for row in lp.a.rows)), rhs, lp.c[k:])
 
 
 class TestLpSolve:
@@ -187,12 +187,20 @@ class TestIntegerCore:
     """The integer-row core against the Fraction reference route in ``oracles``."""
 
     @settings(max_examples=400, deadline=None)
-    @given(rational_systems())
-    def test_presolve_matches_reference(self, lp):
-        # a tail's pattern keeps its parent's scales, which need not be least
-        for a in (lp.a, lp.a.tail(1)):
-            feasible, fixed, live = lp_module._presolve(a.sparse_rows, lp.b)
-            ref_rows, ref_rhs = dict_rows(a), list(lp.b)
+    @given(rational_systems(), st.integers(0, 2))
+    def test_presolve_matches_reference(self, lp, v):
+        # at k = 1 the rows are the residual of x_0 = v, each over the scale
+        # s_i*q_i of the whole system, which need not be least
+        pattern = lp.a.sparse_rows
+        rhs, mults = lp_module._int_rhs(pattern, lp.b)
+        cases = [(0, rhs, list(lp.b))]
+        if lp.n > 1:
+            head = [dict(pairs).get(0, 0) for _, pairs in pattern]
+            residual = [t - q * num * v for t, q, num in zip(rhs, mults, head)]
+            cases.append((1, residual, [bi - row[0] * v for bi, row in zip(lp.b, lp.a.rows)]))
+        for k, int_rhs, ref_rhs in cases:
+            feasible, fixed, live = lp_module._presolve(pattern, k, int_rhs, mults)
+            ref_rows = [{j: x for j, x in row.items() if j >= k} for row in dict_rows(lp.a)]
             ref_feasible, ref_fixed = fraction_presolve(ref_rows, ref_rhs)
             assert feasible == ref_feasible
             assert all(q > 0 and gcd(p, q) == 1 for p, q in fixed.values())
@@ -221,14 +229,16 @@ class TestIntegerCore:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lp_module, "_pivot", checked_pivot)
             mp.setattr(lp_module, "_iterate", checked_iterate)
-            prep = lp_module._prepare_cold(lp.a, lp.b)
+            prep = lp_module._prepare(lp.a, 0, *lp_module._int_rhs(lp.a.sparse_rows, lp.b))
             got = lp_solve(lp)
         ref = fraction_prepare(lp.a, lp.b)
         if ref is None:
             assert prep is None
         else:
             fixed, free, tableau, basis = ref
-            assert (prep.fixed, prep.free, prep.basis) == (fixed, free, basis)
+            assert all(q > 0 and gcd(p, q) == 1 for p, q in prep.fixed.values())
+            assert tuple((j, F(p, q)) for j, (p, q) in prep.fixed.items()) == fixed
+            assert (prep.free, prep.basis) == (free, basis)
             if tableau is None:
                 assert prep.tableau is None
             else:
@@ -241,6 +251,57 @@ class TestIntegerCore:
             oracle = lp_basic_solution_optimum(lp)
             if oracle is not None:  # None: rank-deficient, the oracle cannot price it
                 assert got.objective == oracle
+
+
+@st.composite
+def residual_cases(draw):
+    """A rational system, a prefix x_0..x_{k-1}, int costs and a cutoff or None."""
+    lp = draw(rational_systems())
+    k = draw(st.integers(0, lp.n - 1))
+    prefix = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+    cost = draw(st.lists(st.integers(-2, 2), min_size=lp.n, max_size=lp.n))
+    return lp, prefix, cost, draw(st.none() | st.integers(-3, 3))
+
+
+class TestResidualRange:
+    """``residual_range`` on an integer residual against the Fraction route on the restricted system."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(residual_cases())
+    def test_matches_reference(self, case):
+        lp, prefix, cost, cutoff = case
+        k = len(prefix)
+        pattern = lp.a.sparse_rows
+        rhs, mults = lp_module._int_rhs(pattern, lp.b)
+        for i, ((_, pairs), q) in enumerate(zip(pattern, mults)):
+            for j, num in pairs:
+                if j < k:
+                    rhs[i] -= q * num * prefix[j]
+        got = lp_module.residual_range(lp.a, k, rhs, mults, cost, cutoff)
+
+        rest = restricted(lp, prefix)
+        unit = [0] * (rest.n - 1)
+
+        def solve(c):
+            return fraction_simplex(StandardLp(rest.a, rest.b, vec(c)))
+
+        low = solve([1] + unit)
+        if low.status == INFEASIBLE:
+            assert got is None
+            return
+        if cutoff is not None:
+            bound = solve(cost[k:])
+            if bound.status == OPTIMAL and bound.objective > cutoff:
+                assert got is None
+                return
+        high = solve([-1] + unit)
+        hi = None if high.status == UNBOUNDED else floor(-high.objective)
+        assert got == (ceil(low.objective), hi)
+
+    def test_unbounded_minimum_prunes_nothing(self):
+        # x_1 - x_2 = 1 under cost -x_2 has no minimum; the node stays
+        lp = StandardLp(Matrix.from_rows([[1, 1, -1]]), vec([1]), vec([0, 0, 0]))
+        assert lp_module.residual_range(lp.a, 1, [1], [1], [1, 0, -1], -5) == (1, None)
 
 
 class TestIsFeasiblePoint:
