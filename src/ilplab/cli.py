@@ -14,24 +14,20 @@ import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from itertools import combinations
 
 from .errors import BudgetExceededError, ClaimFalsifiedError, EmbeddingError, UnboundedSearchError
+from .exactla import dot
 from .hull import VERDICT_INCONCLUSIVE, VERDICT_POLYTOPISH, integer_points_in_hull
 from .ilp import enumerate_integral_optima
 from .instances import (
-    FAMILY_BINPACK_PROX,
-    FAMILY_BINPACK_SENS,
-    FAMILY_PROXIMITY,
-    FAMILY_SENSITIVITY,
+    FAMILIES,
+    KIND_PROX,
+    KIND_SENS,
+    Family,
     IlpInstance,
-    binpack_ilp_instance,
     doc_dumps,
-    expected_sensitivity_pair,
-    fractional_certificate,
-    gen_binpack_proximity,
-    gen_binpack_sensitivity,
-    gen_proximity,
-    gen_sensitivity,
+    family_of,
     instance_from_doc,
     instance_to_doc,
     p_q_constants,
@@ -54,12 +50,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 3
 
-_GEN_FAMILIES = {
-    "sensitivity": FAMILY_SENSITIVITY,
-    "proximity": FAMILY_PROXIMITY,
-    "binpack-sens": FAMILY_BINPACK_SENS,
-    "binpack-prox": FAMILY_BINPACK_PROX,
-}
+#: the families by the name ``gen`` and ``sweep`` take
+_BY_CLI_NAME = {family.cli_name: family for family in FAMILIES.values()}
+
+_MEASURES = {KIND_SENS: measure_sensitivity, KIND_PROX: measure_proximity_lb}
 
 
 class _UsageError(Exception):
@@ -84,28 +78,11 @@ def _load_instance(path: str) -> IlpInstance:
         raise _UsageError(f"cannot read instance {path!r}: {exc}") from exc
 
 
-def _generate(family: str, delta: int, d: int) -> IlpInstance:
-    if family == FAMILY_SENSITIVITY:
-        return gen_sensitivity(delta, d)
-    if family == FAMILY_PROXIMITY:
-        return gen_proximity(delta, d)
-    if family == FAMILY_BINPACK_SENS:
-        return binpack_ilp_instance(*gen_binpack_sensitivity(delta, d), FAMILY_BINPACK_SENS, delta, d)
-    if family == FAMILY_BINPACK_PROX:
-        return binpack_ilp_instance(*gen_binpack_proximity(delta, d), FAMILY_BINPACK_PROX, delta, d)
-    raise _UsageError(f"unknown family {family!r}")
-
-
 def _cmd_gen(args) -> int:
-    family = _GEN_FAMILIES[args.family]
-    try:
-        inst = _generate(family, args.delta, args.d)
-    except (ValueError, EmbeddingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_CHECK_FAILED
+    inst = _BY_CLI_NAME[args.family].generate(args.delta, args.d)
     doc = doc_dumps(instance_to_doc(inst))
     summary = (
-        f"{family}: {inst.lp.d}x{inst.lp.n} matrix, max entry {inst.lp.a.max_abs()}"
+        f"{inst.family}: {inst.lp.d}x{inst.lp.n} matrix, max entry {inst.lp.a.max_abs()}"
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -117,31 +94,6 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _verify_matchings() -> tuple[bool, dict]:
-    ms = build_matching_system()
-    inc = ms.incidence
-    row_sums = [int(sum(r)) for r in inc.rows]
-    col_sums = [int(sum(inc.col(j))) for j in range(6)]
-    overlaps = sorted(
-        int(sum(a * b for a, b in zip(inc.col(i), inc.col(j))))
-        for i in range(6)
-        for j in range(i + 1, 6)
-    )
-    report = {
-        "matchings": len(ms.matchings),
-        "row_sums": row_sums,
-        "column_sums": col_sums,
-        "pairwise_shared_edges": overlaps,
-    }
-    ok = (
-        len(ms.matchings) == 6
-        and set(row_sums) == {2}
-        and set(col_sums) == {5}
-        and set(overlaps) == {1}
-    )
-    return ok, report
-
-
 def _verify_polytopish(inst: IlpInstance, lp_budget: int) -> tuple[bool, dict]:
     report = integer_points_in_hull(inst.lp.a.cols(), lp_budget=lp_budget)
     if report.verdict == VERDICT_INCONCLUSIVE:
@@ -149,52 +101,63 @@ def _verify_polytopish(inst: IlpInstance, lp_budget: int) -> tuple[bool, dict]:
     return report.verdict == VERDICT_POLYTOPISH, report.to_json()
 
 
-def _verify_claims(inst: IlpInstance, node_budget: int) -> tuple[bool, dict]:
+def _sensitivity_claims(inst: IlpInstance, family: Family, node_budget: int) -> tuple[bool, dict]:
+    sols = enumerate_integral_optima(inst.lp, node_budget=node_budget)
+    sols2 = enumerate_integral_optima(inst.with_rhs(inst.alt_rhs).lp, node_budget=node_budget)
+    details: dict = {"family": inst.family, "optima_counts": [len(sols), len(sols2)]}
+    ok = len(sols) == 1 and len(sols2) == 1
+    if family.expected_pair is not None and ok:
+        ok = (sols.solutions[0], sols2.solutions[0]) == family.expected_pair(inst.delta, inst.d)
+        details["matches_forward_substitution"] = ok
+    return ok, details
+
+
+def _proximity_claims(inst: IlpInstance, family: Family, node_budget: int) -> tuple[bool, dict]:
     details: dict = {"family": inst.family}
-    if inst.family in (FAMILY_SENSITIVITY, FAMILY_BINPACK_SENS):
-        if inst.alt_rhs is None:
-            raise _UsageError("claims check needs the alternate right-hand side")
-        sols = enumerate_integral_optima(inst.lp, node_budget=node_budget)
-        sols2 = enumerate_integral_optima(inst.with_rhs(inst.alt_rhs).lp, node_budget=node_budget)
-        details["optima_counts"] = [len(sols), len(sols2)]
-        ok = len(sols) == 1 and len(sols2) == 1
-        if inst.family == FAMILY_SENSITIVITY and ok:
-            x, x2 = expected_sensitivity_pair(inst.delta, inst.d)
-            ok = sols.solutions[0] == tuple(int(v) for v in x) and sols2.solutions[
-                0
-            ] == tuple(int(v) for v in x2)
-            details["matches_forward_substitution"] = ok
-        return ok, details
-    if inst.family in (FAMILY_PROXIMITY, FAMILY_BINPACK_PROX):
-        z = fractional_certificate(inst.delta, inst.d)
-        z_ok = is_feasible_point(inst.lp, z)
-        sols = enumerate_integral_optima(inst.lp, node_budget=node_budget)
-        p, q = p_q_constants(inst.delta, inst.d)
-        floors = []
-        floor_ok = True
-        for sol in sols.solutions:
-            try:
-                floors.append(str(norm_floor(inst, sol)))
-            except ClaimFalsifiedError as exc:
-                floor_ok = False
-                details["falsified"] = str(exc)
-                break
-        details.update(
-            {
-                "certificate_feasible": z_ok,
-                "optima_count": len(sols),
-                "p": p,
-                "q": q,
-                "norm_floors": floors,
-            }
-        )
-        return z_ok and floor_ok and len(sols) == 7, details
-    raise _UsageError(f"no claims check for family {inst.family!r}")
+    z_ok = is_feasible_point(inst.lp, family.certificate(inst.delta, inst.d))
+    sols = enumerate_integral_optima(inst.lp, node_budget=node_budget)
+    p, q = p_q_constants(inst.delta, inst.d)
+    floors = []
+    floor_ok = True
+    for sol in sols.solutions:
+        try:
+            floors.append(str(norm_floor(inst, sol)))
+        except ClaimFalsifiedError as exc:
+            floor_ok = False
+            details["falsified"] = str(exc)
+            break
+    details.update(
+        {
+            "certificate_feasible": z_ok,
+            "optima_count": len(sols),
+            "p": p,
+            "q": q,
+            "norm_floors": floors,
+        }
+    )
+    return z_ok and floor_ok and len(sols) == 7, details
+
+
+_CLAIMS = {KIND_SENS: _sensitivity_claims, KIND_PROX: _proximity_claims}
+
+
+def _verify_claims(inst: IlpInstance, node_budget: int) -> tuple[bool, dict]:
+    family = family_of(inst)
+    if family is None:
+        raise _UsageError(f"no claims check for family {inst.family!r}")
+    return _CLAIMS[family.kind](inst, family, node_budget)
 
 
 def _cmd_verify(args) -> int:
     if args.check == "matchings":
-        ok, report = _verify_matchings()
+        inc = build_matching_system().incidence  # raises unless the structure holds
+        cols = inc.cols()
+        ok, report = True, {
+            "matchings": len(cols),
+            "row_sums": [int(sum(row)) for row in inc.rows],
+            "column_sums": [int(sum(col)) for col in cols],
+            "pairwise_shared_edges": sorted(int(dot(u, v)) for u, v in combinations(cols, 2)),
+        }
     else:
         if not args.input:
             raise _UsageError(f"--check {args.check} needs --in INSTANCE")
@@ -209,21 +172,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_measure(args) -> int:
     inst = _load_instance(args.input)
-    if args.kind == "sens":
-        if inst.alt_rhs is None:
-            raise _UsageError("instance has no alternate right-hand side")
-        report = measure_sensitivity(
-            inst, node_budget=args.node_budget, subdet_budget=args.subdet_budget
-        )
-    else:
-        if inst.family not in (FAMILY_PROXIMITY, FAMILY_BINPACK_PROX):
-            raise _UsageError(
-                "no canonical fractional certificate for this family; use the API "
-                "to pass an explicit one"
-            )
-        report = measure_proximity_lb(
-            inst, node_budget=args.node_budget, subdet_budget=args.subdet_budget
-        )
+    report = _MEASURES[args.kind](
+        inst, node_budget=args.node_budget, subdet_budget=args.subdet_budget
+    )
     if args.csv:
         print(report.csv_row(args.norm))
     else:
@@ -233,16 +184,14 @@ def _cmd_measure(args) -> int:
 
 def _sweep_cell(job: tuple) -> tuple[int, int, str, int, str]:
     """One sweep cell: (delta, d, CSV row, exit code, message for stderr)."""
-    family, delta, d, norm, node_budget, subdet_budget = job
+    name, delta, d, norm, node_budget, subdet_budget = job
+    family = FAMILIES[name]
     try:
-        inst = _generate(family, delta, d)
-        if family in (FAMILY_SENSITIVITY, FAMILY_BINPACK_SENS):
-            report = measure_sensitivity(inst, node_budget=node_budget, subdet_budget=subdet_budget)
-        else:
-            report = measure_proximity_lb(inst, node_budget=node_budget, subdet_budget=subdet_budget)
+        inst = family.generate(delta, d)
+        report = _MEASURES[family.kind](inst, node_budget=node_budget, subdet_budget=subdet_budget)
         return delta, d, report.csv_row(norm), EXIT_OK, ""
     except Exception as exc:  # per-cell failures land in the row, sweep continues
-        row = f"{family},{delta},{d},{norm},,,,,,error:{type(exc).__name__}"
+        row = f"{name},{delta},{d},{norm},,,,,,error:{type(exc).__name__}"
         code = _exit_code(exc)
         if isinstance(exc, _CONTRACT_ERRORS):
             message = f"{_EXIT_LABELS[code]}: {exc}"
@@ -266,14 +215,14 @@ def _sweep_workers(jobs: int, cells: int) -> int:
 def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    family = _GEN_FAMILIES[args.family]
+    family = _BY_CLI_NAME[args.family]
     deltas = _parse_int_list(args.delta)
     ds = _parse_int_list(args.d)
     for axis, text, values in (("--delta", args.delta, deltas), ("--d", args.d, ds)):
         if not values:
             raise _UsageError(f"{axis} {text!r} gives no values, so the grid is empty")
     jobs = [
-        (family, delta, d, args.norm, args.node_budget, args.subdet_budget)
+        (family.name, delta, d, args.norm, args.node_budget, args.subdet_budget)
         for delta in deltas
         for d in ds
     ]
@@ -342,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate an instance file")
-    p_gen.add_argument("family", choices=sorted(_GEN_FAMILIES))
+    p_gen.add_argument("family", choices=sorted(_BY_CLI_NAME))
     p_gen.add_argument("--delta", type=int, required=True)
     p_gen.add_argument("--d", type=int, required=True)
     p_gen.add_argument("--out", help="output path (default: JSON to stdout)")
@@ -356,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_measure = sub.add_parser("measure", help="measure sensitivity or proximity")
-    p_measure.add_argument("kind", choices=("sens", "prox"))
+    p_measure.add_argument("kind", choices=tuple(_MEASURES))
     p_measure.add_argument("--in", dest="input", required=True)
     p_measure.add_argument("--norm", choices=NORMS, default=NORM_LINF)
     p_measure.add_argument("--csv", action="store_true", help="print one CSV row instead of JSON")
@@ -365,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_measure.set_defaults(func=_cmd_measure)
 
     p_sweep = sub.add_parser("sweep", help="measure a parameter grid into a CSV table")
-    p_sweep.add_argument("family", choices=sorted(_GEN_FAMILIES))
+    p_sweep.add_argument("family", choices=sorted(_BY_CLI_NAME))
     p_sweep.add_argument("--delta", required=True, help="range a:b or comma list")
     p_sweep.add_argument("--d", required=True, help="range a:b or comma list")
     p_sweep.add_argument("--out", help="CSV path (default stdout)")

@@ -124,17 +124,11 @@ class Matrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def row(self, i: int) -> Vec:
-        return self.rows[i]
-
     def col(self, j: int) -> Vec:
         return tuple(r[j] for r in self.rows)
 
     def cols(self) -> list[Vec]:
         return [self.col(j) for j in range(self.ncols)]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(tuple(self.col(j) for j in range(self.ncols)))
 
     # cached_property keeps its value in the instance dict, where ``vstack``
     # seeds it with the pattern it joined

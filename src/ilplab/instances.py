@@ -1,4 +1,8 @@
-"""Generators for the benchmark families and bin-packing configuration systems.
+"""The benchmark families, their generators and the bin-packing configuration systems.
+
+``FAMILIES`` is the one place that says what each family is, one ``Family``
+record per family.  ``family_of`` gives an instance's record only once the
+instance's labels match a regenerated instance; measures read it from there.
 
 Two staircase families are generated directly:
 
@@ -22,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import BudgetExceededError, EmbeddingError
 from .exactla import Matrix, Vec, vec, vec_str
@@ -37,13 +41,9 @@ FAMILY_BINPACK_SENS = "binpack_sens"
 FAMILY_BINPACK_PROX = "binpack_prox"
 FAMILY_CUSTOM = "custom"
 
-FAMILIES = (
-    FAMILY_SENSITIVITY,
-    FAMILY_PROXIMITY,
-    FAMILY_BINPACK_SENS,
-    FAMILY_BINPACK_PROX,
-    FAMILY_CUSTOM,
-)
+#: the measure the paper makes on a family, named as ``measure``'s argument
+KIND_SENS = "sens"
+KIND_PROX = "prox"
 
 
 @dataclass(frozen=True)
@@ -167,13 +167,12 @@ def gen_proximity(delta: int, d: int) -> IlpInstance:
     return IlpInstance(lp, FAMILY_PROXIMITY, delta, d)
 
 
-def fractional_certificate(delta: int, d: int) -> Vec:
-    """Optimal fractional point taking every matching column half a time.
+def _half_matchings(delta: int, d: int) -> Vec:
+    """Every matching column half a time, the tail forward-substituted.
 
-    The tail is forward-substituted through the block recurrence
+    The tail follows the block recurrence
     w_1 = 0, delta*w_{j-1} + w_j = delta**(j-1) * ones.
     """
-    inst = gen_proximity(delta, d)
     z: list[Fraction] = [Fraction(1, 2)] * 6
     w_prev = [Fraction(0)] * 15  # matching halves cover block 1 exactly
     z.extend(w_prev)
@@ -182,10 +181,15 @@ def fractional_certificate(delta: int, d: int) -> Vec:
         w_next = [target - delta * w for w in w_prev]
         z.extend(w_next)
         w_prev = w_next
-    zt = tuple(z)
-    if not is_feasible_point(inst.lp, zt):
+    return tuple(z)
+
+
+def fractional_certificate(delta: int, d: int) -> Vec:
+    """Optimal fractional point of the proximity family, checked exactly feasible."""
+    z = _half_matchings(delta, d)
+    if not is_feasible_point(gen_proximity(delta, d).lp, z):
         raise AssertionError("certificate fails exact feasibility")
-    return zt
+    return z
 
 
 def p_q_constants(delta: int, d: int) -> tuple[int, int]:
@@ -248,13 +252,9 @@ def gen_binpack_sensitivity(
     size i+1"; the exact fit of every such column is asserted (for delta = 1
     two items already overfill the bin, so the embedding fails loudly).
     """
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
-    if d < 2 or d % 2 != 0:
-        raise ValueError("d must be even and >= 2")
+    general = gen_sensitivity(delta, d)
     eps = Fraction(1, 4 * (d - 1 + delta * d))
     sizes = tuple(Fraction(1, 2 * delta) + i * eps for i in range(1, d + 1))
-    general = gen_sensitivity(delta, d)
     c1_cols = [tuple(int(x) for x in general.lp.a.col(j)) for j in range(d)]
     for j, col in enumerate(c1_cols):
         _check_fits(col, sizes, f"column {j}")
@@ -282,13 +282,11 @@ def gen_binpack_proximity(
     large and never materialized; only the family columns are listed, which
     is enough because every other configuration has objective cost 1.
     """
-    if delta < 2:
-        raise ValueError("delta must be >= 2")
-    if d < 3 or d % 2 != 1:
+    general = gen_proximity(delta, d)
+    if d < 3:
         raise ValueError("d must be odd and >= 3")
     n_sizes = 15 * d
     base = Fraction(1, 30 * delta)
-    general = gen_proximity(delta, d)
     caps: list[Fraction] = []
     # single largest item
     caps.append((1 - base) / n_sizes)
@@ -323,7 +321,7 @@ def binpack_ilp_instance(
     a = Matrix.from_cols(cs.configurations)
     b = vec(bp.multiplicities)
     alt = None
-    if family == FAMILY_BINPACK_SENS:
+    if FAMILIES[family].kind == KIND_SENS:
         alt = (Fraction(0),) + b[1:]
     lp = StandardLp(a, b, c)
     return IlpInstance(
@@ -337,6 +335,74 @@ def binpack_ilp_instance(
         c1_indices=cs.c1_indices,
         notes=f"configurations={'all' if cs.complete else 'distinguished only'}",
     )
+
+
+# ---------------------------------------------------------------------------
+# the family registry
+
+
+@dataclass(frozen=True)
+class Family:
+    """What one benchmark family is.
+
+    ``kind`` is the measure the paper makes on the family; ``reference``
+    gives the paper's lower bounds for it as (l1, linf).  ``certificate`` is
+    the canonical optimal fractional point and ``expected_pair`` the unique
+    optima for b and b' by forward substitution, or None.
+    """
+
+    name: str
+    cli_name: str
+    kind: str
+    generate: Callable[[int, int], IlpInstance]
+    reference: Callable[[int, int], tuple[Fraction | None, Fraction | None]]
+    certificate: Callable[[int, int], Vec] | None = None
+    expected_pair: Callable[[int, int], tuple[Vec, Vec]] | None = None
+
+
+def _staircase_reference(delta: int, d: int) -> tuple[Fraction, Fraction]:
+    return Fraction(sum(delta**j for j in range(d))), Fraction(delta ** (d - 1))
+
+
+def _block_reference(delta: int, d: int) -> tuple[Fraction, None]:
+    p, _ = p_q_constants(delta, d)
+    return Fraction(13 * delta * p), None
+
+
+def _binpack_sens(delta: int, d: int) -> IlpInstance:
+    return binpack_ilp_instance(*gen_binpack_sensitivity(delta, d), FAMILY_BINPACK_SENS, delta, d)
+
+
+def _binpack_prox(delta: int, d: int) -> IlpInstance:
+    return binpack_ilp_instance(*gen_binpack_proximity(delta, d), FAMILY_BINPACK_PROX, delta, d)
+
+
+# name, CLI name, kind, generator, reference, certificate, expected pair
+FAMILIES = {
+    family.name: family
+    for family in (
+        Family(FAMILY_SENSITIVITY, "sensitivity", KIND_SENS, gen_sensitivity, _staircase_reference,
+               None, expected_sensitivity_pair),
+        Family(FAMILY_PROXIMITY, "proximity", KIND_PROX, gen_proximity, _block_reference, _half_matchings),
+        Family(FAMILY_BINPACK_SENS, "binpack-sens", KIND_SENS, _binpack_sens, _staircase_reference),
+        Family(FAMILY_BINPACK_PROX, "binpack-prox", KIND_PROX, _binpack_prox, _block_reference, _half_matchings),
+    )
+}
+
+
+def family_of(inst: IlpInstance) -> Family | None:
+    """The record of ``inst``'s family, None for custom, once its labels are checked.
+
+    The family's generator at the instance's delta and d must give back the
+    same A, b, c and b'; a mismatch, or a delta or d it rejects, is a ``ValueError``.
+    """
+    if inst.family == FAMILY_CUSTOM:
+        return None
+    family = FAMILIES[inst.family]
+    regenerated = family.generate(inst.delta, inst.d)
+    if inst.lp != regenerated.lp or inst.alt_rhs != regenerated.alt_rhs:
+        raise ValueError(f"the instance is not the {inst.family} family at delta={inst.delta}, d={inst.d}")
+    return family
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +447,10 @@ def _rationals(value, key: str) -> Vec:
     for x in _list(value, key):
         if isinstance(x, bool) or not isinstance(x, (int, str)):
             raise ValueError(f"expected an integer or a 'p/q' string for {key!r}, got {x!r}")
-    return vec(value)
+    try:
+        return vec(value)
+    except ZeroDivisionError:
+        raise ValueError(f"a zero denominator in {key!r}") from None
 
 
 def instance_from_doc(doc: dict) -> IlpInstance:
@@ -391,7 +460,7 @@ def instance_from_doc(doc: dict) -> IlpInstance:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
     family = doc["family"]
-    if family not in FAMILIES:
+    if family not in (*FAMILIES, FAMILY_CUSTOM):
         raise ValueError(f"unknown family {family!r}")
     notes = doc.get("notes", "")
     if not isinstance(notes, str):

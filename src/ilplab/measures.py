@@ -24,17 +24,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BudgetExceededError, ClaimFalsifiedError
-from .exactla import Matrix, Vec, dot, hadamard_bound, max_subdet_all, vec, vec_str
+from .exactla import Matrix, dot, hadamard_bound, max_subdet_all, vec, vec_str
 from .ilp import enumerate_integral_optima
-from .instances import (
-    FAMILY_BINPACK_PROX,
-    FAMILY_BINPACK_SENS,
-    FAMILY_PROXIMITY,
-    FAMILY_SENSITIVITY,
-    IlpInstance,
-    fractional_certificate,
-    p_q_constants,
-)
+from .instances import FAMILIES, KIND_PROX, KIND_SENS, Family, IlpInstance, family_of, p_q_constants
 from .lp import OPTIMAL, StandardLp, is_feasible_point, lp_solve
 
 NORM_L1 = "l1"
@@ -44,14 +36,14 @@ NORMS = (NORM_L1, NORM_LINF)
 CSV_HEADER = "family,delta,d,norm,measured,reference_lower,cook_upper,hadamard_upper,runtime_ms,status"
 
 
-def vec_dist(x: Sequence, y: Sequence, norm: str) -> Fraction:
+def vec_dist(x: Sequence, y: Sequence, norm: str) -> Fraction | int:
     if len(x) != len(y):
         raise ValueError(f"distance of length {len(x)} vs {len(y)}")
-    diffs = (abs(Fraction(a) - Fraction(b)) for a, b in zip(x, y))
+    diffs = (abs(a - b) for a, b in zip(x, y))
     if norm == NORM_L1:
-        return sum(diffs, Fraction(0))
+        return sum(diffs)
     if norm == NORM_LINF:
-        return max(diffs, default=Fraction(0))
+        return max(diffs, default=0)
     raise ValueError(f"unknown norm {norm!r}")
 
 
@@ -196,20 +188,12 @@ class MeasureReport:
         return ",".join(cells)
 
 
-def _sensitivity_reference(inst: IlpInstance) -> dict[str, Fraction | None]:
-    if inst.family in (FAMILY_SENSITIVITY, FAMILY_BINPACK_SENS):
-        return {
-            NORM_LINF: Fraction(inst.delta ** (inst.d - 1)),
-            NORM_L1: Fraction(sum(inst.delta**j for j in range(inst.d))),
-        }
-    return {NORM_LINF: None, NORM_L1: None}
-
-
-def _proximity_reference(inst: IlpInstance) -> dict[str, Fraction | None]:
-    if inst.family in (FAMILY_PROXIMITY, FAMILY_BINPACK_PROX):
-        p, _ = p_q_constants(inst.delta, inst.d)
-        return {NORM_L1: Fraction(13 * inst.delta * p), NORM_LINF: None}
-    return {NORM_L1: None, NORM_LINF: None}
+def _reference(inst: IlpInstance, family: Family | None, kind: str) -> dict[str, Fraction | None]:
+    """The paper's lower bounds per norm for a ``kind`` measure of ``inst``, None where it has none."""
+    ref = (None, None)
+    if family is not None and family.kind == kind:
+        ref = family.reference(inst.delta, inst.d)
+    return dict(zip((NORM_L1, NORM_LINF), ref))
 
 
 def measure_sensitivity(
@@ -218,6 +202,7 @@ def measure_sensitivity(
     subdet_budget: int = 10_000_000,
 ) -> MeasureReport:
     """Exact sensitivity via complete enumeration of both optimal sets."""
+    family = family_of(inst)
     if inst.alt_rhs is None:
         raise ValueError("sensitivity needs an alternate right-hand side")
     t0 = time.perf_counter()
@@ -248,7 +233,7 @@ def measure_sensitivity(
         d=inst.d,
         measured=measured,
         witness=witness,
-        reference_lower=_sensitivity_reference(inst),
+        reference_lower=_reference(inst, family, KIND_SENS),
         cook_upper=bounds.sens_upper,
         cook_via_hadamard=bounds.via_hadamard,
         subdet=bounds.subdet,
@@ -257,13 +242,6 @@ def measure_sensitivity(
         runtime_ms=runtime_ms,
         notes=inst.notes,
     )
-
-
-def certificate_for(inst: IlpInstance) -> Vec:
-    """The canonical optimal fractional point for the proximity families."""
-    if inst.family not in (FAMILY_PROXIMITY, FAMILY_BINPACK_PROX):
-        raise ValueError(f"no canonical certificate for family {inst.family!r}")
-    return fractional_certificate(inst.delta, inst.d)
 
 
 def measure_proximity_lb(
@@ -279,7 +257,12 @@ def measure_proximity_lb(
     to the canonical half-matchings certificate.
     """
     t0 = time.perf_counter()
-    zt = vec(z) if z is not None else certificate_for(inst)
+    family = family_of(inst)
+    if z is None:
+        if family is None or family.certificate is None:
+            raise ValueError(f"no canonical certificate for family {inst.family!r}; pass one")
+        z = family.certificate(inst.delta, inst.d)
+    zt = vec(z)
     if not is_feasible_point(inst.lp, zt):
         raise ValueError("rejected certificate: not a feasible point")
     relax = lp_solve(inst.lp)
@@ -314,7 +297,7 @@ def measure_proximity_lb(
         d=inst.d,
         measured=measured,
         witness=witness,
-        reference_lower=_proximity_reference(inst),
+        reference_lower=_reference(inst, family, KIND_PROX),
         cook_upper=bounds.prox_upper,
         cook_via_hadamard=bounds.via_hadamard,
         subdet=bounds.subdet,
@@ -339,7 +322,7 @@ def norm_floor(inst: IlpInstance, x: Sequence) -> Fraction:
     by the one-matching optima, so the coverage form is used.)  A violation
     is reported as a falsification with the witness attached.
     """
-    if inst.family not in (FAMILY_PROXIMITY, FAMILY_BINPACK_PROX):
+    if inst.family not in FAMILIES or FAMILIES[inst.family].kind != KIND_PROX:
         raise ValueError("the norm floor applies to the proximity families only")
     xt = vec(x)
     if not is_feasible_point(inst.lp, xt):

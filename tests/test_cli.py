@@ -158,6 +158,26 @@ class TestMalformedInstance:
         assert code == EXIT_USAGE
         assert "usage error" in stderr and "JSON object" in stderr
 
+    @pytest.mark.parametrize(
+        "key, command",
+        zip(
+            ["matrix", "b", "b_prime", "c", "sizes", "epsilon"],
+            [("measure", "sens"), ("bounds",), ("verify", "--check", "polytopish")] * 2,
+        ),
+    )
+    def test_zero_denominator_is_usage_error(self, sens_file, tmp_path, capsys, key, command):
+        with open(sens_file) as fh:
+            doc = json.load(fh)
+        if key == "matrix":
+            doc["matrix"][0][0] = "1/0"
+        elif key == "epsilon":
+            doc["epsilon"] = "1/0"
+        else:
+            doc[key] = ["1/0"] + (doc.get(key) or [])[1:]
+        code, _, stderr = run(capsys, *command, "--in", self.write(tmp_path, json.dumps(doc)))
+        assert code == EXIT_USAGE
+        assert "zero denominator" in stderr and repr(key) in stderr
+
     def test_bounds_refuse_non_integral_matrix(self, sens_file, tmp_path, capsys):
         with open(sens_file) as fh:
             doc = json.load(fh)
@@ -166,6 +186,30 @@ class TestMalformedInstance:
         code, _, stderr = run(capsys, "bounds", "--in", self.write(tmp_path, json.dumps(doc)))
         assert code == EXIT_USAGE
         assert "integral" in stderr
+
+
+class TestFamilyLabels:
+    """A document's family, delta and d must describe its matrix before a family fact is read."""
+
+    @pytest.mark.parametrize(
+        "cli_name, delta, d, relabel, command",
+        [
+            ("sensitivity", 2, 4, {"d": -1}, ("measure", "sens")),
+            ("binpack-sens", 2, 2, {"d": -1}, ("verify", "--check", "claims")),
+            ("proximity", 2, 3, {"delta": 3}, ("verify", "--check", "claims")),
+            ("sensitivity", 2, 4, {"family": "binpack_sens"}, ("measure", "sens")),
+        ],
+    )
+    def test_relabelled_document_is_usage_error(self, tmp_path, capsys, cli_name, delta, d, relabel, command):
+        path = tmp_path / "inst.json"
+        assert main(["gen", cli_name, "--delta", str(delta), "--d", str(d), "--out", str(path)]) == EXIT_OK
+        doc = json.loads(path.read_text())
+        doc.update(relabel)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code, stdout, stderr = run(capsys, *command, "--in", str(path))
+        assert code == EXIT_USAGE and stdout == ""
+        assert stderr.startswith("usage error:")
 
 
 class TestSweep:

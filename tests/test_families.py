@@ -1,0 +1,107 @@
+"""The family registry: every family's CLI outputs, and the registry as the one family table.
+
+The golden file holds, per family, the sha256 of the ``gen`` document, the
+``measure sens`` and ``measure prox`` reports (or the exit code where the
+command refuses), the ``verify --check claims`` report and one ``sweep`` row,
+all without their run times.  Rewrite it with ``python tests/test_families.py``
+only when an output is meant to change.
+"""
+
+import argparse
+import ast
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from ilplab.cli import EXIT_OK, build_parser, main
+from ilplab.instances import FAMILIES, FAMILY_CUSTOM, gen_sensitivity, instance_from_doc, instance_to_doc
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "ilplab"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "families.json"
+
+#: (CLI name, delta, d): the smallest cells every family command accepts
+CELLS = [("sensitivity", 2, 4), ("proximity", 2, 3), ("binpack-sens", 2, 4), ("binpack-prox", 2, 3)]
+
+
+def run(*argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue()
+
+
+def report(code: int, out: str) -> dict:
+    if code != EXIT_OK:
+        return {"exit": code}
+    doc = json.loads(out)
+    doc.pop("runtime_ms", None)
+    return {"exit": code, "output": doc}
+
+
+def outputs(tmp: Path, family: str, delta: int, d: int) -> dict:
+    path = tmp / f"{family}.json"
+    assert run("gen", family, "--delta", delta, "--d", d, "--out", path)[0] == EXIT_OK
+    got = {"gen_sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+    for kind in ("sens", "prox"):
+        got[f"measure {kind}"] = report(*run("measure", kind, "--in", path))
+    got["claims"] = report(*run("verify", "--check", "claims", "--in", path))
+    code, out = run("sweep", family, "--delta", delta, "--d", d)
+    cells = out.strip().splitlines()[-1].split(",")
+    got["sweep"] = {"exit": code, "row": cells[:8] + cells[9:]}  # cell 8 is runtime_ms
+    return got
+
+
+@pytest.mark.parametrize("family, delta, d", CELLS)
+def test_outputs_match_golden(tmp_path, family, delta, d):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert outputs(tmp_path, family, delta, d) == golden[family]
+
+
+def test_cli_takes_the_registry_names():
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    cli_names = sorted(family.cli_name for family in FAMILIES.values())
+    for command in ("gen", "sweep"):
+        family_arg = next(a for a in commands.choices[command]._actions if a.dest == "family")
+        assert sorted(family_arg.choices) == cli_names
+
+
+def test_loader_accepts_the_registry_names_and_custom():
+    doc = instance_to_doc(gen_sensitivity(2, 2))
+    for name in [*FAMILIES, FAMILY_CUSTOM]:
+        assert instance_from_doc({**doc, "family": name}).family == name
+    for name in ["binpack-sens", "Sensitivity", "mystery", ["sensitivity"]]:
+        with pytest.raises(ValueError, match="unknown family"):
+            instance_from_doc({**doc, "family": name})
+
+
+def dispatch_on_family(path: Path) -> list[str]:
+    """Each FAMILY_* name and each comparison with a family string in the file, with its line."""
+    family_strings = {FAMILY_CUSTOM} | {n for f in FAMILIES.values() for n in (f.name, f.cli_name)}
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        names = [node.id] if isinstance(node, ast.Name) else []
+        names += [node.attr] if isinstance(node, ast.Attribute) else []
+        names += [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else []
+        hits += [f"{path.name}:{node.lineno} names {n}" for n in names if n.startswith("FAMILY_")]
+        if isinstance(node, ast.Compare):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Constant) and sub.value in family_strings:
+                    hits.append(f"{path.name}:{sub.lineno} compares with {sub.value!r}")
+    return hits
+
+
+@pytest.mark.parametrize("module", ["cli.py", "measures.py"])
+def test_no_family_dispatch_outside_the_registry(module):
+    hits = dispatch_on_family(SRC / module)
+    assert not hits, f"family dispatch outside instances.FAMILIES: {hits}"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        golden = {cell[0]: outputs(Path(tmp), *cell) for cell in CELLS}
+    GOLDEN.write_text(json.dumps(golden, sort_keys=True, indent=1) + "\n", encoding="utf-8")
