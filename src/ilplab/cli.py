@@ -267,7 +267,8 @@ def _cmd_fuzz(args) -> int:
 def _cmd_bounds(args) -> int:
     inst = _load_instance(args.input)
     bounds = cook_bounds(
-        inst,
+        inst.lp,
+        inst.alt_rhs,
         subdet_budget=args.subdet_budget,
         allow_hadamard_fallback=not args.no_hadamard_fallback,
     )

@@ -25,7 +25,6 @@ a zero column, whose determinant is 0.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -238,15 +237,14 @@ def subdet_enumeration_count(nrows: int, ncols: int) -> int:
     return sum(math.comb(nrows, k) * math.comb(ncols, k) for k in range(1, min(nrows, ncols) + 1))
 
 
-def max_subdet_all(m: Matrix, budget: int = 10_000_000, force: bool = False) -> SubdetResult:
+def max_subdet_all(m: Matrix, budget: int = 10_000_000) -> SubdetResult:
     """Max |det| over every square submatrix of every size k >= 1.
 
     The enumeration count is checked up front against ``budget``; oversize
-    inputs are refused unless ``force`` is set (then a cost warning is
-    emitted and the enumeration runs anyway).  The witness is the first
-    maximizer in (size ascending, rows lex, cols lex) order; an all-zero
-    matrix has value 0 with witness ((0,), (0,)).  ``submatrices_scanned``
-    is the full enumeration count.
+    inputs are refused with ``BudgetExceededError``.  The witness is the
+    first maximizer in (size ascending, rows lex, cols lex) order; an
+    all-zero matrix has value 0 with witness ((0,), (0,)).
+    ``submatrices_scanned`` is the full enumeration count.
 
     The matrix is scaled once to an integer grid with one scale per row.  For
     each row set only the columns whose support meets those rows are offered,
@@ -260,13 +258,8 @@ def max_subdet_all(m: Matrix, budget: int = 10_000_000, force: bool = False) -> 
         raise ValueError("max_subdet_all needs a non-empty matrix")
     total = subdet_enumeration_count(m.nrows, m.ncols)
     if total > budget:
-        if not force:
-            raise BudgetExceededError(
-                f"subdeterminant enumeration needs {total} determinants, budget is {budget}"
-            )
-        warnings.warn(
-            f"subdeterminant enumeration over budget ({total} > {budget}); forced anyway",
-            stacklevel=2,
+        raise BudgetExceededError(
+            f"subdeterminant enumeration needs {total} determinants, budget is {budget}"
         )
     grid, scales = _scaled_rows(m.rows)
     # support[j] has bit i set when grid[i][j] != 0

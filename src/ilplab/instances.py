@@ -243,7 +243,7 @@ def _check_fits(config: Sequence[int], sizes: Vec, label: str):
 
 
 def gen_binpack_sensitivity(
-    delta: int, d: int, limit: int = 1_000_000
+    delta: int, d: int
 ) -> tuple[BinPackingInstance, ConfigurationSet, Vec]:
     """Bin-packing system whose zero-cost columns are the sensitivity family.
 
@@ -258,12 +258,8 @@ def gen_binpack_sensitivity(
     c1_cols = [tuple(int(x) for x in general.lp.a.col(j)) for j in range(d)]
     for j, col in enumerate(c1_cols):
         _check_fits(col, sizes, f"column {j}")
-    all_configs = enumerate_configurations(sizes, limit=limit)
-    config_set = set(all_configs)
-    for col in c1_cols:
-        if col not in config_set:
-            raise EmbeddingError(f"column {col} is not a feasible configuration")
-    ordered = list(c1_cols) + [k for k in all_configs if k not in set(c1_cols)]
+    family_cols = set(c1_cols)
+    ordered = c1_cols + [k for k in enumerate_configurations(sizes) if k not in family_cols]
     c = vec([0] * d + [1] * (len(ordered) - d))
     cs = ConfigurationSet(tuple(ordered), tuple(range(d)), complete=True)
     multiplicities = tuple(delta**i for i in range(d))
@@ -468,6 +464,10 @@ def instance_from_doc(doc: dict) -> IlpInstance:
     a = Matrix(tuple(_rationals(row, "matrix") for row in _list(doc["matrix"], "matrix")))
     lp = StandardLp(a, _rationals(doc["b"], "b"), _rationals(doc["c"], "c"))
     b_prime, sizes, epsilon, c1 = (doc.get(k) for k in ("b_prime", "sizes", "epsilon", "c1_indices"))
+    if b_prime is not None:
+        b_prime = _rationals(b_prime, "b_prime")
+        if len(b_prime) != a.nrows:
+            raise ValueError(f"'b_prime' has length {len(b_prime)}, matrix has {a.nrows} rows")
     if c1 is not None:
         c1 = tuple(_int(j, "c1_indices") for j in _list(c1, "c1_indices"))
     return IlpInstance(
@@ -475,7 +475,7 @@ def instance_from_doc(doc: dict) -> IlpInstance:
         family,
         _int(doc["delta"], "delta"),
         _int(doc["d"], "d"),
-        alt_rhs=_rationals(b_prime, "b_prime") if b_prime is not None else None,
+        alt_rhs=b_prime,
         notes=notes,
         sizes=_rationals(sizes, "sizes") if sizes is not None else None,
         epsilon=_rationals([epsilon], "epsilon")[0] if epsilon is not None else None,

@@ -10,9 +10,10 @@ computed side by side.
 
 Measured values are compared against the classical upper bounds
 n*subdet(A) (proximity) and (||b-b'||_inf + 2)*n*subdet(A) (sensitivity),
-with subdet the maximum |det| over all square submatrices.  When the
-subdeterminant enumeration is over budget, the Hadamard closed form stands
-in, flagged as an upper bound of an upper bound.
+with subdet the maximum |det| over all square submatrices, by
+``cook_bounds``, the one place that computes them for both measures and the
+fuzzer.  When the subdeterminant enumeration is over budget, the Hadamard
+closed form stands in, flagged as an upper bound of an upper bound.
 """
 
 from __future__ import annotations
@@ -96,33 +97,30 @@ class CookBounds:
 
 
 def cook_bounds(
-    inst: IlpInstance,
+    lp: StandardLp,
+    alt_rhs: Sequence | None = None,
     subdet_budget: int = 10_000_000,
     allow_hadamard_fallback: bool = True,
 ) -> CookBounds:
-    """Cook et al.'s bounds for ``inst``; they hold for integral A only."""
-    a = inst.lp.a
+    """Cook et al.'s bounds for ``lp`` and b' = ``alt_rhs``; they hold for integral A only."""
+    a = lp.a
     if any(x.denominator != 1 for row in a.rows for x in row):
         raise ValueError("the Cook bounds hold for an integral matrix A only")
     had = hadamard_bound(a, a.nrows).closed_form
     subdet: Fraction | None
     try:
         subdet = max_subdet_all(a, budget=subdet_budget).value
-        base = subdet
-        via_hadamard = False
     except BudgetExceededError:
         if not allow_hadamard_fallback:
             raise
         subdet = None
-        base = had
-        via_hadamard = True
-    n = Fraction(inst.lp.n)
+    via_hadamard = subdet is None
+    base = had if via_hadamard else subdet
+    n = Fraction(lp.n)
     prox_upper = n * base
     sens_upper = None
-    if inst.alt_rhs is not None:
-        gap = max(
-            (abs(u - v) for u, v in zip(inst.lp.b, inst.alt_rhs)), default=Fraction(0)
-        )
+    if alt_rhs is not None:
+        gap = max((abs(u - v) for u, v in zip(lp.b, alt_rhs, strict=True)), default=Fraction(0))
         sens_upper = (gap + 2) * n * base
     return CookBounds(subdet, had, prox_upper, sens_upper, via_hadamard)
 
@@ -188,12 +186,50 @@ class MeasureReport:
         return ",".join(cells)
 
 
-def _reference(inst: IlpInstance, family: Family | None, kind: str) -> dict[str, Fraction | None]:
-    """The paper's lower bounds per norm for a ``kind`` measure of ``inst``, None where it has none."""
-    ref = (None, None)
+def _checked_report(
+    inst: IlpInstance,
+    family: Family | None,
+    kind: str,
+    xs: Sequence[Sequence],
+    ys: Sequence[Sequence],
+    solution_counts: dict[str, int],
+    t0: float,
+    subdet_budget: int,
+) -> MeasureReport:
+    """The ``kind`` measure dist(xs, ys) in both norms, checked against its Cook bound."""
+    measured: dict[str, Fraction] = {}
+    witness: dict[str, tuple] = {}
+    for norm in NORMS:
+        measured[norm], witness[norm] = dist_set_set(xs, ys, norm)
+    bounds = cook_bounds(inst.lp, inst.alt_rhs, subdet_budget=subdet_budget)
+    if kind == KIND_SENS:
+        report_kind, quantity, upper = "sensitivity", "sensitivity", bounds.sens_upper
+    else:
+        report_kind, quantity, upper = "proximity_lb", "proximity", bounds.prox_upper
+    if measured[NORM_LINF] > upper:
+        raise ClaimFalsifiedError(
+            f"measured {quantity} {measured[NORM_LINF]} exceeds the upper bound {upper}",
+            witness=witness[NORM_LINF],
+        )
+    reference = (None, None)
     if family is not None and family.kind == kind:
-        ref = family.reference(inst.delta, inst.d)
-    return dict(zip((NORM_L1, NORM_LINF), ref))
+        reference = family.reference(inst.delta, inst.d)
+    return MeasureReport(
+        kind=report_kind,
+        family=inst.family,
+        delta=inst.delta,
+        d=inst.d,
+        measured=measured,
+        witness=witness,
+        reference_lower=dict(zip(NORMS, reference)),
+        cook_upper=upper,
+        cook_via_hadamard=bounds.via_hadamard,
+        subdet=bounds.subdet,
+        hadamard_upper=bounds.hadamard,
+        solution_counts=solution_counts,
+        runtime_ms=int((time.perf_counter() - t0) * 1000),
+        notes=inst.notes,
+    )
 
 
 def measure_sensitivity(
@@ -212,35 +248,9 @@ def measure_sensitivity(
     )
     if not sols_b.solutions or not sols_b2.solutions:
         raise ValueError("sensitivity is undefined: an optimal set is empty")
-    measured: dict[str, Fraction] = {}
-    witness: dict[str, tuple] = {}
-    for norm in NORMS:
-        measured[norm], witness[norm] = dist_set_set(
-            sols_b.solutions, sols_b2.solutions, norm
-        )
-    bounds = cook_bounds(inst, subdet_budget=subdet_budget)
-    if measured[NORM_LINF] > bounds.sens_upper:
-        raise ClaimFalsifiedError(
-            f"measured sensitivity {measured[NORM_LINF]} exceeds the upper bound "
-            f"{bounds.sens_upper}",
-            witness=witness[NORM_LINF],
-        )
-    runtime_ms = int((time.perf_counter() - t0) * 1000)
-    return MeasureReport(
-        kind="sensitivity",
-        family=inst.family,
-        delta=inst.delta,
-        d=inst.d,
-        measured=measured,
-        witness=witness,
-        reference_lower=_reference(inst, family, KIND_SENS),
-        cook_upper=bounds.sens_upper,
-        cook_via_hadamard=bounds.via_hadamard,
-        subdet=bounds.subdet,
-        hadamard_upper=bounds.hadamard,
-        solution_counts={"b": len(sols_b), "b_prime": len(sols_b2)},
-        runtime_ms=runtime_ms,
-        notes=inst.notes,
+    counts = {"b": len(sols_b), "b_prime": len(sols_b2)}
+    return _checked_report(
+        inst, family, KIND_SENS, sols_b.solutions, sols_b2.solutions, counts, t0, subdet_budget
     )
 
 
@@ -276,36 +286,8 @@ def measure_proximity_lb(
     sols = enumerate_integral_optima(inst.lp, node_budget=node_budget)
     if not sols.solutions:
         raise ValueError("proximity is undefined: no integral optimum")
-    measured: dict[str, Fraction] = {}
-    witness: dict[str, tuple] = {}
-    for norm in NORMS:
-        dist, w = dist_point_set(zt, sols.solutions, norm)
-        measured[norm] = dist
-        witness[norm] = (zt, w)
-    bounds = cook_bounds(inst, subdet_budget=subdet_budget)
-    if measured[NORM_LINF] > bounds.prox_upper:
-        raise ClaimFalsifiedError(
-            f"measured proximity {measured[NORM_LINF]} exceeds the upper bound "
-            f"{bounds.prox_upper}",
-            witness=witness[NORM_LINF],
-        )
-    runtime_ms = int((time.perf_counter() - t0) * 1000)
-    return MeasureReport(
-        kind="proximity_lb",
-        family=inst.family,
-        delta=inst.delta,
-        d=inst.d,
-        measured=measured,
-        witness=witness,
-        reference_lower=_reference(inst, family, KIND_PROX),
-        cook_upper=bounds.prox_upper,
-        cook_via_hadamard=bounds.via_hadamard,
-        subdet=bounds.subdet,
-        hadamard_upper=bounds.hadamard,
-        solution_counts={"integral_optima": len(sols)},
-        runtime_ms=runtime_ms,
-        notes=inst.notes,
-    )
+    counts = {"integral_optima": len(sols)}
+    return _checked_report(inst, family, KIND_PROX, [zt], sols.solutions, counts, t0, subdet_budget)
 
 
 def norm_floor(inst: IlpInstance, x: Sequence) -> Fraction:
@@ -379,14 +361,13 @@ def _row_rank(m: Matrix) -> int:
     return rank
 
 
-def fuzz_cook(
-    seed: int,
-    trials: int = 200,
-    max_dim: int = 3,
-    max_cols: int = 5,
-    max_entry: int = 3,
-    trial_node_budget: int = 200_000,
-) -> FuzzReport:
+_FUZZ_MAX_DIM = 3
+_FUZZ_MAX_COLS = 5
+_FUZZ_MAX_ENTRY = 3
+_FUZZ_NODE_BUDGET = 200_000
+
+
+def fuzz_cook(seed: int, trials: int = 200) -> FuzzReport:
     """Validate the upper bounds on random feasible systems.
 
     Instances are feasible by construction (b = A x* for a random integral
@@ -408,9 +389,9 @@ def fuzz_cook(
     checks = 0
     violations: list[dict] = []
     while done < trials:
-        d = rng.randint(1, max_dim)
-        n = rng.randint(d, max_cols)
-        grid = [[rng.randint(0, max_entry) for _ in range(n)] for _ in range(d)]
+        d = rng.randint(1, _FUZZ_MAX_DIM)
+        n = rng.randint(d, _FUZZ_MAX_COLS)
+        grid = [[rng.randint(0, _FUZZ_MAX_ENTRY) for _ in range(n)] for _ in range(d)]
         a = Matrix.from_rows(grid)
         if any(all(grid[i][j] == 0 for i in range(d)) for j in range(n)):
             continue  # a zero column has no derivable bound
@@ -424,8 +405,8 @@ def fuzz_cook(
         lp = StandardLp(a, b, c)
         lp2 = StandardLp(a, b2, c)
         try:
-            sols = enumerate_integral_optima(lp, node_budget=trial_node_budget)
-            sols2 = enumerate_integral_optima(lp2, node_budget=trial_node_budget)
+            sols = enumerate_integral_optima(lp, node_budget=_FUZZ_NODE_BUDGET)
+            sols2 = enumerate_integral_optima(lp2, node_budget=_FUZZ_NODE_BUDGET)
         except BudgetExceededError:
             skipped += 1
             continue
@@ -433,24 +414,18 @@ def fuzz_cook(
         frac = lp_solve(lp)
         if frac.status != OPTIMAL:
             raise AssertionError("bounded feasible system must solve")
-        subdet = max_subdet_all(a).value
-        n_sub = Fraction(n) * subdet
-        prox_dist, _ = dist_point_set(frac.solution, sols.solutions, NORM_LINF)
-        checks += 1
-        if prox_dist > n_sub:
-            violations.append(
-                {"kind": "proximity", "matrix": a.to_json(), "b": vec_str(b),
-                 "c": vec_str(c), "distance": str(prox_dist), "bound": str(n_sub)}
-            )
-        gap = max((abs(u - v) for u, v in zip(b, b2)), default=Fraction(0))
-        sens_bound = (gap + 2) * n_sub
-        for xs, ys, tag in ((sols, sols2, "forward"), (sols2, sols, "backward")):
-            dist, _ = dist_set_set(xs.solutions, ys.solutions, NORM_LINF)
+        bounds = cook_bounds(lp, b2)
+        for kind, xs, ys, bound, b_prime in (
+            ("proximity", [frac.solution], sols.solutions, bounds.prox_upper, None),
+            ("sensitivity_forward", sols.solutions, sols2.solutions, bounds.sens_upper, b2),
+            ("sensitivity_backward", sols2.solutions, sols.solutions, bounds.sens_upper, b2),
+        ):
+            dist, _ = dist_set_set(xs, ys, NORM_LINF)
             checks += 1
-            if dist > sens_bound:
-                violations.append(
-                    {"kind": f"sensitivity_{tag}", "matrix": a.to_json(),
-                     "b": vec_str(b), "b_prime": vec_str(b2), "c": vec_str(c),
-                     "distance": str(dist), "bound": str(sens_bound)}
-                )
+            if dist > bound:
+                violation = {"kind": kind, "matrix": a.to_json(), "b": vec_str(b), "c": vec_str(c),
+                             "distance": str(dist), "bound": str(bound)}
+                if b_prime is not None:
+                    violation["b_prime"] = vec_str(b_prime)
+                violations.append(violation)
     return FuzzReport(done, skipped, checks, tuple(violations))

@@ -32,9 +32,6 @@ class Graph:
                 raise ValueError(f"duplicate edge {key}")
             seen.add(key)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
 
 def petersen_graph() -> Graph:
     outer = [(k, (k + 1) % 5) for k in range(5)]
@@ -89,14 +86,6 @@ class MatchingSystem:
     graph: Graph
     matchings: tuple[Matching, ...]
     incidence: Matrix
-
-    def to_json(self) -> dict:
-        return {
-            "vertex_count": self.graph.vertex_count,
-            "edges": [list(e) for e in self.graph.edges],
-            "matchings": [list(m) for m in self.matchings],
-            "incidence": self.incidence.to_json(),
-        }
 
 
 def build_matching_system() -> MatchingSystem:

@@ -178,6 +178,16 @@ class TestMalformedInstance:
         assert code == EXIT_USAGE
         assert "zero denominator" in stderr and repr(key) in stderr
 
+    @pytest.mark.parametrize("length", [1, 5])
+    def test_b_prime_length_must_match_rows(self, sens_file, tmp_path, capsys, length):
+        with open(sens_file) as fh:
+            doc = json.load(fh)
+        doc["family"] = "custom"
+        doc["b_prime"] = ["1"] * length  # the matrix has 4 rows
+        code, _, stderr = run(capsys, "bounds", "--in", self.write(tmp_path, json.dumps(doc)))
+        assert code == EXIT_USAGE
+        assert "'b_prime'" in stderr
+
     def test_bounds_refuse_non_integral_matrix(self, sens_file, tmp_path, capsys):
         with open(sens_file) as fh:
             doc = json.load(fh)

@@ -157,14 +157,11 @@ class TestMaxSubdet:
         assert res.col_indices == tuple(range(0, 9))
         assert res.submatrices_scanned == subdet_enumeration_count(10, 10)
 
-    def test_budget_refusal_and_force(self):
+    def test_budget_refusal(self):
         big = Matrix.from_rows([[1] * 10 for _ in range(10)])
         assert subdet_enumeration_count(10, 10) > 100
         with pytest.raises(BudgetExceededError):
             max_subdet_all(big, budget=100)
-        with pytest.warns(UserWarning):
-            res = max_subdet_all(big, budget=100, force=True)
-        assert res.value == 1
 
 
 def assert_pattern_matches_dense_rows(m):

@@ -1,10 +1,14 @@
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ilplab.exactla import Matrix, vec
+import ilplab.measures
+from ilplab.errors import ClaimFalsifiedError
+from ilplab.exactla import Matrix, SubdetResult, vec
 from ilplab.ilp import enumerate_integral_optima
 from ilplab.instances import (
     FAMILY_BINPACK_SENS,
@@ -204,14 +208,15 @@ class TestNormFloor:
 
 class TestCookBounds:
     def test_staircase_values(self):
-        cb = cook_bounds(gen_sensitivity(2, 4))
+        inst = gen_sensitivity(2, 4)
+        cb = cook_bounds(inst.lp, inst.alt_rhs)
         assert cb.subdet == 8
         assert cb.prox_upper == 32
         assert cb.sens_upper == 96
         assert not cb.via_hadamard
 
     def test_hadamard_fallback_flagged(self):
-        cb = cook_bounds(gen_proximity(2, 3), subdet_budget=100)
+        cb = cook_bounds(gen_proximity(2, 3).lp, subdet_budget=100)
         assert cb.subdet is None and cb.via_hadamard
         assert cb.prox_upper == 51 * cb.hadamard
 
@@ -219,14 +224,17 @@ class TestCookBounds:
         from ilplab.errors import BudgetExceededError
 
         with pytest.raises(BudgetExceededError):
-            cook_bounds(gen_proximity(2, 3), subdet_budget=100, allow_hadamard_fallback=False)
+            cook_bounds(gen_proximity(2, 3).lp, subdet_budget=100, allow_hadamard_fallback=False)
+
+    def test_alternate_rhs_of_wrong_length_refused(self):
+        with pytest.raises(ValueError):
+            cook_bounds(gen_sensitivity(2, 4).lp, vec([0]))
 
     def test_non_integral_matrix_refused(self):
         # the closed form understates this matrix's subdet (3/500 < 1/10)
         a = Matrix.from_rows([[F(1, 10), 0], [0, F(1, 10)], [0, 0]])
-        inst = IlpInstance(StandardLp(a, vec([0, 0, 0]), vec([1, 1])), FAMILY_CUSTOM, 1, 2)
         with pytest.raises(ValueError, match="integral"):
-            cook_bounds(inst)
+            cook_bounds(StandardLp(a, vec([0, 0, 0]), vec([1, 1])))
 
     def test_measured_below_bound_on_small_grid(self):
         for delta in (1, 2, 3):
@@ -257,3 +265,61 @@ class TestFuzz:
             binpack_ilp_instance(*gen_binpack_sensitivity(2, 2), FAMILY_BINPACK_SENS, 2, 2)
         )
         assert packed.measured == general.measured
+
+
+class TestFalsification:
+    """A measured value above Cook et al.'s bound is reported with its witness.
+
+    The bounds hold on every input, so the check is reached by replacing the
+    subdeterminant with 0, which makes every bound 0.
+    """
+
+    @pytest.fixture(autouse=True)
+    def zero_subdet(self, monkeypatch):
+        monkeypatch.setattr(
+            ilplab.measures,
+            "max_subdet_all",
+            lambda *args, **kwargs: SubdetResult(F(0), (0,), (0,), 0),
+        )
+
+    def test_sensitivity(self):
+        with pytest.raises(ClaimFalsifiedError) as err:
+            measure_sensitivity(gen_sensitivity(2, 4))
+        assert str(err.value) == "measured sensitivity 8 exceeds the upper bound 0"
+        assert err.value.witness == ((1, 0, 4, 0), (0, 2, 0, 8))
+
+    def test_proximity(self):
+        with pytest.raises(ClaimFalsifiedError) as err:
+            measure_proximity_lb(gen_proximity(2, 3))
+        assert str(err.value) == "measured proximity 4 exceeds the upper bound 0"
+        nearest = (0,) * 6 + (1,) * 15 + (0,) * 15 + (4,) * 15
+        assert err.value.witness == (vec(fractional_certificate(2, 3)), nearest)
+
+    def test_fuzz(self):
+        report = fuzz_cook(seed=3, trials=2)
+        first = {"matrix": [["1", "1", "3", "3"], ["3", "1", "1", "1"]], "b": ["9", "9"],
+                 "c": ["-1", "1", "-1", "1"], "distance": "1", "bound": "0"}
+        second = {"matrix": [["3", "3", "3", "1", "2"], ["0", "0", "1", "3", "1"]],
+                  "b": ["16", "8"], "c": ["2", "0", "1", "-1", "1"], "distance": "13/9", "bound": "0"}
+        assert (report.trials, report.skipped, report.checks) == (2, 0, 6)
+        assert report.violations == (
+            {"kind": "proximity", **first},
+            {"kind": "sensitivity_forward", **first, "b_prime": ["8", "8"]},
+            {"kind": "sensitivity_backward", **first, "b_prime": ["8", "8"]},
+            {"kind": "proximity", **second},
+        )
+
+
+def test_cook_bounds_is_the_only_bound_site():
+    """Only ``cook_bounds`` computes a subdeterminant or a Hadamard bound in ``measures``."""
+    path = Path(ilplab.measures.__file__)
+    callers = set()
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("max_subdet_all", "hadamard_bound")
+            ):
+                callers.add(getattr(top, "name", "<module>"))
+    assert callers == {"cook_bounds"}

@@ -13,7 +13,8 @@ class TestGraph:
 
     def test_three_regular(self):
         g = petersen_graph()
-        assert all(g.degree(v) == 3 for v in range(10))
+        degrees = [sum(v in e for e in g.edges) for v in range(10)]
+        assert degrees == [3] * 10
 
     def test_edge_ordering_is_cycle_spokes_pentagram(self):
         g = petersen_graph()
@@ -73,13 +74,6 @@ class TestMatchingSystem:
             for j in range(i + 1, 6):
                 sums = [inc.rows[e][i] + inc.rows[e][j] for e in range(15)]
                 assert sums.count(2) == 1
-
-    def test_serialization(self):
-        doc = build_matching_system().to_json()
-        assert doc["vertex_count"] == 10
-        assert len(doc["edges"]) == 15
-        assert len(doc["matchings"]) == 6
-        assert len(doc["incidence"]) == 15 and len(doc["incidence"][0]) == 6
 
     def test_bit_reproducible(self):
         assert build_matching_system() == build_matching_system()
