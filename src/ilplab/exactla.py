@@ -9,17 +9,21 @@ Most work reads a matrix as integers instead.  Clearing each row's
 denominators gives an integer row and one positive scale per row, and the
 rational row is the integer row divided by its scale.  A ``Matrix`` keeps one
 such pattern, its non-zero (column, numerator) pairs per row with the row's
-scale, computed once; the LP layer presolves and starts phase 1 from it, the
-enumeration reads its residuals and columns from it, and ``mul_vec`` reads
-only its non-zeros.  A matrix stacked from others (``vstack``) joins their
-patterns instead of scanning its entries again.
+scale, computed once by ``Matrix.sparse_rows``, the only place in this module
+where an entry's numerator and denominator are read.  The LP layer presolves
+and starts phase 1 from it, the enumeration reads its residuals and columns
+from it, ``mul_vec`` reads only its non-zeros, and ``max_abs`` is the largest
+|numerator| / scale over its rows.  A matrix stacked from others (``vstack``)
+joins their patterns instead of scanning its entries again.
 
-Determinants work on the dense integer grid of the same row scaling, so
-fraction-free (Bareiss) elimination stays in the integers, and a determinant
-of the original is the integer determinant divided by the product of the
-chosen rows' scales.  The subdeterminant scan builds that grid once per
-matrix, not once per submatrix, and skips every submatrix with a zero row or
-a zero column, whose determinant is 0.
+Determinants work on the dense integer grid laid out from the same pattern,
+so fraction-free (Bareiss) elimination stays in the integers, and a
+determinant of the original is the integer determinant divided by the product
+of the chosen rows' scales.  The subdeterminant scan builds that grid and its
+column-support bitmasks once per matrix, not once per submatrix, and skips
+every submatrix with a zero row or a zero column, whose determinant is 0.
+The one determinant bound kept here is Hadamard's closed form
+delta**r * r**(r/2), from ``max_abs`` and the row count alone.
 """
 
 from __future__ import annotations
@@ -134,10 +138,12 @@ class Matrix:
     @cached_property
     def sparse_rows(self) -> tuple[PatternRow, ...]:
         """Per row, its scale and the (column, numerator) pairs of its non-zero entries."""
-        grid, scales = _scaled_rows(self.rows)
-        return tuple(
-            (s, tuple((j, v) for j, v in enumerate(row) if v)) for row, s in zip(grid, scales)
-        )
+        pattern = []
+        for row in self.rows:
+            s = math.lcm(*(x.denominator for x in row))
+            pairs = tuple((j, x.numerator * (s // x.denominator)) for j, x in enumerate(row) if x)
+            pattern.append((s, pairs))
+        return tuple(pattern)
 
     @classmethod
     def vstack(cls, parts: Sequence["Matrix"]) -> "Matrix":
@@ -157,8 +163,13 @@ class Matrix:
         return tuple(out)
 
     def max_abs(self) -> Fraction:
-        """Largest absolute entry (infinity norm of the coefficient grid)."""
-        return max((abs(x) for r in self.rows for x in r), default=Fraction(0))
+        """Largest absolute entry: the largest |numerator| / scale over the pattern's rows."""
+        num, den = 0, 1
+        for s, pairs in self.sparse_rows:
+            top = max((abs(v) for _, v in pairs), default=0)
+            if top * den > num * s:
+                num, den = top, s
+        return Fraction(num, den)
 
     def to_json(self) -> list[list[str]]:
         return [[str(x) for x in r] for r in self.rows]
@@ -193,19 +204,15 @@ def _bareiss_int(a: list[list[int]]) -> int:
     return sign * a[-1][-1]
 
 
-def _scaled_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """Clear each row's denominators: the integer grid and one scale per row.
-
-    Row ``i`` of the grid is row ``i`` of the input times ``scales[i]``, the
-    least common multiple of that row's denominators.
-    """
-    grid: list[list[int]] = []
-    scales: list[int] = []
-    for row in rows:
-        mult = math.lcm(*(x.denominator for x in row))
-        grid.append([x.numerator * (mult // x.denominator) for x in row])
-        scales.append(mult)
-    return grid, scales
+def _int_grid(m: Matrix) -> list[list[int]]:
+    """The dense integer rows of ``m``'s pattern: row i is row i of ``m`` times its scale."""
+    grid = []
+    for _, pairs in m.sparse_rows:
+        row = [0] * m.ncols
+        for j, v in pairs:
+            row[j] = v
+        grid.append(row)
+    return grid
 
 
 def det(m: Matrix) -> Fraction:
@@ -218,8 +225,7 @@ def det(m: Matrix) -> Fraction:
         raise ValueError(f"determinant needs a square matrix, got {m.nrows}x{m.ncols}")
     if m.nrows == 0:
         return Fraction(1)
-    grid, scales = _scaled_rows(m.rows)
-    return Fraction(_bareiss_int(grid), math.prod(scales))
+    return Fraction(_bareiss_int(_int_grid(m)), math.prod(s for s, _ in m.sparse_rows))
 
 
 @dataclass(frozen=True)
@@ -261,9 +267,13 @@ def max_subdet_all(m: Matrix, budget: int = 10_000_000) -> SubdetResult:
         raise BudgetExceededError(
             f"subdeterminant enumeration needs {total} determinants, budget is {budget}"
         )
-    grid, scales = _scaled_rows(m.rows)
+    grid = _int_grid(m)
+    scales = [s for s, _ in m.sparse_rows]
     # support[j] has bit i set when grid[i][j] != 0
-    support = [sum(1 << i for i, row in enumerate(grid) if row[j]) for j in range(m.ncols)]
+    support = [0] * m.ncols
+    for i, (_, pairs) in enumerate(m.sparse_rows):
+        for j, _ in pairs:
+            support[j] |= 1 << i
     # the best value so far is best_num / best_den; comparisons cross-multiply
     best_num, best_den = 0, 1
     best_rows: tuple[int, ...] = (0,)
@@ -295,42 +305,20 @@ def isqrt_ceil(n: int) -> int:
     return s if s * s == n else s + 1
 
 
-def sqrt_upper(q: Fraction) -> Fraction:
-    """An exact rational upper bound on sqrt(q); exact when q is a perfect square."""
-    if q < 0:
-        raise ValueError("sqrt_upper of a negative number")
-    # sqrt(p/q) = sqrt(p*q)/q
-    return Fraction(isqrt_ceil(q.numerator * q.denominator), q.denominator)
+def hadamard_bound(m: Matrix) -> Fraction:
+    """The closed form delta**r * r**(r/2), with r = ``m.nrows`` and delta = ``m.max_abs()``.
 
-
-@dataclass(frozen=True)
-class HadamardBound:
-    """Hadamard-style determinant bounds.
-
-    ``column_norm`` is the product of column Euclidean norms (square input
-    only; None otherwise), rounded up to an exact rational.  ``closed_form``
-    is delta**d * d**(d/2) with delta the largest absolute entry; for odd d
-    the square root of d is rounded up to the next integer, so the value is
-    always a valid upper bound.
+    For odd r the square root of r is rounded up to the next integer, so the
+    value is an exact rational never below delta**r * r**(r/2).  On an
+    integral matrix it bounds every square submatrix's |det|: a k x k
+    submatrix, k <= r, has columns of Euclidean norm at most delta*sqrt(k), so
+    by Hadamard's inequality its |det| is at most delta**k * k**(k/2), which
+    is at most the closed form once delta >= 1.
     """
-
-    column_norm: Fraction | None
-    closed_form: Fraction
-
-
-def hadamard_bound(m: Matrix, d: int) -> HadamardBound:
-    if d < 1:
-        raise ValueError("hadamard_bound needs d >= 1")
-    column_norm = None
-    if m.is_square and m.nrows > 0:
-        prod_sq = Fraction(1)
-        for j in range(m.ncols):
-            prod_sq *= sum((x * x for x in m.col(j)), Fraction(0))
-        column_norm = sqrt_upper(prod_sq)
-    delta = m.max_abs()
-    closed = delta**d
-    if d % 2 == 0:
-        closed *= Fraction(d) ** (d // 2)
-    else:
-        closed *= Fraction(d) ** ((d - 1) // 2) * isqrt_ceil(d)
-    return HadamardBound(column_norm, closed)
+    r = m.nrows
+    if r < 1:
+        raise ValueError("hadamard_bound needs a matrix with at least one row")
+    closed = m.max_abs() ** r
+    if r % 2 == 0:
+        return closed * r ** (r // 2)
+    return closed * r ** ((r - 1) // 2) * isqrt_ceil(r)

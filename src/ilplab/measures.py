@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BudgetExceededError, ClaimFalsifiedError
-from .exactla import Matrix, dot, hadamard_bound, max_subdet_all, vec, vec_str
+from .exactla import Matrix, det, dot, hadamard_bound, max_subdet_all, vec, vec_str
 from .ilp import enumerate_integral_optima
 from .instances import FAMILIES, KIND_PROX, KIND_SENS, Family, IlpInstance, family_of, p_q_constants
 from .lp import OPTIMAL, StandardLp, is_feasible_point, lp_solve
@@ -102,11 +102,17 @@ def cook_bounds(
     subdet_budget: int = 10_000_000,
     allow_hadamard_fallback: bool = True,
 ) -> CookBounds:
-    """Cook et al.'s bounds for ``lp`` and b' = ``alt_rhs``; they hold for integral A only."""
+    """Cook et al.'s bounds for ``lp`` and b' = ``alt_rhs``; they hold for integral A only.
+
+    A is integral exactly when every row scale of its pattern is 1 (a scale
+    is the lcm of its row's denominators), so that is what is checked.  The
+    Hadamard closed form is ``hadamard_bound(A)`` over A's rows; it replaces
+    the subdeterminant when the scan is over ``subdet_budget``.
+    """
     a = lp.a
-    if any(x.denominator != 1 for row in a.rows for x in row):
+    if any(s != 1 for s, _ in a.sparse_rows):
         raise ValueError("the Cook bounds hold for an integral matrix A only")
-    had = hadamard_bound(a, a.nrows).closed_form
+    had = hadamard_bound(a)
     subdet: Fraction | None
     try:
         subdet = max_subdet_all(a, budget=subdet_budget).value
@@ -266,11 +272,14 @@ def measure_proximity_lb(
     exactly and rejected otherwise); for the proximity families it defaults
     to the canonical half-matchings certificate.
     """
-    t0 = time.perf_counter()
     family = family_of(inst)
+    t0 = time.perf_counter()
     if z is None:
         if family is None or family.certificate is None:
-            raise ValueError(f"no canonical certificate for family {inst.family!r}; pass one")
+            raise ValueError(
+                f"family {inst.family!r} has no canonical proximity certificate: the CLI "
+                "measures proximity on the proximity families only, and API callers pass z"
+            )
         z = family.certificate(inst.delta, inst.d)
     zt = vec(z)
     if not is_feasible_point(inst.lp, zt):
@@ -299,10 +308,15 @@ def norm_floor(inst: IlpInstance, x: Sequence) -> Fraction:
 
         ||x||_1 >= ||y||_1 + (15 - ||a||_1)*delta*p + ||a||_1*p,
 
-    which is the floor evaluated and asserted here.  (Stating the floor with
+    which is the floor evaluated and checked here.  (Stating the floor with
     ||y||_1 in place of ||a||_1 looks tempting but is falsified at delta = 3
     by the one-matching optima, so the coverage form is used.)  A violation
     is reported as a falsification with the witness attached.
+
+    The forced-tail identity is checked first.  It reads the instance's
+    delta and d through p and q, so a point of a matrix that the labels do
+    not describe fails it with a ``ValueError``; whenever it holds, the
+    floor is ||x||_1 - (15 - ||a||_1) whatever the labels say.
     """
     if inst.family not in FAMILIES or FAMILIES[inst.family].kind != KIND_PROX:
         raise ValueError("the norm floor applies to the proximity families only")
@@ -319,7 +333,10 @@ def norm_floor(inst: IlpInstance, x: Sequence) -> Fraction:
     nx = sum(xt, Fraction(0))
     # feasibility pins the tail, so the norm identity must hold exactly
     if nx != ny + (15 - coverage) * q + coverage * p:
-        raise AssertionError("forced-tail identity failed")
+        raise ValueError(
+            f"the forced-tail identity fails: the labels delta={inst.delta}, d={inst.d} "
+            f"or the matrix do not describe the {inst.family} family"
+        )
     bound = ny + (15 - coverage) * inst.delta * p + coverage * p
     if nx < bound:
         raise ClaimFalsifiedError(
@@ -344,23 +361,6 @@ class FuzzReport:
         return not self.violations
 
 
-def _row_rank(m: Matrix) -> int:
-    rows = [list(r) for r in m.rows]
-    rank = 0
-    for j in range(m.ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][j]:
-                f = rows[i][j] / prow[j]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        rank += 1
-    return rank
-
-
 _FUZZ_MAX_DIM = 3
 _FUZZ_MAX_COLS = 5
 _FUZZ_MAX_ENTRY = 3
@@ -371,7 +371,8 @@ def fuzz_cook(seed: int, trials: int = 200) -> FuzzReport:
     """Validate the upper bounds on random feasible systems.
 
     Instances are feasible by construction (b = A x* for a random integral
-    x* >= 0) and full row rank; checked per trial, all exactly:
+    x* >= 0) and of full row rank, tested as det(A A^T) != 0; checked per
+    trial, all exactly:
 
       * the distance from the computed optimal fractional vertex to the set
         of optimal integral solutions is at most n*subdet;
@@ -395,8 +396,9 @@ def fuzz_cook(seed: int, trials: int = 200) -> FuzzReport:
         a = Matrix.from_rows(grid)
         if any(all(grid[i][j] == 0 for i in range(d)) for j in range(n)):
             continue  # a zero column has no derivable bound
-        if _row_rank(a) < d:
-            continue
+        gram = [[sum(u * v for u, v in zip(ri, rj)) for rj in grid] for ri in grid]
+        if det(Matrix.from_rows(gram)) == 0:
+            continue  # rank(A) < d exactly when A A^T is singular
         x_star = [rng.randint(0, 2) for _ in range(n)]
         x_star2 = [rng.randint(0, 2) for _ in range(n)]
         c = vec([rng.randint(-1, 2) for _ in range(n)])

@@ -137,6 +137,19 @@ class TestMeasure:
         code, _, _ = run(capsys, "measure", "sens", "--in", "no-such-file.json")
         assert code == EXIT_USAGE
 
+    def test_prox_on_custom_instance_is_usage_error(self, sens_file, tmp_path, capsys):
+        with open(sens_file) as fh:
+            doc = json.load(fh)
+        doc["family"] = "custom"
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps(doc))
+        code, stdout, stderr = run(capsys, "measure", "prox", "--in", str(path))
+        assert code == EXIT_USAGE and stdout == ""
+        assert stderr == (
+            "usage error: family 'custom' has no canonical proximity certificate: the CLI "
+            "measures proximity on the proximity families only, and API callers pass z\n"
+        )
+
 
 class TestMalformedInstance:
     def write(self, tmp_path, text):

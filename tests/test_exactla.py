@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -14,7 +15,6 @@ from ilplab.exactla import (
     isqrt_ceil,
     max_subdet_all,
     rat,
-    sqrt_upper,
     subdet_enumeration_count,
     vec,
 )
@@ -140,7 +140,7 @@ class TestMaxSubdet:
             m = Matrix.from_rows(rows)
             res = max_subdet_all(m)
             sub = submatrix(m, res.row_indices, res.col_indices)
-            assert res.value <= hadamard_bound(sub, sub.nrows).column_norm
+            assert res.value**2 <= column_norms_squared(sub)
 
     @settings(max_examples=200, deadline=None)
     @given(sparse_matrices())
@@ -200,6 +200,43 @@ class TestSparseRows:
         assert m == Matrix.identity(2)
 
 
+@st.composite
+def rational_squares(draw):
+    """Small square matrices with zero, negative and rational entries."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    entry = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=6))
+    return Matrix(tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n)))
+
+
+class TestPatternRoute:
+    """``det``, ``max_subdet_all`` and ``max_abs`` read the pattern; the oracles read the dense rows."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_squares(), st.data())
+    def test_det_matches_cofactor_oracle(self, m, data):
+        expected = cofactor_det([list(r) for r in m.rows])
+        assert det(m) == expected
+        assert det(stacked_parts(m, data)) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_matrices(), st.data())
+    def test_stacked_max_subdet_matches_oracle(self, m, data):
+        res = max_subdet_all(stacked_parts(m, data))
+        assert (res.value, res.row_indices, res.col_indices, res.submatrices_scanned) == max_subdet_oracle(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_matrices(), st.data())
+    def test_max_abs_is_the_dense_maximum(self, m, data):
+        expected = max(abs(x) for r in m.rows for x in r)
+        assert m.max_abs() == expected
+        assert stacked_parts(m, data).max_abs() == expected
+
+    def test_max_abs_divides_by_the_scale(self):
+        # the second row's pattern is 6 * (5/2, -7/3) = (15, -14)
+        assert Matrix.from_rows([[1, 0], [F(5, 2), F(-7, 3)]]).max_abs() == F(5, 2)
+        assert Matrix.from_rows([[0, 0]]).max_abs() == 0
+
+
 class TestMulVec:
     @settings(max_examples=60, deadline=None)
     @given(sparse_matrices(), st.data())
@@ -215,22 +252,31 @@ class TestMulVec:
             Matrix.identity(2).mul_vec(vec([1]))
 
 
-class TestHadamard:
-    def test_identity_column_norms(self):
-        hb = hadamard_bound(Matrix.identity(2), 2)
-        assert hb.column_norm == 1
+def column_norms_squared(m):
+    """The product of ``m``'s squared column norms: Hadamard's bound on det(m)**2, exactly."""
+    return math.prod(sum((x * x for x in m.col(j)), F(0)) for j in range(m.ncols))
 
+
+class TestHadamard:
     def test_closed_form_even(self):
         m = gen_sensitivity(2, 2).lp.a
-        assert hadamard_bound(m, 2).closed_form == 8
-        assert hadamard_bound(gen_sensitivity(3, 2).lp.a, 2).closed_form == 18
+        assert hadamard_bound(m) == 8
+        assert hadamard_bound(gen_sensitivity(3, 2).lp.a) == 18
 
     def test_closed_form_odd_is_upper_bound(self):
-        # odd exponent uses ceil(sqrt(d)), so the value must dominate d**(d/2)
+        # odd exponent uses ceil(sqrt(r)), so the value must dominate r**(r/2)
         m = Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        closed = hadamard_bound(m, 3).closed_form
+        closed = hadamard_bound(m)
         assert closed == 3 * 2  # 1**3 * 3**1 * ceil(sqrt(3))
         assert closed**2 >= 3**3
+
+    def test_closed_form_reads_the_row_count(self):
+        # a 2x3 matrix: r = 2 rows, delta = 3/2, so (3/2)**2 * 2
+        assert hadamard_bound(Matrix.from_rows([[F(3, 2), 0, 1], [0, -1, F(1, 2)]])) == F(9, 2)
+
+    def test_empty_matrix_refused(self):
+        with pytest.raises(ValueError):
+            hadamard_bound(Matrix(()))
 
     def test_dominates_det(self):
         rng = random.Random(3)
@@ -238,16 +284,11 @@ class TestHadamard:
             n = rng.randint(1, 4)
             rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
             m = Matrix.from_rows(rows)
-            hb = hadamard_bound(m, n)
-            assert abs(det(m)) <= hb.column_norm
-            assert abs(det(m)) <= hb.closed_form
+            assert det(m) ** 2 <= column_norms_squared(m)
+            assert abs(det(m)) <= hadamard_bound(m)
 
     def test_sqrt_helpers(self):
         assert isqrt_ceil(9) == 3 and isqrt_ceil(10) == 4
-        assert sqrt_upper(F(9, 4)) == F(3, 2)
-        q = F(2, 3)
-        up = sqrt_upper(q)
-        assert up * up >= q
 
 
 class TestSerialization:

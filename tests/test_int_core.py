@@ -2,7 +2,8 @@
 
 In the LP layer, presolve, phase 1, phase 2, the pivots and the enumeration
 node's solve name no Fraction; in the enumeration, the search itself names
-no Fraction and builds no LP object.
+no Fraction and builds no LP object.  In ``exactla`` a Fraction becomes ints
+in one place only, ``Matrix.sparse_rows``.
 """
 
 import ast
@@ -55,3 +56,16 @@ def test_search_names_no_fraction_and_no_lp_object():
     ilp = functions(SRC / "ilp.py")
     found = names_used(ilp["visit"], SEARCH_NAMES) + names_used(ilp["_integer_system"], FRACTION_NAMES)
     assert not found, f"the search in ilp.py leaves the ints: {found}"
+
+
+def test_only_the_pattern_reads_numerators():
+    tree = ast.parse((SRC / "exactla.py").read_text(encoding="utf-8"))
+    readers = set()
+    for top in tree.body:
+        scopes = top.body if isinstance(top, ast.ClassDef) else [top]
+        for scope in scopes:
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator"):
+                    owner = f"{top.name}." if isinstance(top, ast.ClassDef) else ""
+                    readers.add(owner + getattr(scope, "name", "<module>"))
+    assert readers == {"Matrix.sparse_rows"}

@@ -1,4 +1,5 @@
 import ast
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -205,6 +206,13 @@ class TestNormFloor:
         with pytest.raises(ValueError):
             norm_floor(inst, [0] * inst.lp.n)
 
+    @pytest.mark.parametrize("relabel", [{"delta": 3}, {"d": 5}])
+    def test_mislabelled_instance_rejected(self, relabel):
+        inst = gen_proximity(2, 3)
+        for sol in enumerate_integral_optima(inst.lp).solutions:
+            with pytest.raises(ValueError, match="do not describe the proximity family"):
+                norm_floor(replace(inst, **relabel), sol)
+
 
 class TestCookBounds:
     def test_staircase_values(self):
@@ -233,6 +241,12 @@ class TestCookBounds:
     def test_non_integral_matrix_refused(self):
         # the closed form understates this matrix's subdet (3/500 < 1/10)
         a = Matrix.from_rows([[F(1, 10), 0], [0, F(1, 10)], [0, 0]])
+        with pytest.raises(ValueError, match="integral"):
+            cook_bounds(StandardLp(a, vec([0, 0, 0]), vec([1, 1])))
+
+    def test_non_integral_stacked_part_refused(self):
+        # only the last part's row is non-integral, so a first-row test misses it
+        a = Matrix.vstack([Matrix.from_rows([[1, 2], [0, 1]]), Matrix.from_rows([[3, F(1, 2)]])])
         with pytest.raises(ValueError, match="integral"):
             cook_bounds(StandardLp(a, vec([0, 0, 0]), vec([1, 1])))
 
@@ -323,3 +337,16 @@ def test_cook_bounds_is_the_only_bound_site():
             ):
                 callers.add(getattr(top, "name", "<module>"))
     assert callers == {"cook_bounds"}
+
+
+def test_bounds_and_rank_test_read_no_dense_rows():
+    """``cook_bounds`` and ``fuzz_cook`` read a matrix through its integer pattern, never ``.rows``."""
+    tree = ast.parse(Path(ilplab.measures.__file__).read_text(encoding="utf-8"))
+    functions = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    readers = {
+        name
+        for name in ("cook_bounds", "fuzz_cook")
+        for node in ast.walk(functions[name])
+        if isinstance(node, ast.Attribute) and node.attr == "rows"
+    }
+    assert not readers
