@@ -3,16 +3,22 @@
 The solver is a two-phase tableau simplex with Bland's smallest-index rule
 for both the entering and the leaving variable, which makes it terminating
 and bit-for-bit deterministic.  It pivots fraction-free (Bareiss 1968,
-Edmonds 1967): each tableau row, the cost row included, is a list of Python
-ints over one positive int denominator, kept primitive by dividing out the
-gcd after every update.  Each such row stands for exactly the rational row
-of a tableau kept in Fractions, and Bland's rule reads only what that
-tableau would give it: the sign of a cost entry is the sign of its
-numerator, and the ratio rhs/entry of a row is the ratio of its numerators,
-since the row's denominator cancels; two ratios are compared by
-cross-multiplication.  So every pivot, basis, solution and objective is the
-one the Fraction tableau reaches.  Fractions appear only where
-``lp_solve`` scales c and b to ints and builds the values it returns.
+Edmonds 1967) on sparse rows: each tableau row, the cost row included, maps
+column indices, and one reserved key for the right-hand side, to non-zero
+Python ints over one positive int denominator, kept primitive by dividing
+out the gcd after every update.  A pivot updates only the rows with an
+entry in the pivot column, each over its own and the pivot row's support.
+Each row stands for exactly the rational row of a dense tableau kept in
+Fractions, and Bland's rule reads only what that tableau would give it.
+Columns keep their index in A and artificial columns are numbered above
+every real one, so index order is the dense column order, and the entering
+column is the smallest index with a negative cost entry; the sign of an
+entry is the sign of its numerator; the ratio rhs/entry of a row is the
+ratio of its numerators, since the row's denominator cancels, and two
+ratios are compared by cross-multiplication.  So every pivot, basis,
+solution and objective is the one the Fraction tableau reaches.  Fractions
+appear only where ``lp_solve`` scales c and b to ints and builds the values
+it returns.
 
 A presolve pass runs first and repeatedly applies three exact reductions:
 
@@ -42,9 +48,9 @@ unique primitive integer row of those rationals, the row the simplex
 starts from.
 
 A solve has two parts.  Preparing (A, b) covers everything that does not
-depend on c: presolve from the matrix's integer pattern, the dense core over
-the variables presolve left free, and phase 1, which ends in a feasible
-basis of that core or proves the system infeasible.  Phase 2 then
+depend on c: presolve from the matrix's integer pattern, and phase 1 on the
+rows presolve left, which ends in a feasible basis of that core or proves
+the system infeasible.  Phase 2 then
 prices c, scaled to an int row, against a copy of the prepared tableau and
 pivots to optimality; the optimum is the cost row's right-hand side,
 negated, over its denominator.  ``lp_solve`` and the enumeration's node
@@ -278,62 +284,75 @@ def _presolve(pattern: Sequence[PatternRow], k: int, rhs: Sequence[int], mults: 
 
 
 # ---------------------------------------------------------------------------
-# simplex on integer rows: phase 1 needs only (A, b), phase 2 adds c
+# simplex on sparse integer rows: phase 1 needs only (A, b), phase 2 adds c
 #
-# A tableau is ``rows``, ``dens`` and ``basis``: row i stands for the rational
-# row rows[i][j] / dens[i] (right-hand side last), with gcd(dens[i], *rows[i])
-# == 1, dens[i] > 0 and rows[i][basis[i]] == dens[i].  The last row is the
-# cost row and has no basis entry.
+# A tableau is ``rows``, ``dens`` and ``basis``: row i maps columns, and _RHS
+# its right-hand side, to non-zero ints, and stands for the rational row
+# rows[i][j] / dens[i], absent keys being zero, with dens[i] > 0,
+# gcd(dens[i], *rows[i].values()) == 1 and rows[i][basis[i]] == dens[i].
+# The last row is the cost row and has no basis entry.
+
+_RHS = -1
 
 
-def _primitive(row: list[int], den: int) -> tuple[list[int], int]:
-    """The same rational row with gcd(den, *row) == 1."""
-    g = gcd(den, *row)
+def _primitive(row: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """The same rational row with gcd(den, *row.values()) == 1."""
+    g = gcd(den, *row.values())
     if g == 1:
         return row, den
-    return [x // g for x in row], den // g
+    return {j: v // g for j, v in row.items()}, den // g
 
 
-def _pivot(rows: list[list[int]], dens: list[int], basis: list[int], pr: int, pc: int):
+def _subtract(acc: dict[int, int], f: int, row: dict[int, int]):
+    """acc -= f * row in place, deleting the entries that cancel."""
+    get = acc.get
+    for j, v in row.items():
+        w = get(j, 0) - f * v
+        if w:
+            acc[j] = w
+        else:
+            del acc[j]
+
+
+def _pivot(rows: list[dict[int, int]], dens: list[int], basis: list[int], pr: int, pc: int):
     # The pivot row over its pivot entry q needs no gcd step: a row's entry
     # in its own basic column equals its denominator, so gcd(*prow) divides
-    # that denominator and, the row being primitive, is 1.
+    # that denominator and, the row being primitive, is 1.  Rows are replaced,
+    # never written into, because a prepared tableau is shared.
     prow = rows[pr]
     q = prow[pc]
     if q < 0:
-        prow = [-x for x in prow]
+        prow = rows[pr] = {j: -v for j, v in prow.items()}
         q = -q
-        rows[pr] = prow
     dens[pr] = q
     for i, row in enumerate(rows):
-        f = row[pc]
-        if not f or i == pr:
+        f = row.get(pc)
+        if f is None or i == pr:
             continue
-        new = [a * q - f * b for a, b in zip(row, prow)]
+        new = {j: v * q for j, v in row.items()}
+        _subtract(new, f, prow)
         rows[i], dens[i] = _primitive(new, dens[i] * q)
     basis[pr] = pc
 
 
-def _iterate(rows: list[list[int]], dens: list[int], basis: list[int], n_enter: int) -> str:
-    """Run simplex pivots until optimal or unbounded (Bland's rule)."""
+def _iterate(rows: list[dict[int, int]], dens: list[int], basis: list[int], n_enter: int) -> str:
+    """Run simplex pivots until optimal or unbounded (Bland's rule), entering only columns < n_enter."""
     while True:
-        cost = rows[-1]
         pc = -1
-        for j in range(n_enter):
-            if cost[j] < 0:
+        for j, v in rows[-1].items():
+            if v < 0 and 0 <= j < n_enter and (pc < 0 or j < pc):
                 pc = j
-                break
         if pc < 0:
             return OPTIMAL
-        # least ratio row[-1] / row[pc] (the row's denominator cancels),
+        # least ratio row[_RHS] / row[pc] (the row's denominator cancels),
         # ties to the smaller basic index
         pr = -1
         best_t = best_a = best_var = 0
         for i, bi in enumerate(basis):
             row = rows[i]
-            a = row[pc]
+            a = row.get(pc, 0)
             if a > 0:
-                t = row[-1]
+                t = row.get(_RHS, 0)
                 if pr >= 0:
                     lhs, rhs = t * best_a, best_t * a
                     if lhs > rhs or (lhs == rhs and bi > best_var):
@@ -345,97 +364,84 @@ def _iterate(rows: list[list[int]], dens: list[int], basis: list[int], n_enter: 
 
 
 def _phase1(
-    rows: list[list[int]], rhs: list[int], scales: list[int]
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]] | None:
-    """Phase 1 on a dense system: a feasible basis, or None when infeasible.
+    live: Sequence[list], n: int
+) -> tuple[tuple[dict[int, int], ...], tuple[int, ...], tuple[int, ...]] | None:
+    """Phase 1 on presolve's left-over rows: a feasible basis, or None when infeasible.
 
-    Row i is rows[i] . x = rhs[i], both over the positive scale scales[i].
-    Returns the tableau over the real columns (right-hand side last) as
-    integer rows and their denominators, with redundant rows dropped, and
-    its basis.  Nothing here depends on c.
+    ``live`` is ``_presolve``'s, each row's columns below ``n``.  Returns the
+    tableau over A's columns as integer rows and their denominators, with
+    redundant rows dropped, and its basis.  Nothing here depends on c.
     """
-    r, m = len(rows), len(rows[0])
     # Each row and its rhs as a primitive integer row over its denominator
-    # (negated when the rhs is negative); artificial variables m..m+r-1.
-    tableau: list[list[int]] = []
+    # (negated when the rhs is negative); artificial variables n..n+r-1.
+    r = len(live)
+    basis = list(range(n, n + r))
+    tableau: list[dict[int, int]] = []
     dens: list[int] = []
-    for i, (row, t, s) in enumerate(zip(rows, rhs, scales)):
-        nums, den = _primitive(row + [t], s)
-        if nums[-1] < 0:
-            nums = [-x for x in nums]
-        artificial = [0] * r
-        artificial[i] = den
-        tableau.append(nums[:-1] + artificial + nums[-1:])
+    for i, (row, t, s) in enumerate(live):
+        nums = {j: -v for j, v in row.items()} if t < 0 else dict(row)
+        if t:
+            nums[_RHS] = abs(t)
+        nums, den = _primitive(nums, s)
+        nums[n + i] = den
+        tableau.append(nums)
         dens.append(den)
-    basis = list(range(m, m + r))
 
-    # Objective = sum of the artificials, priced out: minus the sum of rows.
+    # Objective = sum of the artificials, priced out: minus the sum of rows,
+    # in which every artificial column cancels.
     cost_den = lcm(*dens)
-    cost = [0] * (m + r + 1)
+    cost = dict.fromkeys(basis, cost_den)
     for row, den in zip(tableau, dens):
-        f = cost_den // den
-        for j in range(m):
-            if row[j]:
-                cost[j] -= f * row[j]
-        cost[-1] -= f * row[-1]
+        _subtract(cost, cost_den // den, row)
     cost, cost_den = _primitive(cost, cost_den)
     tableau.append(cost)
     dens.append(cost_den)
 
-    status = _iterate(tableau, dens, basis, m)
-    if status != OPTIMAL:
+    if _iterate(tableau, dens, basis, n) != OPTIMAL:
         raise AssertionError("phase-1 objective is bounded below by zero")
-    if tableau[-1][-1] < 0:
+    if tableau[-1].get(_RHS, 0) < 0:
         return None
 
-    # Pivot leftover artificials out; an all-zero row is redundant.
-    drop: list[int] = []
+    # Pivot leftover artificials out on their smallest real column; a row
+    # with none is redundant.
+    keep: list[int] = []
     for i in range(r):
-        if basis[i] >= m:
-            row = tableau[i]
-            for j in range(m):
-                if row[j]:
-                    _pivot(tableau, dens, basis, i, j)
-                    break
-            else:
-                drop.append(i)
-    keep = [i for i in range(r) if i not in drop]
+        if basis[i] >= n:
+            real = [j for j in tableau[i] if 0 <= j < n]
+            if not real:
+                continue
+            _pivot(tableau, dens, basis, i, min(real))
+        keep.append(i)
     # without the artificial columns a row can share a factor with its den
-    prepared = [_primitive(tableau[i][:m] + tableau[i][-1:], dens[i]) for i in keep]
+    prepared = [_primitive({j: v for j, v in tableau[i].items() if j < n}, dens[i]) for i in keep]
     return (
-        tuple(tuple(row) for row, _ in prepared),
+        tuple(row for row, _ in prepared),
         tuple(den for _, den in prepared),
         tuple(basis[i] for i in keep),
     )
 
 
-def _phase2(
-    tableau: Sequence[Sequence[int]], dens: Sequence[int], basis: Sequence[int], cost: Sequence[int]
-) -> tuple[list[list[int]], list[int], list[int]] | None:
-    """Phase 2 from a phase-1 tableau under the int costs ``cost``; None when unbounded.
+def _phase2(prep: _Prepared, cost: dict[int, int]) -> tuple[list[dict], list[int], list[int]] | None:
+    """Phase 2 from a prepared tableau under the int costs ``cost``; None when unbounded.
 
-    Returns the optimal tableau, cost row last, with its denominators and
-    basis.  The cost row stands for cost - y.A, with -z as right-hand side,
-    z the optimum of cost.x.  The given rows are tuples and ``_pivot``
-    replaces rows instead of writing into them, so copying the outer lists
-    leaves the given tableau untouched.
+    ``cost`` maps free columns to their non-zero costs.  Returns the optimal
+    tableau, cost row last, with its denominators and basis.  The cost row
+    stands for cost - y.A, with -z as right-hand side, z the optimum of
+    cost.x.  ``_pivot`` replaces rows instead of writing into them, so
+    copying the outer lists leaves the prepared tableau untouched.
     """
-    m = len(cost)
-    rows = list(tableau)
-    dens = list(dens)
-    basis = list(basis)
+    rows, dens, basis = list(prep.tableau), list(prep.dens), list(prep.basis)
     # cost - sum_i cost[basis[i]] * row_i, over the lcm of the denominators
     # of the rows it takes
-    rows_den = lcm(*(dens[i] for i, bi in enumerate(basis) if cost[bi]))
-    crow = [x * rows_den for x in cost] + [0]
+    rows_den = lcm(*(dens[i] for i, bi in enumerate(basis) if bi in cost))
+    crow = {j: v * rows_den for j, v in cost.items()}
     for i, bi in enumerate(basis):
-        if cost[bi]:
-            f = cost[bi] * (rows_den // dens[i])
-            crow = [a - f * b if b else a for a, b in zip(crow, rows[i])]
+        if bi in cost:
+            _subtract(crow, cost[bi] * (rows_den // dens[i]), rows[i])
     crow, cost_den = _primitive(crow, rows_den)
     rows.append(crow)
     dens.append(cost_den)
-    if _iterate(rows, dens, basis, m) == UNBOUNDED:
+    if _iterate(rows, dens, basis, prep.n) == UNBOUNDED:
         return None
     return rows, dens, basis
 
@@ -449,17 +455,18 @@ class _Prepared:
     """The objective-independent part of a solve of a feasible residual system.
 
     ``fixed`` maps each column presolve forced to its value as a reduced int
-    pair (p, q), in forcing order.  ``tableau`` is the phase-1 tableau over
-    the ``free`` columns as integer rows over ``dens``, or None when presolve
-    settled every row; ``basis`` indexes into ``free``.  ``x`` and
-    ``fixed_support``, what every ``lp_solve`` answer starts from, are
-    computed on first use and kept with the preparation.
+    pair (p, q), in forcing order, and ``free`` lists the columns presolve
+    left.  ``tableau`` is the phase-1 tableau as sparse integer rows over
+    ``dens``, or None when presolve settled every row; ``basis`` holds its
+    basic columns, by their index in A.  ``x`` and ``fixed_support``, what
+    every ``lp_solve`` answer starts from, are computed on first use and kept
+    with the preparation.
     """
 
     n: int
     fixed: dict[int, tuple[int, int]]
     free: tuple[int, ...]
-    tableau: tuple[tuple[int, ...], ...] | None
+    tableau: tuple[dict[int, int], ...] | None
     dens: tuple[int, ...]
     basis: tuple[int, ...]
 
@@ -490,12 +497,7 @@ def _prepare(a: Matrix, k: int, rhs: Sequence[int], mults: Sequence[int]) -> _Pr
     free = tuple(j for j in range(k, a.ncols) if j not in fixed)
     if not live:
         return _Prepared(a.ncols, fixed, free, None, (), ())
-    colmap = {j: i for i, j in enumerate(free)}
-    dense = [[0] * len(free) for _ in live]
-    for i, (row, _, _) in enumerate(live):
-        for j, coef in row.items():
-            dense[i][colmap[j]] = coef
-    phase1 = _phase1(dense, [t for _, t, _ in live], [s for _, _, s in live])
+    phase1 = _phase1(live, a.ncols)
     if phase1 is None:
         return None
     return _Prepared(a.ncols, fixed, free, *phase1)
@@ -532,18 +534,14 @@ def lp_solve(lp: StandardLp) -> LpResult:
     x = list(prep.x)
     core_basis: list[int] = []
     if prep.tableau is not None:
-        free = prep.free
-        c = [lp.c[j] for j in free]
-        c_den = lcm(*(cj.denominator for cj in c))
-        done = _phase2(
-            prep.tableau, prep.dens, prep.basis, [cj.numerator * (c_den // cj.denominator) for cj in c]
-        )
+        c = {j: lp.c[j] for j in prep.free if lp.c[j]}
+        c_den = lcm(*(cj.denominator for cj in c.values()))
+        done = _phase2(prep, {j: cj.numerator * (c_den // cj.denominator) for j, cj in c.items()})
         if done is None:
             return LpResult(UNBOUNDED)
-        rows, dens, basis = done
-        for i, k in enumerate(basis):
-            x[free[k]] = Fraction(rows[i][-1], dens[i])
-        core_basis = [free[k] for k in basis]
+        rows, dens, core_basis = done
+        for row, den, j in zip(rows, dens, core_basis):
+            x[j] = Fraction(row.get(_RHS, 0), den)
     elif prep.free:
         # No constraints left: minimize over the non-negative orthant.
         if any(lp.c[j] < 0 for j in prep.free):
@@ -563,12 +561,12 @@ def _minimum(prep: _Prepared, cost: Sequence[int]) -> tuple[int, int] | None:
     """
     num, den = 0, 1
     if prep.tableau is not None:
-        core = [cost[j] for j in prep.free]
-        if any(core):
-            done = _phase2(prep.tableau, prep.dens, prep.basis, core)
+        core = {j: cost[j] for j in prep.free if cost[j]}
+        if core:
+            done = _phase2(prep, core)
             if done is None:
                 return None
-            num, den = -done[0][-1][-1], done[1][-1]
+            num, den = -done[0][-1].get(_RHS, 0), done[1][-1]
     elif any(cost[j] < 0 for j in prep.free):
         return None  # no rows left: the orthant is unbounded along that column
     for j, (p, q) in prep.fixed.items():

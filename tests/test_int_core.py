@@ -17,6 +17,7 @@ INT_CORE = {
     "_dominates",
     "_phase1",
     "_primitive",
+    "_subtract",
     "_pivot",
     "_iterate",
     "_phase2",

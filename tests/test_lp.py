@@ -10,6 +10,7 @@ from ilplab import lp as lp_module
 from ilplab.exactla import Matrix, dot, vec
 from ilplab.instances import expected_sensitivity_pair, fractional_certificate, gen_proximity, gen_sensitivity
 from ilplab.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, StandardLp, coord_range, is_feasible_point, lp_solve
+from ilplab.measures import fuzz_cook, measure_proximity_lb
 
 from oracles import (
     dict_rows,
@@ -180,7 +181,8 @@ def rational_systems(draw):
 
 def assert_primitive(rows, dens):
     for row, den in zip(rows, dens):
-        assert den > 0 and gcd(den, *row) == 1
+        assert den > 0 and gcd(den, *row.values()) == 1
+        assert 0 not in row.values()  # a cancelled entry is deleted, never stored
 
 
 class TestIntegerCore:
@@ -238,19 +240,57 @@ class TestIntegerCore:
             fixed, free, tableau, basis = ref
             assert all(q > 0 and gcd(p, q) == 1 for p, q in prep.fixed.values())
             assert tuple((j, F(p, q)) for j, (p, q) in prep.fixed.items()) == fixed
-            assert (prep.free, prep.basis) == (free, basis)
+            # the basis holds A's columns; the reference's indexes into free
+            assert prep.free == free
+            assert tuple(free.index(j) for j in prep.basis) == basis
             if tableau is None:
                 assert prep.tableau is None
             else:
                 assert_primitive(prep.tableau, prep.dens)
                 assert all(row[k] == den for row, den, k in zip(prep.tableau, prep.dens, prep.basis))
-                rationals = tuple(tuple(F(x, den) for x in row) for row, den in zip(prep.tableau, prep.dens))
+                # densified over the free columns, right-hand side last
+                keys = free + (lp_module._RHS,)
+                assert all(row.keys() <= set(keys) for row in prep.tableau)
+                rationals = tuple(
+                    tuple(F(row.get(j, 0), den) for j in keys) for row, den in zip(prep.tableau, prep.dens)
+                )
                 assert rationals == tableau
         assert got == fraction_simplex(lp)
         if got.status == OPTIMAL:
             oracle = lp_basic_solution_optimum(lp)
             if oracle is not None:  # None: rank-deficient, the oracle cannot price it
                 assert got.objective == oracle
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_staircase_scale_matches_reference(self, d):
+        # a large sparse core: at d = 7 phase 1 runs on all 105 rows, 193 pivots
+        lp = gen_proximity(2, d).lp
+        mixed = vec([(3 * j) % 7 - 3 for j in range(lp.n)])
+        for c in (lp.c, mixed):
+            system = StandardLp(lp.a, lp.b, c)
+            assert lp_solve(system) == fraction_simplex(system)
+
+    @pytest.mark.parametrize(
+        "run, pivots",
+        [
+            (lambda: measure_proximity_lb(gen_proximity(2, 7)), 962),
+            (lambda: fuzz_cook(7, 100), 2938),
+        ],
+        ids=["measure-prox-2-7", "fuzz-seed7-100"],
+    )
+    def test_pivot_work_is_pinned(self, run, pivots):
+        # Bland's rule on the sparse rows makes exactly the dense Fraction tableau's pivots
+        calls = []
+        pivot = lp_module._pivot
+
+        def counted(*args):
+            calls.append(1)
+            pivot(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp_module, "_pivot", counted)
+            run()
+        assert len(calls) == pivots
 
 
 @st.composite
