@@ -117,15 +117,7 @@ def _proximity_claims(inst: IlpInstance, family: Family, node_budget: int) -> tu
     z_ok = is_feasible_point(inst.lp, family.certificate(inst.delta, inst.d))
     sols = enumerate_integral_optima(inst.lp, node_budget=node_budget)
     p, q = p_q_constants(inst.delta, inst.d)
-    floors = []
-    floor_ok = True
-    for sol in sols.solutions:
-        try:
-            floors.append(str(norm_floor(inst, sol)))
-        except ClaimFalsifiedError as exc:
-            floor_ok = False
-            details["falsified"] = str(exc)
-            break
+    floors = [str(norm_floor(inst, sol)) for sol in sols.solutions]
     details.update(
         {
             "certificate_feasible": z_ok,
@@ -135,7 +127,7 @@ def _proximity_claims(inst: IlpInstance, family: Family, node_budget: int) -> tu
             "norm_floors": floors,
         }
     )
-    return z_ok and floor_ok and len(sols) == 7, details
+    return z_ok and len(sols) == 7, details
 
 
 _CLAIMS = {KIND_SENS: _sensitivity_claims, KIND_PROX: _proximity_claims}

@@ -19,10 +19,15 @@ joins their patterns instead of scanning its entries again.
 Determinants work on the dense integer grid laid out from the same pattern,
 so fraction-free (Bareiss) elimination stays in the integers, and a
 determinant of the original is the integer determinant divided by the product
-of the chosen rows' scales.  The subdeterminant scan builds that grid and its
-column-support bitmasks once per matrix, not once per submatrix, and skips
-every submatrix with a zero row or a zero column, whose determinant is 0.
-The one determinant bound kept here is Hadamard's closed form
+of the chosen rows' scales.  The subdeterminant search builds that grid and
+its column-support bitmasks once per matrix.  For each row set it offers only
+the columns whose support meets those rows, and picks them in decreasing
+order of their squared norm over the row set.  By Hadamard's inequality a
+square submatrix's squared integer determinant is at most the product of its
+columns' squared norms, so a branch whose best such product, over the row
+scales squared, is below the best value squared so far holds no maximizer and
+is cut.  The search stays in the integers; the one Fraction is its result.
+The one closed-form determinant bound kept here is Hadamard's
 delta**r * r**(r/2), from ``max_abs`` and the row count alone.
 """
 
@@ -243,22 +248,98 @@ def subdet_enumeration_count(nrows: int, ncols: int) -> int:
     return sum(math.comb(nrows, k) * math.comb(ncols, k) for k in range(1, min(nrows, ncols) + 1))
 
 
+def _best_columns(
+    rows: list[list[int]],
+    cols: list[int],
+    norms: list[int],
+    support: list[int],
+    mask: int,
+    scale: int,
+    best_num: int,
+    best_den: int,
+) -> tuple[int, int, tuple[int, ...] | None]:
+    """The largest |det| / ``scale`` of a square submatrix on ``rows``, if it beats the incumbent.
+
+    ``cols`` are the offered columns in decreasing order of ``norms``, their
+    squared norms over ``rows``; ``support`` holds the column bitmasks and
+    ``mask`` the rows' bits.  The incumbent ``best_num / best_den`` comes from
+    earlier row sets.  Returns the best numerator and denominator, and the
+    columns of a new best in lex order, or None when nothing here beats the
+    incumbent; of equal values found here, the lex-first column set is kept.
+
+    The search picks positions p_0 < p_1 < ... in ``cols`` depth first.  With
+    t columns still to pick at position p, the chosen norms times
+    norms[p:p+t] bound det**2 of every completion (Hadamard), and no later
+    position reaches more because ``norms`` does not increase; so once that
+    product is below (best * scale)**2 the search leaves the level.
+    """
+    k = len(rows)
+    n = len(cols)
+    found: tuple[int, ...] | None = None
+    # the cut compares weight * den2 against cut_num = (best_num * scale)**2
+    den2, cut_num = best_den * best_den, best_num * best_num * scale * scale
+    picks = [0] * k
+    # weights[depth] and reach[depth] are the product of the first ``depth``
+    # picked norms and the union of their supports
+    weights = [1] * k
+    reach = [0] * k
+    depth, p = 0, 0
+    while True:
+        weight = weights[depth]
+        t = k - depth  # columns still to pick, this one included
+        if t > 1:
+            if p + t <= n and weight * math.prod(norms[p : p + t]) * den2 >= cut_num:
+                picks[depth] = p
+                weights[depth + 1] = weight * norms[p]
+                reach[depth + 1] = reach[depth] | support[cols[p]]
+                depth += 1
+                p += 1
+                continue
+        else:
+            prefix = [cols[q] for q in picks[:depth]]
+            while p < n and weight * norms[p] * den2 >= cut_num:
+                j = cols[p]
+                p += 1
+                # a column set that leaves one of the rows all zero has det 0
+                if (reach[depth] | support[j]) & mask != mask:
+                    continue
+                ci = tuple(sorted([*prefix, j]))
+                num = abs(_bareiss_int([[row[c] for c in ci] for row in rows]))
+                lhs, rhs = num * best_den, best_num * scale
+                if lhs > rhs or (lhs == rhs and found is not None and ci < found):
+                    best_num, best_den, found = num, scale, ci
+                    den2, cut_num = scale * scale, num * num * scale * scale
+        if depth == 0:
+            return best_num, best_den, found
+        depth -= 1
+        p = picks[depth] + 1
+
+
 def max_subdet_all(m: Matrix, budget: int = 10_000_000) -> SubdetResult:
     """Max |det| over every square submatrix of every size k >= 1.
 
     The enumeration count is checked up front against ``budget``; oversize
-    inputs are refused with ``BudgetExceededError``.  The witness is the
-    first maximizer in (size ascending, rows lex, cols lex) order; an
-    all-zero matrix has value 0 with witness ((0,), (0,)).
+    inputs are refused with ``BudgetExceededError``.  The search below
+    evaluates far fewer determinants than that count, but the refusal reads
+    the count, so whether an input is refused does not depend on the search.
+    The witness is the first maximizer in (size ascending, rows lex, cols
+    lex) order; an all-zero matrix has value 0 with witness ((0,), (0,)).
     ``submatrices_scanned`` is the full enumeration count.
 
-    The matrix is scaled once to an integer grid with one scale per row.  For
-    each row set only the columns whose support meets those rows are offered,
-    and a column set that leaves one of the rows all zero is skipped.  Both
-    kinds of submatrix have determinant 0, so skipping them changes neither
-    the maximum nor, when it is non-zero, its first maximizer.  Every other
-    submatrix gets an exact integer determinant, divided by the product of
-    its row scales.
+    The matrix is scaled once to an integer grid with one scale per row, so
+    a k x k submatrix on rows R has determinant D / scale(R), D the integer
+    determinant of its grid block and scale(R) the product of R's scales.
+    Sizes and row sets are visited in order.  For a row set only the columns
+    whose support meets it are offered, each with its squared norm w_j over
+    R, sorted by (-w_j, j), and ``_best_columns`` picks k of them depth
+    first.  Hadamard's inequality on the grid block gives D**2 <= the product
+    of its w_j, so a branch whose largest reachable product is below
+    best**2 * scale(R)**2 holds no submatrix above the best so far and is
+    cut.  The cut is strict: a branch that could only tie the best is still
+    searched, so within a row set the lex-first of equal maximizers wins, and
+    an earlier row set's maximizer is kept over a later tie.  A column set
+    that leaves one of the rows all zero is skipped, as is every column whose
+    support misses the rows: those determinants are 0.
     """
     if m.nrows == 0 or m.ncols == 0:
         raise ValueError("max_subdet_all needs a non-empty matrix")
@@ -267,10 +348,12 @@ def max_subdet_all(m: Matrix, budget: int = 10_000_000) -> SubdetResult:
         raise BudgetExceededError(
             f"subdeterminant enumeration needs {total} determinants, budget is {budget}"
         )
+    ncols = m.ncols
     grid = _int_grid(m)
+    squares = [[x * x for x in row] for row in grid]
     scales = [s for s, _ in m.sparse_rows]
     # support[j] has bit i set when grid[i][j] != 0
-    support = [0] * m.ncols
+    support = [0] * ncols
     for i, (_, pairs) in enumerate(m.sparse_rows):
         for j, _ in pairs:
             support[j] |= 1 << i
@@ -278,22 +361,19 @@ def max_subdet_all(m: Matrix, budget: int = 10_000_000) -> SubdetResult:
     best_num, best_den = 0, 1
     best_rows: tuple[int, ...] = (0,)
     best_cols: tuple[int, ...] = (0,)
-    for k in range(1, min(m.nrows, m.ncols) + 1):
+    for k in range(1, min(m.nrows, ncols) + 1):
         for ri in combinations(range(m.nrows), k):
             mask = sum(1 << i for i in ri)
-            cols = [j for j in range(m.ncols) if support[j] & mask]
-            rows = [grid[i] for i in ri]
+            # a column's squared norm over the rows is 0 exactly when its support misses them;
+            # sorting by norm, largest first, keeps equal norms in column order
+            norms = list(map(sum, zip(*[squares[i] for i in ri])))
+            cols = sorted([j for j in range(ncols) if norms[j]], key=norms.__getitem__, reverse=True)
             scale = math.prod(scales[i] for i in ri)
-            for ci in combinations(cols, k):
-                covered = 0
-                for j in ci:
-                    covered |= support[j]
-                if covered & mask != mask:
-                    continue
-                num = abs(_bareiss_int([[row[j] for j in ci] for row in rows]))
-                if num * best_den > best_num * scale:
-                    best_num, best_den = num, scale
-                    best_rows, best_cols = ri, ci
+            best_num, best_den, found = _best_columns(
+                [grid[i] for i in ri], cols, [norms[j] for j in cols], support, mask, scale, best_num, best_den
+            )
+            if found is not None:
+                best_rows, best_cols = ri, found
     return SubdetResult(Fraction(best_num, best_den), best_rows, best_cols, total)
 
 

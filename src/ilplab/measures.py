@@ -306,17 +306,20 @@ def norm_floor(inst: IlpInstance, x: Sequence) -> Fraction:
     coverage a = M.y, feasibility forces the entire tail of x, whose norm is
     exactly (15 - ||a||_1)*q + ||a||_1*p.  Since q = delta*p + 1, this gives
 
-        ||x||_1 >= ||y||_1 + (15 - ||a||_1)*delta*p + ||a||_1*p,
+        ||x||_1 = ||y||_1 + (15 - ||a||_1)*delta*p + ||a||_1*p + (15 - ||a||_1),
 
-    which is the floor evaluated and checked here.  (Stating the floor with
+    and the floor is this sum without its last term.  (Stating the floor with
     ||y||_1 in place of ||a||_1 looks tempting but is falsified at delta = 3
-    by the one-matching optima, so the coverage form is used.)  A violation
-    is reported as a falsification with the witness attached.
+    by the one-matching optima, so the coverage form is used.)
 
     The forced-tail identity is checked first.  It reads the instance's
     delta and d through p and q, so a point of a matrix that the labels do
-    not describe fails it with a ``ValueError``; whenever it holds, the
-    floor is ||x||_1 - (15 - ||a||_1) whatever the labels say.
+    not describe fails it with a ``ValueError``.  On the family, row e of the
+    first block reads a_e + x_(6+e) = 1 with x_(6+e) >= 0, so ||a||_1 <= 15
+    on every feasible point and the floor never exceeds ||x||_1; a coverage
+    above 15 therefore also means the matrix is not the family's, and is
+    refused with the same ``ValueError``.  So whenever a floor is returned it
+    is ||x||_1 - (15 - ||a||_1) <= ||x||_1, whatever the labels say.
     """
     if inst.family not in FAMILIES or FAMILIES[inst.family].kind != KIND_PROX:
         raise ValueError("the norm floor applies to the proximity families only")
@@ -332,17 +335,12 @@ def norm_floor(inst: IlpInstance, x: Sequence) -> Fraction:
     )
     nx = sum(xt, Fraction(0))
     # feasibility pins the tail, so the norm identity must hold exactly
-    if nx != ny + (15 - coverage) * q + coverage * p:
+    if coverage > 15 or nx != ny + (15 - coverage) * q + coverage * p:
         raise ValueError(
             f"the forced-tail identity fails: the labels delta={inst.delta}, d={inst.d} "
             f"or the matrix do not describe the {inst.family} family"
         )
-    bound = ny + (15 - coverage) * inst.delta * p + coverage * p
-    if nx < bound:
-        raise ClaimFalsifiedError(
-            f"norm floor falsified: ||x||_1 = {nx} < {bound}", witness=tuple(xt)
-        )
-    return bound
+    return ny + (15 - coverage) * inst.delta * p + coverage * p
 
 
 # ---------------------------------------------------------------------------

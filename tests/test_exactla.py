@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ilplab.exactla
 from ilplab.errors import BudgetExceededError
 from ilplab.exactla import (
     Matrix,
@@ -48,6 +49,32 @@ def sparse_matrices(draw):
             for i, r in enumerate(rows)
         ]
     )
+
+
+@st.composite
+def tie_heavy_matrices(draw):
+    """Small matrices with many equal subdeterminants, so the witness rests on the tie rule.
+
+    Entries come from {-1, 0, 1} or from small ints.  Columns and rows repeat
+    earlier ones, columns possibly negated, and some rows are divided by 2, 3
+    or 4, which gives them a scale above 1.
+    """
+    nrows = draw(st.integers(min_value=1, max_value=4))
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    entry = st.sampled_from((-1, 0, 1)) if draw(st.booleans()) else st.integers(min_value=-3, max_value=3)
+    cols: list[list[int]] = []
+    for _ in range(ncols):
+        if cols and draw(st.booleans()):
+            sign = draw(st.sampled_from((1, -1)))
+            cols.append([sign * x for x in draw(st.sampled_from(cols))])
+        else:
+            cols.append(draw(st.lists(entry, min_size=nrows, max_size=nrows)))
+    rows = [[col[i] for col in cols] for i in range(nrows)]
+    for i in range(1, nrows):
+        if draw(st.booleans()):
+            rows[i] = list(rows[draw(st.integers(min_value=0, max_value=i - 1))])
+    denominators = draw(st.lists(st.sampled_from((1, 1, 2, 3, 4)), min_size=nrows, max_size=nrows))
+    return Matrix.from_rows([[F(x, q) for x in row] for row, q in zip(rows, denominators)])
 
 
 class TestDet:
@@ -149,6 +176,35 @@ class TestMaxSubdet:
     def test_matches_cofactor_oracle(self, m):
         res = max_subdet_all(m)
         assert (res.value, res.row_indices, res.col_indices, res.submatrices_scanned) == max_subdet_oracle(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_matrices())
+    # the lex-first maximizer (0, 1) has equal norms and a Hadamard-tight
+    # det 8, and is reached after (0, 2), whose column 2 has the larger norm
+    @example(Matrix.from_rows([[2, 2, 4, 0], [2, -2, 0, 2]]))
+    # column 2 is the maximizer but sits after column 1's small norm
+    @example(Matrix.from_rows([[2, 1, 5]]))
+    def test_tie_heavy_matches_oracle(self, m):
+        res = max_subdet_all(m)
+        assert (res.value, res.row_indices, res.col_indices, res.submatrices_scanned) == max_subdet_oracle(m)
+
+    @pytest.mark.parametrize("denominator", [1, 2])
+    def test_search_evaluates_few_determinants(self, monkeypatch, denominator):
+        # At (3,10) the scan evaluated 18,288 determinants, one per submatrix
+        # without a zero row or column, and the cut leaves 1,471.  Halving
+        # every row halves a k x k det k times, so the cut must read the scales.
+        calls = [0]
+        bareiss = ilplab.exactla._bareiss_int
+
+        def counting(a):
+            calls[0] += 1
+            return bareiss(a)
+
+        monkeypatch.setattr(ilplab.exactla, "_bareiss_int", counting)
+        a = gen_sensitivity(3, 10).lp.a
+        res = max_subdet_all(Matrix(tuple(tuple(x / denominator for x in row) for row in a.rows)))
+        assert (res.value, res.row_indices, res.col_indices) == (F(3, denominator) ** 9, tuple(range(1, 10)), tuple(range(9)))
+        assert calls[0] < 2_000
 
     def test_sensitivity_family_at_3_10(self):
         res = max_subdet_all(gen_sensitivity(3, 10).lp.a)

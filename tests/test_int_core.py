@@ -3,7 +3,9 @@
 In the LP layer, presolve, phase 1, phase 2, the pivots and the enumeration
 node's solve name no Fraction; in the enumeration, the search itself names
 no Fraction and builds no LP object.  In ``exactla`` a Fraction becomes ints
-in one place only, ``Matrix.sparse_rows``.
+in one place only, ``Matrix.sparse_rows``; the determinant and the
+subdeterminant search name no Fraction, and ``max_subdet_all`` builds its one
+Fraction in its return.
 """
 
 import ast
@@ -70,3 +72,19 @@ def test_only_the_pattern_reads_numerators():
                     owner = f"{top.name}." if isinstance(top, ast.ClassDef) else ""
                     readers.add(owner + getattr(scope, "name", "<module>"))
     assert readers == {"Matrix.sparse_rows"}
+
+
+def test_subdeterminant_search_names_no_fraction():
+    exactla = functions(SRC / "exactla.py")
+    found = [hit for name in ("_bareiss_int", "_best_columns") for hit in names_used(exactla[name], FRACTION_NAMES)]
+    assert not found, f"Fraction arithmetic in the subdeterminant search: {found}"
+    top = exactla["max_subdet_all"]
+    last = top.body[-1]
+    assert isinstance(last, ast.Return)
+    in_return = {id(node) for node in ast.walk(last)}
+    outside = [
+        f"max_subdet_all:{node.lineno}"
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id in FRACTION_NAMES and id(node) not in in_return
+    ]
+    assert not outside, f"max_subdet_all builds a Fraction before its return: {outside}"

@@ -92,6 +92,11 @@ class TestSensitivityMeasurement:
         assert not rep.cook_via_hadamard
         assert rep.solution_counts == {"b": 1, "b_prime": 1}
 
+    def test_staircase_3_12_subdet_is_exact(self):
+        rep = measure_sensitivity(gen_sensitivity(3, 12))
+        assert rep.subdet == 177147 == 3**11
+        assert not rep.cook_via_hadamard
+
     def test_delta_one(self):
         rep = measure_sensitivity(gen_sensitivity(1, 2))
         assert rep.measured[NORM_LINF] == 1
@@ -200,6 +205,12 @@ class TestNormFloor:
         z = fractional_certificate(2, 3)
         # full coverage (a = ones): floor = 3 + 15*p = ||z||_1 exactly
         assert norm_floor(inst, z) == 3 + 15 * 2 == sum(z)
+
+    @pytest.mark.parametrize("delta", [2, 3])
+    def test_floor_never_above_the_norm(self, delta):
+        inst = gen_proximity(delta, 3)
+        for sol in enumerate_integral_optima(inst.lp).solutions:
+            assert norm_floor(inst, sol) <= sum(sol)
 
     def test_infeasible_point_rejected(self):
         inst = gen_proximity(2, 1)
