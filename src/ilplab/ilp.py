@@ -13,7 +13,11 @@ per row, updated from integer columns built once per enumeration.  The
 objective is c times the lcm of c's denominators, an int at every point.
 Each non-leaf node makes one call into the LP layer, ``lp.residual_range``,
 which prepares the residual system once and answers both the objective
-bound and the range of the node's variable, as ints.
+bound and the range of the node's variable, as ints.  Only the root's
+system is presolved cold: the call returns the node's preparation
+too, and each child x_k = v hands its parent's preparation and v back, so
+its presolve starts from the parent's fixed values and rows and reaches
+the same fixpoint as a cold one (see ``lp``).
 """
 
 from __future__ import annotations
@@ -119,7 +123,7 @@ def enumerate_integral_optima(
     sols: list[tuple[int, ...]] = []
     nodes = 0
 
-    def visit():
+    def visit(parent):
         nonlocal nodes, incumbent, prefix_cost
         nodes += 1
         if nodes > node_budget:
@@ -137,10 +141,10 @@ def enumerate_integral_optima(
         # Objective-bound pruning: only subtrees strictly worse than the
         # incumbent may be cut, equal-valued ones can hold more optima.
         cutoff = None if incumbent is None else incumbent - prefix_cost
-        ends = residual_range(a, k, residual, mults, cost, cutoff)
-        if ends is None:
+        node = residual_range(a, k, residual, mults, cost, cutoff, parent)
+        if node is None:
             return
-        lo, hi = ends
+        prep, lo, hi = node
         hi = box[k] if hi is None else min(box[k], hi)
         col, ck = cols[k], cost[k]
         # High values first: on the staircase families this finds the cheap
@@ -151,14 +155,14 @@ def enumerate_integral_optima(
                 for i, w in col:
                     residual[i] -= w * v
                 prefix_cost += ck * v
-            visit()
+            visit((prep, v))
             if v:
                 for i, w in col:
                     residual[i] += w * v
                 prefix_cost -= ck * v
             prefix.pop()
 
-    visit()
+    visit(None)
     sols.sort()
     objective = None if incumbent is None else Fraction(incumbent, c_den)
     return IntegralSolutionSet(tuple(sols), objective, exhaustive)

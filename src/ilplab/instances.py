@@ -438,15 +438,25 @@ def _int(value, key: str) -> int:
     return value
 
 
-def _rationals(value, key: str) -> Vec:
-    """A list of ints or 'p/q' strings, the document's form of a rational vector."""
+def _rationals(value, key: str, memo: dict[int | str, Fraction]) -> Vec:
+    """A list of ints or 'p/q' strings, the document's form of a rational vector.
+
+    ``memo`` maps each entry of the document parsed so far to its value,
+    so an entry repeated anywhere in the document is parsed once.
+    """
     for x in _list(value, key):
         if isinstance(x, bool) or not isinstance(x, (int, str)):
             raise ValueError(f"expected an integer or a 'p/q' string for {key!r}, got {x!r}")
-    try:
-        return vec(value)
-    except ZeroDivisionError:
-        raise ValueError(f"a zero denominator in {key!r}") from None
+    out = []
+    for x in value:
+        r = memo.get(x)
+        if r is None:
+            try:
+                r = memo[x] = Fraction(x)
+            except ZeroDivisionError:
+                raise ValueError(f"a zero denominator in {key!r}") from None
+        out.append(r)
+    return tuple(out)
 
 
 def instance_from_doc(doc: dict) -> IlpInstance:
@@ -461,11 +471,12 @@ def instance_from_doc(doc: dict) -> IlpInstance:
     notes = doc.get("notes", "")
     if not isinstance(notes, str):
         raise ValueError(f"expected a string for 'notes', got {notes!r}")
-    a = Matrix(tuple(_rationals(row, "matrix") for row in _list(doc["matrix"], "matrix")))
-    lp = StandardLp(a, _rationals(doc["b"], "b"), _rationals(doc["c"], "c"))
+    memo: dict[int | str, Fraction] = {}
+    a = Matrix(tuple(_rationals(row, "matrix", memo) for row in _list(doc["matrix"], "matrix")))
+    lp = StandardLp(a, _rationals(doc["b"], "b", memo), _rationals(doc["c"], "c", memo))
     b_prime, sizes, epsilon, c1 = (doc.get(k) for k in ("b_prime", "sizes", "epsilon", "c1_indices"))
     if b_prime is not None:
-        b_prime = _rationals(b_prime, "b_prime")
+        b_prime = _rationals(b_prime, "b_prime", memo)
         if len(b_prime) != a.nrows:
             raise ValueError(f"'b_prime' has length {len(b_prime)}, matrix has {a.nrows} rows")
     if c1 is not None:
@@ -477,8 +488,8 @@ def instance_from_doc(doc: dict) -> IlpInstance:
         _int(doc["d"], "d"),
         alt_rhs=b_prime,
         notes=notes,
-        sizes=_rationals(sizes, "sizes") if sizes is not None else None,
-        epsilon=_rationals([epsilon], "epsilon")[0] if epsilon is not None else None,
+        sizes=_rationals(sizes, "sizes", memo) if sizes is not None else None,
+        epsilon=_rationals([epsilon], "epsilon", memo)[0] if epsilon is not None else None,
         c1_indices=c1,
     )
 

@@ -37,24 +37,47 @@ q_i: for ``lp_solve``, b_i = p/q gives the right-hand side p*s_i over
 s_i*q; for an enumeration node, q_i stays b_i's denominator and the
 right-hand side is the int residual over the same scale, with the fixed
 leading columns left out.  That scale need not be the least one.  The
-reductions read exactly the rationals a Fraction presolve would: a scale is
-positive, so entry signs are numerator signs; entries and right-hand sides of two rows are compared by
-cross-multiplying with the other row's scale; and a forced value is a
-reduced int pair p/q, substituted as ``t - coef*p`` once the row's entries,
-right-hand side and scale are multiplied by q.  So presolve forces the same
-values in the same order and leaves the same rows.  Phase 1 divides each
-left-over row by the gcd of its scale and entries, which gives back the
-unique primitive integer row of those rationals, the row the simplex
-starts from.
+reductions read exactly the rationals a Fraction presolve would: a scale
+is positive, so entry signs are numerator signs; entries and right-hand
+sides of two rows are compared by cross-multiplying with the other row's
+scale; and a forced value is a reduced int pair p/q, substituted as
+``t - coef*p`` once the row's entries, right-hand side and scale are
+multiplied by q.  So presolve forces the same values in the same order and
+leaves the same rows.  Phase 1 divides each left-over row by the gcd of its
+scale and entries, which gives back the unique primitive integer row of
+those rationals, the row the simplex starts from.
+
+Presolve has two parts: building the rows from the pattern, and the
+reduction loop ``_reduce``, which runs to fixpoint on whatever rows it is
+given.  A cold presolve, ``_presolve``, builds and then reduces.  An
+enumeration child x_k = v instead starts from its parent's result
+(``_presolve_child``).  If the parent forced x_k, the LP range of x_k is
+that one value, so v is it, and the child's fixpoint is the parent's with
+k dropped from the fixed values.  Otherwise the child copies the parent's
+live rows, substitutes v into them (v is an int, so each row keeps its
+scale) and reduces.  Either way the child reaches the fixpoint a cold
+presolve of its residual reaches.  Each reduction stays valid under
+further fixings: with x_k = v added, a singleton or zero-right-hand-side
+row of the parent is still one or is already settled, and a dominating
+pair with a zero gap keeps it, since x_k either has a zero difference
+entry or is forced to 0.  So every deduction of the parent is also made by
+the cold run, every deduction of the cold run is also made from the
+parent's state, and the two loops stop at the same closure: the same fixed
+values, the same live rows.  Rows are only deleted, so the survivors keep
+their original relative order, and of rows equal as rationals the first
+is the one kept.  Scales can differ, as a scale records the fractional
+values substituted into its row, but phase 1 makes every row primitive, so
+pivots, bases and results do not move.  Only the order of the fixed values
+can differ, and nothing reads it: ``free``, ``x``, ``fixed_support`` and
+the sum in ``_minimum`` are order-free.
 
 A solve has two parts.  Preparing (A, b) covers everything that does not
-depend on c: presolve from the matrix's integer pattern, and phase 1 on the
-rows presolve left, which ends in a feasible basis of that core or proves
-the system infeasible.  Phase 2 then
-prices c, scaled to an int row, against a copy of the prepared tableau and
-pivots to optimality; the optimum is the cost row's right-hand side,
-negated, over its denominator.  ``lp_solve`` and the enumeration's node
-solve ``residual_range`` share that one preparation routine.
+depend on c: presolve, and phase 1 on the rows presolve left, which ends in
+a feasible basis of that core or proves the system infeasible.  Phase 2
+then prices c, scaled to an int row, against a copy of the prepared
+tableau and pivots to optimality; the optimum is the cost row's right-hand
+side, negated, over its denominator.  ``lp_solve`` and the enumeration's
+node solve ``residual_range`` share that preparation.
 
 ``lp_solve`` remembers its last preparation, keyed on the identity of the
 matrix object and the value of b.  That is exact: a ``Matrix`` holds only
@@ -66,9 +89,12 @@ hit comes from ``coord_range``, whose min and max solve one system; the
 second solve also reuses the fixed-value vector and the set of non-zero
 fixed columns that the preparation keeps.
 
-An enumeration node needs no memo.  ``residual_range`` prepares the node's
-residual system once and reads the objective bound and both ends of the
-node's variable off it, by one phase 2 each, all in ints.
+An enumeration node needs no memo: it has its parent's preparation.
+``residual_range`` prepares the root's residual system cold and every
+other node's from its parent's, keeps the preparation's live rows for the
+node's children, and reads the objective bound and both ends of the node's
+variable off it, by one phase 2 each, all in ints.  The presolve
+reductions follow Andersen and Andersen (Math. Prog. 71, 1995).
 """
 
 from __future__ import annotations
@@ -165,25 +191,19 @@ def _int_rhs(pattern: Sequence[PatternRow], b: Vec) -> tuple[list[int], list[int
 
 
 def _presolve(pattern: Sequence[PatternRow], k: int, rhs: Sequence[int], mults: Sequence[int]):
-    """Apply the exact reductions to {x_k.. >= 0 : A[:, k:] x = r} to fixpoint.
+    """Cold presolve: the exact reductions applied to {x_k.. >= 0 : A[:, k:] x = r} to fixpoint.
 
     ``pattern`` is A's integer pattern (``Matrix.sparse_rows``), and row i
     keeps its columns j >= k, each as its numerator times mults[i], with
     rhs[i] as right-hand side, all over the scale s*mults[i]; that is, r_i
     is rhs[i] / (s*mults[i]).  Columns keep their indices in A.  Returns
-    (feasible, fixed, live): fixed maps column index -> forced value as a
-    reduced int pair (p, q) with q > 0, in the order the values were
-    forced, and live holds the rows left over, in their order, as
-    ``[row, t, s]`` entries: an int row dict, an int right-hand side and a
-    positive int scale, standing for row/s . x = t/s.  On infeasibility
+    (feasible, fixed, live) as ``_reduce`` leaves them: fixed maps column
+    index -> forced value as a reduced int pair (p, q) with q > 0, in the
+    order this cold run forced them (a child step's order can differ, and
+    nothing reads it), and live holds the rows left over, in their order,
+    as ``[row, t, s]`` entries: an int row dict, an int right-hand side and
+    a positive int scale, standing for row/s . x = t/s.  On infeasibility
     returns (False, fixed, live) as far as it got.
-
-    A holder index maps each column to the entries whose row holds it.
-    Forcing a column visits only those entries and then drops the column
-    from the index, since no row holds it any more; rows never gain
-    columns, so the index needs no other upkeep.  A row deleted while it
-    still holds columns (a duplicate) is emptied, so the index entries that
-    still name it do nothing.
     """
     live: list[list] = []
     for (s, pairs), t, q in zip(pattern, rhs, mults):
@@ -192,11 +212,58 @@ def _presolve(pattern: Sequence[PatternRow], k: int, rhs: Sequence[int], mults: 
         else:
             row = {j: v * q for j, v in pairs if j >= k}
         live.append([row, t, s * q])
+    fixed: dict[int, tuple[int, int]] = {}
+    return _reduce(live, fixed), fixed, live
+
+
+def _presolve_child(fixed: dict[int, tuple[int, int]], live: list[list], k: int, v: int):
+    """``_presolve``'s result for the child x_k = v of a node, started from the node's own.
+
+    ``fixed`` and ``live`` are the node's presolve result on its columns
+    >= k, and v is a value of x_k in the node's LP range.  Neither is
+    written into: siblings share them.  If the node forced x_k, the range
+    is that one value, so the child's fixpoint is the node's with k dropped
+    from ``fixed``, and its rows are the node's own list.  Otherwise the
+    rows are copied, v is substituted into every row that holds x_k, and
+    ``_reduce`` runs to fixpoint.  Returns (feasible, fixed, live), with
+    the same fixed values and the same live rows, as rationals in the same
+    order, as ``_presolve`` on the child's residual; only the order of
+    ``fixed`` can differ.
+    """
+    fixed = dict(fixed)
+    forced = fixed.pop(k, None)
+    if forced is not None:
+        if forced != (v, 1):
+            raise AssertionError(f"x_{k} is forced to {forced[0]}/{forced[1]}, not {v}")
+        return True, fixed, live
+    rows = [[dict(row), t, s] for row, t, s in live]
+    for entry in rows:
+        coef = entry[0].pop(k, None)
+        if coef is not None:
+            entry[1] -= coef * v
+    return _reduce(rows, fixed), fixed, rows
+
+
+def _reduce(live: list[list], fixed: dict[int, tuple[int, int]]) -> bool:
+    """Apply the exact reductions to the rows ``live`` to fixpoint, in place; False when infeasible.
+
+    ``live`` holds ``[row, t, s]`` entries as ``_presolve`` describes
+    them, and each value forced is added to ``fixed``.  Rows are deleted
+    from ``live`` in place, so the survivors keep their relative order, and
+    of rows equal as rationals the first one stays.  On infeasibility the
+    rows and ``fixed`` are left as far as the loop got.
+
+    A holder index, built from the rows given, maps each column to the
+    entries whose row holds it.  Forcing a column visits only those entries
+    and then drops the column from the index, since no row holds it any
+    more; rows never gain columns, so the index needs no other upkeep.  A
+    row deleted while it still holds columns (a duplicate) is emptied, so
+    the index entries that still name it do nothing.
+    """
     holders: dict[int, list[list]] = {}
     for entry in live:
         for j in entry[0]:
             holders.setdefault(j, []).append(entry)
-    fixed: dict[int, tuple[int, int]] = {}
 
     def substitute(j: int, p: int, q: int) -> bool:
         """Force x_j = p/q (q > 0) in every row that holds column j."""
@@ -225,7 +292,7 @@ def _presolve(pattern: Sequence[PatternRow], k: int, rhs: Sequence[int], mults: 
             row, t, _ = live[i]
             if not row:
                 if t != 0:
-                    return False, fixed, live
+                    return False
                 del live[i]
                 changed = True
                 continue
@@ -237,7 +304,7 @@ def _presolve(pattern: Sequence[PatternRow], k: int, rhs: Sequence[int], mults: 
                 if q < 0:
                     p, q = -p, -q
                 if not substitute(j, p, q):
-                    return False, fixed, live
+                    return False
                 del live[i]
                 changed = True
                 continue
@@ -246,7 +313,7 @@ def _presolve(pattern: Sequence[PatternRow], k: int, rhs: Sequence[int], mults: 
                 if len(signs) == 1:
                     for j in list(row):
                         if not substitute(j, 0, 1):
-                            return False, fixed, live
+                            return False
                     del live[i]
                     changed = True
                     continue
@@ -265,13 +332,13 @@ def _presolve(pattern: Sequence[PatternRow], k: int, rhs: Sequence[int], mults: 
                     diff[j] = diff.get(j, 0) - coef * si
                 gap = ti * sk - tk * si
                 if gap < 0:
-                    return False, fixed, live
+                    return False
                 if gap == 0:
                     positive = [j for j, dv in diff.items() if dv > 0]
                     if positive:
                         for j in positive:
                             if not substitute(j, 0, 1):
-                                return False, fixed, live
+                                return False
                         changed = True
                     elif all(dv == 0 for dv in diff.values()):
                         live.pop(k)[0].clear()
@@ -280,7 +347,7 @@ def _presolve(pattern: Sequence[PatternRow], k: int, rhs: Sequence[int], mults: 
                     break
             if changed:
                 break
-    return True, fixed, live
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -455,17 +522,21 @@ class _Prepared:
     """The objective-independent part of a solve of a feasible residual system.
 
     ``fixed`` maps each column presolve forced to its value as a reduced int
-    pair (p, q), in forcing order, and ``free`` lists the columns presolve
-    left.  ``tableau`` is the phase-1 tableau as sparse integer rows over
-    ``dens``, or None when presolve settled every row; ``basis`` holds its
-    basic columns, by their index in A.  ``x`` and ``fixed_support``, what
-    every ``lp_solve`` answer starts from, are computed on first use and kept
-    with the preparation.
+    pair (p, q).  A cold preparation lists them in the order its presolve
+    forced them; a child's order can differ, and nothing reads it.
+    ``free`` lists the columns presolve left, and ``live`` holds the rows it
+    left, as ``_presolve`` returns them, for a child to start from; they
+    are never written into.  ``tableau`` is the phase-1 tableau of those
+    rows as sparse integer rows over ``dens``, or None when presolve
+    settled every row; ``basis`` holds its basic columns, by their index in
+    A.  ``x`` and ``fixed_support``, what every ``lp_solve`` answer starts
+    from, are computed on first use and kept with the preparation.
     """
 
     n: int
     fixed: dict[int, tuple[int, int]]
     free: tuple[int, ...]
+    live: list[list]
     tableau: tuple[dict[int, int], ...] | None
     dens: tuple[int, ...]
     basis: tuple[int, ...]
@@ -485,22 +556,26 @@ class _Prepared:
         return frozenset(j for j, (p, _) in self.fixed.items() if p)
 
 
+def _phase1_after(n: int, k: int, feasible: bool, fixed: dict[int, tuple[int, int]], live: list[list]):
+    """The preparation of a presolve result on columns >= k, by phase 1; None when infeasible."""
+    if not feasible:
+        return None
+    free = tuple(j for j in range(k, n) if j not in fixed)
+    if not live:
+        return _Prepared(n, fixed, free, live, None, (), ())
+    phase1 = _phase1(live, n)
+    if phase1 is None:
+        return None
+    return _Prepared(n, fixed, free, live, *phase1)
+
+
 def _prepare(a: Matrix, k: int, rhs: Sequence[int], mults: Sequence[int]) -> _Prepared | None:
-    """Presolve and phase 1 of {x_k.. >= 0 : A[:, k:] x = r}; None when it is infeasible.
+    """Cold presolve and phase 1 of {x_k.. >= 0 : A[:, k:] x = r}; None when it is infeasible.
 
     The system and its arguments are ``_presolve``'s; columns keep their
     indices in A, and ``free`` lists the columns >= k presolve left.
     """
-    feasible, fixed, live = _presolve(a.sparse_rows, k, rhs, mults)
-    if not feasible:
-        return None
-    free = tuple(j for j in range(k, a.ncols) if j not in fixed)
-    if not live:
-        return _Prepared(a.ncols, fixed, free, None, (), ())
-    phase1 = _phase1(live, a.ncols)
-    if phase1 is None:
-        return None
-    return _Prepared(a.ncols, fixed, free, *phase1)
+    return _phase1_after(a.ncols, k, *_presolve(a.sparse_rows, k, rhs, mults))
 
 
 #: (a, b, preparation) of the last system ``lp_solve`` prepared.  ``a`` is
@@ -583,23 +658,34 @@ def residual_range(
     mults: Sequence[int],
     cost: Sequence[int],
     cutoff: int | None,
-) -> tuple[int, int | None] | None:
-    """The integer range of x_k over a residual system, or None when it is pruned.
+    parent: tuple[_Prepared, int] | None = None,
+) -> tuple[_Prepared, int, int | None] | None:
+    """The preparation of a residual system and the integer range of x_k over it, or None when it is pruned.
 
     The system is {x_k.. >= 0 : A[:, k:] x = r}, what is left of A x = b
     once x_0..x_{k-1} are fixed, given as ``_presolve`` takes it: r_i is
     rhs[i] / (s_i*mults[i]), with s_i row i's pattern scale.  Returns
-    (ceil(min x_k), floor(max x_k)), the second None when x_k is unbounded
-    above.  Returns None when the system is infeasible, or when ``cutoff``
-    is given and the minimum of cost.x over the system (``cost`` is
-    indexed by column of A) is larger than it; an unbounded minimum prunes
-    nothing.
+    (preparation, ceil(min x_k), floor(max x_k)), the last None when x_k is
+    unbounded above.  Returns None when the system is infeasible, or when
+    ``cutoff`` is given and the minimum of cost.x over the system (``cost``
+    is indexed by column of A) is larger than it; an unbounded minimum
+    prunes nothing.
+
+    Without ``parent`` the system is prepared cold.  ``parent`` is
+    the node above, as its preparation and the value v that x_{k-1} takes
+    here, with v in that node's range; presolve then starts from the
+    parent's (``_presolve_child``), and rhs and mults, which describe the
+    same system, are not read.
 
     All three answers come from one preparation, presolve and phase 1,
     each by a phase 2 on a copy of its tableau, and all are ints: no
     Fraction is built.
     """
-    prep = _prepare(a, k, rhs, mults)
+    if parent is None:
+        prep = _prepare(a, k, rhs, mults)
+    else:
+        node, v = parent
+        prep = _phase1_after(a.ncols, k, *_presolve_child(node.fixed, node.live, k - 1, v))
     if prep is None:
         return None
     if cutoff is not None:
@@ -613,7 +699,7 @@ def residual_range(
         raise AssertionError("objective x_k >= 0 cannot be unbounded below")
     unit[k] = -1
     high = _minimum(prep, unit)  # max x_k is -min(-x_k)
-    return -(-low[0] // low[1]), None if high is None else -high[0] // high[1]
+    return prep, -(-low[0] // low[1]), None if high is None else -high[0] // high[1]
 
 
 def is_feasible_point(lp: StandardLp, x: Sequence[Fraction | int | str]) -> bool:

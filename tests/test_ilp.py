@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ilplab import ilp as ilp_module
+from ilplab import lp as lp_module
 from ilplab.errors import BudgetExceededError, UnboundedSearchError
 from ilplab.exactla import Matrix, vec
 from ilplab.ilp import enumerate_integral_optima, implied_box
 from ilplab.instances import expected_sensitivity_pair, gen_proximity, gen_sensitivity
 from ilplab.lp import StandardLp, is_feasible_point
+from ilplab.measures import fuzz_cook
 from ilplab.petersen import build_matching_system
 
-from oracles import brute_force_optima, random_feasible_ilp
+from oracles import brute_force_optima, dict_rows, fraction_presolve, random_feasible_ilp
 
 
 def expected_block_optima(delta, d):
@@ -195,3 +198,85 @@ class TestGeneralBehaviour:
         got = enumerate_integral_optima(lp)
         assert got.solutions == ((0, 2), (1, 1), (2, 0))
         assert got.objective == 2
+
+
+def rational_rows(live):
+    """Presolve's live rows as (column, rational) lists in their order, and their right-hand sides."""
+    return [[(j, F(x, s)) for j, x in row.items()] for row, _, s in live], [F(t, s) for _, t, s in live]
+
+
+class ChildSteps:
+    """Compares every child step of the enumerations run while it is installed with a cold presolve.
+
+    A child step (``lp._presolve_child``) prepares the node x_k = v from its
+    parent's presolve result.  The node's system and residual are read where
+    the search hands them over, at its ``residual_range`` call, and
+    presolved cold (``lp._presolve``) and by the Fraction reference
+    (``oracles.fraction_presolve``) on the restricted system.  ``forced``
+    and ``free`` count the steps whose x_k the parent had forced or not.
+    """
+
+    def __init__(self, monkeypatch):
+        self.forced = self.free = 0
+        self.node = None
+        node_range, child = ilp_module.residual_range, lp_module._presolve_child
+
+        def spy_range(a, k, rhs, mults, *rest):
+            self.node = (a, k, rhs, mults)  # read by the child step inside this call
+            return node_range(a, k, rhs, mults, *rest)
+
+        def spy_child(fixed, live, k, v):
+            was_forced = k in fixed
+            got = child(fixed, live, k, v)
+            self.check(k + 1, got)
+            if was_forced:
+                self.forced += 1
+            else:
+                self.free += 1
+            return got
+
+        monkeypatch.setattr(ilp_module, "residual_range", spy_range)
+        monkeypatch.setattr(lp_module, "_presolve_child", spy_child)
+
+    def check(self, k, got):
+        a, node_k, rhs, mults = self.node
+        assert node_k == k
+        pattern = a.sparse_rows
+        feasible, fixed, live = got
+        cold_feasible, cold_fixed, cold_live = lp_module._presolve(pattern, k, rhs, mults)
+        assert feasible == cold_feasible
+        ref_rows = [{j: x for j, x in row.items() if j >= k} for row in dict_rows(a)]
+        ref_rhs = [F(t, s * q) for t, (s, _), q in zip(rhs, pattern, mults)]
+        ref_feasible, ref_fixed = fraction_presolve(ref_rows, ref_rhs)
+        assert feasible == ref_feasible
+        if not feasible:
+            return
+        assert all(q > 0 and math.gcd(p, q) == 1 for p, q in fixed.values())
+        assert fixed == cold_fixed  # as dicts: the forcing order may differ
+        assert {j: F(p, q) for j, (p, q) in fixed.items()} == ref_fixed
+        assert all(s > 0 for _, _, s in live)
+        assert rational_rows(live) == rational_rows(cold_live)
+        assert rational_rows(live) == ([list(row.items()) for row in ref_rows], ref_rhs)
+
+
+class TestChildPresolve:
+    """A child node's presolve, started from its parent's, is the cold presolve of its residual."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(boxed_rational_systems())
+    def test_rational_systems(self, case):
+        lp, box = case
+        with pytest.MonkeyPatch.context() as mp:
+            ChildSteps(mp)
+            got = enumerate_integral_optima(lp, box=box)
+        assert (got.solutions, got.objective) == brute_force_optima(lp, box)
+
+    @pytest.mark.parametrize(
+        "run",
+        [lambda: enumerate_integral_optima(gen_proximity(2, 5).lp), lambda: fuzz_cook(7, 100)],
+        ids=["proximity-2-5", "fuzz-seed7-100"],
+    )
+    def test_every_node(self, run, monkeypatch):
+        steps = ChildSteps(monkeypatch)
+        run()
+        assert steps.forced and steps.free

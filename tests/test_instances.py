@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ilplab import instances as instances_module
 from ilplab.errors import BudgetExceededError, EmbeddingError
 from ilplab.exactla import dot, vec
 from ilplab.instances import (
@@ -261,4 +262,33 @@ class TestSerialization:
         doc = instance_to_doc(gen_sensitivity(2, 2))
         doc["family"] = "mystery"
         with pytest.raises(ValueError):
+            instance_from_doc(doc)
+
+    def test_repeated_entries_parse_once_to_the_same_values(self, monkeypatch):
+        # one entry string, or int, recurs across rows and keys; each is parsed once
+        doc = instance_to_doc(binpack_ilp_instance(*gen_binpack_sensitivity(2, 2), FAMILY_BINPACK_SENS, 2, 2))
+        doc.update(family="custom", b=[1, "1"] + doc["b"][2:], c=["1/2"] + doc["c"][1:])
+        doc["matrix"][0][:2] = ["1/2", "2/4"]
+        expected = (
+            tuple(vec(row) for row in doc["matrix"]),
+            vec(doc["b"]),
+            vec(doc["c"]),
+            vec(doc["sizes"]),
+            F(doc["epsilon"]),
+        )
+        entries = [*(x for row in doc["matrix"] for x in row), *doc["b"], *doc["c"], *doc["sizes"], doc["epsilon"]]
+        parsed = []
+        monkeypatch.setattr(instances_module, "Fraction", lambda x: parsed.append(x) or F(x))
+        inst = instance_from_doc(doc)
+        assert (inst.lp.a.rows, inst.lp.b, inst.lp.c, inst.sizes, inst.epsilon) == expected
+        assert sorted(map(repr, parsed)) == sorted({repr(x) for x in entries})
+        assert len(parsed) < len(entries)
+
+    def test_malformed_entry_after_a_parsed_one_is_rejected(self):
+        doc = instance_to_doc(gen_sensitivity(2, 2))
+        doc["b"] = [doc["matrix"][0][0], True]
+        with pytest.raises(ValueError, match="'b'"):
+            instance_from_doc(doc)
+        doc["b"] = [doc["matrix"][0][0], "3/0"]
+        with pytest.raises(ValueError, match="zero denominator in 'b'"):
             instance_from_doc(doc)

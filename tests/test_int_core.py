@@ -1,11 +1,11 @@
 """The integer core stays in ints.
 
-In the LP layer, presolve, phase 1, phase 2, the pivots and the enumeration
-node's solve name no Fraction; in the enumeration, the search itself names
-no Fraction and builds no LP object.  In ``exactla`` a Fraction becomes ints
-in one place only, ``Matrix.sparse_rows``; the determinant and the
-subdeterminant search name no Fraction, and ``max_subdet_all`` builds its one
-Fraction in its return.
+In the LP layer, presolve (cold or started from a parent node's), phase 1,
+phase 2, the pivots and the enumeration node's solve name no Fraction; in
+the enumeration, the search itself names no Fraction and builds no LP
+object.  In ``exactla`` a Fraction becomes ints in one place only,
+``Matrix.sparse_rows``; the determinant and the subdeterminant search name
+no Fraction, and ``max_subdet_all`` builds its one Fraction in its return.
 """
 
 import ast
@@ -16,6 +16,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ilplab"
 INT_CORE = {
     "_int_rhs",
     "_presolve",
+    "_presolve_child",
+    "_reduce",
     "_dominates",
     "_phase1",
     "_primitive",
@@ -23,6 +25,7 @@ INT_CORE = {
     "_pivot",
     "_iterate",
     "_phase2",
+    "_phase1_after",
     "_prepare",
     "_minimum",
     "residual_range",

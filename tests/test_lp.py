@@ -292,6 +292,27 @@ class TestIntegerCore:
             run()
         assert len(calls) == pivots
 
+    def test_node_presolve_is_incremental(self):
+        # Only the relaxation's lp_solve and the enumeration root presolve
+        # cold; each of the other 755 nodes starts from its parent's
+        # presolve result, where every node once presolved cold (757 in all).
+        calls = {"cold": 0, "child": 0}
+        cold, child = lp_module._presolve, lp_module._presolve_child
+
+        def counted_cold(*args):
+            calls["cold"] += 1
+            return cold(*args)
+
+        def counted_child(*args):
+            calls["child"] += 1
+            return child(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp_module, "_presolve", counted_cold)
+            mp.setattr(lp_module, "_presolve_child", counted_child)
+            measure_proximity_lb(gen_proximity(2, 7))
+        assert calls == {"cold": 2, "child": 755}
+
 
 @st.composite
 def residual_cases(draw):
@@ -317,7 +338,8 @@ class TestResidualRange:
             for j, num in pairs:
                 if j < k:
                     rhs[i] -= q * num * prefix[j]
-        got = lp_module.residual_range(lp.a, k, rhs, mults, cost, cutoff)
+        node = lp_module.residual_range(lp.a, k, rhs, mults, cost, cutoff)
+        got = None if node is None else node[1:]  # the range, after the preparation
 
         rest = restricted(lp, prefix)
         unit = [0] * (rest.n - 1)
@@ -341,7 +363,7 @@ class TestResidualRange:
     def test_unbounded_minimum_prunes_nothing(self):
         # x_1 - x_2 = 1 under cost -x_2 has no minimum; the node stays
         lp = StandardLp(Matrix.from_rows([[1, 1, -1]]), vec([1]), vec([0, 0, 0]))
-        assert lp_module.residual_range(lp.a, 1, [1], [1], [1, 0, -1], -5) == (1, None)
+        assert lp_module.residual_range(lp.a, 1, [1], [1], [1, 0, -1], -5)[1:] == (1, None)
 
 
 class TestIsFeasiblePoint:
