@@ -16,7 +16,6 @@ from .instances import (
     binpack_ilp_instance,
     enumerate_configurations,
     expected_sensitivity_pair,
-    fractional_certificate,
     gen_binpack_proximity,
     gen_binpack_sensitivity,
     gen_proximity,

@@ -13,8 +13,7 @@ scale, computed once by ``Matrix.sparse_rows``, the only place in this module
 where an entry's numerator and denominator are read.  The LP layer presolves
 and starts phase 1 from it, the enumeration reads its residuals and columns
 from it, ``mul_vec`` reads only its non-zeros, and ``max_abs`` is the largest
-|numerator| / scale over its rows.  A matrix stacked from others (``vstack``)
-joins their patterns instead of scanning its entries again.
+|numerator| / scale over its rows.
 
 Determinants work on the dense integer grid laid out from the same pattern,
 so fraction-free (Bareiss) elimination stays in the integers, and a
@@ -86,9 +85,7 @@ class Matrix:
     matrix's one integer pattern, per row a positive scale and the
     (column, numerator) pairs of the non-zero entries, computed on first use
     and then kept.  On a matrix built from its entries the scale is the lcm
-    of the row's denominators, so it is 1 on every integral row.  ``vstack``
-    joins the patterns of the blocks it stacks, so rows reused across many
-    stacks are scanned once.
+    of the row's denominators, so it is 1 on every integral row.
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
@@ -115,11 +112,6 @@ class Matrix:
             raise ValueError("columns have inconsistent lengths")
         return cls(tuple(tuple(c[i] for c in cols) for i in range(n)))
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -138,8 +130,6 @@ class Matrix:
     def cols(self) -> list[Vec]:
         return [self.col(j) for j in range(self.ncols)]
 
-    # cached_property keeps its value in the instance dict, where ``vstack``
-    # seeds it with the pattern it joined
     @cached_property
     def sparse_rows(self) -> tuple[PatternRow, ...]:
         """Per row, its scale and the (column, numerator) pairs of its non-zero entries."""
@@ -149,13 +139,6 @@ class Matrix:
             pairs = tuple((j, x.numerator * (s // x.denominator)) for j, x in enumerate(row) if x)
             pattern.append((s, pairs))
         return tuple(pattern)
-
-    @classmethod
-    def vstack(cls, parts: Sequence["Matrix"]) -> "Matrix":
-        """The rows of ``parts`` one after another, with the parts' patterns joined."""
-        stacked = cls(tuple(r for part in parts for r in part.rows))
-        stacked.__dict__["sparse_rows"] = tuple(r for part in parts for r in part.sparse_rows)
-        return stacked
 
     def mul_vec(self, v: Sequence[Fraction]) -> Vec:
         """The product with ``v``, summing only the pattern's non-zero terms."""

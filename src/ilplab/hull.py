@@ -101,16 +101,20 @@ def integer_points_in_hull(
 
     # Variables: the next coordinate value, then the convex weights.  Depth k
     # bounds coordinate k (head row k) with coordinates 0..k-1 pinned to the
-    # prefix (coordinate rows 0..k-1) and the weights summing to 1.  Each row
-    # is a one-row matrix built once per walk, so its sparse pattern is too.
+    # prefix (coordinate rows 0..k-1) and the weights summing to 1.  Only the
+    # right-hand side depends on the prefix, so depth k's matrix, and with it
+    # its sparse pattern, is built once per walk from rows shared by all depths.
     zero, one = Fraction(0), Fraction(1)
-    head_rows = [Matrix(((one,) + tuple(Fraction(-c[k]) for c in shifted),)) for k in range(dim)]
-    coord_rows = [Matrix(((zero,) + tuple(Fraction(c[i]) for c in shifted),)) for i in range(dim)]
-    weight_row = Matrix(((zero,) + (one,) * n,))
+    head_rows = [(one,) + tuple(Fraction(-c[k]) for c in shifted) for k in range(dim)]
+    coord_rows = [(zero,) + tuple(Fraction(c[i]) for c in shifted) for i in range(dim)]
+    weight_row = (zero,) + (one,) * n
     no_cost = (zero,) * (n + 1)
+    depth_matrices: list[Matrix | None] = [None] * dim
 
     def depth_lp(k: int) -> StandardLp:
-        a = Matrix.vstack((head_rows[k], *coord_rows[:k], weight_row))
+        a = depth_matrices[k]
+        if a is None:
+            a = depth_matrices[k] = Matrix((head_rows[k], *coord_rows[:k], weight_row))
         rhs = (zero, *map(Fraction, prefix), one)
         return StandardLp(a, rhs, no_cost)
 

@@ -11,13 +11,15 @@ s_i*q_i, where s_i is the row's scale in the matrix's integer pattern and
 q_i is b_i's denominator, so the residual b - A x of a prefix is one int
 per row, updated from integer columns built once per enumeration.  The
 objective is c times the lcm of c's denominators, an int at every point.
-Each non-leaf node makes one call into the LP layer, ``lp.residual_range``,
-which prepares the residual system once and answers both the objective
-bound and the range of the node's variable, as ints.  Only the root's
-system is presolved cold: the call returns the node's preparation
-too, and each child x_k = v hands its parent's preparation and v back, so
-its presolve starts from the parent's fixed values and rows and reaches
-the same fixpoint as a cold one (see ``lp``).
+Each non-leaf node has one preparation of its residual system (presolve
+and phase 1) and reads the objective bound and the range of the node's
+variable off it in one call, ``lp.residual_range``, as ints.  The root's
+preparation is ``lp._prepare_system``'s for the whole system, which is the
+one a preceding ``lp_solve`` of the same system made.  Every other node is
+a child x_k = v of the node above, prepared by ``lp._child`` from its
+parent's: a child whose x_k the parent had forced is the parent's
+preparation, and the others start presolve from the parent's fixed values
+and rows and reach the same fixpoint as a cold one (see ``lp``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BudgetExceededError, UnboundedSearchError
-from .lp import StandardLp, _int_rhs, residual_range
+from .lp import StandardLp, _child, _int_rhs, _prepare_system, residual_range
 
 # Not called here.  perfbench/test_perfbench.py checks that its tracer wraps
 # every module's binding of ``lp_solve``, this one included.
@@ -53,8 +55,8 @@ class IntegralSolutionSet:
         return len(self.solutions)
 
 
-def _integer_system(lp: StandardLp) -> tuple[list[int], list[int], list[list[tuple[int, int]]]]:
-    """A x = b on the ints: the right-hand sides, their multipliers q_i and the columns.
+def _integer_system(lp: StandardLp) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """A x = b on the ints: the right-hand sides and the columns.
 
     Row i is read over the scale s_i*q_i: b_i is rhs[i] over it, and
     column j holds the pair (i, numerator*q_i) for each non-zero entry of
@@ -66,7 +68,7 @@ def _integer_system(lp: StandardLp) -> tuple[list[int], list[int], list[list[tup
     for i, ((_, pairs), q) in enumerate(zip(pattern, mults)):
         for j, num in pairs:
             cols[j].append((i, num * q))
-    return rhs, mults, cols
+    return rhs, cols
 
 
 def implied_box(lp: StandardLp) -> list[int] | None:
@@ -79,7 +81,7 @@ def implied_box(lp: StandardLp) -> list[int] | None:
     column's int entry, both over the row's scale, so its floor is an int
     floor division.
     """
-    rhs, _, cols = _integer_system(lp)
+    rhs, cols = _integer_system(lp)
     if any(t < 0 for t in rhs) or any(w < 0 for col in cols for _, w in col):
         return None
     box = []
@@ -113,17 +115,20 @@ def enumerate_integral_optima(
         if any(u < 0 for u in box):
             raise ValueError("box bounds must be non-negative")
 
-    a, n = lp.a, lp.n
-    residual, mults, cols = _integer_system(lp)
+    n = lp.n
+    residual, cols = _integer_system(lp)
     c_den = math.lcm(*(cj.denominator for cj in lp.c))
     cost = [cj.numerator * (c_den // cj.denominator) for cj in lp.c]
+    # the objective over each node's columns k.., as residual_range reads it
+    node_costs = [{j: w for j, w in enumerate(cost) if w and j >= k} for k in range(n)]
     prefix: list[int] = []
     prefix_cost = 0
     incumbent: int | None = None
     sols: list[tuple[int, ...]] = []
     nodes = 0
 
-    def visit(parent):
+    def visit(parent, v):
+        """The node x_{k-1} = v below the node whose preparation is ``parent``; the root has none."""
         nonlocal nodes, incumbent, prefix_cost
         nodes += 1
         if nodes > node_budget:
@@ -138,13 +143,16 @@ def enumerate_integral_optima(
                 elif prefix_cost == incumbent:
                     sols.append(tuple(prefix))
             return
+        prep = _prepare_system(lp.a, lp.b) if parent is None else _child(parent, k - 1, v)
+        if prep is None:
+            return
         # Objective-bound pruning: only subtrees strictly worse than the
         # incumbent may be cut, equal-valued ones can hold more optima.
         cutoff = None if incumbent is None else incumbent - prefix_cost
-        node = residual_range(a, k, residual, mults, cost, cutoff, parent)
+        node = residual_range(prep, k, node_costs[k], cutoff)
         if node is None:
             return
-        prep, lo, hi = node
+        lo, hi = node
         hi = box[k] if hi is None else min(box[k], hi)
         col, ck = cols[k], cost[k]
         # High values first: on the staircase families this finds the cheap
@@ -155,14 +163,14 @@ def enumerate_integral_optima(
                 for i, w in col:
                     residual[i] -= w * v
                 prefix_cost += ck * v
-            visit((prep, v))
+            visit(prep, v)
             if v:
                 for i, w in col:
                     residual[i] += w * v
                 prefix_cost -= ck * v
             prefix.pop()
 
-    visit(None)
+    visit(None, 0)
     sols.sort()
     objective = None if incumbent is None else Fraction(incumbent, c_den)
     return IntegralSolutionSet(tuple(sols), objective, exhaustive)

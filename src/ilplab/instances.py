@@ -184,14 +184,6 @@ def _half_matchings(delta: int, d: int) -> Vec:
     return tuple(z)
 
 
-def fractional_certificate(delta: int, d: int) -> Vec:
-    """Optimal fractional point of the proximity family, checked exactly feasible."""
-    z = _half_matchings(delta, d)
-    if not is_feasible_point(gen_proximity(delta, d).lp, z):
-        raise AssertionError("certificate fails exact feasibility")
-    return z
-
-
 def p_q_constants(delta: int, d: int) -> tuple[int, int]:
     """Odd/even tail sums of the block recurrence, taken literally.
 

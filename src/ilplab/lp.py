@@ -17,8 +17,8 @@ entry is the sign of its numerator; the ratio rhs/entry of a row is the
 ratio of its numerators, since the row's denominator cancels, and two
 ratios are compared by cross-multiplication.  So every pivot, basis,
 solution and objective is the one the Fraction tableau reaches.  Fractions
-appear only where ``lp_solve`` scales c and b to ints and builds the values
-it returns.
+appear only where b and c are scaled to ints (``_int_rhs``, ``lp_solve``)
+and where ``lp_solve`` builds the values it returns.
 
 A presolve pass runs first and repeatedly applies three exact reductions:
 
@@ -33,10 +33,10 @@ Presolve is integer-native too.  Each live row is an int row, an int
 right-hand side and one positive int scale, standing for the rational row
 and right-hand side both divided by the scale.  Row i starts from the
 matrix's integer pattern, over its pattern scale s_i times a multiplier
-q_i: for ``lp_solve``, b_i = p/q gives the right-hand side p*s_i over
-s_i*q; for an enumeration node, q_i stays b_i's denominator and the
-right-hand side is the int residual over the same scale, with the fixed
-leading columns left out.  That scale need not be the least one.  The
+q_i: b_i = p/q gives the right-hand side p*s_i over s_i*q, and the
+residual system of an enumeration node keeps that scale, with the int
+residual as right-hand side and the fixed leading columns left out.  That
+scale need not be the least one.  The
 reductions read exactly the rationals a Fraction presolve would: a scale
 is positive, so entry signs are numerator signs; entries and right-hand
 sides of two rows are compared by cross-multiplying with the other row's
@@ -50,51 +50,54 @@ those rationals, the row the simplex starts from.
 Presolve has two parts: building the rows from the pattern, and the
 reduction loop ``_reduce``, which runs to fixpoint on whatever rows it is
 given.  A cold presolve, ``_presolve``, builds and then reduces.  An
-enumeration child x_k = v instead starts from its parent's result
-(``_presolve_child``).  If the parent forced x_k, the LP range of x_k is
-that one value, so v is it, and the child's fixpoint is the parent's with
-k dropped from the fixed values.  Otherwise the child copies the parent's
-live rows, substitutes v into them (v is an int, so each row keeps its
-scale) and reduces.  Either way the child reaches the fixpoint a cold
-presolve of its residual reaches.  Each reduction stays valid under
-further fixings: with x_k = v added, a singleton or zero-right-hand-side
-row of the parent is still one or is already settled, and a dominating
-pair with a zero gap keeps it, since x_k either has a zero difference
-entry or is forced to 0.  So every deduction of the parent is also made by
-the cold run, every deduction of the cold run is also made from the
-parent's state, and the two loops stop at the same closure: the same fixed
-values, the same live rows.  Rows are only deleted, so the survivors keep
-their original relative order, and of rows equal as rationals the first
-is the one kept.  Scales can differ, as a scale records the fractional
-values substituted into its row, but phase 1 makes every row primitive, so
-pivots, bases and results do not move.  Only the order of the fixed values
-can differ, and nothing reads it: ``free``, ``x``, ``fixed_support`` and
-the sum in ``_minimum`` are order-free.
+enumeration child x_k = v instead starts from its parent's preparation
+(``_child``).  If the parent forced x_k, the LP range of x_k is that one
+value, so v is it, and the child's fixpoint is the parent's with k dropped
+from the fixed values.  Its rows are the parent's, so its phase 1 is too:
+the child is the parent's preparation, tableau included.  Otherwise the
+child copies the parent's live rows, substitutes v into them (v is an int,
+so each row keeps its scale), reduces, and runs phase 1 on what is left.
+Either way the child reaches the fixpoint a cold presolve of its residual
+reaches.  Each reduction stays valid under further fixings: with x_k = v
+added, a singleton or zero-right-hand-side row of the parent is still one
+or is already settled, and a dominating pair with a zero gap keeps it,
+since x_k either has a zero difference entry or is forced to 0.  So every
+deduction of the parent is also made by the cold run, every deduction of
+the cold run is also made from the parent's state, and the two loops stop
+at the same closure: the same fixed values, the same live rows.  Rows are
+only deleted, so the survivors keep their original relative order, and of
+rows equal as rationals the first is the one kept.  Scales can differ, as
+a scale records the fractional values substituted into its row, but phase
+1 makes every row primitive, so pivots, bases and results do not move.
+Only the order of the fixed values can differ, and nothing reads it:
+``x``, ``fixed_support`` and the lookups in ``_minimum`` are order-free.
 
-A solve has two parts.  Preparing (A, b) covers everything that does not
-depend on c: presolve, and phase 1 on the rows presolve left, which ends in
-a feasible basis of that core or proves the system infeasible.  Phase 2
-then prices c, scaled to an int row, against a copy of the prepared
-tableau and pivots to optimality; the optimum is the cost row's right-hand
-side, negated, over its denominator.  ``lp_solve`` and the enumeration's
-node solve ``residual_range`` share that preparation.
+An answer has two steps, each with one home.  Preparing (A, b) covers
+everything that does not depend on c: presolve, and phase 1 on the rows
+presolve left, which ends in a feasible basis of that core or proves the
+system infeasible.  Cold preparations come from ``_prepare_system``, an
+enumeration child's from ``_child``.  Reading a cost is ``_minimum``: it
+sums the cost over the fixed columns and, when a free column has a cost,
+prices it against a copy of the prepared tableau and runs phase 2 to
+optimality; the free part's optimum is the cost row's right-hand side,
+negated, over its denominator.  ``lp_solve`` reads c, scaled to ints,
+through it once and builds its Fractions from that reading;
+``residual_range`` reads an enumeration node's objective bound and both
+ends of its variable, in ints.
 
-``lp_solve`` remembers its last preparation, keyed on the identity of the
-matrix object and the value of b.  That is exact: a ``Matrix`` holds only
-tuples, so the same object always has the same entries; the memo holds the
-matrix, so its identity cannot pass to another one; and phase 2 never
-writes into the prepared tableau.  A reused preparation is the one a cold
-solve would compute, so results are bit-for-bit those of a cold solve.  The
-hit comes from ``coord_range``, whose min and max solve one system; the
-second solve also reuses the fixed-value vector and the set of non-zero
-fixed columns that the preparation keeps.
-
-An enumeration node needs no memo: it has its parent's preparation.
-``residual_range`` prepares the root's residual system cold and every
-other node's from its parent's, keeps the preparation's live rows for the
-node's children, and reads the objective bound and both ends of the node's
-variable off it, by one phase 2 each, all in ints.  The presolve
-reductions follow Andersen and Andersen (Math. Prog. 71, 1995).
+``_prepare_system`` remembers its last preparation, keyed on the identity
+of the matrix object and the value of b.  That is exact: a ``Matrix`` holds
+only tuples, so the same object always has the same entries; the memo
+holds the matrix, so its identity cannot pass to another one; and phase 2
+never writes into the prepared tableau.  A reused preparation is the one a
+cold one would compute, so results are bit-for-bit those of a cold solve.
+It serves three pairs of calls on one system: the min and max solves of
+``coord_range`` (the second also reuses the fixed-value vector and the set
+of non-zero fixed columns the preparation keeps), the LP relaxation that
+``measure_proximity_lb`` solves and the enumeration root after it, and the
+same pair in ``fuzz_cook``.  Below the root an enumeration node needs no
+memo: it has its parent's preparation.  The presolve reductions follow
+Andersen and Andersen (Math. Prog. 71, 1995).
 """
 
 from __future__ import annotations
@@ -214,34 +217,6 @@ def _presolve(pattern: Sequence[PatternRow], k: int, rhs: Sequence[int], mults: 
         live.append([row, t, s * q])
     fixed: dict[int, tuple[int, int]] = {}
     return _reduce(live, fixed), fixed, live
-
-
-def _presolve_child(fixed: dict[int, tuple[int, int]], live: list[list], k: int, v: int):
-    """``_presolve``'s result for the child x_k = v of a node, started from the node's own.
-
-    ``fixed`` and ``live`` are the node's presolve result on its columns
-    >= k, and v is a value of x_k in the node's LP range.  Neither is
-    written into: siblings share them.  If the node forced x_k, the range
-    is that one value, so the child's fixpoint is the node's with k dropped
-    from ``fixed``, and its rows are the node's own list.  Otherwise the
-    rows are copied, v is substituted into every row that holds x_k, and
-    ``_reduce`` runs to fixpoint.  Returns (feasible, fixed, live), with
-    the same fixed values and the same live rows, as rationals in the same
-    order, as ``_presolve`` on the child's residual; only the order of
-    ``fixed`` can differ.
-    """
-    fixed = dict(fixed)
-    forced = fixed.pop(k, None)
-    if forced is not None:
-        if forced != (v, 1):
-            raise AssertionError(f"x_{k} is forced to {forced[0]}/{forced[1]}, not {v}")
-        return True, fixed, live
-    rows = [[dict(row), t, s] for row, t, s in live]
-    for entry in rows:
-        coef = entry[0].pop(k, None)
-        if coef is not None:
-            entry[1] -= coef * v
-    return _reduce(rows, fixed), fixed, rows
 
 
 def _reduce(live: list[list], fixed: dict[int, tuple[int, int]]) -> bool:
@@ -523,19 +498,19 @@ class _Prepared:
 
     ``fixed`` maps each column presolve forced to its value as a reduced int
     pair (p, q).  A cold preparation lists them in the order its presolve
-    forced them; a child's order can differ, and nothing reads it.
-    ``free`` lists the columns presolve left, and ``live`` holds the rows it
-    left, as ``_presolve`` returns them, for a child to start from; they
-    are never written into.  ``tableau`` is the phase-1 tableau of those
-    rows as sparse integer rows over ``dens``, or None when presolve
-    settled every row; ``basis`` holds its basic columns, by their index in
-    A.  ``x`` and ``fixed_support``, what every ``lp_solve`` answer starts
-    from, are computed on first use and kept with the preparation.
+    forced them; a child's order can differ, and nothing reads it.  The
+    columns of the system that it leaves out are free.  ``live`` holds the
+    rows presolve left, as ``_presolve`` returns them, for a child to start
+    from; they are never written into.  ``tableau`` is the phase-1 tableau
+    of those rows as sparse integer rows over ``dens``, or None when
+    presolve settled every row; ``basis`` holds its basic columns, by their
+    index in A.  ``x`` and ``fixed_support``, what every ``lp_solve``
+    answer starts from, are computed on first use and kept with the
+    preparation.
     """
 
     n: int
     fixed: dict[int, tuple[int, int]]
-    free: tuple[int, ...]
     live: list[list]
     tableau: tuple[dict[int, int], ...] | None
     dens: tuple[int, ...]
@@ -556,45 +531,103 @@ class _Prepared:
         return frozenset(j for j, (p, _) in self.fixed.items() if p)
 
 
-def _phase1_after(n: int, k: int, feasible: bool, fixed: dict[int, tuple[int, int]], live: list[list]):
-    """The preparation of a presolve result on columns >= k, by phase 1; None when infeasible."""
+def _phase1_after(n: int, feasible: bool, fixed: dict[int, tuple[int, int]], live: list[list]):
+    """The preparation of a presolve result, by phase 1; None when infeasible."""
     if not feasible:
         return None
-    free = tuple(j for j in range(k, n) if j not in fixed)
     if not live:
-        return _Prepared(n, fixed, free, live, None, (), ())
+        return _Prepared(n, fixed, live, None, (), ())
     phase1 = _phase1(live, n)
     if phase1 is None:
         return None
-    return _Prepared(n, fixed, free, live, *phase1)
+    return _Prepared(n, fixed, live, *phase1)
 
 
-def _prepare(a: Matrix, k: int, rhs: Sequence[int], mults: Sequence[int]) -> _Prepared | None:
-    """Cold presolve and phase 1 of {x_k.. >= 0 : A[:, k:] x = r}; None when it is infeasible.
-
-    The system and its arguments are ``_presolve``'s; columns keep their
-    indices in A, and ``free`` lists the columns >= k presolve left.
-    """
-    return _phase1_after(a.ncols, k, *_presolve(a.sparse_rows, k, rhs, mults))
-
-
-#: (a, b, preparation) of the last system ``lp_solve`` prepared.  ``a`` is
-#: held, so its identity cannot pass to another matrix while it is
+#: (a, b, preparation) of the last system ``_prepare_system`` prepared.  ``a``
+#: is held, so its identity cannot pass to another matrix while it is
 #: remembered.  Every caller in the process shares it, which changes no
 #: result: an entry is only ever reused for the system it was computed from.
 _last_prepared: tuple[Matrix, Vec, _Prepared | None] | None = None
 
 
 def _prepare_system(a: Matrix, b: Vec) -> _Prepared | None:
-    """The preparation of {x >= 0 : a x = b}, reusing the last one for the same matrix and b."""
+    """The cold preparation of {x >= 0 : a x = b}, or None when it is infeasible.
+
+    The last one is remembered and reused for the same matrix object and b.
+    """
     global _last_prepared
     b = tuple(b)
     last = _last_prepared  # one read, so a concurrent update cannot split the entry
     if last is not None and last[0] is a and last[1] == b:
         return last[2]
-    prep = _prepare(a, 0, *_int_rhs(a.sparse_rows, b))
+    pattern = a.sparse_rows
+    prep = _phase1_after(a.ncols, *_presolve(pattern, 0, *_int_rhs(pattern, b)))
     _last_prepared = (a, b, prep)
     return prep
+
+
+def _child(parent: _Prepared, k: int, v: int) -> _Prepared | None:
+    """The preparation of the child x_k = v of an enumeration node, from the node's; None when infeasible.
+
+    ``parent`` prepares the node's residual system on columns >= k, and v
+    is a value of x_k in its LP range.  It is not written into: siblings
+    share it.  If the node forced x_k, the range is that one value, and the
+    child's residual is the node's rows without x_k, which they no longer
+    hold; so the child is the node's preparation, tableau included, with k
+    dropped from ``fixed``.  Otherwise the node's live rows are copied, v is
+    substituted into every row that holds x_k, ``_reduce`` runs to fixpoint
+    and phase 1 runs on the rows it leaves.  Either way presolve ends with
+    the fixed values and the live rows, as rationals in the same order, that
+    ``_presolve`` reaches on the child's residual; only the order of
+    ``fixed`` can differ.
+    """
+    fixed = dict(parent.fixed)
+    forced = fixed.pop(k, None)
+    if forced is not None:
+        if forced != (v, 1):
+            raise AssertionError(f"x_{k} is forced to {forced[0]}/{forced[1]}, not {v}")
+        return _Prepared(parent.n, fixed, parent.live, parent.tableau, parent.dens, parent.basis)
+    rows = [[dict(row), t, s] for row, t, s in parent.live]
+    for entry in rows:
+        coef = entry[0].pop(k, None)
+        if coef is not None:
+            entry[1] -= coef * v
+    return _phase1_after(parent.n, _reduce(rows, fixed), fixed, rows)
+
+
+def _minimum(prep: _Prepared, cost: dict[int, int]):
+    """min cost.x over a prepared system, and a tableau attaining it; None when unbounded.
+
+    ``cost`` maps columns of the prepared system to non-zero ints.  Returns
+    (num, den, rows, dens, basis): the minimum as num / den with den > 0,
+    and an optimal tableau of the free columns as ``_phase2`` returns it
+    (the prepared one when no free column has a cost, empty when presolve
+    settled every row).  The fixed columns' part is summed over the cost's
+    entries; the free columns' part is read off the optimal cost row, whose
+    right-hand side is -z over the row's denominator.
+    """
+    num, den = 0, 1
+    core: dict[int, int] = {}
+    fixed = prep.fixed
+    for j, w in cost.items():
+        value = fixed.get(j)
+        if value is None:
+            core[j] = w
+        elif value[0]:
+            p, q = value
+            num, den = num * q + w * p * den, den * q
+    if prep.tableau is None:
+        if any(w < 0 for w in core.values()):
+            return None  # no rows left: the orthant is unbounded along that column
+        return num, den, (), (), ()
+    if not core:
+        return num, den, prep.tableau, prep.dens, prep.basis
+    done = _phase2(prep, core)
+    if done is None:
+        return None
+    rows, dens, basis = done
+    z, z_den = -rows[-1].get(_RHS, 0), dens[-1]
+    return num * z_den + z * den, den * z_den, rows, dens, basis
 
 
 # ---------------------------------------------------------------------------
@@ -606,100 +639,40 @@ def lp_solve(lp: StandardLp) -> LpResult:
     prep = _prepare_system(lp.a, lp.b)
     if prep is None:
         return LpResult(INFEASIBLE)
+    # c is mostly zero (coord_range's has one non-zero entry): price only its non-zeros
+    c = {j: cj for j, cj in enumerate(lp.c) if cj}
+    c_den = lcm(*(cj.denominator for cj in c.values()))
+    best = _minimum(prep, {j: cj.numerator * (c_den // cj.denominator) for j, cj in c.items()})
+    if best is None:
+        return LpResult(UNBOUNDED)
+    num, den, rows, dens, basis = best
     x = list(prep.x)
-    core_basis: list[int] = []
-    if prep.tableau is not None:
-        c = {j: lp.c[j] for j in prep.free if lp.c[j]}
-        c_den = lcm(*(cj.denominator for cj in c.values()))
-        done = _phase2(prep, {j: cj.numerator * (c_den // cj.denominator) for j, cj in c.items()})
-        if done is None:
-            return LpResult(UNBOUNDED)
-        rows, dens, core_basis = done
-        for row, den, j in zip(rows, dens, core_basis):
-            x[j] = Fraction(row.get(_RHS, 0), den)
-    elif prep.free:
-        # No constraints left: minimize over the non-negative orthant.
-        if any(lp.c[j] < 0 for j in prep.free):
-            return LpResult(UNBOUNDED)
-
-    # c is mostly zero (coord_range's has one non-zero entry): skip zero terms
-    objective = sum((cj * x[j] for j, cj in enumerate(lp.c) if cj), _ZERO)
-    return LpResult(OPTIMAL, tuple(x), objective, prep.fixed_support.union(core_basis))
+    for row, row_den, j in zip(rows, dens, basis):
+        x[j] = Fraction(row.get(_RHS, 0), row_den)
+    return LpResult(OPTIMAL, tuple(x), Fraction(num, den * c_den), prep.fixed_support.union(basis))
 
 
-def _minimum(prep: _Prepared, cost: Sequence[int]) -> tuple[int, int] | None:
-    """min cost.x over a prepared system as num / den with den > 0; None when unbounded.
+def residual_range(prep: _Prepared, k: int, cost: dict[int, int], cutoff: int | None) -> tuple[int, int | None] | None:
+    """The integer range of x_k over a prepared residual system, or None when the node is pruned.
 
-    ``cost`` is indexed by column of A; only the prepared system's columns
-    are read.  The free columns' part is read off the optimal cost row,
-    whose right-hand side is -z over the row's denominator.
+    ``prep`` prepares {x_k.. >= 0 : A[:, k:] x = r}, what is left of
+    A x = b once x_0..x_{k-1} are fixed: ``_prepare_system``'s at the root,
+    ``_child``'s below it.  Returns (ceil(min x_k), floor(max x_k)), the
+    last None when x_k is unbounded above.  Returns None when ``cutoff`` is
+    given and the minimum of cost.x over the system is larger than it;
+    ``cost`` maps the system's columns to non-zero ints, and an unbounded
+    minimum prunes nothing.  Every answer is one ``_minimum`` of the
+    preparation, in ints: no Fraction is built.
     """
-    num, den = 0, 1
-    if prep.tableau is not None:
-        core = {j: cost[j] for j in prep.free if cost[j]}
-        if core:
-            done = _phase2(prep, core)
-            if done is None:
-                return None
-            num, den = -done[0][-1].get(_RHS, 0), done[1][-1]
-    elif any(cost[j] < 0 for j in prep.free):
-        return None  # no rows left: the orthant is unbounded along that column
-    for j, (p, q) in prep.fixed.items():
-        w = cost[j]
-        if w and p:
-            num, den = num * q + w * p * den, den * q
-    return num, den
-
-
-def residual_range(
-    a: Matrix,
-    k: int,
-    rhs: Sequence[int],
-    mults: Sequence[int],
-    cost: Sequence[int],
-    cutoff: int | None,
-    parent: tuple[_Prepared, int] | None = None,
-) -> tuple[_Prepared, int, int | None] | None:
-    """The preparation of a residual system and the integer range of x_k over it, or None when it is pruned.
-
-    The system is {x_k.. >= 0 : A[:, k:] x = r}, what is left of A x = b
-    once x_0..x_{k-1} are fixed, given as ``_presolve`` takes it: r_i is
-    rhs[i] / (s_i*mults[i]), with s_i row i's pattern scale.  Returns
-    (preparation, ceil(min x_k), floor(max x_k)), the last None when x_k is
-    unbounded above.  Returns None when the system is infeasible, or when
-    ``cutoff`` is given and the minimum of cost.x over the system (``cost``
-    is indexed by column of A) is larger than it; an unbounded minimum
-    prunes nothing.
-
-    Without ``parent`` the system is prepared cold.  ``parent`` is
-    the node above, as its preparation and the value v that x_{k-1} takes
-    here, with v in that node's range; presolve then starts from the
-    parent's (``_presolve_child``), and rhs and mults, which describe the
-    same system, are not read.
-
-    All three answers come from one preparation, presolve and phase 1,
-    each by a phase 2 on a copy of its tableau, and all are ints: no
-    Fraction is built.
-    """
-    if parent is None:
-        prep = _prepare(a, k, rhs, mults)
-    else:
-        node, v = parent
-        prep = _phase1_after(a.ncols, k, *_presolve_child(node.fixed, node.live, k - 1, v))
-    if prep is None:
-        return None
     if cutoff is not None:
         bound = _minimum(prep, cost)
         if bound is not None and bound[0] > cutoff * bound[1]:
             return None
-    unit = [0] * a.ncols
-    unit[k] = 1
-    low = _minimum(prep, unit)
+    low = _minimum(prep, {k: 1})
     if low is None:
         raise AssertionError("objective x_k >= 0 cannot be unbounded below")
-    unit[k] = -1
-    high = _minimum(prep, unit)  # max x_k is -min(-x_k)
-    return prep, -(-low[0] // low[1]), None if high is None else -high[0] // high[1]
+    high = _minimum(prep, {k: -1})  # max x_k is -min(-x_k)
+    return -(-low[0] // low[1]), None if high is None else -high[0] // high[1]
 
 
 def is_feasible_point(lp: StandardLp, x: Sequence[Fraction | int | str]) -> bool:

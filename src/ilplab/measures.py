@@ -404,6 +404,10 @@ def fuzz_cook(seed: int, trials: int = 200) -> FuzzReport:
         b2 = a.mul_vec(vec(x_star2))
         lp = StandardLp(a, b, c)
         lp2 = StandardLp(a, b2, c)
+        # solved first, so the first enumeration's root reuses its preparation
+        frac = lp_solve(lp)
+        if frac.status != OPTIMAL:
+            raise AssertionError("bounded feasible system must solve")
         try:
             sols = enumerate_integral_optima(lp, node_budget=_FUZZ_NODE_BUDGET)
             sols2 = enumerate_integral_optima(lp2, node_budget=_FUZZ_NODE_BUDGET)
@@ -411,9 +415,6 @@ def fuzz_cook(seed: int, trials: int = 200) -> FuzzReport:
             skipped += 1
             continue
         done += 1
-        frac = lp_solve(lp)
-        if frac.status != OPTIMAL:
-            raise AssertionError("bounded feasible system must solve")
         bounds = cook_bounds(lp, b2)
         for kind, xs, ys, bound, b_prime in (
             ("proximity", [frac.solution], sols.solutions, bounds.prox_upper, None),

@@ -15,18 +15,19 @@ from ilplab.exactla import vec
 from ilplab.hull import VERDICT_POLYTOPISH, integer_points_in_hull
 from ilplab.ilp import enumerate_integral_optima, implied_box
 from ilplab.instances import (
+    FAMILIES,
     FAMILY_BINPACK_PROX,
     FAMILY_BINPACK_SENS,
+    FAMILY_PROXIMITY,
     binpack_ilp_instance,
     expected_sensitivity_pair,
-    fractional_certificate,
     gen_binpack_proximity,
     gen_binpack_sensitivity,
     gen_proximity,
     gen_sensitivity,
     p_q_constants,
 )
-from ilplab.lp import StandardLp
+from ilplab.lp import StandardLp, is_feasible_point
 from ilplab.measures import (
     NORM_L1,
     NORM_LINF,
@@ -115,7 +116,8 @@ def test_criterion_4_proximity_lower_bound():
     frozen_l1 = {2: F(73), 3: F(133)}  # values pinned by the enumeration oracle
     for delta in (2, 3):
         inst = gen_proximity(delta, 3)
-        z = fractional_certificate(delta, 3)
+        z = FAMILIES[FAMILY_PROXIMITY].certificate(delta, 3)
+        assert is_feasible_point(inst.lp, z)
         assert inst.lp.a.mul_vec(z) == tuple(inst.lp.b)
         sols = enumerate_integral_optima(inst.lp)
         assert len(sols) == 7

@@ -206,57 +206,76 @@ def rational_rows(live):
 
 
 class ChildSteps:
-    """Compares every child step of the enumerations run while it is installed with a cold presolve.
+    """Compares every child step of the enumerations run while it is installed with a cold preparation.
 
-    A child step (``lp._presolve_child``) prepares the node x_k = v from its
-    parent's presolve result.  The node's system and residual are read where
-    the search hands them over, at its ``residual_range`` call, and
-    presolved cold (``lp._presolve``) and by the Fraction reference
-    (``oracles.fraction_presolve``) on the restricted system.  ``forced``
-    and ``free`` count the steps whose x_k the parent had forced or not.
+    A child step (``lp._child``) prepares the node x_k = v from its
+    parent's preparation.  Each preparation the search makes is traced back
+    to its system and prefix: the root's is ``lp._prepare_system``'s, and a
+    child's prefix is its parent's with v appended.  The child's residual is
+    then presolved cold (``lp._presolve``), and by the Fraction reference
+    (``oracles.fraction_presolve``) on the restricted system, and its
+    tableau is compared with a fresh ``lp._phase1`` on its own rows.
+    ``forced`` and ``free`` count the steps whose x_k the parent had forced
+    or not, and ``reused`` the forced steps that kept the parent's tableau.
     """
 
     def __init__(self, monkeypatch):
-        self.forced = self.free = 0
-        self.node = None
-        node_range, child = ilp_module.residual_range, lp_module._presolve_child
+        self.forced = self.free = self.reused = 0
+        self.origin = {}  # id(preparation) -> (preparation, a, b, prefix)
+        root, child = ilp_module._prepare_system, ilp_module._child
 
-        def spy_range(a, k, rhs, mults, *rest):
-            self.node = (a, k, rhs, mults)  # read by the child step inside this call
-            return node_range(a, k, rhs, mults, *rest)
+        def spy_root(a, b):
+            prep = root(a, b)
+            if prep is not None:
+                self.origin[id(prep)] = (prep, a, b, ())
+            return prep
 
-        def spy_child(fixed, live, k, v):
-            was_forced = k in fixed
-            got = child(fixed, live, k, v)
-            self.check(k + 1, got)
+        def spy_child(parent, k, v):
+            _, a, b, prefix = self.origin[id(parent)]
+            assert len(prefix) == k
+            was_forced = k in parent.fixed
+            got = child(parent, k, v)
+            self.check(a, b, prefix + (v,), got)
             if was_forced:
                 self.forced += 1
+                self.reused += got.tableau is parent.tableau
             else:
                 self.free += 1
+            if got is not None:
+                self.origin[id(got)] = (got, a, b, prefix + (v,))
             return got
 
-        monkeypatch.setattr(ilp_module, "residual_range", spy_range)
-        monkeypatch.setattr(lp_module, "_presolve_child", spy_child)
+        monkeypatch.setattr(ilp_module, "_prepare_system", spy_root)
+        monkeypatch.setattr(ilp_module, "_child", spy_child)
 
-    def check(self, k, got):
-        a, node_k, rhs, mults = self.node
-        assert node_k == k
+    def check(self, a, b, prefix, got):
+        k = len(prefix)
         pattern = a.sparse_rows
-        feasible, fixed, live = got
+        rhs, mults = lp_module._int_rhs(pattern, b)
+        for i, ((_, pairs), q) in enumerate(zip(pattern, mults)):
+            for j, num in pairs:
+                if j < k:
+                    rhs[i] -= q * num * prefix[j]
         cold_feasible, cold_fixed, cold_live = lp_module._presolve(pattern, k, rhs, mults)
-        assert feasible == cold_feasible
+        cold = lp_module._phase1_after(a.ncols, cold_feasible, cold_fixed, cold_live)
+        assert (got is None) == (cold is None)
         ref_rows = [{j: x for j, x in row.items() if j >= k} for row in dict_rows(a)]
         ref_rhs = [F(t, s * q) for t, (s, _), q in zip(rhs, pattern, mults)]
         ref_feasible, ref_fixed = fraction_presolve(ref_rows, ref_rhs)
-        assert feasible == ref_feasible
-        if not feasible:
+        assert cold_feasible == ref_feasible
+        if got is None:
             return
+        assert cold_feasible
+        fixed, live = got.fixed, got.live
         assert all(q > 0 and math.gcd(p, q) == 1 for p, q in fixed.values())
         assert fixed == cold_fixed  # as dicts: the forcing order may differ
         assert {j: F(p, q) for j, (p, q) in fixed.items()} == ref_fixed
         assert all(s > 0 for _, _, s in live)
         assert rational_rows(live) == rational_rows(cold_live)
         assert rational_rows(live) == ([list(row.items()) for row in ref_rows], ref_rhs)
+        fresh = lp_module._phase1(live, a.ncols) if live else (None, (), ())
+        assert (got.tableau, got.dens, got.basis) == fresh
+        assert fresh == (cold.tableau, cold.dens, cold.basis)
 
 
 class TestChildPresolve:
@@ -280,3 +299,4 @@ class TestChildPresolve:
         steps = ChildSteps(monkeypatch)
         run()
         assert steps.forced and steps.free
+        assert steps.reused == steps.forced  # no forced child runs phase 1 again

@@ -8,14 +8,15 @@ from ilplab import instances as instances_module
 from ilplab.errors import BudgetExceededError, EmbeddingError
 from ilplab.exactla import dot, vec
 from ilplab.instances import (
+    FAMILIES,
     FAMILY_BINPACK_PROX,
     FAMILY_BINPACK_SENS,
+    FAMILY_PROXIMITY,
     BinPackingInstance,
     binpack_ilp_instance,
     doc_dumps,
     enumerate_configurations,
     expected_sensitivity_pair,
-    fractional_certificate,
     gen_binpack_proximity,
     gen_binpack_sensitivity,
     gen_proximity,
@@ -93,14 +94,16 @@ class TestBlockFamily:
             gen_proximity(2, 2)
 
     def test_certificate_examples(self):
-        z = fractional_certificate(2, 3)
+        certificate = FAMILIES[FAMILY_PROXIMITY].certificate
+        z = certificate(2, 3)
+        assert is_feasible_point(gen_proximity(2, 3).lp, z)
         assert z == vec([F(1, 2)] * 6 + [0] * 15 + [2] * 15 + [0] * 15)
-        assert fractional_certificate(2, 1) == vec([F(1, 2)] * 6 + [0] * 15)
+        assert certificate(2, 1) == vec([F(1, 2)] * 6 + [0] * 15)
 
     @pytest.mark.parametrize("delta,d", [(2, 3), (3, 3), (2, 5)])
     def test_certificate_feasible(self, delta, d):
         inst = gen_proximity(delta, d)
-        assert is_feasible_point(inst.lp, fractional_certificate(delta, d))
+        assert is_feasible_point(inst.lp, FAMILIES[FAMILY_PROXIMITY].certificate(delta, d))
 
 
 class TestTailSums:

@@ -1,6 +1,6 @@
 """The integer core stays in ints.
 
-In the LP layer, presolve (cold or started from a parent node's), phase 1,
+In the LP layer, presolve (cold, or a child node's step from its parent's), phase 1,
 phase 2, the pivots and the enumeration node's solve name no Fraction; in
 the enumeration, the search itself names no Fraction and builds no LP
 object.  In ``exactla`` a Fraction becomes ints in one place only,
@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ilplab"
 INT_CORE = {
     "_int_rhs",
     "_presolve",
-    "_presolve_child",
+    "_child",
     "_reduce",
     "_dominates",
     "_phase1",
@@ -26,7 +26,6 @@ INT_CORE = {
     "_iterate",
     "_phase2",
     "_phase1_after",
-    "_prepare",
     "_minimum",
     "residual_range",
 }

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ilplab import ilp as ilp_module
 from ilplab import lp as lp_module
 from ilplab.exactla import Matrix, dot, vec
-from ilplab.instances import expected_sensitivity_pair, fractional_certificate, gen_proximity, gen_sensitivity
+from ilplab.instances import FAMILIES, FAMILY_PROXIMITY, expected_sensitivity_pair, gen_proximity, gen_sensitivity
 from ilplab.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, StandardLp, coord_range, is_feasible_point, lp_solve
 from ilplab.measures import fuzz_cook, measure_proximity_lb
 
@@ -50,7 +51,7 @@ class TestLpSolve:
 
     def test_certificate_is_optimal_for_block_system(self):
         inst = gen_proximity(2, 3)
-        z = fractional_certificate(2, 3)
+        z = FAMILIES[FAMILY_PROXIMITY].certificate(2, 3)
         assert is_feasible_point(inst.lp, z)
         res = lp_solve(inst.lp)
         assert res.status == OPTIMAL and res.objective == 0
@@ -231,7 +232,7 @@ class TestIntegerCore:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lp_module, "_pivot", checked_pivot)
             mp.setattr(lp_module, "_iterate", checked_iterate)
-            prep = lp_module._prepare(lp.a, 0, *lp_module._int_rhs(lp.a.sparse_rows, lp.b))
+            prep = lp_module._prepare_system(lp.a, lp.b)
             got = lp_solve(lp)
         ref = fraction_prepare(lp.a, lp.b)
         if ref is None:
@@ -241,7 +242,7 @@ class TestIntegerCore:
             assert all(q > 0 and gcd(p, q) == 1 for p, q in prep.fixed.values())
             assert tuple((j, F(p, q)) for j, (p, q) in prep.fixed.items()) == fixed
             # the basis holds A's columns; the reference's indexes into free
-            assert prep.free == free
+            assert tuple(j for j in range(lp.n) if j not in prep.fixed) == free
             assert tuple(free.index(j) for j in prep.basis) == basis
             if tableau is None:
                 assert prep.tableau is None
@@ -273,8 +274,8 @@ class TestIntegerCore:
     @pytest.mark.parametrize(
         "run, pivots",
         [
-            (lambda: measure_proximity_lb(gen_proximity(2, 7)), 962),
-            (lambda: fuzz_cook(7, 100), 2938),
+            (lambda: measure_proximity_lb(gen_proximity(2, 7)), 769),
+            (lambda: fuzz_cook(7, 100), 2709),
         ],
         ids=["measure-prox-2-7", "fuzz-seed7-100"],
     )
@@ -293,11 +294,11 @@ class TestIntegerCore:
         assert len(calls) == pivots
 
     def test_node_presolve_is_incremental(self):
-        # Only the relaxation's lp_solve and the enumeration root presolve
-        # cold; each of the other 755 nodes starts from its parent's
-        # presolve result, where every node once presolved cold (757 in all).
+        # Only the relaxation's lp_solve presolves cold, and the enumeration
+        # root reuses that preparation; each of the other 755 nodes starts
+        # from its parent's, where every node once presolved cold.
         calls = {"cold": 0, "child": 0}
-        cold, child = lp_module._presolve, lp_module._presolve_child
+        cold, child = lp_module._presolve, ilp_module._child
 
         def counted_cold(*args):
             calls["cold"] += 1
@@ -309,9 +310,9 @@ class TestIntegerCore:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lp_module, "_presolve", counted_cold)
-            mp.setattr(lp_module, "_presolve_child", counted_child)
+            mp.setattr(ilp_module, "_child", counted_child)
             measure_proximity_lb(gen_proximity(2, 7))
-        assert calls == {"cold": 2, "child": 755}
+        assert calls == {"cold": 1, "child": 755}
 
 
 @st.composite
@@ -322,6 +323,11 @@ def residual_cases(draw):
     prefix = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
     cost = draw(st.lists(st.integers(-2, 2), min_size=lp.n, max_size=lp.n))
     return lp, prefix, cost, draw(st.none() | st.integers(-3, 3))
+
+
+def cold_preparation(a, k, rhs, mults):
+    """The preparation of {x_k.. >= 0 : A[:, k:] x = r}, presolved cold (``lp._presolve`` describes r)."""
+    return lp_module._phase1_after(a.ncols, *lp_module._presolve(a.sparse_rows, k, rhs, mults))
 
 
 class TestResidualRange:
@@ -338,8 +344,9 @@ class TestResidualRange:
             for j, num in pairs:
                 if j < k:
                     rhs[i] -= q * num * prefix[j]
-        node = lp_module.residual_range(lp.a, k, rhs, mults, cost, cutoff)
-        got = None if node is None else node[1:]  # the range, after the preparation
+        prep = cold_preparation(lp.a, k, rhs, mults)
+        node_cost = {j: w for j, w in enumerate(cost) if w and j >= k}
+        got = None if prep is None else lp_module.residual_range(prep, k, node_cost, cutoff)
 
         rest = restricted(lp, prefix)
         unit = [0] * (rest.n - 1)
@@ -363,7 +370,8 @@ class TestResidualRange:
     def test_unbounded_minimum_prunes_nothing(self):
         # x_1 - x_2 = 1 under cost -x_2 has no minimum; the node stays
         lp = StandardLp(Matrix.from_rows([[1, 1, -1]]), vec([1]), vec([0, 0, 0]))
-        assert lp_module.residual_range(lp.a, 1, [1], [1], [1, 0, -1], -5)[1:] == (1, None)
+        prep = cold_preparation(lp.a, 1, [1], [1])
+        assert lp_module.residual_range(prep, 1, {2: -1}, -5) == (1, None)
 
 
 class TestIsFeasiblePoint:

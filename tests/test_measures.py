@@ -14,14 +14,16 @@ from ilplab.ilp import enumerate_integral_optima
 from ilplab.instances import (
     FAMILY_BINPACK_SENS,
     FAMILY_CUSTOM,
+    FAMILIES,
+    FAMILY_PROXIMITY,
     IlpInstance,
     binpack_ilp_instance,
-    fractional_certificate,
+    expected_sensitivity_pair,
     gen_binpack_sensitivity,
     gen_proximity,
     gen_sensitivity,
 )
-from ilplab.lp import StandardLp
+from ilplab.lp import StandardLp, is_feasible_point
 from ilplab.measures import (
     CSV_HEADER,
     NORM_L1,
@@ -90,6 +92,16 @@ class TestSensitivityMeasurement:
         assert rep.reference_lower[NORM_LINF] == 8
         assert rep.subdet == 8 and rep.cook_upper == 96
         assert not rep.cook_via_hadamard
+        assert rep.solution_counts == {"b": 1, "b_prime": 1}
+
+    @pytest.mark.parametrize("delta, d", [(2, 4), (3, 6)])
+    def test_b_and_b_prime_keep_their_own_optima(self, delta, d):
+        # both enumerations prepare one matrix object, so the preparation
+        # remembered for b must not be reused for b'
+        inst = gen_sensitivity(delta, d)
+        assert inst.with_rhs(inst.alt_rhs).lp.a is inst.lp.a
+        rep = measure_sensitivity(inst)
+        assert rep.witness[NORM_LINF] == expected_sensitivity_pair(delta, d)
         assert rep.solution_counts == {"b": 1, "b_prime": 1}
 
     def test_staircase_3_12_subdet_is_exact(self):
@@ -202,7 +214,8 @@ class TestNormFloor:
 
     def test_certificate_satisfies_floor(self):
         inst = gen_proximity(2, 3)
-        z = fractional_certificate(2, 3)
+        z = FAMILIES[FAMILY_PROXIMITY].certificate(2, 3)
+        assert is_feasible_point(inst.lp, z)
         # full coverage (a = ones): floor = 3 + 15*p = ||z||_1 exactly
         assert norm_floor(inst, z) == 3 + 15 * 2 == sum(z)
 
@@ -257,7 +270,7 @@ class TestCookBounds:
 
     def test_non_integral_stacked_part_refused(self):
         # only the last part's row is non-integral, so a first-row test misses it
-        a = Matrix.vstack([Matrix.from_rows([[1, 2], [0, 1]]), Matrix.from_rows([[3, F(1, 2)]])])
+        a = Matrix.from_rows([[1, 2], [0, 1], [3, F(1, 2)]])
         with pytest.raises(ValueError, match="integral"):
             cook_bounds(StandardLp(a, vec([0, 0, 0]), vec([1, 1])))
 
@@ -318,7 +331,9 @@ class TestFalsification:
             measure_proximity_lb(gen_proximity(2, 3))
         assert str(err.value) == "measured proximity 4 exceeds the upper bound 0"
         nearest = (0,) * 6 + (1,) * 15 + (0,) * 15 + (4,) * 15
-        assert err.value.witness == (vec(fractional_certificate(2, 3)), nearest)
+        z = FAMILIES[FAMILY_PROXIMITY].certificate(2, 3)
+        assert is_feasible_point(gen_proximity(2, 3).lp, z)
+        assert err.value.witness == (vec(z), nearest)
 
     def test_fuzz(self):
         report = fuzz_cook(seed=3, trials=2)
