@@ -10,10 +10,7 @@ from .exactla import Matrix, Vec, det, hadamard_bound, max_subdet_all, rat, vec
 from .hull import HullReport, hull_membership, integer_points_in_hull
 from .ilp import IntegralSolutionSet, enumerate_integral_optima
 from .instances import (
-    BinPackingInstance,
-    ConfigurationSet,
     IlpInstance,
-    binpack_ilp_instance,
     enumerate_configurations,
     expected_sensitivity_pair,
     gen_binpack_proximity,

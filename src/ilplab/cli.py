@@ -78,6 +78,14 @@ def _load_instance(path: str) -> IlpInstance:
         raise _UsageError(f"cannot read instance {path!r}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path!r}: {exc}") from exc
+
+
 def _cmd_gen(args) -> int:
     inst = _BY_CLI_NAME[args.family].generate(args.delta, args.d)
     doc = doc_dumps(instance_to_doc(inst))
@@ -85,8 +93,7 @@ def _cmd_gen(args) -> int:
         f"{inst.family}: {inst.lp.d}x{inst.lp.n} matrix, max entry {inst.lp.a.max_abs()}"
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc)
+        _write(args.out, doc)
         print(f"wrote {args.out} ({summary})")
     else:
         print(summary, file=sys.stderr)
@@ -228,8 +235,7 @@ def _cmd_sweep(args) -> int:
     lines = [CSV_HEADER] + [row for _, _, row, _, _ in results]
     text = "\n".join(lines) + "\n"
     if args.out and args.out != "-":
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
         print(f"wrote {args.out} ({len(results)} rows)")
     else:
         sys.stdout.write(text)

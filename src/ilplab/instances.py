@@ -14,10 +14,11 @@ Two staircase families are generated directly:
     row block j couples delta*I in column group j-1 with I in column group j,
     and the right-hand side of block j is the constant vector delta**(j-1).
 
-Both are also embedded into bin-packing configuration systems: item sizes
-are chosen so that the family columns, re-read as item multiplicity vectors,
-fit into a unit bin exactly, and a 0/1 objective makes those columns the
-only ones an optimal solution can use.
+Both are also embedded into bin-packing configuration systems by one step,
+``_embed``: each family column, re-read as an item multiplicity vector, must
+fit into a unit bin, and a 0/1 objective makes those columns the only ones an
+optimal solution can use.  b (and b') stay the staircase's own, read as the
+item multiplicities.  The two generators differ only in their size rule.
 """
 
 from __future__ import annotations
@@ -48,7 +49,12 @@ KIND_PROX = "prox"
 
 @dataclass(frozen=True)
 class IlpInstance:
-    """A generated (or user-supplied) equality-form ILP with its metadata."""
+    """A generated (or user-supplied) equality-form ILP with its metadata.
+
+    A bin-packing instance also carries its item ``sizes``, the step
+    ``epsilon`` of its size rule, and ``c1_indices``, the zero-cost columns
+    that hold the embedded family; other instances leave them None.
+    """
 
     lp: StandardLp
     family: str
@@ -62,38 +68,6 @@ class IlpInstance:
 
     def with_rhs(self, b: Vec) -> "IlpInstance":
         return replace(self, lp=StandardLp(self.lp.a, b, self.lp.c))
-
-
-@dataclass(frozen=True)
-class BinPackingInstance:
-    """Items given as strictly increasing sizes in (0,1] with multiplicities."""
-
-    sizes: Vec
-    multiplicities: tuple[int, ...]
-    epsilon: Fraction
-
-    def __post_init__(self):
-        if any(s <= 0 or s > 1 for s in self.sizes):
-            raise ValueError("item sizes must lie in (0, 1]")
-        if any(a >= b for a, b in zip(self.sizes, self.sizes[1:])):
-            raise ValueError("item sizes must be strictly increasing")
-        if len(self.multiplicities) != len(self.sizes):
-            raise ValueError("need one multiplicity per size")
-
-
-@dataclass(frozen=True)
-class ConfigurationSet:
-    """Configurations (columns) of a bin-packing system.
-
-    ``c1_indices`` marks the distinguished zero-cost columns.  ``complete``
-    says whether the list is the full configuration set or just the
-    distinguished columns (the proximity embedding has far too many
-    configurations to enumerate, and does not need them).
-    """
-
-    configurations: tuple[tuple[int, ...], ...]
-    c1_indices: tuple[int, ...]
-    complete: bool
 
 
 # ---------------------------------------------------------------------------
@@ -228,39 +202,49 @@ def enumerate_configurations(sizes: Sequence[Fraction | int | str], limit: int =
     return out
 
 
-def _check_fits(config: Sequence[int], sizes: Vec, label: str):
-    load = sum((ki * si for ki, si in zip(config, sizes) if ki), Fraction(0))
-    if load > 1:
-        raise EmbeddingError(f"{label} overfills the bin: load {load} > 1")
+def _embed(
+    staircase: IlpInstance,
+    family: str,
+    sizes: Vec,
+    epsilon: Fraction,
+    configurations: Sequence[tuple[int, ...]],
+    notes: str,
+) -> IlpInstance:
+    """``staircase`` as a bin-packing configuration system over ``sizes``.
+
+    The staircase columns, read as item multiplicities, come first at cost 0;
+    each must fit into the bin.  Every other configuration listed follows at
+    cost 1.  b and b' are the staircase's own.
+    """
+    cols = [tuple(int(x) for x in staircase.lp.a.col(j)) for j in range(staircase.lp.n)]
+    for j, col in enumerate(cols):
+        load = sum((k * s for k, s in zip(col, sizes) if k), Fraction(0))
+        if load > 1:
+            raise EmbeddingError(f"column {j} overfills the bin: load {load} > 1")
+    family_cols = set(cols)
+    others = [k for k in configurations if k not in family_cols]
+    c = vec([0] * len(cols) + [1] * len(others))
+    lp = StandardLp(Matrix.from_cols(cols + others), staircase.lp.b, c)
+    return replace(
+        staircase, lp=lp, family=family, notes=notes, sizes=sizes, epsilon=epsilon, c1_indices=tuple(range(len(cols)))
+    )
 
 
-def gen_binpack_sensitivity(
-    delta: int, d: int
-) -> tuple[BinPackingInstance, ConfigurationSet, Vec]:
+def gen_binpack_sensitivity(delta: int, d: int) -> IlpInstance:
     """Bin-packing system whose zero-cost columns are the sensitivity family.
 
     Sizes are 1/(2*delta) + i*epsilon with epsilon = 1/(4*(d-1+delta*d)).
     Each staircase column i becomes "one item of size i plus delta items of
-    size i+1"; the exact fit of every such column is asserted (for delta = 1
-    two items already overfill the bin, so the embedding fails loudly).
+    size i+1", and every configuration is listed (for delta = 1 two items
+    already overfill the bin, so the embedding fails loudly).
     """
-    general = gen_sensitivity(delta, d)
+    staircase = gen_sensitivity(delta, d)
     eps = Fraction(1, 4 * (d - 1 + delta * d))
     sizes = tuple(Fraction(1, 2 * delta) + i * eps for i in range(1, d + 1))
-    c1_cols = [tuple(int(x) for x in general.lp.a.col(j)) for j in range(d)]
-    for j, col in enumerate(c1_cols):
-        _check_fits(col, sizes, f"column {j}")
-    family_cols = set(c1_cols)
-    ordered = c1_cols + [k for k in enumerate_configurations(sizes) if k not in family_cols]
-    c = vec([0] * d + [1] * (len(ordered) - d))
-    cs = ConfigurationSet(tuple(ordered), tuple(range(d)), complete=True)
-    multiplicities = tuple(delta**i for i in range(d))
-    return BinPackingInstance(sizes, multiplicities, eps), cs, c
+    return _embed(staircase, FAMILY_BINPACK_SENS, sizes, eps, enumerate_configurations(sizes), "configurations=all")
 
 
-def gen_binpack_proximity(
-    delta: int, d: int
-) -> tuple[BinPackingInstance, ConfigurationSet, Vec]:
+def gen_binpack_proximity(delta: int, d: int) -> IlpInstance:
     """Bin-packing system whose zero-cost columns are the proximity family.
 
     One distinct size per row (15*d of them), base length 1/(30*delta).
@@ -270,9 +254,9 @@ def gen_binpack_proximity(
     large and never materialized; only the family columns are listed, which
     is enough because every other configuration has objective cost 1.
     """
-    general = gen_proximity(delta, d)
-    if d < 3:
+    if d < 3 or d % 2 != 1:
         raise ValueError("d must be odd and >= 3")
+    staircase = gen_proximity(delta, d)
     n_sizes = 15 * d
     base = Fraction(1, 30 * delta)
     caps: list[Fraction] = []
@@ -288,41 +272,7 @@ def gen_binpack_proximity(
     cap = Fraction(57, 60 * (n_sizes - 2 + delta * (n_sizes - 1)))
     eps = min(min(caps), cap)
     sizes = tuple(base + r * eps for r in range(1, n_sizes + 1))
-    c1_cols = [tuple(int(x) for x in general.lp.a.col(j)) for j in range(general.lp.n)]
-    for j, col in enumerate(c1_cols):
-        _check_fits(col, sizes, f"column {j}")
-    cs = ConfigurationSet(tuple(c1_cols), tuple(range(len(c1_cols))), complete=False)
-    c = vec([0] * len(c1_cols))
-    multiplicities = tuple(int(x) for x in general.lp.b)
-    return BinPackingInstance(sizes, multiplicities, eps), cs, c
-
-
-def binpack_ilp_instance(
-    bp: BinPackingInstance,
-    cs: ConfigurationSet,
-    c: Vec,
-    family: str,
-    delta: int,
-    d: int,
-) -> IlpInstance:
-    """Assemble the configuration system as a measurable equality-form ILP."""
-    a = Matrix.from_cols(cs.configurations)
-    b = vec(bp.multiplicities)
-    alt = None
-    if FAMILIES[family].kind == KIND_SENS:
-        alt = (Fraction(0),) + b[1:]
-    lp = StandardLp(a, b, c)
-    return IlpInstance(
-        lp,
-        family,
-        delta,
-        d,
-        alt_rhs=alt,
-        sizes=bp.sizes,
-        epsilon=bp.epsilon,
-        c1_indices=cs.c1_indices,
-        notes=f"configurations={'all' if cs.complete else 'distinguished only'}",
-    )
+    return _embed(staircase, FAMILY_BINPACK_PROX, sizes, eps, (), "configurations=distinguished only")
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +307,6 @@ def _block_reference(delta: int, d: int) -> tuple[Fraction, None]:
     return Fraction(13 * delta * p), None
 
 
-def _binpack_sens(delta: int, d: int) -> IlpInstance:
-    return binpack_ilp_instance(*gen_binpack_sensitivity(delta, d), FAMILY_BINPACK_SENS, delta, d)
-
-
-def _binpack_prox(delta: int, d: int) -> IlpInstance:
-    return binpack_ilp_instance(*gen_binpack_proximity(delta, d), FAMILY_BINPACK_PROX, delta, d)
-
-
 # name, CLI name, kind, generator, reference, certificate, expected pair
 FAMILIES = {
     family.name: family
@@ -372,8 +314,9 @@ FAMILIES = {
         Family(FAMILY_SENSITIVITY, "sensitivity", KIND_SENS, gen_sensitivity, _staircase_reference,
                None, expected_sensitivity_pair),
         Family(FAMILY_PROXIMITY, "proximity", KIND_PROX, gen_proximity, _block_reference, _half_matchings),
-        Family(FAMILY_BINPACK_SENS, "binpack-sens", KIND_SENS, _binpack_sens, _staircase_reference),
-        Family(FAMILY_BINPACK_PROX, "binpack-prox", KIND_PROX, _binpack_prox, _block_reference, _half_matchings),
+        Family(FAMILY_BINPACK_SENS, "binpack-sens", KIND_SENS, gen_binpack_sensitivity, _staircase_reference),
+        Family(FAMILY_BINPACK_PROX, "binpack-prox", KIND_PROX, gen_binpack_proximity, _block_reference,
+               _half_matchings),
     )
 }
 

@@ -16,10 +16,7 @@ from ilplab.hull import VERDICT_POLYTOPISH, integer_points_in_hull
 from ilplab.ilp import enumerate_integral_optima, implied_box
 from ilplab.instances import (
     FAMILIES,
-    FAMILY_BINPACK_PROX,
-    FAMILY_BINPACK_SENS,
     FAMILY_PROXIMITY,
-    binpack_ilp_instance,
     expected_sensitivity_pair,
     gen_binpack_proximity,
     gen_binpack_sensitivity,
@@ -175,14 +172,13 @@ def test_criterion_6_bin_packing_embeddings():
     t0 = time.perf_counter()
 
     # sensitivity embedding, delta=2, d=4
-    bp, cs, c = gen_binpack_sensitivity(2, 4)
+    packed = gen_binpack_sensitivity(2, 4)
     general = gen_sensitivity(2, 4)
-    for idx in cs.c1_indices:
-        load = sum(k * s for k, s in zip(cs.configurations[idx], bp.sizes))
+    for idx in packed.c1_indices:
+        load = sum(k * s for k, s in zip(packed.lp.a.col(idx), packed.sizes))
         assert load <= 1
     for j in range(4):  # restriction reproduces the general matrix
-        assert vec(cs.configurations[j]) == general.lp.a.col(j)
-    packed = binpack_ilp_instance(bp, cs, c, FAMILY_BINPACK_SENS, 2, 4)
+        assert packed.lp.a.col(j) == general.lp.a.col(j)
     optima = enumerate_integral_optima(packed.lp)
     assert optima.objective == 0
     rep_packed = measure_sensitivity(packed)
@@ -190,13 +186,12 @@ def test_criterion_6_bin_packing_embeddings():
     assert rep_packed.measured == rep_general.measured
 
     # proximity embedding, delta=2, d=3
-    bpp, csp, cp = gen_binpack_proximity(2, 3)
+    packedp = gen_binpack_proximity(2, 3)
     generalp = gen_proximity(2, 3)
-    for k in csp.configurations:
-        assert sum(ki * s for ki, s in zip(k, bpp.sizes)) <= 1
-    for j, k in enumerate(csp.configurations):
-        assert vec(k) == generalp.lp.a.col(j)
-    packedp = binpack_ilp_instance(bpp, csp, cp, FAMILY_BINPACK_PROX, 2, 3)
+    for k in packedp.lp.a.cols():
+        assert sum(ki * s for ki, s in zip(k, packedp.sizes)) <= 1
+    for j, k in enumerate(packedp.lp.a.cols()):
+        assert k == generalp.lp.a.col(j)
     # the zero-cost columns alone reach objective 0, and every other
     # configuration costs 1, so 0 is the optimum of the full system too
     optima_p = enumerate_integral_optima(packedp.lp)

@@ -50,6 +50,22 @@ class TestGen:
         assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("gen", "sensitivity", "--delta", "2", "--d", "4"), "x.json"),
+        (("sweep", "sensitivity", "--delta", "2", "--d", "2"), "x.csv"),
+    ],
+    ids=["gen", "sweep"],
+)
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, name):
+    out = tmp_path / "missing" / name
+    code, _, stderr = run(capsys, *argv, "--out", str(out))
+    assert code == EXIT_USAGE
+    assert stderr.startswith("usage error: cannot write")
+    assert "Traceback" not in stderr and not out.exists()
+
+
 @pytest.fixture
 def sens_file(tmp_path, capsys):
     out = tmp_path / "s24.json"

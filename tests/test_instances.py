@@ -9,11 +9,7 @@ from ilplab.errors import BudgetExceededError, EmbeddingError
 from ilplab.exactla import dot, vec
 from ilplab.instances import (
     FAMILIES,
-    FAMILY_BINPACK_PROX,
-    FAMILY_BINPACK_SENS,
     FAMILY_PROXIMITY,
-    BinPackingInstance,
-    binpack_ilp_instance,
     doc_dumps,
     enumerate_configurations,
     expected_sensitivity_pair,
@@ -149,37 +145,41 @@ class TestConfigurations:
         assert smaller in configs
 
 
+def configurations(inst):
+    """The columns of a bin-packing instance as item multiplicity vectors."""
+    return [tuple(int(x) for x in col) for col in inst.lp.a.cols()]
+
+
 class TestBinPackingSensitivity:
     def test_boundary_sizes(self):
-        bp, cs, c = gen_binpack_sensitivity(2, 2)
-        assert bp.epsilon == F(1, 20)
-        assert bp.sizes == (F(3, 10), F(7, 20))
+        inst = gen_binpack_sensitivity(2, 2)
+        assert inst.epsilon == F(1, 20)
+        assert inst.sizes == (F(3, 10), F(7, 20))
         # the largest distinguished column fills the bin exactly
-        assert bp.sizes[0] + 2 * bp.sizes[1] == 1
-        assert (1, 2) in cs.configurations
+        assert inst.sizes[0] + 2 * inst.sizes[1] == 1
+        assert (1, 2) in configurations(inst)
 
     def test_distinguished_columns_lead(self):
-        bp, cs, c = gen_binpack_sensitivity(2, 4)
+        inst = gen_binpack_sensitivity(2, 4)
         general = gen_sensitivity(2, 4)
         for j in range(4):
-            assert vec(cs.configurations[j]) == general.lp.a.col(j)
-        assert cs.c1_indices == (0, 1, 2, 3)
-        assert c[:4] == vec([0, 0, 0, 0]) and all(x == 1 for x in c[4:])
-        assert cs.complete
+            assert inst.lp.a.col(j) == general.lp.a.col(j)
+        assert inst.c1_indices == (0, 1, 2, 3)
+        assert inst.lp.c[:4] == vec([0, 0, 0, 0]) and all(x == 1 for x in inst.lp.c[4:])
+        assert inst.notes == "configurations=all"
 
     @pytest.mark.parametrize("delta", [2, 3, 4])
     @pytest.mark.parametrize("d", [2, 4, 6])
     def test_columns_are_feasible_configurations(self, delta, d):
-        bp, cs, _ = gen_binpack_sensitivity(delta, d)
-        for idx in cs.c1_indices:
-            k = cs.configurations[idx]
-            assert dot(vec(k), bp.sizes) <= 1
+        inst = gen_binpack_sensitivity(delta, d)
+        for idx in inst.c1_indices:
+            assert dot(inst.lp.a.col(idx), inst.sizes) <= 1
 
     def test_single_items_always_fit(self):
-        bp, cs, _ = gen_binpack_sensitivity(3, 4)
-        for i in range(len(bp.sizes)):
-            single = tuple(1 if j == i else 0 for j in range(len(bp.sizes)))
-            assert single in cs.configurations
+        inst = gen_binpack_sensitivity(3, 4)
+        for i in range(len(inst.sizes)):
+            single = tuple(1 if j == i else 0 for j in range(len(inst.sizes)))
+            assert single in configurations(inst)
 
     def test_delta_one_embedding_fails_loudly(self):
         # two items of size > 1/2 can never share a bin
@@ -187,36 +187,34 @@ class TestBinPackingSensitivity:
             gen_binpack_sensitivity(1, 2)
 
     def test_multiplicities_match_family_rhs(self):
-        bp, cs, c = gen_binpack_sensitivity(2, 4)
-        assert bp.multiplicities == (1, 2, 4, 8)
-        inst = binpack_ilp_instance(bp, cs, c, FAMILY_BINPACK_SENS, 2, 4)
+        inst = gen_binpack_sensitivity(2, 4)
         assert inst.lp.b == vec([1, 2, 4, 8])
         assert inst.alt_rhs == vec([0, 2, 4, 8])
 
 
 class TestBinPackingProximity:
     def test_structure(self):
-        bp, cs, c = gen_binpack_proximity(2, 3)
+        inst = gen_binpack_proximity(2, 3)
         general = gen_proximity(2, 3)
-        assert len(bp.sizes) == 45
-        assert len(cs.configurations) == 51
-        assert not cs.complete
-        assert bp.multiplicities == tuple(int(x) for x in general.lp.b)
-        assert all(x == 0 for x in c)
+        assert len(inst.sizes) == 45
+        assert inst.lp.n == 51
+        assert inst.notes == "configurations=distinguished only"
+        assert inst.lp.b == general.lp.b
+        assert all(x == 0 for x in inst.lp.c)
         # restriction to the distinguished columns is the block system itself
-        for j, k in enumerate(cs.configurations):
-            assert vec(k) == general.lp.a.col(j)
+        for j in range(inst.lp.n):
+            assert inst.lp.a.col(j) == general.lp.a.col(j)
 
     @pytest.mark.parametrize("delta", [2, 3])
     def test_columns_fit_exactly(self, delta):
-        bp, cs, _ = gen_binpack_proximity(delta, 3)
-        for k in cs.configurations:
-            assert dot(vec(k), bp.sizes) <= 1
+        inst = gen_binpack_proximity(delta, 3)
+        for col in inst.lp.a.cols():
+            assert dot(col, inst.sizes) <= 1
 
     def test_epsilon_is_positive_and_capped(self):
-        bp, _, _ = gen_binpack_proximity(2, 3)
+        inst = gen_binpack_proximity(2, 3)
         cap = F(57, 60 * (45 - 2 + 2 * (45 - 1)))
-        assert 0 < bp.epsilon <= cap
+        assert 0 < inst.epsilon <= cap
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -225,16 +223,28 @@ class TestBinPackingProximity:
             gen_binpack_proximity(2, 2)
 
     def test_sizes_strictly_increasing(self):
-        bp, _, _ = gen_binpack_proximity(3, 3)
-        assert all(a < b for a, b in zip(bp.sizes, bp.sizes[1:]))
+        inst = gen_binpack_proximity(3, 3)
+        assert all(a < b for a, b in zip(inst.sizes, inst.sizes[1:]))
 
 
-class TestBinPackingValidation:
-    def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
-            BinPackingInstance((F(1, 2), F(1, 2)), (1, 1), F(1, 10))
-        with pytest.raises(ValueError):
-            BinPackingInstance((F(3, 2),), (1,), F(1, 10))
+@pytest.mark.parametrize(
+    "generate, staircase, delta, d",
+    [(gen_binpack_sensitivity, gen_sensitivity, delta, d) for delta in (2, 3) for d in (2, 4)]
+    + [(gen_binpack_proximity, gen_proximity, delta, 3) for delta in (2, 3)],
+)
+def test_embedding_structure(generate, staircase, delta, d):
+    inst, general = generate(delta, d), staircase(delta, d)
+    n_family = len(inst.c1_indices)
+    assert inst.c1_indices == tuple(range(general.lp.n))
+    assert [inst.lp.a.col(j) for j in range(n_family)] == general.lp.a.cols()
+    assert (inst.lp.b, inst.alt_rhs) == (general.lp.b, general.alt_rhs)
+    assert [j for j, cj in enumerate(inst.lp.c) if cj == 0] == list(inst.c1_indices)
+    assert all(cj in (0, 1) for cj in inst.lp.c)
+    columns = configurations(inst)
+    assert all(dot(vec(k), inst.sizes) <= 1 for k in columns)
+    assert len(set(columns)) == len(columns)
+    if generate is gen_binpack_sensitivity:
+        assert set(columns) == set(enumerate_configurations(inst.sizes))
 
 
 class TestSerialization:
@@ -243,8 +253,8 @@ class TestSerialization:
         [
             gen_sensitivity(2, 4),
             gen_proximity(2, 1),
-            binpack_ilp_instance(*gen_binpack_sensitivity(2, 2), FAMILY_BINPACK_SENS, 2, 2),
-            binpack_ilp_instance(*gen_binpack_proximity(2, 3), FAMILY_BINPACK_PROX, 2, 3),
+            gen_binpack_sensitivity(2, 2),
+            gen_binpack_proximity(2, 3),
         ],
         ids=["sensitivity", "proximity", "binpack_sens", "binpack_prox"],
     )
@@ -269,7 +279,7 @@ class TestSerialization:
 
     def test_repeated_entries_parse_once_to_the_same_values(self, monkeypatch):
         # one entry string, or int, recurs across rows and keys; each is parsed once
-        doc = instance_to_doc(binpack_ilp_instance(*gen_binpack_sensitivity(2, 2), FAMILY_BINPACK_SENS, 2, 2))
+        doc = instance_to_doc(gen_binpack_sensitivity(2, 2))
         doc.update(family="custom", b=[1, "1"] + doc["b"][2:], c=["1/2"] + doc["c"][1:])
         doc["matrix"][0][:2] = ["1/2", "2/4"]
         expected = (

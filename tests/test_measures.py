@@ -12,12 +12,10 @@ from ilplab.errors import ClaimFalsifiedError
 from ilplab.exactla import Matrix, SubdetResult, vec
 from ilplab.ilp import enumerate_integral_optima
 from ilplab.instances import (
-    FAMILY_BINPACK_SENS,
     FAMILY_CUSTOM,
     FAMILIES,
     FAMILY_PROXIMITY,
     IlpInstance,
-    binpack_ilp_instance,
     expected_sensitivity_pair,
     gen_binpack_sensitivity,
     gen_proximity,
@@ -299,9 +297,7 @@ class TestFuzz:
 
     def test_binpack_system_measures_like_general(self):
         general = measure_sensitivity(gen_sensitivity(2, 2))
-        packed = measure_sensitivity(
-            binpack_ilp_instance(*gen_binpack_sensitivity(2, 2), FAMILY_BINPACK_SENS, 2, 2)
-        )
+        packed = measure_sensitivity(gen_binpack_sensitivity(2, 2))
         assert packed.measured == general.measured
 
 
