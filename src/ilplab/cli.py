@@ -27,12 +27,11 @@ from .instances import (
     Family,
     IlpInstance,
     doc_dumps,
-    family_of,
     instance_from_doc,
     instance_to_doc,
     p_q_constants,
 )
-from .lp import is_feasible_point
+from .lp import StandardLp, is_feasible_point
 from .measures import (
     CSV_HEADER,
     NORM_LINF,
@@ -63,7 +62,16 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; we use 3
         self.print_usage(sys.stderr)
+        print(f"{_EXIT_LABELS[EXIT_USAGE]}: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _budget(text: str) -> int:
+    """The argparse type of every budget flag: a non-negative int."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a budget is at least 0, got {value}")
+    return value
 
 
 def _emit(obj) -> None:
@@ -110,7 +118,7 @@ def _verify_polytopish(inst: IlpInstance, lp_budget: int) -> tuple[bool, dict]:
 
 def _sensitivity_claims(inst: IlpInstance, family: Family, node_budget: int) -> tuple[bool, dict]:
     sols = enumerate_integral_optima(inst.lp, node_budget=node_budget)
-    sols2 = enumerate_integral_optima(inst.with_rhs(inst.alt_rhs).lp, node_budget=node_budget)
+    sols2 = enumerate_integral_optima(StandardLp(inst.lp.a, inst.alt_rhs, inst.lp.c), node_budget=node_budget)
     details: dict = {"family": inst.family, "optima_counts": [len(sols), len(sols2)]}
     ok = len(sols) == 1 and len(sols2) == 1
     if family.expected_pair is not None and ok:
@@ -141,7 +149,7 @@ _CLAIMS = {KIND_SENS: _sensitivity_claims, KIND_PROX: _proximity_claims}
 
 
 def _verify_claims(inst: IlpInstance, node_budget: int) -> tuple[bool, dict]:
-    family = family_of(inst)
+    family = FAMILIES.get(inst.family)
     if family is None:
         raise _UsageError(f"no claims check for family {inst.family!r}")
     return _CLAIMS[family.kind](inst, family, node_budget)
@@ -264,12 +272,7 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_bounds(args) -> int:
     inst = _load_instance(args.input)
-    bounds = cook_bounds(
-        inst.lp,
-        inst.alt_rhs,
-        subdet_budget=args.subdet_budget,
-        allow_hadamard_fallback=not args.no_hadamard_fallback,
-    )
+    bounds = cook_bounds(inst.lp, inst.alt_rhs, subdet_budget=args.subdet_budget)
     _emit(
         {
             "family": inst.family,
@@ -299,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a structural check")
     p_verify.add_argument("--check", choices=("polytopish", "matchings", "claims"), required=True)
     p_verify.add_argument("--in", dest="input", help="instance file (not needed for matchings)")
-    p_verify.add_argument("--budget", type=int, default=1_000_000, help="LP-call budget for the hull walk")
-    p_verify.add_argument("--node-budget", type=int, default=10_000_000)
+    p_verify.add_argument("--budget", type=_budget, default=1_000_000, help="LP-call budget for the hull walk")
+    p_verify.add_argument("--node-budget", type=_budget, default=10_000_000)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_measure = sub.add_parser("measure", help="measure sensitivity or proximity")
@@ -308,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_measure.add_argument("--in", dest="input", required=True)
     p_measure.add_argument("--norm", choices=NORMS, default=NORM_LINF)
     p_measure.add_argument("--csv", action="store_true", help="print one CSV row instead of JSON")
-    p_measure.add_argument("--node-budget", type=int, default=10_000_000)
-    p_measure.add_argument("--subdet-budget", type=int, default=10_000_000)
+    p_measure.add_argument("--node-budget", type=_budget, default=10_000_000)
+    p_measure.add_argument("--subdet-budget", type=_budget, default=10_000_000)
     p_measure.set_defaults(func=_cmd_measure)
 
     p_sweep = sub.add_parser("sweep", help="measure a parameter grid into a CSV table")
@@ -319,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", help="CSV path (default stdout)")
     p_sweep.add_argument("--norm", choices=NORMS, default=NORM_LINF)
     p_sweep.add_argument("--jobs", type=int, default=1)
-    p_sweep.add_argument("--node-budget", type=int, default=10_000_000)
-    p_sweep.add_argument("--subdet-budget", type=int, default=10_000_000)
+    p_sweep.add_argument("--node-budget", type=_budget, default=10_000_000)
+    p_sweep.add_argument("--subdet-budget", type=_budget, default=10_000_000)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_fuzz = sub.add_parser("fuzz", help="randomized validation of the upper bounds")
@@ -330,8 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="subdeterminant and upper bounds of an instance")
     p_bounds.add_argument("--in", dest="input", required=True)
-    p_bounds.add_argument("--subdet-budget", type=int, default=10_000_000)
-    p_bounds.add_argument("--no-hadamard-fallback", action="store_true")
+    p_bounds.add_argument("--subdet-budget", type=_budget, default=10_000_000)
     p_bounds.set_defaults(func=_cmd_bounds)
     return parser
 

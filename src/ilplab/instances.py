@@ -1,8 +1,11 @@
 """The benchmark families, their generators and the bin-packing configuration systems.
 
 ``FAMILIES`` is the one place that says what each family is, one ``Family``
-record per family.  ``family_of`` gives an instance's record only once the
-instance's labels match a regenerated instance; measures read it from there.
+record per family.  Every ``IlpInstance`` the program holds that carries a
+family label is that family's generated instance: the generators make it so,
+and ``instance_from_doc``, where outside instances enter, refuses a document
+that is not its family's generated instance.  So measures and checks read a
+family's facts from ``FAMILIES.get(inst.family)`` without checking again.
 
 Two staircase families are generated directly:
 
@@ -54,6 +57,11 @@ class IlpInstance:
     A bin-packing instance also carries its item ``sizes``, the step
     ``epsilon`` of its size rule, and ``c1_indices``, the zero-cost columns
     that hold the embedded family; other instances leave them None.
+
+    An instance labelled with a family other than ``custom`` is that family's
+    generated instance at its delta and d, field for field.  The generators
+    and ``instance_from_doc`` keep this; an API caller who builds an instance
+    by hand is responsible for its label.
     """
 
     lp: StandardLp
@@ -65,9 +73,6 @@ class IlpInstance:
     sizes: Vec | None = None
     epsilon: Fraction | None = None
     c1_indices: tuple[int, ...] | None = None
-
-    def with_rhs(self, b: Vec) -> "IlpInstance":
-        return replace(self, lp=StandardLp(self.lp.a, b, self.lp.c))
 
 
 # ---------------------------------------------------------------------------
@@ -321,21 +326,6 @@ FAMILIES = {
 }
 
 
-def family_of(inst: IlpInstance) -> Family | None:
-    """The record of ``inst``'s family, None for custom, once its labels are checked.
-
-    The family's generator at the instance's delta and d must give back the
-    same A, b, c and b'; a mismatch, or a delta or d it rejects, is a ``ValueError``.
-    """
-    if inst.family == FAMILY_CUSTOM:
-        return None
-    family = FAMILIES[inst.family]
-    regenerated = family.generate(inst.delta, inst.d)
-    if inst.lp != regenerated.lp or inst.alt_rhs != regenerated.alt_rhs:
-        raise ValueError(f"the instance is not the {inst.family} family at delta={inst.delta}, d={inst.d}")
-    return family
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -395,7 +385,12 @@ def _rationals(value, key: str, memo: dict[int | str, Fraction]) -> Vec:
 
 
 def instance_from_doc(doc: dict) -> IlpInstance:
-    """Parse an instance document; every schema violation is a ``ValueError``."""
+    """Parse an instance document; every schema violation is a ``ValueError``.
+
+    A document labelled with a family must be that family's generated
+    instance at its delta and d, field for field; a mismatch, or a delta or
+    d the generator refuses, is a ``ValueError`` too.
+    """
     if not isinstance(doc, dict):
         raise ValueError(f"an instance document is a JSON object, not {type(doc).__name__}")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -416,7 +411,7 @@ def instance_from_doc(doc: dict) -> IlpInstance:
             raise ValueError(f"'b_prime' has length {len(b_prime)}, matrix has {a.nrows} rows")
     if c1 is not None:
         c1 = tuple(_int(j, "c1_indices") for j in _list(c1, "c1_indices"))
-    return IlpInstance(
+    inst = IlpInstance(
         lp,
         family,
         _int(doc["delta"], "delta"),
@@ -427,6 +422,14 @@ def instance_from_doc(doc: dict) -> IlpInstance:
         epsilon=_rationals([epsilon], "epsilon", memo)[0] if epsilon is not None else None,
         c1_indices=c1,
     )
+    if family != FAMILY_CUSTOM:
+        try:
+            generated = FAMILIES[family].generate(inst.delta, inst.d)
+        except (ValueError, EmbeddingError) as exc:
+            raise ValueError(f"the {family} family has no instance at delta={inst.delta}, d={inst.d}: {exc}") from None
+        if inst != generated:
+            raise ValueError(f"the document is not the {family} family at delta={inst.delta}, d={inst.d}")
+    return inst
 
 
 def doc_dumps(doc: dict) -> str:

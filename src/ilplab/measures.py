@@ -27,7 +27,7 @@ from typing import Sequence
 from .errors import BudgetExceededError, ClaimFalsifiedError
 from .exactla import Matrix, det, dot, hadamard_bound, max_subdet_all, vec, vec_str
 from .ilp import enumerate_integral_optima
-from .instances import FAMILIES, KIND_PROX, KIND_SENS, Family, IlpInstance, family_of, p_q_constants
+from .instances import FAMILIES, KIND_PROX, KIND_SENS, IlpInstance, p_q_constants
 from .lp import OPTIMAL, StandardLp, is_feasible_point, lp_solve
 
 NORM_L1 = "l1"
@@ -100,7 +100,6 @@ def cook_bounds(
     lp: StandardLp,
     alt_rhs: Sequence | None = None,
     subdet_budget: int = 10_000_000,
-    allow_hadamard_fallback: bool = True,
 ) -> CookBounds:
     """Cook et al.'s bounds for ``lp`` and b' = ``alt_rhs``; they hold for integral A only.
 
@@ -117,8 +116,6 @@ def cook_bounds(
     try:
         subdet = max_subdet_all(a, budget=subdet_budget).value
     except BudgetExceededError:
-        if not allow_hadamard_fallback:
-            raise
         subdet = None
     via_hadamard = subdet is None
     base = had if via_hadamard else subdet
@@ -194,7 +191,6 @@ class MeasureReport:
 
 def _checked_report(
     inst: IlpInstance,
-    family: Family | None,
     kind: str,
     xs: Sequence[Sequence],
     ys: Sequence[Sequence],
@@ -218,6 +214,7 @@ def _checked_report(
             witness=witness[NORM_LINF],
         )
     reference = (None, None)
+    family = FAMILIES.get(inst.family)
     if family is not None and family.kind == kind:
         reference = family.reference(inst.delta, inst.d)
     return MeasureReport(
@@ -244,19 +241,18 @@ def measure_sensitivity(
     subdet_budget: int = 10_000_000,
 ) -> MeasureReport:
     """Exact sensitivity via complete enumeration of both optimal sets."""
-    family = family_of(inst)
     if inst.alt_rhs is None:
         raise ValueError("sensitivity needs an alternate right-hand side")
     t0 = time.perf_counter()
     sols_b = enumerate_integral_optima(inst.lp, node_budget=node_budget)
     sols_b2 = enumerate_integral_optima(
-        inst.with_rhs(inst.alt_rhs).lp, node_budget=node_budget
+        StandardLp(inst.lp.a, inst.alt_rhs, inst.lp.c), node_budget=node_budget
     )
     if not sols_b.solutions or not sols_b2.solutions:
         raise ValueError("sensitivity is undefined: an optimal set is empty")
     counts = {"b": len(sols_b), "b_prime": len(sols_b2)}
     return _checked_report(
-        inst, family, KIND_SENS, sols_b.solutions, sols_b2.solutions, counts, t0, subdet_budget
+        inst, KIND_SENS, sols_b.solutions, sols_b2.solutions, counts, t0, subdet_budget
     )
 
 
@@ -272,7 +268,7 @@ def measure_proximity_lb(
     exactly and rejected otherwise); for the proximity families it defaults
     to the canonical half-matchings certificate.
     """
-    family = family_of(inst)
+    family = FAMILIES.get(inst.family)
     t0 = time.perf_counter()
     if z is None:
         if family is None or family.certificate is None:
@@ -296,7 +292,7 @@ def measure_proximity_lb(
     if not sols.solutions:
         raise ValueError("proximity is undefined: no integral optimum")
     counts = {"integral_optima": len(sols)}
-    return _checked_report(inst, family, KIND_PROX, [zt], sols.solutions, counts, t0, subdet_budget)
+    return _checked_report(inst, KIND_PROX, [zt], sols.solutions, counts, t0, subdet_budget)
 
 
 def norm_floor(inst: IlpInstance, x: Sequence) -> Fraction:

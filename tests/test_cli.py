@@ -228,7 +228,11 @@ class TestMalformedInstance:
 
 
 class TestFamilyLabels:
-    """A document's family, delta and d must describe its matrix before a family fact is read."""
+    """A document labelled with a family must be that family's generated instance, field for field.
+
+    Every command that reads a document refuses one that is not, as a usage
+    error, whatever it would go on to do with it.
+    """
 
     @pytest.mark.parametrize(
         "cli_name, delta, d, relabel, command",
@@ -237,6 +241,19 @@ class TestFamilyLabels:
             ("binpack-sens", 2, 2, {"d": -1}, ("verify", "--check", "claims")),
             ("proximity", 2, 3, {"delta": 3}, ("verify", "--check", "claims")),
             ("sensitivity", 2, 4, {"family": "binpack_sens"}, ("measure", "sens")),
+            # delta = 1 has no bin-packing embedding: the generator's refusal is the loader's
+            ("binpack-sens", 2, 2, {"delta": 1}, ("measure", "sens")),
+            ("binpack-sens", 2, 2, {"delta": 1}, ("verify", "--check", "claims")),
+            ("binpack-sens", 2, 2, {"delta": 1}, ("bounds",)),
+            ("sensitivity", 2, 4, {"d": 6}, ("bounds",)),
+            ("proximity", 2, 3, {"delta": 3}, ("verify", "--check", "polytopish")),
+            ("sensitivity", 2, 4, {"family": "proximity"}, ("verify", "--check", "polytopish")),
+            # the right labels over a tampered field other than the matrix
+            ("sensitivity", 2, 4, {"b_prime": ["1", "2", "4", "8"]}, ("measure", "sens")),
+            ("binpack-sens", 2, 2, {"sizes": ["3/10", "1/3"]}, ("measure", "sens")),
+            ("binpack-sens", 2, 2, {"c1_indices": [1, 0]}, ("bounds",)),
+            ("binpack-prox", 2, 3, {"c1_indices": None}, ("verify", "--check", "claims")),
+            ("binpack-sens", 2, 2, {"notes": ""}, ("bounds",)),
         ],
     )
     def test_relabelled_document_is_usage_error(self, tmp_path, capsys, cli_name, delta, d, relabel, command):
@@ -249,6 +266,39 @@ class TestFamilyLabels:
         code, stdout, stderr = run(capsys, *command, "--in", str(path))
         assert code == EXIT_USAGE and stdout == ""
         assert stderr.startswith("usage error:")
+
+
+class TestBudgets:
+    """Every budget flag refuses a negative value as a usage error; 0 is a budget that runs out."""
+
+    #: (command, flag, exit code at 0); the subdeterminant scan falls back when it runs out
+    FLAGS = [
+        (("measure", "sens"), "--node-budget", EXIT_BUDGET),
+        (("measure", "sens"), "--subdet-budget", EXIT_OK),
+        (("verify", "--check", "claims"), "--node-budget", EXIT_BUDGET),
+        (("verify", "--check", "polytopish"), "--budget", EXIT_BUDGET),
+        (("bounds",), "--subdet-budget", EXIT_OK),
+        (("sweep",), "--node-budget", EXIT_BUDGET),
+        (("sweep",), "--subdet-budget", EXIT_OK),
+    ]
+
+    def argv(self, command, sens_file):
+        if command == ("sweep",):
+            return ["sweep", "sensitivity", "--delta", "2", "--d", "4"]
+        return [*command, "--in", sens_file]
+
+    @pytest.mark.parametrize("command, flag", [f[:2] for f in FLAGS])
+    @pytest.mark.parametrize("value", ["-1", "-5"])
+    def test_negative_budget_is_a_usage_error(self, sens_file, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.argv(command, sens_file), flag, value])
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE and captured.out == ""
+        assert f"usage error: argument {flag}: a budget is at least 0, got {value}" in captured.err
+
+    @pytest.mark.parametrize("command, flag, code", FLAGS)
+    def test_zero_budget_is_legal(self, sens_file, capsys, command, flag, code):
+        assert run(capsys, *self.argv(command, sens_file), flag, "0")[0] == code
 
 
 class TestSweep:
@@ -342,10 +392,6 @@ class TestFuzzAndBounds:
         assert code == EXIT_OK
         doc = json.loads(stdout)
         assert doc["subdet"] == "8" and doc["sens_upper"] == "96" and doc["prox_upper"] == "32"
-
-    def test_bounds_budget_exit(self, prox_file, capsys):
-        code, _, _ = run(capsys, "bounds", "--in", prox_file, "--no-hadamard-fallback")
-        assert code == EXIT_BUDGET
 
 
 class TestDeterminism:

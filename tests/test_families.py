@@ -1,4 +1,5 @@
-"""The family registry: every family's CLI outputs, and the registry as the one family table.
+"""The family registry: every family's CLI outputs, the registry as the one family table,
+and the loader as the one place that checks a family document against its generator.
 
 The golden file holds, per family, the sha256 of the ``gen`` document, the
 ``measure sens`` and ``measure prox`` reports (or the exit code where the
@@ -14,12 +15,13 @@ import hashlib
 import io
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from ilplab.cli import EXIT_OK, build_parser, main
-from ilplab.instances import FAMILIES, FAMILY_CUSTOM, gen_sensitivity, instance_from_doc, instance_to_doc
+from ilplab.instances import FAMILIES, FAMILY_CUSTOM, doc_dumps, gen_sensitivity, instance_from_doc, instance_to_doc
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ilplab"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "families.json"
@@ -70,13 +72,88 @@ def test_cli_takes_the_registry_names():
         assert sorted(family_arg.choices) == cli_names
 
 
+#: (delta, d) of one small instance per registry name
+SMALL = {"sensitivity": (2, 2), "proximity": (2, 1), "binpack_sens": (2, 2), "binpack_prox": (2, 3)}
+
+
 def test_loader_accepts_the_registry_names_and_custom():
+    assert sorted(SMALL) == sorted(FAMILIES)
+    for name, family in FAMILIES.items():
+        generated = family.generate(*SMALL[name])
+        doc = instance_to_doc(generated)
+        assert instance_from_doc(doc) == generated
+        for other in FAMILIES:
+            if other != name:
+                with pytest.raises(ValueError, match=f"not the {other} family|the {other} family has no"):
+                    instance_from_doc({**doc, "family": other})
+        # custom takes any matrix, under any delta and d
+        assert instance_from_doc({**doc, "family": FAMILY_CUSTOM, "delta": 0, "d": -1}).family == FAMILY_CUSTOM
     doc = instance_to_doc(gen_sensitivity(2, 2))
-    for name in [*FAMILIES, FAMILY_CUSTOM]:
-        assert instance_from_doc({**doc, "family": name}).family == name
     for name in ["binpack-sens", "Sensitivity", "mystery", ["sensitivity"]]:
         with pytest.raises(ValueError, match="unknown family"):
             instance_from_doc({**doc, "family": name})
+
+
+@pytest.fixture
+def generate_calls(monkeypatch):
+    """Every registry generator call, as (name, delta, d), made after the fixture starts."""
+    calls = []
+    for name, family in list(FAMILIES.items()):
+        def counted(delta, d, name=name, generate=family.generate):
+            calls.append((name, delta, d))
+            return generate(delta, d)
+
+        monkeypatch.setitem(FAMILIES, name, replace(family, generate=counted))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, delta, d, command",
+    [
+        ("sensitivity", 2, 4, ("measure", "sens")),
+        ("proximity", 2, 3, ("measure", "prox")),
+        ("binpack_sens", 2, 2, ("verify", "--check", "claims")),
+        ("sensitivity", 2, 4, ("bounds",)),
+    ],
+)
+def test_a_document_is_generated_once_when_it_is_read(tmp_path, generate_calls, name, delta, d, command):
+    path = tmp_path / "inst.json"
+    path.write_text(doc_dumps(instance_to_doc(FAMILIES[name].generate(delta, d))), encoding="utf-8")
+    generate_calls.clear()
+    assert run(*command, "--in", path)[0] == EXIT_OK
+    assert generate_calls == [(name, delta, d)]
+
+
+def test_a_sweep_cell_is_generated_once(generate_calls):
+    assert run("sweep", "sensitivity", "--delta", 2, "--d", "2,4")[0] == EXIT_OK
+    assert generate_calls == [("sensitivity", 2, 2), ("sensitivity", 2, 4)]
+
+
+#: the only functions that call a family's generator: where an instance enters the program
+GENERATE_SITES = {("instances", "instance_from_doc"), ("cli", "_cmd_gen"), ("cli", "_sweep_cell")}
+
+
+def generate_sites(path: Path) -> list[tuple[str, str | None, int]]:
+    """(module, innermost enclosing function, line) of each ``.generate(`` call in the file."""
+    hits = []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            call = child.func if isinstance(child, ast.Call) else None
+            if isinstance(call, ast.Attribute) and call.attr == "generate":
+                hits.append((path.stem, function, child.lineno))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None)
+    return hits
+
+
+def test_families_are_generated_only_where_instances_enter():
+    hits = [hit for path in sorted(SRC.glob("*.py")) for hit in generate_sites(path)]
+    stray = [hit for hit in hits if hit[:2] not in GENERATE_SITES]
+    assert not stray, f"a family generated outside {sorted(GENERATE_SITES)}: {stray}"
+    assert {hit[:2] for hit in hits} == GENERATE_SITES
 
 
 def dispatch_on_family(path: Path) -> list[str]:

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ilplab.measures
-from ilplab.errors import ClaimFalsifiedError
-from ilplab.exactla import Matrix, SubdetResult, vec
+from ilplab.errors import BudgetExceededError, ClaimFalsifiedError
+from ilplab.exactla import Matrix, SubdetResult, max_subdet_all, vec
 from ilplab.ilp import enumerate_integral_optima
 from ilplab.instances import (
     FAMILY_CUSTOM,
@@ -93,12 +93,18 @@ class TestSensitivityMeasurement:
         assert rep.solution_counts == {"b": 1, "b_prime": 1}
 
     @pytest.mark.parametrize("delta, d", [(2, 4), (3, 6)])
-    def test_b_and_b_prime_keep_their_own_optima(self, delta, d):
+    def test_b_and_b_prime_keep_their_own_optima(self, delta, d, monkeypatch):
         # both enumerations prepare one matrix object, so the preparation
         # remembered for b must not be reused for b'
         inst = gen_sensitivity(delta, d)
-        assert inst.with_rhs(inst.alt_rhs).lp.a is inst.lp.a
+        systems = []
+        enumerate_ = ilplab.measures.enumerate_integral_optima
+        monkeypatch.setattr(
+            ilplab.measures, "enumerate_integral_optima", lambda lp, **kw: systems.append(lp) or enumerate_(lp, **kw)
+        )
         rep = measure_sensitivity(inst)
+        assert [lp.b for lp in systems] == [inst.lp.b, inst.alt_rhs]
+        assert all(lp.a is inst.lp.a for lp in systems)
         assert rep.witness[NORM_LINF] == expected_sensitivity_pair(delta, d)
         assert rep.solution_counts == {"b": 1, "b_prime": 1}
 
@@ -250,11 +256,10 @@ class TestCookBounds:
         assert cb.subdet is None and cb.via_hadamard
         assert cb.prox_upper == 51 * cb.hadamard
 
-    def test_fallback_can_be_disallowed(self):
-        from ilplab.errors import BudgetExceededError
-
+    def test_subdet_search_refuses_over_budget(self):
+        # the refusal that ``test_hadamard_fallback_flagged`` sees as the fallback
         with pytest.raises(BudgetExceededError):
-            cook_bounds(gen_proximity(2, 3).lp, subdet_budget=100, allow_hadamard_fallback=False)
+            max_subdet_all(gen_proximity(2, 3).lp.a, budget=100)
 
     def test_alternate_rhs_of_wrong_length_refused(self):
         with pytest.raises(ValueError):
