@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import BudgetExceededError, ClaimFalsifiedError, EmbeddingError, UnboundedSearchError
 from .exactla import dot
@@ -189,22 +187,21 @@ def _cmd_measure(args) -> int:
     return EXIT_OK
 
 
-def _sweep_cell(job: tuple) -> tuple[int, int, str, int, str]:
-    """One sweep cell: (delta, d, CSV row, exit code, message for stderr)."""
-    name, delta, d, norm, node_budget, subdet_budget = job
+def _sweep_cell(name: str, delta: int, d: int, args) -> tuple[str, int, str]:
+    """One sweep cell: its CSV row, exit code and message for stderr."""
     family = FAMILIES[name]
     try:
         inst = family.generate(delta, d)
-        report = _MEASURES[family.kind](inst, node_budget=node_budget, subdet_budget=subdet_budget)
-        return delta, d, report.csv_row(norm), EXIT_OK, ""
+        report = _MEASURES[family.kind](inst, node_budget=args.node_budget, subdet_budget=args.subdet_budget)
+        return report.csv_row(args.norm), EXIT_OK, ""
     except Exception as exc:  # per-cell failures land in the row, sweep continues
-        row = f"{name},{delta},{d},{norm},,,,,,error:{type(exc).__name__}"
+        row = f"{name},{delta},{d},{args.norm},,,,,,error:{type(exc).__name__}"
         code = _exit_code(exc)
         if isinstance(exc, _CONTRACT_ERRORS):
             message = f"{_EXIT_LABELS[code]}: {exc}"
         else:  # a defect: keep its traceback
             message = traceback.format_exc()
-        return delta, d, row, code, message
+        return row, code, message
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -214,43 +211,24 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
 
-def _sweep_workers(jobs: int, cells: int) -> int:
-    """Worker processes for a sweep: no more than the cells or the CPUs."""
-    return min(jobs, cells, os.cpu_count() or 1)
-
-
 def _cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    family = _BY_CLI_NAME[args.family]
+    name = _BY_CLI_NAME[args.family].name
     deltas = _parse_int_list(args.delta)
     ds = _parse_int_list(args.d)
     for axis, text, values in (("--delta", args.delta, deltas), ("--d", args.d, ds)):
         if not values:
             raise _UsageError(f"{axis} {text!r} gives no values, so the grid is empty")
-    jobs = [
-        (family.name, delta, d, args.norm, args.node_budget, args.subdet_budget)
-        for delta in deltas
-        for d in ds
-    ]
-    workers = _sweep_workers(args.jobs, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_cell, jobs))
-    else:
-        results = [_sweep_cell(job) for job in jobs]
-    results.sort(key=lambda item: (item[0], item[1]))
-    lines = [CSV_HEADER] + [row for _, _, row, _, _ in results]
-    text = "\n".join(lines) + "\n"
+    # one cell after another in (delta, d) order, the order of the rows and of the failures reported
+    cells = [(delta, d, *_sweep_cell(name, delta, d, args)) for delta, d in sorted(product(deltas, ds))]
+    text = "\n".join([CSV_HEADER] + [row for _, _, row, _, _ in cells]) + "\n"
     if args.out and args.out != "-":
         _write(args.out, text)
-        print(f"wrote {args.out} ({len(results)} rows)")
+        print(f"wrote {args.out} ({len(cells)} rows)")
     else:
         sys.stdout.write(text)
-    failed = [(delta, d, code, message) for delta, d, _, code, message in results if code != EXIT_OK]
+    failed = [(delta, d, code, message) for delta, d, _, code, message in cells if code != EXIT_OK]
     for delta, d, _, message in failed:
         print(f"cell delta={delta} d={d}: {message.rstrip()}", file=sys.stderr)
-    # the first failing cell in (delta, d) order, whatever the worker count
     return failed[0][2] if failed else EXIT_OK
 
 
@@ -315,13 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_measure.add_argument("--subdet-budget", type=_budget, default=10_000_000)
     p_measure.set_defaults(func=_cmd_measure)
 
-    p_sweep = sub.add_parser("sweep", help="measure a parameter grid into a CSV table")
+    p_sweep = sub.add_parser("sweep", help="measure a parameter grid into a CSV table, cells in order in one process")
     p_sweep.add_argument("family", choices=sorted(_BY_CLI_NAME))
     p_sweep.add_argument("--delta", required=True, help="range a:b or comma list")
     p_sweep.add_argument("--d", required=True, help="range a:b or comma list")
     p_sweep.add_argument("--out", help="CSV path (default stdout)")
     p_sweep.add_argument("--norm", choices=NORMS, default=NORM_LINF)
-    p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--node-budget", type=_budget, default=10_000_000)
     p_sweep.add_argument("--subdet-budget", type=_budget, default=10_000_000)
     p_sweep.set_defaults(func=_cmd_sweep)

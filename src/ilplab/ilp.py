@@ -16,10 +16,14 @@ and phase 1) and reads the objective bound and the range of the node's
 variable off it in one call, ``lp.residual_range``, as ints.  The root's
 preparation is ``lp._prepare_system``'s for the whole system, which is the
 one a preceding ``lp_solve`` of the same system made.  Every other node is
-a child x_k = v of the node above, prepared by ``lp._child`` from its
-parent's: a child whose x_k the parent had forced is the parent's
-preparation, and the others start presolve from the parent's fixed values
-and rows and reach the same fixpoint as a cold one (see ``lp``).
+a child x_k = v of the node above.  If the parent had forced x_k, v is the
+one value and the child's preparation is the parent's, so a chain of
+forced variables is walked in a loop on one preparation, each node of it
+still counted and bound-tested; only the child of a free x_k is prepared
+by ``lp._child``, which starts presolve from the parent's fixed values and
+rows and reaches the same fixpoint as a cold one (see ``lp``), and only
+those children recurse.  So the recursion is as deep as the free
+variables on a path, not as the columns.
 """
 
 from __future__ import annotations
@@ -127,50 +131,68 @@ def enumerate_integral_optima(
     sols: list[tuple[int, ...]] = []
     nodes = 0
 
-    def visit(parent, v):
-        """The node x_{k-1} = v below the node whose preparation is ``parent``; the root has none."""
-        nonlocal nodes, incumbent, prefix_cost
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceededError(f"enumeration exceeded node budget {node_budget}")
-        k = len(prefix)
-        if k == n:
-            if not any(residual):
-                if incumbent is None or prefix_cost < incumbent:
-                    incumbent = prefix_cost
-                    sols.clear()
-                    sols.append(tuple(prefix))
-                elif prefix_cost == incumbent:
-                    sols.append(tuple(prefix))
-            return
-        prep = _prepare_system(lp.a, lp.b) if parent is None else _child(parent, k - 1, v)
-        if prep is None:
-            return
-        # Objective-bound pruning: only subtrees strictly worse than the
-        # incumbent may be cut, equal-valued ones can hold more optima.
-        cutoff = None if incumbent is None else incumbent - prefix_cost
-        node = residual_range(prep, k, node_costs[k], cutoff)
-        if node is None:
-            return
-        lo, hi = node
-        hi = box[k] if hi is None else min(box[k], hi)
-        col, ck = cols[k], cost[k]
-        # High values first: on the staircase families this finds the cheap
-        # incumbent immediately, which lets the bound prune everything else.
-        for v in range(hi, lo - 1, -1):
-            prefix.append(v)
-            if v:
-                for i, w in col:
-                    residual[i] -= w * v
-                prefix_cost += ck * v
-            visit(prep, v)
-            if v:
-                for i, w in col:
-                    residual[i] += w * v
-                prefix_cost -= ck * v
+    def shift(sign: int) -> None:
+        """Take the last fixed variable's value into the residual and the cost (sign 1), or back out (sign -1)."""
+        nonlocal prefix_cost
+        k, v = len(prefix) - 1, prefix[-1]
+        if v:
+            for i, w in cols[k]:
+                residual[i] -= sign * w * v
+            prefix_cost += sign * cost[k] * v
+
+    def visit(prep):
+        """The node at depth len(prefix), then the chain of forced nodes below it, in one loop.
+
+        ``prep`` is the parent's preparation, or at the root the root's own
+        (None when the system is infeasible).  A node reads it as is when
+        the parent forced x_{k-1}, and takes a ``_child`` step otherwise.
+        """
+        nonlocal nodes, incumbent
+        depth = len(prefix)
+        while True:
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExceededError(f"enumeration exceeded node budget {node_budget}")
+            k = len(prefix)
+            if k == n:
+                if not any(residual):
+                    if incumbent is None or prefix_cost < incumbent:
+                        incumbent = prefix_cost
+                        sols.clear()
+                        sols.append(tuple(prefix))
+                    elif prefix_cost == incumbent:
+                        sols.append(tuple(prefix))
+                break
+            if k and k - 1 not in prep.fixed:
+                prep = _child(prep, k - 1, prefix[-1])
+            if prep is None:
+                break
+            # Objective-bound pruning: only subtrees strictly worse than the
+            # incumbent may be cut, equal-valued ones can hold more optima.
+            cutoff = None if incumbent is None else incumbent - prefix_cost
+            node = residual_range(prep, k, node_costs[k], cutoff)
+            if node is None:
+                break
+            lo, hi = node
+            hi = box[k] if hi is None else min(box[k], hi)
+            if k in prep.fixed and lo == hi:  # forced: the one value's node is walked on
+                prefix.append(lo)
+                shift(1)
+                continue
+            # High values first: on the staircase families this finds the cheap
+            # incumbent immediately, which lets the bound prune everything else.
+            for v in range(hi, lo - 1, -1):
+                prefix.append(v)
+                shift(1)
+                visit(prep)
+                shift(-1)
+                prefix.pop()
+            break
+        while len(prefix) > depth:
+            shift(-1)
             prefix.pop()
 
-    visit(None, 0)
+    visit(_prepare_system(lp.a, lp.b))
     sols.sort()
     objective = None if incumbent is None else Fraction(incumbent, c_den)
     return IntegralSolutionSet(tuple(sols), objective, exhaustive)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -288,19 +289,26 @@ def gen_binpack_proximity(delta: int, d: int) -> IlpInstance:
 class Family:
     """What one benchmark family is.
 
-    ``kind`` is the measure the paper makes on the family; ``reference``
-    gives the paper's lower bounds for it as (l1, linf).  ``certificate`` is
-    the canonical optimal fractional point and ``expected_pair`` the unique
-    optima for b and b' by forward substitution, or None.
+    ``kind`` is the measure the paper makes on the family; ``shape`` gives
+    its matrix's (rows, columns) at d, columns None where they have no
+    closed form; ``reference`` gives the paper's lower bounds for it as
+    (l1, linf).  ``certificate`` is the canonical optimal fractional point
+    and ``expected_pair`` the unique optima for b and b' by forward
+    substitution, or None.
     """
 
     name: str
     cli_name: str
     kind: str
     generate: Callable[[int, int], IlpInstance]
+    shape: Callable[[int], tuple[int, int | None]]
     reference: Callable[[int, int], tuple[Fraction | None, Fraction | None]]
     certificate: Callable[[int, int], Vec] | None = None
     expected_pair: Callable[[int, int], tuple[Vec, Vec]] | None = None
+
+
+def _block_shape(d: int) -> tuple[int, int]:
+    return 15 * d, 6 + 15 * d
 
 
 def _staircase_reference(delta: int, d: int) -> tuple[Fraction, Fraction]:
@@ -312,16 +320,19 @@ def _block_reference(delta: int, d: int) -> tuple[Fraction, None]:
     return Fraction(13 * delta * p), None
 
 
-# name, CLI name, kind, generator, reference, certificate, expected pair
+# name, CLI name, kind, generator, shape, reference, certificate, expected pair
 FAMILIES = {
     family.name: family
     for family in (
-        Family(FAMILY_SENSITIVITY, "sensitivity", KIND_SENS, gen_sensitivity, _staircase_reference,
-               None, expected_sensitivity_pair),
-        Family(FAMILY_PROXIMITY, "proximity", KIND_PROX, gen_proximity, _block_reference, _half_matchings),
-        Family(FAMILY_BINPACK_SENS, "binpack-sens", KIND_SENS, gen_binpack_sensitivity, _staircase_reference),
-        Family(FAMILY_BINPACK_PROX, "binpack-prox", KIND_PROX, gen_binpack_proximity, _block_reference,
+        Family(FAMILY_SENSITIVITY, "sensitivity", KIND_SENS, gen_sensitivity, lambda d: (d, d),
+               _staircase_reference, None, expected_sensitivity_pair),
+        Family(FAMILY_PROXIMITY, "proximity", KIND_PROX, gen_proximity, _block_shape, _block_reference,
                _half_matchings),
+        # one column per configuration, a count with no closed form
+        Family(FAMILY_BINPACK_SENS, "binpack-sens", KIND_SENS, gen_binpack_sensitivity,
+               lambda d: (d, None), _staircase_reference),
+        Family(FAMILY_BINPACK_PROX, "binpack-prox", KIND_PROX, gen_binpack_proximity, _block_shape,
+               _block_reference, _half_matchings),
     )
 }
 
@@ -363,14 +374,22 @@ def _int(value, key: str) -> int:
     return value
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _rationals(value, key: str, memo: dict[int | str, Fraction]) -> Vec:
     """A list of ints or 'p/q' strings, the document's form of a rational vector.
 
-    ``memo`` maps each entry of the document parsed so far to its value,
-    so an entry repeated anywhere in the document is parsed once.
+    A string is read only in the form ``str(Fraction)`` writes: ASCII
+    digits, an optional sign and an optional denominator.  ``Fraction``
+    itself also reads decimals, underscores, spaces, non-ASCII digits and
+    exponents, and a ten-byte exponent can cost half a minute.  ``memo``
+    maps each entry of the document parsed so far to its value, so an entry
+    repeated anywhere in the document is parsed once.
     """
     for x in _list(value, key):
-        if isinstance(x, bool) or not isinstance(x, (int, str)):
+        well_formed = _RATIONAL.fullmatch(x) if isinstance(x, str) else isinstance(x, int) and not isinstance(x, bool)
+        if not well_formed:
             raise ValueError(f"expected an integer or a 'p/q' string for {key!r}, got {x!r}")
     out = []
     for x in value:
@@ -423,12 +442,17 @@ def instance_from_doc(doc: dict) -> IlpInstance:
         c1_indices=c1,
     )
     if family != FAMILY_CUSTOM:
+        mismatch = ValueError(f"the document is not the {family} family at delta={inst.delta}, d={inst.d}")
+        rows, cols = FAMILIES[family].shape(inst.d)
+        # the shape first: a small document labelled with a large cell is refused without generating it
+        if a.nrows != rows or cols not in (None, a.ncols):
+            raise mismatch
         try:
             generated = FAMILIES[family].generate(inst.delta, inst.d)
         except (ValueError, EmbeddingError) as exc:
             raise ValueError(f"the {family} family has no instance at delta={inst.delta}, d={inst.d}: {exc}") from None
         if inst != generated:
-            raise ValueError(f"the document is not the {family} family at delta={inst.delta}, d={inst.d}")
+            raise mismatch
     return inst
 
 

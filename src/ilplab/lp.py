@@ -49,16 +49,16 @@ those rationals, the row the simplex starts from.
 
 Presolve has two parts: building the rows from the pattern, and the
 reduction loop ``_reduce``, which runs to fixpoint on whatever rows it is
-given.  A cold presolve, ``_presolve``, builds and then reduces.  An
-enumeration child x_k = v instead starts from its parent's preparation
-(``_child``).  If the parent forced x_k, the LP range of x_k is that one
-value, so v is it, and the child's fixpoint is the parent's with k dropped
-from the fixed values.  Its rows are the parent's, so its phase 1 is too:
-the child is the parent's preparation, tableau included.  Otherwise the
-child copies the parent's live rows, substitutes v into them (v is an int,
-so each row keeps its scale), reduces, and runs phase 1 on what is left.
-Either way the child reaches the fixpoint a cold presolve of its residual
-reaches.  Each reduction stays valid under further fixings: with x_k = v
+given.  A cold presolve, ``_presolve``, builds and then reduces.  If an
+enumeration node forced x_k, the LP range of x_k is that one value, and
+the child's fixpoint is the node's but for x_k.  Its rows are the node's,
+so its phase 1 is too: the child reads the node's preparation, tableau
+included, and ``ilp`` takes no step here for it.  A child x_k = v of a
+free x_k instead starts from its parent's preparation (``_child``): it
+copies the parent's live rows, substitutes v into them (v is an int, so
+each row keeps its scale), reduces, and runs phase 1 on what is left.  It
+reaches the fixpoint a cold presolve of its residual reaches.  Each
+reduction stays valid under further fixings: with x_k = v
 added, a singleton or zero-right-hand-side row of the parent is still one
 or is already settled, and a dominating pair with a zero gap keeps it,
 since x_k either has a zero difference entry or is forced to 0.  So every
@@ -75,8 +75,9 @@ Only the order of the fixed values can differ, and nothing reads it:
 An answer has two steps, each with one home.  Preparing (A, b) covers
 everything that does not depend on c: presolve, and phase 1 on the rows
 presolve left, which ends in a feasible basis of that core or proves the
-system infeasible.  Cold preparations come from ``_prepare_system``, an
-enumeration child's from ``_child``.  Reading a cost is ``_minimum``: it
+system infeasible.  Cold preparations come from ``_prepare_system``, and
+those of the children of an enumeration node's free variable from
+``_child``.  Reading a cost is ``_minimum``: it
 sums the cost over the fixed columns and, when a free column has a cost,
 prices it against a copy of the prepared tableau and runs phase 2 to
 optimality; the free part's optimum is the cost row's right-hand side,
@@ -569,24 +570,19 @@ def _prepare_system(a: Matrix, b: Vec) -> _Prepared | None:
 def _child(parent: _Prepared, k: int, v: int) -> _Prepared | None:
     """The preparation of the child x_k = v of an enumeration node, from the node's; None when infeasible.
 
-    ``parent`` prepares the node's residual system on columns >= k, and v
-    is a value of x_k in its LP range.  It is not written into: siblings
-    share it.  If the node forced x_k, the range is that one value, and the
-    child's residual is the node's rows without x_k, which they no longer
-    hold; so the child is the node's preparation, tableau included, with k
-    dropped from ``fixed``.  Otherwise the node's live rows are copied, v is
-    substituted into every row that holds x_k, ``_reduce`` runs to fixpoint
-    and phase 1 runs on the rows it leaves.  Either way presolve ends with
-    the fixed values and the live rows, as rationals in the same order, that
-    ``_presolve`` reaches on the child's residual; only the order of
-    ``fixed`` can differ.
+    ``parent`` prepares the node's residual system on columns >= k, and x_k
+    is free in it: a forced x_k needs no child step, as its child's residual
+    system is the node's own (``ilp`` walks such chains on the node's
+    preparation, so ``parent.fixed`` may still hold columns below k).  v is
+    a value of x_k in its LP range.  ``parent`` is not written into:
+    siblings share it.  The node's fixed columns above k and its live rows
+    are copied, v is substituted into every row that holds x_k,
+    ``_reduce`` runs to fixpoint and phase 1 runs on the rows it leaves.
+    Presolve ends with the fixed values and the live rows, as rationals in
+    the same order, that ``_presolve`` reaches on the child's residual;
+    only the order of ``fixed`` can differ.
     """
-    fixed = dict(parent.fixed)
-    forced = fixed.pop(k, None)
-    if forced is not None:
-        if forced != (v, 1):
-            raise AssertionError(f"x_{k} is forced to {forced[0]}/{forced[1]}, not {v}")
-        return _Prepared(parent.n, fixed, parent.live, parent.tableau, parent.dens, parent.basis)
+    fixed = {j: value for j, value in parent.fixed.items() if j > k}
     rows = [[dict(row), t, s] for row, t, s in parent.live]
     for entry in rows:
         coef = entry[0].pop(k, None)
@@ -657,11 +653,13 @@ def residual_range(prep: _Prepared, k: int, cost: dict[int, int], cutoff: int | 
 
     ``prep`` prepares {x_k.. >= 0 : A[:, k:] x = r}, what is left of
     A x = b once x_0..x_{k-1} are fixed: ``_prepare_system``'s at the root,
-    ``_child``'s below it.  Returns (ceil(min x_k), floor(max x_k)), the
-    last None when x_k is unbounded above.  Returns None when ``cutoff`` is
-    given and the minimum of cost.x over the system is larger than it;
-    ``cost`` maps the system's columns to non-zero ints, and an unbounded
-    minimum prunes nothing.  Every answer is one ``_minimum`` of the
+    ``_child``'s below it, or an ancestor's when every variable fixed since
+    was forced in it (its ``fixed`` may then hold columns below k).
+    Returns (ceil(min x_k), floor(max x_k)), the last None when x_k is
+    unbounded above.  Returns None when ``cutoff`` is given and the minimum
+    of cost.x over the system is larger than it; ``cost`` maps the
+    system's columns to non-zero ints, and an unbounded minimum prunes
+    nothing.  Every answer is one ``_minimum`` of the
     preparation, in ints: no Fraction is built.
     """
     if cutoff is not None:

@@ -1,8 +1,10 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ilplab import cli
 from ilplab.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from ilplab.instances import instance_from_doc
 from ilplab.measures import CSV_HEADER
@@ -254,6 +256,8 @@ class TestFamilyLabels:
             ("binpack-sens", 2, 2, {"c1_indices": [1, 0]}, ("bounds",)),
             ("binpack-prox", 2, 3, {"c1_indices": None}, ("verify", "--check", "claims")),
             ("binpack-sens", 2, 2, {"notes": ""}, ("bounds",)),
+            # a tiny document labelled with a large cell is refused by its shape, before generating
+            ("sensitivity", 2, 2, {"family": "binpack_sens", "delta": 5, "d": 16}, ("measure", "sens")),
         ],
     )
     def test_relabelled_document_is_usage_error(self, tmp_path, capsys, cli_name, delta, d, relabel, command):
@@ -266,6 +270,29 @@ class TestFamilyLabels:
         code, stdout, stderr = run(capsys, *command, "--in", str(path))
         assert code == EXIT_USAGE and stdout == ""
         assert stderr.startswith("usage error:")
+
+
+class TestRationalStrings:
+    """A rational string must be in the form the program writes, ``-?[0-9]+(/[0-9]+)?``."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["0.5", "1_0", " 2/4 ", "2/4\n", "\u0661", "\u00b2", "1e200", "+1", "1/-2"],
+        ids=["decimal", "underscore", "spaces", "newline", "arabic-digit", "superscript", "exponent", "plus", "sign-below"],
+    )
+    def test_other_forms_are_a_usage_error(self, sens_file, capsys, entry):
+        doc = json.loads(Path(sens_file).read_text())
+        doc.update(family="custom", matrix=[[entry, *doc["matrix"][0][1:]], *doc["matrix"][1:]])
+        Path(sens_file).write_text(json.dumps(doc))
+        code, stdout, stderr = run(capsys, "bounds", "--in", sens_file)
+        assert code == EXIT_USAGE and stdout == ""
+        assert stderr.startswith("usage error:") and "'p/q' string for 'matrix'" in stderr
+
+    def test_the_written_forms_are_read(self, sens_file, capsys):
+        doc = json.loads(Path(sens_file).read_text())
+        doc.update(family="custom", b=["1", "-2/3", 4, "007"])
+        Path(sens_file).write_text(json.dumps(doc))
+        assert run(capsys, "bounds", "--in", sens_file)[0] == EXIT_OK
 
 
 class TestBudgets:
@@ -340,37 +367,14 @@ class TestSweep:
         rows = stdout.strip().splitlines()[1:]
         assert len(rows) == 2 and all(r.endswith("error:BudgetExceededError") for r in rows)
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_first_failing_cell_sets_the_exit_code(self, capsys, jobs):
+    def test_first_failing_cell_sets_the_exit_code(self, capsys):
         # delta=1 fails to embed (1) before delta=2 runs out of nodes (2)
         args = ("sweep", "binpack-sens", "--delta", "1:2", "--d", "2", "--node-budget", "1")
-        code, stdout, _ = run(capsys, *args, "--jobs", jobs)
+        code, stdout, _ = run(capsys, *args)
         assert code == EXIT_CHECK_FAILED
         rows = stdout.strip().splitlines()[1:]
         assert rows[0].endswith("error:EmbeddingError")
         assert rows[1].endswith("error:BudgetExceededError")
-
-    def test_jobs_below_one_is_a_usage_error(self, capsys):
-        code, stdout, _ = run(capsys, "sweep", "sensitivity", "--delta", "2", "--d", "2", "--jobs", "0")
-        assert code == EXIT_USAGE and stdout == ""
-
-    def test_worker_count_is_capped(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-        assert cli._sweep_workers(64, 100) == 4
-        assert cli._sweep_workers(64, 3) == 3
-        assert cli._sweep_workers(2, 100) == 2
-        assert cli._sweep_workers(8, 0) == 0
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-        assert cli._sweep_workers(64, 100) == 1
-
-    def test_worker_pool_matches_sequential(self, capsys):
-        args = ("sweep", "sensitivity", "--delta", "1:2", "--d", "2,4")
-        _, sequential, _ = run(capsys, *args)
-        _, pooled, _ = run(capsys, *args, "--jobs", "2")
-        strip = lambda text: [
-            row.split(",")[:8] for row in text.strip().splitlines()
-        ]
-        assert strip(sequential) == strip(pooled)
 
 
 class TestFuzzAndBounds:
@@ -401,3 +405,14 @@ class TestDeterminism:
         _, second, _ = run(capsys, "measure", "sens", "--in", sens_file, "--csv")
         strip = lambda row: row.strip().split(",")[:8] + row.strip().split(",")[9:]
         assert strip(first) == strip(second)
+
+
+def test_start_up_loads_no_process_pool():
+    # every command runs in its one process, so loading the CLI loads no pool machinery
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import ilplab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -94,6 +94,16 @@ def test_loader_accepts_the_registry_names_and_custom():
             instance_from_doc({**doc, "family": name})
 
 
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_shape_is_the_generated_shape(name):
+    family = FAMILIES[name]
+    delta, d = SMALL[name]
+    for cell in ((delta, d), (delta + 1, d + 2)):
+        a = family.generate(*cell).lp.a
+        rows, cols = family.shape(cell[1])
+        assert rows == a.nrows and cols in (None, a.ncols)
+
+
 @pytest.fixture
 def generate_calls(monkeypatch):
     """Every registry generator call, as (name, delta, d), made after the fixture starts."""
@@ -122,6 +132,23 @@ def test_a_document_is_generated_once_when_it_is_read(tmp_path, generate_calls, 
     generate_calls.clear()
     assert run(*command, "--in", path)[0] == EXIT_OK
     assert generate_calls == [(name, delta, d)]
+
+
+@pytest.mark.parametrize(
+    "name, delta, d, relabel",
+    [
+        ("sensitivity", 2, 2, {"family": "binpack_sens", "delta": 5, "d": 16}),  # rows
+        ("sensitivity", 2, 4, {"d": 6}),  # rows and columns
+        ("proximity", 2, 1, {"family": "sensitivity", "d": 15}),  # columns
+        ("binpack_prox", 2, 3, {"d": 5}),
+    ],
+)
+def test_a_misshapen_document_is_refused_before_generating(generate_calls, name, delta, d, relabel):
+    doc = instance_to_doc(FAMILIES[name].generate(delta, d))
+    generate_calls.clear()
+    with pytest.raises(ValueError, match=f"is not the {relabel.get('family', name)} family"):
+        instance_from_doc({**doc, **relabel})
+    assert generate_calls == []
 
 
 def test_a_sweep_cell_is_generated_once(generate_calls):

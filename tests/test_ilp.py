@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -82,6 +84,21 @@ class TestBlockFamily:
     def test_d1_has_seven_optima(self):
         got = enumerate_integral_optima(gen_proximity(2, 1).lp)
         assert len(got) == 7
+
+    def test_forced_chains_do_not_recurse(self):
+        # 111 columns, but once the six matching columns are fixed presolve
+        # forces the rest: the search recurses once per free variable on a
+        # path, not once per column, so a deep staircase cannot exhaust the stack
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            got = enumerate_integral_optima(gen_proximity(2, 7).lp)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got.solutions == expected_block_optima(2, 7)
 
 
 _ENTRIES = st.sampled_from([0, 0, 1, 2, 3, -1, -2, F(1, 2), F(-2, 3), F(3, 2)])
@@ -206,23 +223,26 @@ def rational_rows(live):
 
 
 class ChildSteps:
-    """Compares every child step of the enumerations run while it is installed with a cold preparation.
+    """Compares every preparation the enumerations read while it is installed with a cold one.
 
-    A child step (``lp._child``) prepares the node x_k = v from its
-    parent's preparation.  Each preparation the search makes is traced back
-    to its system and prefix: the root's is ``lp._prepare_system``'s, and a
-    child's prefix is its parent's with v appended.  The child's residual is
-    then presolved cold (``lp._presolve``), and by the Fraction reference
-    (``oracles.fraction_presolve``) on the restricted system, and its
-    tableau is compared with a fresh ``lp._phase1`` on its own rows.
-    ``forced`` and ``free`` count the steps whose x_k the parent had forced
-    or not, and ``reused`` the forced steps that kept the parent's tableau.
+    A child step (``lp._child``) prepares the node x_k = v of a free x_k
+    from its parent's preparation; a forced variable's child reads its
+    parent's preparation, so one preparation can serve a chain of nodes.
+    Each preparation the search makes is traced back to its system and
+    prefix: the root's is ``lp._prepare_system``'s, and a child's prefix is
+    its parent's node's, then the chain's forced values, then v.  At every
+    child step and every node's ``lp.residual_range`` call, the node's
+    residual is presolved cold (``lp._presolve``), and by the Fraction
+    reference (``oracles.fraction_presolve``) on the restricted system, and
+    the preparation's tableau is compared with a fresh ``lp._phase1`` on
+    its own rows.  ``steps`` counts the child steps and ``chained`` the
+    nodes that read a preparation made above them.
     """
 
     def __init__(self, monkeypatch):
-        self.forced = self.free = self.reused = 0
+        self.steps = self.chained = 0
         self.origin = {}  # id(preparation) -> (preparation, a, b, prefix)
-        root, child = ilp_module._prepare_system, ilp_module._child
+        root, child, node_range = ilp_module._prepare_system, ilp_module._child, ilp_module.residual_range
 
         def spy_root(a, b):
             prep = root(a, b)
@@ -231,22 +251,31 @@ class ChildSteps:
             return prep
 
         def spy_child(parent, k, v):
-            _, a, b, prefix = self.origin[id(parent)]
-            assert len(prefix) == k
-            was_forced = k in parent.fixed
+            assert k not in parent.fixed
+            a, b, prefix = self.at(parent, k)
             got = child(parent, k, v)
             self.check(a, b, prefix + (v,), got)
-            if was_forced:
-                self.forced += 1
-                self.reused += got.tableau is parent.tableau
-            else:
-                self.free += 1
+            self.steps += 1
             if got is not None:
                 self.origin[id(got)] = (got, a, b, prefix + (v,))
             return got
 
+        def spy_range(prep, k, cost, cutoff):
+            a, b, prefix = self.at(prep, k)
+            self.check(a, b, prefix, replace(prep, fixed={j: x for j, x in prep.fixed.items() if j >= k}))
+            self.chained += len(self.origin[id(prep)][3]) < k
+            return node_range(prep, k, cost, cutoff)
+
         monkeypatch.setattr(ilp_module, "_prepare_system", spy_root)
         monkeypatch.setattr(ilp_module, "_child", spy_child)
+        monkeypatch.setattr(ilp_module, "residual_range", spy_range)
+
+    def at(self, prep, k):
+        """(a, b, prefix) of the node at depth k that reads ``prep``: its own node's prefix, then forced values."""
+        _, a, b, prefix = self.origin[id(prep)]
+        chain = [prep.fixed[j] for j in range(len(prefix), k)]  # KeyError: a free variable was passed over
+        assert all(q == 1 for _, q in chain)
+        return a, b, prefix + tuple(p for p, _ in chain)
 
     def check(self, a, b, prefix, got):
         k = len(prefix)
@@ -298,5 +327,4 @@ class TestChildPresolve:
     def test_every_node(self, run, monkeypatch):
         steps = ChildSteps(monkeypatch)
         run()
-        assert steps.forced and steps.free
-        assert steps.reused == steps.forced  # no forced child runs phase 1 again
+        assert steps.steps and steps.chained  # both kinds of node occur

@@ -295,24 +295,26 @@ class TestIntegerCore:
 
     def test_node_presolve_is_incremental(self):
         # Only the relaxation's lp_solve presolves cold, and the enumeration
-        # root reuses that preparation; each of the other 755 nodes starts
-        # from its parent's, where every node once presolved cold.
-        calls = {"cold": 0, "child": 0}
-        cold, child = lp_module._presolve, ilp_module._child
+        # root reuses that preparation.  Every one of the 756 inner nodes is
+        # bound-tested, but only the 12 children of a free variable take a
+        # child step from their parent's preparation; a forced variable's
+        # child reads its parent's, where every node once presolved cold.
+        calls = {"cold": 0, "child": 0, "range": 0}
+        cold, child, node_range = lp_module._presolve, ilp_module._child, ilp_module.residual_range
 
-        def counted_cold(*args):
-            calls["cold"] += 1
-            return cold(*args)
+        def counted(name, function):
+            def call(*args):
+                calls[name] += 1
+                return function(*args)
 
-        def counted_child(*args):
-            calls["child"] += 1
-            return child(*args)
+            return call
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lp_module, "_presolve", counted_cold)
-            mp.setattr(ilp_module, "_child", counted_child)
+            mp.setattr(lp_module, "_presolve", counted("cold", cold))
+            mp.setattr(ilp_module, "_child", counted("child", child))
+            mp.setattr(ilp_module, "residual_range", counted("range", node_range))
             measure_proximity_lb(gen_proximity(2, 7))
-        assert calls == {"cold": 1, "child": 755}
+        assert calls == {"cold": 1, "child": 12, "range": 756}
 
 
 @st.composite
