@@ -367,14 +367,17 @@ class TestSweep:
         rows = stdout.strip().splitlines()[1:]
         assert len(rows) == 2 and all(r.endswith("error:BudgetExceededError") for r in rows)
 
-    def test_first_failing_cell_sets_the_exit_code(self, capsys):
-        # delta=1 fails to embed (1) before delta=2 runs out of nodes (2)
-        args = ("sweep", "binpack-sens", "--delta", "1:2", "--d", "2", "--node-budget", "1")
+    @pytest.mark.parametrize("later", [1, 2])
+    def test_first_failing_cell_sets_the_exit_code(self, capsys, later):
+        # delta=1 fails to embed (1) before every later delta runs out of nodes (2);
+        # the first failure sets the code even when budget failures outnumber it
+        args = ("sweep", "binpack-sens", "--delta", f"1:{1 + later}", "--d", "2", "--node-budget", "1")
         code, stdout, _ = run(capsys, *args)
         assert code == EXIT_CHECK_FAILED
         rows = stdout.strip().splitlines()[1:]
+        assert len(rows) == 1 + later
         assert rows[0].endswith("error:EmbeddingError")
-        assert rows[1].endswith("error:BudgetExceededError")
+        assert all(row.endswith("error:BudgetExceededError") for row in rows[1:])
 
 
 class TestFuzzAndBounds:
