@@ -6,7 +6,12 @@ class BudgetExceededError(RuntimeError):
 
 
 class UnboundedSearchError(RuntimeError):
-    """No finite search box could be derived for an integral enumeration."""
+    """An integral enumeration reached a variable with no finite LP upper bound.
+
+    The search branches over each node's exact LP range, so it cannot go on
+    when that range has no top.  A column in no row at a positive cost is
+    the one exception: it is 0 in every optimum.
+    """
 
 
 class EmbeddingError(RuntimeError):

@@ -2,9 +2,12 @@
 
 Depth-first search over the variables in index order.  At every node the
 current variable is bounded by the exact LP range of the residual problem,
-subtrees are pruned when the LP relaxation is infeasible or provably worse
-than the incumbent objective, and every leaf is checked exactly.  The search
-is complete: with a valid box it visits every optimal integral point.
+and by nothing else: a range with no finite top raises
+``UnboundedSearchError``, except for a column in no row at a positive cost,
+which is 0 in every optimum.  Subtrees are pruned when the LP relaxation is
+infeasible or provably worse than the incumbent objective, and every leaf
+is checked exactly.  The search is complete whenever it returns: it has
+visited every optimal integral point.
 
 The search runs on ints.  Row i of A x = b is read over the fixed scale
 s_i*q_i, where s_i is the row's scale in the matrix's integer pattern and
@@ -21,9 +24,9 @@ one value and the child's preparation is the parent's, so a chain of
 forced variables is walked in a loop on one preparation, each node of it
 still counted and bound-tested; only the child of a free x_k is prepared
 by ``lp._child``, which starts presolve from the parent's fixed values and
-rows and reaches the same fixpoint as a cold one (see ``lp``), and only
-those children recurse.  So the recursion is as deep as the free
-variables on a path, not as the columns.
+rows and reaches the same fixpoint as a cold one (see ``lp``).  The free
+nodes on the path sit on an explicit stack with the values they have left,
+so no path, however long, is bounded by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator
 
 from .errors import BudgetExceededError, UnboundedSearchError
-from .lp import StandardLp, _child, _int_rhs, _prepare_system, residual_range
+from .lp import StandardLp, _child, _int_rhs, _Prepared, _prepare_system, residual_range
 
 # Not called here.  perfbench/test_perfbench.py checks that its tracer wraps
 # every module's binding of ``lp_solve``, this one included.
@@ -46,14 +49,10 @@ class IntegralSolutionSet:
     """All optimal integral solutions, sorted lexicographically.
 
     ``objective`` is None iff no integral feasible point exists.
-    ``exhaustive`` is True when the search box was derived from the system
-    itself (so the set is provably complete); with a caller-supplied box the
-    set is complete only within that box.
     """
 
     solutions: tuple[tuple[int, ...], ...]
     objective: Fraction | None
-    exhaustive: bool
 
     def __len__(self) -> int:
         return len(self.solutions)
@@ -75,50 +74,12 @@ def _integer_system(lp: StandardLp) -> tuple[list[int], list[list[tuple[int, int
     return rhs, cols
 
 
-def implied_box(lp: StandardLp) -> list[int] | None:
-    """Per-variable upper bounds b_i // a_ij, valid when A >= 0 and b >= 0.
+def enumerate_integral_optima(lp: StandardLp, node_budget: int = 10_000_000) -> IntegralSolutionSet:
+    """The complete set of optimal integral solutions.
 
-    A variable whose column is identically zero gets bound 0 when its cost
-    is positive (no optimum can use it); otherwise, or when some entry is
-    negative, no finite bound is derivable and None is returned.  The
-    bounds are read from the integer system: b_i / a_ij is rhs[i] over the
-    column's int entry, both over the row's scale, so its floor is an int
-    floor division.
+    Raises ``UnboundedSearchError`` at the first node whose variable has no
+    finite LP maximum, unless its column is in no row and has positive cost.
     """
-    rhs, cols = _integer_system(lp)
-    if any(t < 0 for t in rhs) or any(w < 0 for col in cols for _, w in col):
-        return None
-    box = []
-    for j, col in enumerate(cols):
-        if col:
-            box.append(min(rhs[i] // w for i, w in col))
-        elif lp.c[j] > 0:  # zero column: only usable at cost, so never in an optimum
-            box.append(0)
-        else:
-            return None
-    return box
-
-
-def enumerate_integral_optima(
-    lp: StandardLp,
-    box: Sequence[int] | None = None,
-    node_budget: int = 10_000_000,
-) -> IntegralSolutionSet:
-    """The complete set of optimal integral solutions within the box."""
-    exhaustive = box is None
-    if box is None:
-        box = implied_box(lp)
-        if box is None:
-            raise UnboundedSearchError(
-                "no finite search box is derivable; pass explicit per-variable bounds"
-            )
-    else:
-        box = [int(u) for u in box]
-        if len(box) != lp.n:
-            raise ValueError(f"box has length {len(box)}, LP has {lp.n} variables")
-        if any(u < 0 for u in box):
-            raise ValueError("box bounds must be non-negative")
-
     n = lp.n
     residual, cols = _integer_system(lp)
     c_den = math.lcm(*(cj.denominator for cj in lp.c))
@@ -140,15 +101,18 @@ def enumerate_integral_optima(
                 residual[i] -= sign * w * v
             prefix_cost += sign * cost[k] * v
 
-    def visit(prep):
+    # (k, preparation, values left high to low) of each free node on the path
+    stack: list[tuple[int, _Prepared, Iterator[int]]] = []
+
+    def walk(prep: _Prepared | None) -> None:
         """The node at depth len(prefix), then the chain of forced nodes below it, in one loop.
 
         ``prep`` is the parent's preparation, or at the root the root's own
         (None when the system is infeasible).  A node reads it as is when
         the parent forced x_{k-1}, and takes a ``_child`` step otherwise.
+        A chain that ends in a free node puts it on the stack.
         """
         nonlocal nodes, incumbent
-        depth = len(prefix)
         while True:
             nodes += 1
             if nodes > node_budget:
@@ -162,37 +126,47 @@ def enumerate_integral_optima(
                         sols.append(tuple(prefix))
                     elif prefix_cost == incumbent:
                         sols.append(tuple(prefix))
-                break
+                return
             if k and k - 1 not in prep.fixed:
                 prep = _child(prep, k - 1, prefix[-1])
             if prep is None:
-                break
+                return
             # Objective-bound pruning: only subtrees strictly worse than the
             # incumbent may be cut, equal-valued ones can hold more optima.
             cutoff = None if incumbent is None else incumbent - prefix_cost
             node = residual_range(prep, k, node_costs[k], cutoff)
             if node is None:
-                break
+                return
             lo, hi = node
-            hi = box[k] if hi is None else min(box[k], hi)
+            if hi is None:
+                if cols[k] or cost[k] <= 0:
+                    raise UnboundedSearchError(
+                        f"x_{k} is unbounded above at a search node: the enumeration needs a bounded system"
+                    )
+                hi = lo  # in no row and at a positive cost: 0 in every optimum
             if k in prep.fixed and lo == hi:  # forced: the one value's node is walked on
                 prefix.append(lo)
                 shift(1)
                 continue
             # High values first: on the staircase families this finds the cheap
             # incumbent immediately, which lets the bound prune everything else.
-            for v in range(hi, lo - 1, -1):
-                prefix.append(v)
-                shift(1)
-                visit(prep)
-                shift(-1)
-                prefix.pop()
-            break
-        while len(prefix) > depth:
+            stack.append((k, prep, iter(range(hi, lo - 1, -1))))
+            return
+
+    walk(_prepare_system(lp.a, lp.b))
+    while stack:
+        # the next value of the deepest free node, after backing out of the last one's subtree
+        k, prep, values = stack[-1]
+        while len(prefix) > k:
             shift(-1)
             prefix.pop()
-
-    visit(_prepare_system(lp.a, lp.b))
+        v = next(values, None)
+        if v is None:
+            stack.pop()
+            continue
+        prefix.append(v)
+        shift(1)
+        walk(prep)
     sols.sort()
     objective = None if incumbent is None else Fraction(incumbent, c_den)
-    return IntegralSolutionSet(tuple(sols), objective, exhaustive)
+    return IntegralSolutionSet(tuple(sols), objective)

@@ -245,9 +245,26 @@ def gen_binpack_sensitivity(delta: int, d: int) -> IlpInstance:
     already overfill the bin, so the embedding fails loudly).
     """
     staircase = gen_sensitivity(delta, d)
-    eps = Fraction(1, 4 * (d - 1 + delta * d))
-    sizes = tuple(Fraction(1, 2 * delta) + i * eps for i in range(1, d + 1))
+    sizes = tuple(_binpack_sens_size(delta, d, i) for i in range(1, d + 1))
+    eps = sizes[1] - sizes[0]
     return _embed(staircase, FAMILY_BINPACK_SENS, sizes, eps, enumerate_configurations(sizes), "configurations=all")
+
+
+def _binpack_sens_size(delta: int, d: int, i: int) -> Fraction:
+    """Item i's size in the bin-packing sensitivity family: 1/(2*delta) + i/(4*(d-1+delta*d))."""
+    return Fraction(1, 2 * delta) + Fraction(i, 4 * (d - 1 + delta * d))
+
+
+def _least_configurations(delta: int, d: int) -> int:
+    """A lower bound on the bin-packing sensitivity family's configurations, C(d+m, m).
+
+    Any m = floor(1/s_d) items fit into the bin, s_d being the largest size,
+    so every multiset of at most m of the d items is a configuration.
+    """
+    if delta < 1 or d < 1:  # no sizes: the generator's refusal is the loader's
+        return 0
+    m = math.floor(1 / _binpack_sens_size(delta, d, d))
+    return math.comb(d + m, m)
 
 
 def gen_binpack_proximity(delta: int, d: int) -> IlpInstance:
@@ -291,7 +308,8 @@ class Family:
 
     ``kind`` is the measure the paper makes on the family; ``shape`` gives
     its matrix's (rows, columns) at d, columns None where they have no
-    closed form; ``reference`` gives the paper's lower bounds for it as
+    closed form, and ``least_columns`` then a lower bound on them at
+    (delta, d), or None; ``reference`` gives the paper's lower bounds for it as
     (l1, linf).  ``certificate`` is the canonical optimal fractional point
     and ``expected_pair`` the unique optima for b and b' by forward
     substitution, or None.
@@ -305,6 +323,7 @@ class Family:
     reference: Callable[[int, int], tuple[Fraction | None, Fraction | None]]
     certificate: Callable[[int, int], Vec] | None = None
     expected_pair: Callable[[int, int], tuple[Vec, Vec]] | None = None
+    least_columns: Callable[[int, int], int] | None = None
 
 
 def _block_shape(d: int) -> tuple[int, int]:
@@ -320,7 +339,7 @@ def _block_reference(delta: int, d: int) -> tuple[Fraction, None]:
     return Fraction(13 * delta * p), None
 
 
-# name, CLI name, kind, generator, shape, reference, certificate, expected pair
+# name, CLI name, kind, generator, shape, reference, certificate, expected pair, least columns
 FAMILIES = {
     family.name: family
     for family in (
@@ -330,7 +349,7 @@ FAMILIES = {
                _half_matchings),
         # one column per configuration, a count with no closed form
         Family(FAMILY_BINPACK_SENS, "binpack-sens", KIND_SENS, gen_binpack_sensitivity,
-               lambda d: (d, None), _staircase_reference),
+               lambda d: (d, None), _staircase_reference, least_columns=_least_configurations),
         Family(FAMILY_BINPACK_PROX, "binpack-prox", KIND_PROX, gen_binpack_proximity, _block_shape,
                _block_reference, _half_matchings),
     )
@@ -444,8 +463,9 @@ def instance_from_doc(doc: dict) -> IlpInstance:
     if family != FAMILY_CUSTOM:
         mismatch = ValueError(f"the document is not the {family} family at delta={inst.delta}, d={inst.d}")
         rows, cols = FAMILIES[family].shape(inst.d)
+        least = FAMILIES[family].least_columns
         # the shape first: a small document labelled with a large cell is refused without generating it
-        if a.nrows != rows or cols not in (None, a.ncols):
+        if a.nrows != rows or cols not in (None, a.ncols) or (least and a.ncols < least(inst.delta, inst.d)):
             raise mismatch
         try:
             generated = FAMILIES[family].generate(inst.delta, inst.d)

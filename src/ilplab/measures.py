@@ -141,7 +141,7 @@ class MeasureReport:
     measured: dict[str, Fraction]
     witness: dict[str, tuple]
     reference_lower: dict[str, Fraction | None]
-    cook_upper: Fraction | None
+    cook_upper: Fraction
     cook_via_hadamard: bool
     subdet: Fraction | None
     hadamard_upper: Fraction
@@ -163,7 +163,7 @@ class MeasureReport:
                 k: (str(v) if v is not None else None)
                 for k, v in self.reference_lower.items()
             },
-            "cook_upper": str(self.cook_upper) if self.cook_upper is not None else None,
+            "cook_upper": str(self.cook_upper),
             "cook_via_hadamard": self.cook_via_hadamard,
             "subdet": str(self.subdet) if self.subdet is not None else None,
             "hadamard_upper": str(self.hadamard_upper),
@@ -181,7 +181,7 @@ class MeasureReport:
             norm,
             str(self.measured[norm]),
             str(ref) if ref is not None else "",
-            str(self.cook_upper) if self.cook_upper is not None else "",
+            str(self.cook_upper),
             str(self.hadamard_upper),
             str(self.runtime_ms),
             "ok",

@@ -20,6 +20,7 @@ never its integer pattern, so a pattern bug cannot hide on both sides.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -69,6 +70,26 @@ def max_subdet_oracle(m: Matrix) -> tuple[Fraction, tuple[int, ...], tuple[int, 
                 if value > best:
                     best, best_rows, best_cols = value, ri, ci
     return best, best_rows, best_cols, scanned
+
+
+def oracle_box(lp: StandardLp) -> list[int]:
+    """Per-variable bounds floor(min b_i / a_ij) over the rows with no negative entry, on the dense Fractions.
+
+    Such a row bounds each of its variables, as a_ij x_j <= a_i.x = b_i for
+    x >= 0.  A column in no row at a positive cost gets 0: no optimum uses
+    it.  A column that no such row bounds is a ``ValueError``.
+    """
+    rows = [(r, bi) for r, bi in zip(lp.a.rows, lp.b) if all(x >= 0 for x in r)]
+    box = []
+    for j in range(lp.n):
+        bounds = [bi / r[j] for r, bi in rows if r[j] > 0]
+        if bounds:
+            box.append(math.floor(min(bounds)))
+        elif lp.c[j] > 0 and not any(r[j] for r in lp.a.rows):
+            box.append(0)
+        else:
+            raise ValueError(f"no row bounds x_{j}")
+    return box
 
 
 def brute_force_optima(lp: StandardLp, box: list[int]) -> tuple[tuple[tuple[int, ...], ...], Fraction | None]:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -168,6 +169,33 @@ class TestMeasure:
             "measures proximity on the proximity families only, and API callers pass z\n"
         )
 
+    def custom(self, sens_file, tmp_path, **fields):
+        with open(sens_file) as fh:
+            doc = json.load(fh)
+        doc.update(family="custom", **fields)
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_sens_on_negative_entries(self, sens_file, tmp_path, capsys):
+        # the all-ones row bounds every variable, whatever the signs in the other
+        path = self.custom(
+            sens_file, tmp_path, matrix=[[1, -1, 1, 0], [1, 1, 1, 1]], b=[1, 4], b_prime=[0, 4], c=[1, -1, 0, 2]
+        )
+        code, stdout, _ = run(capsys, "measure", "sens", "--in", path)
+        assert code == EXIT_OK
+        doc = json.loads(stdout)
+        assert doc["witness"]["linf"] == [["0", "1", "2", "1"], ["0", "2", "2", "0"]]
+        assert Fraction(doc["measured"]["linf"]) == 1 <= Fraction(doc["cook_upper"])
+        assert Fraction(doc["measured"]["l1"]) == 2 <= Fraction(doc["cook_upper"])
+
+    def test_sens_on_an_unbounded_search_is_usage_error(self, sens_file, tmp_path, capsys):
+        path = self.custom(sens_file, tmp_path, matrix=[[1, 1, -1]], b=[1], b_prime=[2], c=[1, 0, -1])
+        code, stdout, stderr = run(capsys, "measure", "sens", "--in", path)
+        assert code == EXIT_USAGE and stdout == ""
+        assert stderr.startswith("usage error: x_0 ") and stderr.count("\n") == 1
+        assert "Traceback" not in stderr
+
 
 class TestMalformedInstance:
     def write(self, tmp_path, text):
@@ -258,6 +286,8 @@ class TestFamilyLabels:
             ("binpack-sens", 2, 2, {"notes": ""}, ("bounds",)),
             # a tiny document labelled with a large cell is refused by its shape, before generating
             ("sensitivity", 2, 2, {"family": "binpack_sens", "delta": 5, "d": 16}, ("measure", "sens")),
+            # d rows, but fewer columns than the cell's configurations must number
+            ("sensitivity", 2, 16, {"family": "binpack_sens", "delta": 5}, ("measure", "sens")),
         ],
     )
     def test_relabelled_document_is_usage_error(self, tmp_path, capsys, cli_name, delta, d, relabel, command):

@@ -102,7 +102,7 @@ def test_shape_is_the_generated_shape(name):
         a = family.generate(*cell).lp.a
         rows, cols = family.shape(cell[1])
         assert rows == a.nrows and cols in (None, a.ncols)
-
+        assert family.least_columns is None or family.least_columns(*cell) <= a.ncols
 
 @pytest.fixture
 def generate_calls(monkeypatch):
@@ -141,6 +141,10 @@ def test_a_document_is_generated_once_when_it_is_read(tmp_path, generate_calls, 
         ("sensitivity", 2, 4, {"d": 6}),  # rows and columns
         ("proximity", 2, 1, {"family": "sensitivity", "d": 15}),  # columns
         ("binpack_prox", 2, 3, {"d": 5}),
+        # d rows, but fewer columns than the multisets of items that fit in the bin
+        ("sensitivity", 2, 16, {"family": "binpack_sens", "delta": 3}),
+        ("sensitivity", 2, 16, {"family": "binpack_sens", "delta": 4}),
+        ("sensitivity", 2, 16, {"family": "binpack_sens", "delta": 5}),
     ],
 )
 def test_a_misshapen_document_is_refused_before_generating(generate_calls, name, delta, d, relabel):

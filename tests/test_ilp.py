@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -12,13 +13,13 @@ from ilplab import ilp as ilp_module
 from ilplab import lp as lp_module
 from ilplab.errors import BudgetExceededError, UnboundedSearchError
 from ilplab.exactla import Matrix, vec
-from ilplab.ilp import enumerate_integral_optima, implied_box
+from ilplab.ilp import enumerate_integral_optima
 from ilplab.instances import expected_sensitivity_pair, gen_proximity, gen_sensitivity
 from ilplab.lp import StandardLp, is_feasible_point
 from ilplab.measures import fuzz_cook
 from ilplab.petersen import build_matching_system
 
-from oracles import brute_force_optima, dict_rows, fraction_presolve, random_feasible_ilp
+from oracles import brute_force_optima, dict_rows, fraction_presolve, oracle_box, random_feasible_ilp
 
 
 def expected_block_optima(delta, d):
@@ -46,6 +47,20 @@ def expected_block_optima(delta, d):
     return tuple(sorted(sols))
 
 
+@contextmanager
+def shallow_stack(frames=50):
+    """A recursion limit ``frames`` above the caller's depth, for the block's duration."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 class TestStaircaseFamily:
     def test_unique_solution_examples(self):
         inst = gen_sensitivity(2, 4)
@@ -62,7 +77,7 @@ class TestStaircaseFamily:
         inst = gen_sensitivity(delta, d)
         x, x2 = expected_sensitivity_pair(delta, d)
         got = enumerate_integral_optima(inst.lp)
-        assert got.exhaustive and len(got) == 1
+        assert len(got) == 1
         assert got.solutions[0] == tuple(int(v) for v in x)
         got2 = enumerate_integral_optima(StandardLp(inst.lp.a, inst.alt_rhs, inst.lp.c))
         assert len(got2) == 1
@@ -73,7 +88,7 @@ class TestBlockFamily:
     def test_seven_optima(self):
         inst = gen_proximity(2, 3)
         got = enumerate_integral_optima(inst.lp)
-        assert got.objective == 0 and got.exhaustive
+        assert got.objective == 0
         assert got.solutions == expected_block_optima(2, 3)
         assert len(got) == 7
 
@@ -87,17 +102,9 @@ class TestBlockFamily:
 
     def test_forced_chains_do_not_recurse(self):
         # 111 columns, but once the six matching columns are fixed presolve
-        # forces the rest: the search recurses once per free variable on a
-        # path, not once per column, so a deep staircase cannot exhaust the stack
-        frame, depth = sys._getframe(), 0
-        while frame is not None:
-            frame, depth = frame.f_back, depth + 1
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 50)
-        try:
+        # forces the rest: a deep staircase cannot exhaust the stack
+        with shallow_stack():
             got = enumerate_integral_optima(gen_proximity(2, 7).lp)
-        finally:
-            sys.setrecursionlimit(limit)
         assert got.solutions == expected_block_optima(2, 7)
 
 
@@ -105,23 +112,28 @@ _ENTRIES = st.sampled_from([0, 0, 1, 2, 3, -1, -2, F(1, 2), F(-2, 3), F(3, 2)])
 
 
 @st.composite
-def boxed_rational_systems(draw):
-    """A small system with negative and rational entries, rational b and c, and a box.
+def bounded_rational_systems(draw):
+    """A small system with negative and rational entries, rational b and c, and an all-ones last row.
 
-    b is either A x for a drawn x in the box, so the system has an integral
-    point there, or drawn freely (often with no integral point, or no point
-    at all).  Rational rows and a rational b give rows whose integer scale
-    s_i*q_i is neither 1 nor the same across rows.
+    The last row, x_0 + .. + x_{n-1} = U, bounds every variable by U.  The
+    other rows' b is either A x for a drawn x with sum U, so the system has
+    an integral point, or drawn freely (often with no integral point, or no
+    point at all).  Rational rows and a rational b give rows whose integer
+    scale s_i*q_i is neither 1 nor the same across rows.
     """
     d, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
-    a = Matrix.from_rows([draw(st.lists(_ENTRIES, min_size=n, max_size=n)) for _ in range(d)])
-    box = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    rows = [draw(st.lists(_ENTRIES, min_size=n, max_size=n)) for _ in range(d)]
+    u = draw(st.integers(0, 4))
     if draw(st.booleans()):
-        b = a.mul_vec(vec([draw(st.integers(0, u)) for u in box]))
+        x = []
+        for _ in range(n - 1):
+            x.append(draw(st.integers(0, u - sum(x))))
+        x.append(u - sum(x))
+        b = list(Matrix.from_rows(rows).mul_vec(vec(x)))
     else:
-        b = vec(draw(st.lists(st.sampled_from([0, 1, -1, 2, F(1, 2), F(-3, 2), F(5, 3)]), min_size=d, max_size=d)))
+        b = draw(st.lists(st.sampled_from([0, 1, -1, 2, F(1, 2), F(-3, 2), F(5, 3)]), min_size=d, max_size=d))
     c = vec(draw(st.lists(st.sampled_from([0, 0, 1, -1, 2, F(1, 2), F(-2, 3)]), min_size=n, max_size=n)))
-    return StandardLp(a, b, c), box
+    return StandardLp(Matrix.from_rows(rows + [[1] * n]), vec(b + [u]), c)
 
 
 class TestGeneralBehaviour:
@@ -142,10 +154,8 @@ class TestGeneralBehaviour:
         rng = random.Random(77)
         for _ in range(50):
             lp, _ = random_feasible_ilp(rng, max_dim=3, max_cols=4, max_entry=3)
-            box = [min(u, 6) for u in implied_box(lp)]
-            got = enumerate_integral_optima(lp, box=box)
-            assert not got.exhaustive  # caller-supplied box
-            expected_sols, expected_obj = brute_force_optima(lp, box)
+            got = enumerate_integral_optima(lp)
+            expected_sols, expected_obj = brute_force_optima(lp, oracle_box(lp))
             assert got.solutions == expected_sols
             assert got.objective == expected_obj
 
@@ -155,59 +165,47 @@ class TestGeneralBehaviour:
         # a non-zero objective makes every node solve its objective bound on
         # the same residual system that coord_range then bounds
         lp, _ = random_feasible_ilp(random.Random(seed), max_dim=3, max_cols=4, max_entry=3)
-        box = [min(u, 5) for u in implied_box(lp)]
-        got = enumerate_integral_optima(lp, box=box)
-        assert (got.solutions, got.objective) == brute_force_optima(lp, box)
+        got = enumerate_integral_optima(lp)
+        assert (got.solutions, got.objective) == brute_force_optima(lp, oracle_box(lp))
 
     @settings(max_examples=300, deadline=None)
-    @given(boxed_rational_systems())
-    def test_rational_systems_match_box_brute_force(self, case):
-        lp, box = case
-        got = enumerate_integral_optima(lp, box=box)
-        assert (got.solutions, got.objective) == brute_force_optima(lp, box)
+    @given(bounded_rational_systems())
+    def test_rational_systems_match_box_brute_force(self, lp):
+        got = enumerate_integral_optima(lp)
+        assert (got.solutions, got.objective) == brute_force_optima(lp, oracle_box(lp))
 
-    @settings(max_examples=200, deadline=None)
-    @given(boxed_rational_systems())
-    def test_implied_box_matches_dense_floors(self, case):
-        # the integer floor division against floor(min b_i / a_ij) on the dense rationals
-        lp, _ = case
-        rows = lp.a.rows
-        expected = None
-        if all(x >= 0 for r in rows for x in r) and all(v >= 0 for v in lp.b):
-            expected = []
-            for j in range(lp.n):
-                bounds = [lp.b[i] / r[j] for i, r in enumerate(rows) if r[j] > 0]
-                if bounds:
-                    expected.append(math.floor(min(bounds)))
-                elif lp.c[j] > 0:
-                    expected.append(0)
-                else:
-                    expected = None
-                    break
-        assert implied_box(lp) == expected
+    def test_negative_entries_match_box_brute_force(self):
+        # bounded by its second row alone
+        lp = StandardLp(Matrix.from_rows([[1, -1, 1, 0], [1, 1, 1, 1]]), vec([1, 4]), vec([1, -1, 0, 2]))
+        got = enumerate_integral_optima(lp)
+        assert got.solutions == ((0, 1, 2, 1),) and got.objective == 1
+        assert (got.solutions, got.objective) == brute_force_optima(lp, oracle_box(lp))
 
-    def test_unbounded_relaxation_prunes_nothing(self):
-        # min x0 - x2 with x0 + x1 - x2 = 1: after x0 = 1 gives -1 at (1, 2, 2),
-        # the node x0 = 0 has an unbounded relaxation and still holds (0, 2, 1)
+    def test_unbounded_relaxation_raises(self):
+        # min x0 - x2 with x0 + x1 - x2 = 1: x0 = x2 + 1 - x1 has no finite top
         lp = StandardLp(Matrix.from_rows([[1, 1, -1]]), vec([1]), vec([1, 0, -1]))
-        got = enumerate_integral_optima(lp, box=[1, 2, 2])
-        assert got.solutions == ((0, 2, 1), (1, 2, 2)) and got.objective == -1
+        with pytest.raises(UnboundedSearchError, match="x_0 "):
+            enumerate_integral_optima(lp)
 
     def test_unbounded_search_detected(self):
-        # second column is identically zero: no finite bound is derivable
-        lp = StandardLp(Matrix.from_rows([[1, 0]]), vec([1]), vec([0, 0]))
-        with pytest.raises(UnboundedSearchError):
-            enumerate_integral_optima(lp)
-        got = enumerate_integral_optima(lp, box=[1, 2])
-        assert got.solutions == ((1, 0), (1, 1), (1, 2))
+        # the second column is in no row: only a positive cost would keep it at 0
+        for cost in (0, -1):
+            lp = StandardLp(Matrix.from_rows([[1, 0]]), vec([1]), vec([0, cost]))
+            with pytest.raises(UnboundedSearchError, match="x_1 "):
+                enumerate_integral_optima(lp)
+
+    def test_wide_systems_do_not_recurse(self):
+        # x_0 + .. + x_119 = 1: every free node on the last optimum's path has
+        # a free node above it, 120 deep
+        n = 120
+        lp = StandardLp(Matrix.from_rows([[1] * n]), vec([1]), vec([0] * n))
+        with shallow_stack():
+            got = enumerate_integral_optima(lp)
+        assert got.solutions == tuple(sorted(tuple(int(j == i) for j in range(n)) for i in range(n)))
 
     def test_node_budget(self):
         with pytest.raises(BudgetExceededError):
             enumerate_integral_optima(gen_proximity(2, 3).lp, node_budget=10)
-
-    def test_implied_box_values(self):
-        lp = gen_sensitivity(2, 2).lp
-        assert implied_box(lp) == [1, 2]
 
     def test_nonzero_objective_keeps_all_ties(self):
         # min x1+x2 subject to x1+x2 = 2: three optimal integral points
@@ -311,13 +309,12 @@ class TestChildPresolve:
     """A child node's presolve, started from its parent's, is the cold presolve of its residual."""
 
     @settings(max_examples=300, deadline=None)
-    @given(boxed_rational_systems())
-    def test_rational_systems(self, case):
-        lp, box = case
+    @given(bounded_rational_systems())
+    def test_rational_systems(self, lp):
         with pytest.MonkeyPatch.context() as mp:
             ChildSteps(mp)
-            got = enumerate_integral_optima(lp, box=box)
-        assert (got.solutions, got.objective) == brute_force_optima(lp, box)
+            got = enumerate_integral_optima(lp)
+        assert (got.solutions, got.objective) == brute_force_optima(lp, oracle_box(lp))
 
     @pytest.mark.parametrize(
         "run",

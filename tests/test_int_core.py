@@ -59,7 +59,7 @@ def test_integer_core_names_no_fraction():
 
 def test_search_names_no_fraction_and_no_lp_object():
     ilp = functions(SRC / "ilp.py")
-    found = names_used(ilp["visit"], SEARCH_NAMES) + names_used(ilp["_integer_system"], FRACTION_NAMES)
+    found = names_used(ilp["walk"], SEARCH_NAMES) + names_used(ilp["_integer_system"], FRACTION_NAMES)
     assert not found, f"the search in ilp.py leaves the ints: {found}"
 
 
