@@ -36,6 +36,7 @@ from .measures import (
     NORMS,
     norm_floor,
     cook_bounds,
+    csv_error_row,
     fuzz_cook,
     measure_proximity_lb,
     measure_sensitivity,
@@ -80,7 +81,7 @@ def _load_instance(path: str) -> IlpInstance:
     try:
         with open(path, encoding="utf-8") as fh:
             return instance_from_doc(json.load(fh))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError) as exc:
         raise _UsageError(f"cannot read instance {path!r}: {exc}") from exc
 
 
@@ -120,7 +121,7 @@ def _sensitivity_claims(inst: IlpInstance, family: Family, node_budget: int) -> 
     details: dict = {"family": inst.family, "optima_counts": [len(sols), len(sols2)]}
     ok = len(sols) == 1 and len(sols2) == 1
     if family.expected_pair is not None and ok:
-        ok = (sols.solutions[0], sols2.solutions[0]) == family.expected_pair(inst.delta, inst.d)
+        ok = (sols[0], sols2[0]) == family.expected_pair(inst.delta, inst.d)
         details["matches_forward_substitution"] = ok
     return ok, details
 
@@ -130,7 +131,7 @@ def _proximity_claims(inst: IlpInstance, family: Family, node_budget: int) -> tu
     z_ok = is_feasible_point(inst.lp, family.certificate(inst.delta, inst.d))
     sols = enumerate_integral_optima(inst.lp, node_budget=node_budget)
     p, q = p_q_constants(inst.delta, inst.d)
-    floors = [str(norm_floor(inst, sol)) for sol in sols.solutions]
+    floors = [str(norm_floor(inst, sol)) for sol in sols]
     details.update(
         {
             "certificate_feasible": z_ok,
@@ -195,7 +196,7 @@ def _sweep_cell(name: str, delta: int, d: int, args) -> tuple[str, int, str]:
         report = _MEASURES[family.kind](inst, node_budget=args.node_budget, subdet_budget=args.subdet_budget)
         return report.csv_row(args.norm), EXIT_OK, ""
     except Exception as exc:  # per-cell failures land in the row, sweep continues
-        row = f"{name},{delta},{d},{args.norm},,,,,,error:{type(exc).__name__}"
+        row = csv_error_row(name, delta, d, args.norm, type(exc).__name__)
         code = _exit_code(exc)
         if isinstance(exc, _CONTRACT_ERRORS):
             message = f"{_EXIT_LABELS[code]}: {exc}"

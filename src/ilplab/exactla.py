@@ -223,7 +223,6 @@ class SubdetResult:
     value: Fraction
     row_indices: tuple[int, ...]
     col_indices: tuple[int, ...]
-    submatrices_scanned: int
 
 
 def subdet_enumeration_count(nrows: int, ncols: int) -> int:
@@ -307,7 +306,6 @@ def max_subdet_all(m: Matrix, budget: int = 10_000_000) -> SubdetResult:
     the count, so whether an input is refused does not depend on the search.
     The witness is the first maximizer in (size ascending, rows lex, cols
     lex) order; an all-zero matrix has value 0 with witness ((0,), (0,)).
-    ``submatrices_scanned`` is the full enumeration count.
 
     The matrix is scaled once to an integer grid with one scale per row, so
     a k x k submatrix on rows R has determinant D / scale(R), D the integer
@@ -357,7 +355,7 @@ def max_subdet_all(m: Matrix, budget: int = 10_000_000) -> SubdetResult:
             )
             if found is not None:
                 best_rows, best_cols = ri, found
-    return SubdetResult(Fraction(best_num, best_den), best_rows, best_cols, total)
+    return SubdetResult(Fraction(best_num, best_den), best_rows, best_cols)
 
 
 def isqrt_ceil(n: int) -> int:

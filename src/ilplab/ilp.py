@@ -19,21 +19,19 @@ and phase 1) and reads the objective bound and the range of the node's
 variable off it in one call, ``lp.residual_range``, as ints.  The root's
 preparation is ``lp._prepare_system``'s for the whole system, which is the
 one a preceding ``lp_solve`` of the same system made.  Every other node is
-a child x_k = v of the node above.  If the parent had forced x_k, v is the
-one value and the child's preparation is the parent's, so a chain of
-forced variables is walked in a loop on one preparation, each node of it
-still counted and bound-tested; only the child of a free x_k is prepared
-by ``lp._child``, which starts presolve from the parent's fixed values and
-rows and reaches the same fixpoint as a cold one (see ``lp``).  The free
-nodes on the path sit on an explicit stack with the values they have left,
-so no path, however long, is bounded by the interpreter's recursion limit.
+a child x_k = v of the node above, prepared by ``lp._child`` from the
+parent's preparation; ``_child`` hands back the parent's own when the
+parent had forced x_k (see ``lp``).  A node whose range holds one value
+has one child, so a chain of such nodes is walked in a loop, each node of
+it still counted and bound-tested.  The nodes with more than one value sit
+on an explicit stack with the values they have left, so no path, however
+long, is bounded by the interpreter's recursion limit.  The optima come
+back as a sorted tuple; their objective is c.x of any of them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from .errors import BudgetExceededError, UnboundedSearchError
@@ -42,20 +40,6 @@ from .lp import StandardLp, _child, _int_rhs, _Prepared, _prepare_system, residu
 # Not called here.  perfbench/test_perfbench.py checks that its tracer wraps
 # every module's binding of ``lp_solve``, this one included.
 from .lp import lp_solve  # noqa: F401
-
-
-@dataclass(frozen=True)
-class IntegralSolutionSet:
-    """All optimal integral solutions, sorted lexicographically.
-
-    ``objective`` is None iff no integral feasible point exists.
-    """
-
-    solutions: tuple[tuple[int, ...], ...]
-    objective: Fraction | None
-
-    def __len__(self) -> int:
-        return len(self.solutions)
 
 
 def _integer_system(lp: StandardLp) -> tuple[list[int], list[list[tuple[int, int]]]]:
@@ -74,8 +58,8 @@ def _integer_system(lp: StandardLp) -> tuple[list[int], list[list[tuple[int, int
     return rhs, cols
 
 
-def enumerate_integral_optima(lp: StandardLp, node_budget: int = 10_000_000) -> IntegralSolutionSet:
-    """The complete set of optimal integral solutions.
+def enumerate_integral_optima(lp: StandardLp, node_budget: int = 10_000_000) -> tuple[tuple[int, ...], ...]:
+    """The complete set of optimal integral solutions, sorted lexicographically; empty when none exists.
 
     Raises ``UnboundedSearchError`` at the first node whose variable has no
     finite LP maximum, unless its column is in no row and has positive cost.
@@ -101,16 +85,16 @@ def enumerate_integral_optima(lp: StandardLp, node_budget: int = 10_000_000) -> 
                 residual[i] -= sign * w * v
             prefix_cost += sign * cost[k] * v
 
-    # (k, preparation, values left high to low) of each free node on the path
+    # (k, preparation, values left high to low) of each node on the path with more than one value
     stack: list[tuple[int, _Prepared, Iterator[int]]] = []
 
     def walk(prep: _Prepared | None) -> None:
-        """The node at depth len(prefix), then the chain of forced nodes below it, in one loop.
+        """The node at depth len(prefix), then the chain of one-value nodes below it, in one loop.
 
         ``prep`` is the parent's preparation, or at the root the root's own
-        (None when the system is infeasible).  A node reads it as is when
-        the parent forced x_{k-1}, and takes a ``_child`` step otherwise.
-        A chain that ends in a free node puts it on the stack.
+        (None when the system is infeasible); below the root each node takes
+        a ``_child`` step from it.  A chain that ends in a node with more
+        than one value puts it on the stack.
         """
         nonlocal nodes, incumbent
         while True:
@@ -127,7 +111,7 @@ def enumerate_integral_optima(lp: StandardLp, node_budget: int = 10_000_000) -> 
                     elif prefix_cost == incumbent:
                         sols.append(tuple(prefix))
                 return
-            if k and k - 1 not in prep.fixed:
+            if k:
                 prep = _child(prep, k - 1, prefix[-1])
             if prep is None:
                 return
@@ -144,7 +128,7 @@ def enumerate_integral_optima(lp: StandardLp, node_budget: int = 10_000_000) -> 
                         f"x_{k} is unbounded above at a search node: the enumeration needs a bounded system"
                     )
                 hi = lo  # in no row and at a positive cost: 0 in every optimum
-            if k in prep.fixed and lo == hi:  # forced: the one value's node is walked on
+            if lo == hi:  # one value: its node is walked on
                 prefix.append(lo)
                 shift(1)
                 continue
@@ -167,6 +151,4 @@ def enumerate_integral_optima(lp: StandardLp, node_budget: int = 10_000_000) -> 
         prefix.append(v)
         shift(1)
         walk(prep)
-    sols.sort()
-    objective = None if incumbent is None else Fraction(incumbent, c_den)
-    return IntegralSolutionSet(tuple(sols), objective)
+    return tuple(sorted(sols))

@@ -49,12 +49,13 @@ those rationals, the row the simplex starts from.
 
 Presolve has two parts: building the rows from the pattern, and the
 reduction loop ``_reduce``, which runs to fixpoint on whatever rows it is
-given.  A cold presolve, ``_presolve``, builds and then reduces.  If an
-enumeration node forced x_k, the LP range of x_k is that one value, and
-the child's fixpoint is the node's but for x_k.  Its rows are the node's,
-so its phase 1 is too: the child reads the node's preparation, tableau
-included, and ``ilp`` takes no step here for it.  A child x_k = v of a
-free x_k instead starts from its parent's preparation (``_child``): it
+given.  A cold presolve starts only from a whole system: ``_prepare_system``
+builds its rows and reduces them.  Every other presolve is an enumeration
+node's child x_k = v, and ``_child`` decides how it is prepared.  If the
+node forced x_k, the LP range of x_k is that one value, and the child's
+fixpoint is the node's but for x_k.  Its rows are the node's, so its phase
+1 is too: ``_child`` returns the node's preparation, tableau included.  A
+child of a free x_k instead starts from its parent's preparation: it
 copies the parent's live rows, substitutes v into them (v is an int, so
 each row keeps its scale), reduces, and runs phase 1 on what is left.  It
 reaches the fixpoint a cold presolve of its residual reaches.  Each
@@ -70,7 +71,7 @@ rows equal as rationals the first is the one kept.  Scales can differ, as
 a scale records the fractional values substituted into its row, but phase
 1 makes every row primitive, so pivots, bases and results do not move.
 Only the order of the fixed values can differ, and nothing reads it:
-``x``, ``fixed_support`` and the lookups in ``_minimum`` are order-free.
+``x`` and the lookups in ``_minimum`` are order-free.
 
 An answer has two steps, each with one home.  Preparing (A, b) covers
 everything that does not depend on c: presolve, and phase 1 on the rows
@@ -93,8 +94,8 @@ holds the matrix, so its identity cannot pass to another one; and phase 2
 never writes into the prepared tableau.  A reused preparation is the one a
 cold one would compute, so results are bit-for-bit those of a cold solve.
 It serves three pairs of calls on one system: the min and max solves of
-``coord_range`` (the second also reuses the fixed-value vector and the set
-of non-zero fixed columns the preparation keeps), the LP relaxation that
+``coord_range`` (the second also reuses the fixed-value vector the
+preparation keeps), the LP relaxation that
 ``measure_proximity_lb`` solves and the enumeration root after it, and the
 same pair in ``fuzz_cook``.  Below the root an enumeration node needs no
 memo: it has its parent's preparation.  The presolve reductions follow
@@ -149,7 +150,6 @@ class LpResult:
     status: str
     solution: Vec | None = None
     objective: Fraction | None = None
-    basis: frozenset[int] | None = None
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,7 @@ def _dominates(ri: dict[int, int], si: int, rk: dict[int, int], sk: int) -> bool
 
 
 def _int_rhs(pattern: Sequence[PatternRow], b: Vec) -> tuple[list[int], list[int]]:
-    """b as the int right-hand sides ``_presolve`` takes, and their multipliers.
+    """b as the int right-hand sides of presolve's rows, and their multipliers.
 
     b_i = p/q becomes p*s over the scale s*q, where s is row i's pattern
     scale; the multipliers are the q.
@@ -194,40 +194,16 @@ def _int_rhs(pattern: Sequence[PatternRow], b: Vec) -> tuple[list[int], list[int
     return [bi.numerator * s for (s, _), bi in zip(pattern, b)], [bi.denominator for bi in b]
 
 
-def _presolve(pattern: Sequence[PatternRow], k: int, rhs: Sequence[int], mults: Sequence[int]):
-    """Cold presolve: the exact reductions applied to {x_k.. >= 0 : A[:, k:] x = r} to fixpoint.
-
-    ``pattern`` is A's integer pattern (``Matrix.sparse_rows``), and row i
-    keeps its columns j >= k, each as its numerator times mults[i], with
-    rhs[i] as right-hand side, all over the scale s*mults[i]; that is, r_i
-    is rhs[i] / (s*mults[i]).  Columns keep their indices in A.  Returns
-    (feasible, fixed, live) as ``_reduce`` leaves them: fixed maps column
-    index -> forced value as a reduced int pair (p, q) with q > 0, in the
-    order this cold run forced them (a child step's order can differ, and
-    nothing reads it), and live holds the rows left over, in their order,
-    as ``[row, t, s]`` entries: an int row dict, an int right-hand side and
-    a positive int scale, standing for row/s . x = t/s.  On infeasibility
-    returns (False, fixed, live) as far as it got.
-    """
-    live: list[list] = []
-    for (s, pairs), t, q in zip(pattern, rhs, mults):
-        if q == 1:
-            row = dict(pairs) if not k else {j: v for j, v in pairs if j >= k}
-        else:
-            row = {j: v * q for j, v in pairs if j >= k}
-        live.append([row, t, s * q])
-    fixed: dict[int, tuple[int, int]] = {}
-    return _reduce(live, fixed), fixed, live
-
-
 def _reduce(live: list[list], fixed: dict[int, tuple[int, int]]) -> bool:
     """Apply the exact reductions to the rows ``live`` to fixpoint, in place; False when infeasible.
 
-    ``live`` holds ``[row, t, s]`` entries as ``_presolve`` describes
-    them, and each value forced is added to ``fixed``.  Rows are deleted
-    from ``live`` in place, so the survivors keep their relative order, and
-    of rows equal as rationals the first one stays.  On infeasibility the
-    rows and ``fixed`` are left as far as the loop got.
+    ``live`` holds ``[row, t, s]`` entries: an int row dict, an int
+    right-hand side and a positive int scale, standing for row/s . x = t/s.
+    Each value forced is added to ``fixed`` as a reduced int pair (p, q)
+    with q > 0.  Rows are deleted from ``live`` in place, so the survivors
+    keep their relative order, and of rows equal as rationals the first one
+    stays.  On infeasibility the rows and ``fixed`` are left as far as the
+    loop got.
 
     A holder index, built from the rows given, maps each column to the
     entries whose row holds it.  Forcing a column visits only those entries
@@ -411,7 +387,7 @@ def _phase1(
 ) -> tuple[tuple[dict[int, int], ...], tuple[int, ...], tuple[int, ...]] | None:
     """Phase 1 on presolve's left-over rows: a feasible basis, or None when infeasible.
 
-    ``live`` is ``_presolve``'s, each row's columns below ``n``.  Returns the
+    ``live`` is ``_reduce``'s, each row's columns below ``n``.  Returns the
     tableau over A's columns as integer rows and their denominators, with
     redundant rows dropped, and its basis.  Nothing here depends on c.
     """
@@ -501,13 +477,12 @@ class _Prepared:
     pair (p, q).  A cold preparation lists them in the order its presolve
     forced them; a child's order can differ, and nothing reads it.  The
     columns of the system that it leaves out are free.  ``live`` holds the
-    rows presolve left, as ``_presolve`` returns them, for a child to start
+    rows presolve left, as ``_reduce`` leaves them, for a child to start
     from; they are never written into.  ``tableau`` is the phase-1 tableau
     of those rows as sparse integer rows over ``dens``, or None when
     presolve settled every row; ``basis`` holds its basic columns, by their
-    index in A.  ``x`` and ``fixed_support``, what every ``lp_solve``
-    answer starts from, are computed on first use and kept with the
-    preparation.
+    index in A.  ``x``, what every ``lp_solve`` answer starts from, is
+    computed on first use and kept with the preparation.
     """
 
     n: int
@@ -525,11 +500,6 @@ class _Prepared:
             if p:
                 x[j] = Fraction(p, q)
         return tuple(x)
-
-    @cached_property
-    def fixed_support(self) -> frozenset[int]:
-        """The fixed columns with a non-zero value, which every basis holds."""
-        return frozenset(j for j, (p, _) in self.fixed.items() if p)
 
 
 def _phase1_after(n: int, feasible: bool, fixed: dict[int, tuple[int, int]], live: list[list]):
@@ -562,7 +532,12 @@ def _prepare_system(a: Matrix, b: Vec) -> _Prepared | None:
     if last is not None and last[0] is a and last[1] == b:
         return last[2]
     pattern = a.sparse_rows
-    prep = _phase1_after(a.ncols, *_presolve(pattern, 0, *_int_rhs(pattern, b)))
+    rhs, mults = _int_rhs(pattern, b)
+    # row i over the scale s_i*q_i: its pattern numerators times q_i
+    live = [[dict(pairs) if q == 1 else {j: v * q for j, v in pairs}, t, s * q]
+            for (s, pairs), t, q in zip(pattern, rhs, mults)]
+    fixed: dict[int, tuple[int, int]] = {}
+    prep = _phase1_after(a.ncols, _reduce(live, fixed), fixed, live)
     _last_prepared = (a, b, prep)
     return prep
 
@@ -570,18 +545,21 @@ def _prepare_system(a: Matrix, b: Vec) -> _Prepared | None:
 def _child(parent: _Prepared, k: int, v: int) -> _Prepared | None:
     """The preparation of the child x_k = v of an enumeration node, from the node's; None when infeasible.
 
-    ``parent`` prepares the node's residual system on columns >= k, and x_k
-    is free in it: a forced x_k needs no child step, as its child's residual
-    system is the node's own (``ilp`` walks such chains on the node's
-    preparation, so ``parent.fixed`` may still hold columns below k).  v is
-    a value of x_k in its LP range.  ``parent`` is not written into:
-    siblings share it.  The node's fixed columns above k and its live rows
-    are copied, v is substituted into every row that holds x_k,
-    ``_reduce`` runs to fixpoint and phase 1 runs on the rows it leaves.
-    Presolve ends with the fixed values and the live rows, as rationals in
-    the same order, that ``_presolve`` reaches on the child's residual;
-    only the order of ``fixed`` can differ.
+    ``parent`` prepares the node's residual system on columns >= k, and v
+    is a value of x_k in its LP range.  When the node forced x_k, v is the
+    forced value and the child's residual system is the node's own, so
+    ``parent`` itself is returned: a chain of forced variables shares one
+    preparation, whose ``fixed`` then still holds columns below k.  For a
+    free x_k, the node's fixed columns above k and its live rows are
+    copied, v is substituted into every row that holds x_k, ``_reduce``
+    runs to fixpoint and phase 1 runs on the rows it leaves.  Presolve ends
+    with the fixed values and the live rows, as rationals in the same
+    order, that a cold presolve reaches on the child's residual; only the
+    order of ``fixed`` can differ.  ``parent`` is not written into:
+    siblings share it.
     """
+    if k in parent.fixed:
+        return parent
     fixed = {j: value for j, value in parent.fixed.items() if j > k}
     rows = [[dict(row), t, s] for row, t, s in parent.live]
     for entry in rows:
@@ -645,16 +623,15 @@ def lp_solve(lp: StandardLp) -> LpResult:
     x = list(prep.x)
     for row, row_den, j in zip(rows, dens, basis):
         x[j] = Fraction(row.get(_RHS, 0), row_den)
-    return LpResult(OPTIMAL, tuple(x), Fraction(num, den * c_den), prep.fixed_support.union(basis))
+    return LpResult(OPTIMAL, tuple(x), Fraction(num, den * c_den))
 
 
 def residual_range(prep: _Prepared, k: int, cost: dict[int, int], cutoff: int | None) -> tuple[int, int | None] | None:
     """The integer range of x_k over a prepared residual system, or None when the node is pruned.
 
     ``prep`` prepares {x_k.. >= 0 : A[:, k:] x = r}, what is left of
-    A x = b once x_0..x_{k-1} are fixed: ``_prepare_system``'s at the root,
-    ``_child``'s below it, or an ancestor's when every variable fixed since
-    was forced in it (its ``fixed`` may then hold columns below k).
+    A x = b once x_0..x_{k-1} are fixed: ``_prepare_system``'s at the root
+    and ``_child``'s below it (its ``fixed`` may hold columns below k).
     Returns (ceil(min x_k), floor(max x_k)), the last None when x_k is
     unbounded above.  Returns None when ``cutoff`` is given and the minimum
     of cost.x over the system is larger than it; ``cost`` maps the

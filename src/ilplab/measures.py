@@ -64,15 +64,33 @@ def dist_point_set(x: Sequence, points: Sequence[Sequence], norm: str) -> tuple[
 def dist_set_set(
     xs: Sequence[Sequence], ys: Sequence[Sequence], norm: str
 ) -> tuple[Fraction, tuple[tuple, tuple]]:
-    """Exact max over xs of the min distance to ys (asymmetric), with witnesses."""
+    """Exact max over xs of the min distance to ys (asymmetric), with witnesses.
+
+    A point of xs that occurs in ys is measured against its first equal y
+    alone, at distance 0.  Every point's scan stops at the first y no
+    farther than the max so far, as the point's min cannot then raise it.
+    The max and its pair change only on a strict increase, so the witnesses
+    are those of a full scan: the first point reaching the max, and its
+    first nearest y.
+    """
     if not xs or not ys:
         raise ValueError("distance between sets needs both non-empty")
+    first: dict[tuple, Sequence] = {}
+    for y in ys:
+        first.setdefault(tuple(y), y)
     best = None
     pair = None
     for x in xs:
-        d, w = dist_point_set(x, ys, norm)
-        if best is None or d > best:
-            best, pair = d, (tuple(x), w)
+        w = first.get(tuple(x))
+        d = None
+        for y in ys if w is None else (w,):
+            dy = vec_dist(x, y, norm)
+            if best is not None and dy <= best:
+                break
+            if d is None or dy < d:
+                d, w = dy, y
+        else:
+            best, pair = d, (tuple(x), tuple(w))
     return best, pair
 
 
@@ -189,6 +207,14 @@ class MeasureReport:
         return ",".join(cells)
 
 
+def csv_error_row(family: str, delta: int, d: int, norm: str, error: str) -> str:
+    """The ``CSV_HEADER`` row of a cell that failed: its key, ``error:`` and the error's name as status."""
+    header = CSV_HEADER.split(",")
+    cells = dict.fromkeys(header, "")
+    cells.update(family=family, delta=str(delta), d=str(d), norm=norm, status=f"error:{error}")
+    return ",".join(cells[name] for name in header)
+
+
 def _checked_report(
     inst: IlpInstance,
     kind: str,
@@ -248,12 +274,10 @@ def measure_sensitivity(
     sols_b2 = enumerate_integral_optima(
         StandardLp(inst.lp.a, inst.alt_rhs, inst.lp.c), node_budget=node_budget
     )
-    if not sols_b.solutions or not sols_b2.solutions:
+    if not sols_b or not sols_b2:
         raise ValueError("sensitivity is undefined: an optimal set is empty")
     counts = {"b": len(sols_b), "b_prime": len(sols_b2)}
-    return _checked_report(
-        inst, KIND_SENS, sols_b.solutions, sols_b2.solutions, counts, t0, subdet_budget
-    )
+    return _checked_report(inst, KIND_SENS, sols_b, sols_b2, counts, t0, subdet_budget)
 
 
 def measure_proximity_lb(
@@ -289,10 +313,10 @@ def measure_proximity_lb(
             f"LP optimum {relax.objective}"
         )
     sols = enumerate_integral_optima(inst.lp, node_budget=node_budget)
-    if not sols.solutions:
+    if not sols:
         raise ValueError("proximity is undefined: no integral optimum")
     counts = {"integral_optima": len(sols)}
-    return _checked_report(inst, KIND_PROX, [zt], sols.solutions, counts, t0, subdet_budget)
+    return _checked_report(inst, KIND_PROX, [zt], sols, counts, t0, subdet_budget)
 
 
 def norm_floor(inst: IlpInstance, x: Sequence) -> Fraction:
@@ -413,9 +437,9 @@ def fuzz_cook(seed: int, trials: int = 200) -> FuzzReport:
         done += 1
         bounds = cook_bounds(lp, b2)
         for kind, xs, ys, bound, b_prime in (
-            ("proximity", [frac.solution], sols.solutions, bounds.prox_upper, None),
-            ("sensitivity_forward", sols.solutions, sols2.solutions, bounds.sens_upper, b2),
-            ("sensitivity_backward", sols2.solutions, sols.solutions, bounds.sens_upper, b2),
+            ("proximity", [frac.solution], sols, bounds.prox_upper, None),
+            ("sensitivity_forward", sols, sols2, bounds.sens_upper, b2),
+            ("sensitivity_backward", sols2, sols, bounds.sens_upper, b2),
         ):
             dist, _ = dist_set_set(xs, ys, NORM_LINF)
             checks += 1

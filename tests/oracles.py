@@ -92,8 +92,8 @@ def oracle_box(lp: StandardLp) -> list[int]:
     return box
 
 
-def brute_force_optima(lp: StandardLp, box: list[int]) -> tuple[tuple[tuple[int, ...], ...], Fraction | None]:
-    """All optimal integral solutions by scanning the whole box."""
+def brute_force_optima(lp: StandardLp, box: list[int]) -> tuple[tuple[int, ...], ...]:
+    """All optimal integral solutions by scanning the whole box, sorted; empty when none exists."""
     best = None
     sols: list[tuple[int, ...]] = []
     for point in product(*(range(u + 1) for u in box)):
@@ -106,7 +106,7 @@ def brute_force_optima(lp: StandardLp, box: list[int]) -> tuple[tuple[tuple[int,
             sols = [point]
         elif obj == best:
             sols.append(point)
-    return tuple(sorted(sols)), best
+    return tuple(sorted(sols))
 
 
 def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -235,6 +235,19 @@ def random_feasible_ilp(rng: random.Random, max_dim=3, max_cols=4, max_entry=3):
 def dict_rows(m: Matrix) -> list[dict[int, Fraction]]:
     """Each dense row of ``m`` as a {column: entry} dict of its non-zero entries."""
     return [{j: x for j, x in enumerate(row) if x} for row in m.rows]
+
+
+def residual_system(a: Matrix, b: Sequence[Fraction], prefix: Sequence[int]) -> tuple[Matrix, tuple[Fraction, ...]]:
+    """What is left of a x = b once x_0..x_{k-1} are fixed to ``prefix``: a with those columns zeroed, and b - a.prefix.
+
+    Columns keep their indices, so a preparation of it names columns as an
+    enumeration node's does.  Every call builds a new matrix object, so
+    ``lp._prepare_system`` prepares it cold.
+    """
+    k = len(prefix)
+    rows = tuple(tuple(_ZERO if j < k else x for j, x in enumerate(row)) for row in a.rows)
+    rhs = tuple(bi - sum((row[j] * prefix[j] for j in range(k)), _ZERO) for row, bi in zip(a.rows, b))
+    return Matrix(rows), rhs
 
 
 def fraction_presolve(rows: list[dict[int, Fraction]], rhs: list[Fraction]):
@@ -473,18 +486,15 @@ def fraction_simplex(lp: StandardLp) -> LpResult:
     x = [_ZERO] * lp.n
     for j, v in fixed:
         x[j] = v
-    core_basis: list[int] = []
     if tableau is not None:
-        status, core_x, basis = _fraction_phase2(tableau, basis, [lp.c[j] for j in free])
+        status, core_x, _ = _fraction_phase2(tableau, basis, [lp.c[j] for j in free])
         if status != OPTIMAL:
             return LpResult(status)
         for k, j in enumerate(free):
             x[j] = core_x[k]
-        core_basis = [free[k] for k in basis]
     elif free:
         # No constraints left: minimize over the non-negative orthant.
         if any(lp.c[j] < 0 for j in free):
             return LpResult(UNBOUNDED)
     objective = sum((cj * xj for cj, xj in zip(lp.c, x)), _ZERO)
-    basis_set = frozenset(core_basis) | {j for j, v in fixed if v != 0}
-    return LpResult(OPTIMAL, tuple(x), objective, basis_set)
+    return LpResult(OPTIMAL, tuple(x), objective)

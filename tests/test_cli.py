@@ -212,6 +212,13 @@ class TestMalformedInstance:
         assert code == EXIT_USAGE
         assert "usage error" in stderr and "'matrix'" in stderr
 
+    def test_deeply_nested_document_is_usage_error(self, tmp_path, capsys):
+        # json.load gives up on this nesting with a RecursionError
+        depth = 100_000
+        code, _, stderr = run(capsys, "measure", "sens", "--in", self.write(tmp_path, "[" * depth + "]" * depth))
+        assert code == EXIT_USAGE
+        assert stderr.startswith("usage error: cannot read instance") and stderr.count("\n") == 1
+
     def test_non_object_document_is_usage_error(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "measure", "sens", "--in", self.write(tmp_path, "[1, 2]"))
         assert code == EXIT_USAGE
@@ -388,6 +395,13 @@ class TestSweep:
         assert lines[1].endswith("error:EmbeddingError")
         assert lines[2].endswith("ok")
         assert "cell delta=1 d=2: check failed:" in stderr
+
+    def test_every_row_has_the_header_width(self, capsys):
+        # delta=1 fails to embed, delta=2 is measured
+        _, stdout, _ = run(capsys, "sweep", "binpack-sens", "--delta", "1:2", "--d", "2")
+        lines = stdout.strip().splitlines()
+        assert lines[0] == CSV_HEADER and len(lines) == 3
+        assert {len(line.split(",")) for line in lines} == {len(CSV_HEADER.split(","))}
 
     def test_budget_failure_exits_with_budget_code(self, capsys):
         code, stdout, _ = run(

@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 from ilplab import ilp as ilp_module
 from ilplab import lp as lp_module
 from ilplab.errors import BudgetExceededError, UnboundedSearchError
-from ilplab.exactla import Matrix, vec
+from ilplab.exactla import Matrix, dot, vec
 from ilplab.ilp import enumerate_integral_optima
 from ilplab.instances import expected_sensitivity_pair, gen_proximity, gen_sensitivity
 from ilplab.lp import StandardLp, is_feasible_point
 from ilplab.measures import fuzz_cook
 from ilplab.petersen import build_matching_system
 
-from oracles import brute_force_optima, dict_rows, fraction_presolve, oracle_box, random_feasible_ilp
+from oracles import brute_force_optima, dict_rows, fraction_presolve, oracle_box, random_feasible_ilp, residual_system
 
 
 def expected_block_optima(delta, d):
@@ -64,12 +64,12 @@ def shallow_stack(frames=50):
 class TestStaircaseFamily:
     def test_unique_solution_examples(self):
         inst = gen_sensitivity(2, 4)
-        assert enumerate_integral_optima(inst.lp).solutions == ((1, 0, 4, 0),)
+        assert enumerate_integral_optima(inst.lp) == ((1, 0, 4, 0),)
         alt = StandardLp(inst.lp.a, inst.alt_rhs, inst.lp.c)
-        assert enumerate_integral_optima(alt).solutions == ((0, 2, 0, 8),)
+        assert enumerate_integral_optima(alt) == ((0, 2, 0, 8),)
 
     def test_forward_substitution_optimum(self):
-        assert enumerate_integral_optima(gen_sensitivity(3, 2).lp).solutions == ((1, 0),)
+        assert enumerate_integral_optima(gen_sensitivity(3, 2).lp) == ((1, 0),)
 
     @pytest.mark.parametrize("delta", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("d", [2, 4, 6, 8])
@@ -78,23 +78,23 @@ class TestStaircaseFamily:
         x, x2 = expected_sensitivity_pair(delta, d)
         got = enumerate_integral_optima(inst.lp)
         assert len(got) == 1
-        assert got.solutions[0] == tuple(int(v) for v in x)
+        assert got[0] == tuple(int(v) for v in x)
         got2 = enumerate_integral_optima(StandardLp(inst.lp.a, inst.alt_rhs, inst.lp.c))
         assert len(got2) == 1
-        assert got2.solutions[0] == tuple(int(v) for v in x2)
+        assert got2[0] == tuple(int(v) for v in x2)
 
 
 class TestBlockFamily:
     def test_seven_optima(self):
         inst = gen_proximity(2, 3)
         got = enumerate_integral_optima(inst.lp)
-        assert got.objective == 0
-        assert got.solutions == expected_block_optima(2, 3)
+        assert all(dot(inst.lp.c, vec(x)) == 0 for x in got)
+        assert got == expected_block_optima(2, 3)
         assert len(got) == 7
 
     def test_lex_smallest(self):
         inst = gen_proximity(2, 3)
-        assert enumerate_integral_optima(inst.lp).solutions[0] == expected_block_optima(2, 3)[0]
+        assert enumerate_integral_optima(inst.lp)[0] == expected_block_optima(2, 3)[0]
 
     def test_d1_has_seven_optima(self):
         got = enumerate_integral_optima(gen_proximity(2, 1).lp)
@@ -105,7 +105,7 @@ class TestBlockFamily:
         # forces the rest: a deep staircase cannot exhaust the stack
         with shallow_stack():
             got = enumerate_integral_optima(gen_proximity(2, 7).lp)
-        assert got.solutions == expected_block_optima(2, 7)
+        assert got == expected_block_optima(2, 7)
 
 
 _ENTRIES = st.sampled_from([0, 0, 1, 2, 3, -1, -2, F(1, 2), F(-2, 3), F(3, 2)])
@@ -139,25 +139,21 @@ def bounded_rational_systems(draw):
 class TestGeneralBehaviour:
     def test_fractional_only_system_is_integrally_infeasible(self):
         lp = StandardLp(Matrix.from_rows([[2]]), vec([1]), vec([0]))
-        got = enumerate_integral_optima(lp)
-        assert got.solutions == () and got.objective is None
+        assert enumerate_integral_optima(lp) == ()
 
     def test_every_solution_is_feasible_and_integral(self):
         rng = random.Random(31)
         for _ in range(30):
             lp, _ = random_feasible_ilp(rng)
             got = enumerate_integral_optima(lp)
-            for sol in got.solutions:
+            for sol in got:
                 assert is_feasible_point(lp, sol)
 
     def test_matches_box_brute_force(self):
         rng = random.Random(77)
         for _ in range(50):
             lp, _ = random_feasible_ilp(rng, max_dim=3, max_cols=4, max_entry=3)
-            got = enumerate_integral_optima(lp)
-            expected_sols, expected_obj = brute_force_optima(lp, oracle_box(lp))
-            assert got.solutions == expected_sols
-            assert got.objective == expected_obj
+            assert enumerate_integral_optima(lp) == brute_force_optima(lp, oracle_box(lp))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32))
@@ -165,21 +161,19 @@ class TestGeneralBehaviour:
         # a non-zero objective makes every node solve its objective bound on
         # the same residual system that coord_range then bounds
         lp, _ = random_feasible_ilp(random.Random(seed), max_dim=3, max_cols=4, max_entry=3)
-        got = enumerate_integral_optima(lp)
-        assert (got.solutions, got.objective) == brute_force_optima(lp, oracle_box(lp))
+        assert enumerate_integral_optima(lp) == brute_force_optima(lp, oracle_box(lp))
 
     @settings(max_examples=300, deadline=None)
     @given(bounded_rational_systems())
     def test_rational_systems_match_box_brute_force(self, lp):
-        got = enumerate_integral_optima(lp)
-        assert (got.solutions, got.objective) == brute_force_optima(lp, oracle_box(lp))
+        assert enumerate_integral_optima(lp) == brute_force_optima(lp, oracle_box(lp))
 
     def test_negative_entries_match_box_brute_force(self):
         # bounded by its second row alone
         lp = StandardLp(Matrix.from_rows([[1, -1, 1, 0], [1, 1, 1, 1]]), vec([1, 4]), vec([1, -1, 0, 2]))
         got = enumerate_integral_optima(lp)
-        assert got.solutions == ((0, 1, 2, 1),) and got.objective == 1
-        assert (got.solutions, got.objective) == brute_force_optima(lp, oracle_box(lp))
+        assert got == ((0, 1, 2, 1),) and dot(lp.c, vec(got[0])) == 1
+        assert got == brute_force_optima(lp, oracle_box(lp))
 
     def test_unbounded_relaxation_raises(self):
         # min x0 - x2 with x0 + x1 - x2 = 1: x0 = x2 + 1 - x1 has no finite top
@@ -201,7 +195,7 @@ class TestGeneralBehaviour:
         lp = StandardLp(Matrix.from_rows([[1] * n]), vec([1]), vec([0] * n))
         with shallow_stack():
             got = enumerate_integral_optima(lp)
-        assert got.solutions == tuple(sorted(tuple(int(j == i) for j in range(n)) for i in range(n)))
+        assert got == tuple(sorted(tuple(int(j == i) for j in range(n)) for i in range(n)))
 
     def test_node_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -211,8 +205,8 @@ class TestGeneralBehaviour:
         # min x1+x2 subject to x1+x2 = 2: three optimal integral points
         lp = StandardLp(Matrix.from_rows([[1, 1]]), vec([2]), vec([1, 1]))
         got = enumerate_integral_optima(lp)
-        assert got.solutions == ((0, 2), (1, 1), (2, 0))
-        assert got.objective == 2
+        assert got == ((0, 2), (1, 1), (2, 0))
+        assert {dot(lp.c, vec(x)) for x in got} == {2}
 
 
 def rational_rows(live):
@@ -223,18 +217,20 @@ def rational_rows(live):
 class ChildSteps:
     """Compares every preparation the enumerations read while it is installed with a cold one.
 
-    A child step (``lp._child``) prepares the node x_k = v of a free x_k
-    from its parent's preparation; a forced variable's child reads its
-    parent's preparation, so one preparation can serve a chain of nodes.
-    Each preparation the search makes is traced back to its system and
-    prefix: the root's is ``lp._prepare_system``'s, and a child's prefix is
-    its parent's node's, then the chain's forced values, then v.  At every
-    child step and every node's ``lp.residual_range`` call, the node's
-    residual is presolved cold (``lp._presolve``), and by the Fraction
-    reference (``oracles.fraction_presolve``) on the restricted system, and
-    the preparation's tableau is compared with a fresh ``lp._phase1`` on
-    its own rows.  ``steps`` counts the child steps and ``chained`` the
-    nodes that read a preparation made above them.
+    Every node below the root asks ``lp._child`` for the preparation of
+    x_k = v from its parent's.  For a free x_k that is a child step, a new
+    preparation; for a forced x_k it is the parent's own, so one
+    preparation can serve a chain of nodes.  Each preparation the search
+    makes is traced back to its system and prefix: the root's is
+    ``lp._prepare_system``'s, and a child step's prefix is its parent's
+    node's, then the chain's forced values, then v.  At every child step
+    and every node's ``lp.residual_range`` call, the node's residual system
+    (``oracles.residual_system``) is prepared cold by
+    ``lp._prepare_system`` and presolved by the Fraction reference
+    (``oracles.fraction_presolve``), and the preparation's tableau is
+    compared with a fresh ``lp._phase1`` on its own rows.  ``steps``
+    counts the child steps and ``chained`` the nodes handed their parent's
+    preparation.
     """
 
     def __init__(self, monkeypatch):
@@ -249,9 +245,13 @@ class ChildSteps:
             return prep
 
         def spy_child(parent, k, v):
-            assert k not in parent.fixed
             a, b, prefix = self.at(parent, k)
             got = child(parent, k, v)
+            if got is parent:
+                assert parent.fixed[k] == (v, 1)
+                self.chained += 1
+                return got
+            assert k not in parent.fixed
             self.check(a, b, prefix + (v,), got)
             self.steps += 1
             if got is not None:
@@ -261,7 +261,6 @@ class ChildSteps:
         def spy_range(prep, k, cost, cutoff):
             a, b, prefix = self.at(prep, k)
             self.check(a, b, prefix, replace(prep, fixed={j: x for j, x in prep.fixed.items() if j >= k}))
-            self.chained += len(self.origin[id(prep)][3]) < k
             return node_range(prep, k, cost, cutoff)
 
         monkeypatch.setattr(ilp_module, "_prepare_system", spy_root)
@@ -276,29 +275,20 @@ class ChildSteps:
         return a, b, prefix + tuple(p for p, _ in chain)
 
     def check(self, a, b, prefix, got):
-        k = len(prefix)
-        pattern = a.sparse_rows
-        rhs, mults = lp_module._int_rhs(pattern, b)
-        for i, ((_, pairs), q) in enumerate(zip(pattern, mults)):
-            for j, num in pairs:
-                if j < k:
-                    rhs[i] -= q * num * prefix[j]
-        cold_feasible, cold_fixed, cold_live = lp_module._presolve(pattern, k, rhs, mults)
-        cold = lp_module._phase1_after(a.ncols, cold_feasible, cold_fixed, cold_live)
+        rest_a, rest_b = residual_system(a, b, prefix)
+        cold = lp_module._prepare_system(rest_a, rest_b)
         assert (got is None) == (cold is None)
-        ref_rows = [{j: x for j, x in row.items() if j >= k} for row in dict_rows(a)]
-        ref_rhs = [F(t, s * q) for t, (s, _), q in zip(rhs, pattern, mults)]
+        ref_rows, ref_rhs = dict_rows(rest_a), list(rest_b)
         ref_feasible, ref_fixed = fraction_presolve(ref_rows, ref_rhs)
-        assert cold_feasible == ref_feasible
         if got is None:
             return
-        assert cold_feasible
+        assert ref_feasible
         fixed, live = got.fixed, got.live
         assert all(q > 0 and math.gcd(p, q) == 1 for p, q in fixed.values())
-        assert fixed == cold_fixed  # as dicts: the forcing order may differ
+        assert fixed == cold.fixed  # as dicts: the forcing order may differ
         assert {j: F(p, q) for j, (p, q) in fixed.items()} == ref_fixed
         assert all(s > 0 for _, _, s in live)
-        assert rational_rows(live) == rational_rows(cold_live)
+        assert rational_rows(live) == rational_rows(cold.live)
         assert rational_rows(live) == ([list(row.items()) for row in ref_rows], ref_rhs)
         fresh = lp_module._phase1(live, a.ncols) if live else (None, (), ())
         assert (got.tableau, got.dens, got.basis) == fresh
@@ -314,7 +304,7 @@ class TestChildPresolve:
         with pytest.MonkeyPatch.context() as mp:
             ChildSteps(mp)
             got = enumerate_integral_optima(lp)
-        assert (got.solutions, got.objective) == brute_force_optima(lp, oracle_box(lp))
+        assert got == brute_force_optima(lp, oracle_box(lp))
 
     @pytest.mark.parametrize(
         "run",

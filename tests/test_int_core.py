@@ -1,8 +1,8 @@
 """The integer core stays in ints.
 
 In the LP layer, presolve (cold, or a child node's step from its parent's), phase 1,
-phase 2, the pivots and the enumeration node's solve name no Fraction; in
-the enumeration, the search itself names no Fraction and builds no LP
+phase 2, the pivots and the enumeration node's solve name no Fraction; the
+enumeration names no Fraction anywhere, and its search builds no LP
 object.  In ``exactla`` a Fraction becomes ints in one place only,
 ``Matrix.sparse_rows``; the determinant and the subdeterminant search name
 no Fraction, and ``max_subdet_all`` builds its one Fraction in its return.
@@ -15,7 +15,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ilplab"
 
 INT_CORE = {
     "_int_rhs",
-    "_presolve",
+    "_prepare_system",
     "_child",
     "_reduce",
     "_dominates",
@@ -61,6 +61,20 @@ def test_search_names_no_fraction_and_no_lp_object():
     ilp = functions(SRC / "ilp.py")
     found = names_used(ilp["walk"], SEARCH_NAMES) + names_used(ilp["_integer_system"], FRACTION_NAMES)
     assert not found, f"the search in ilp.py leaves the ints: {found}"
+
+
+def test_enumeration_module_names_no_fraction():
+    names = set()
+    for node in ast.walk(ast.parse((SRC / "ilp.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+    assert not names & (FRACTION_NAMES | {"fractions"}), "ilp.py names a Fraction"
 
 
 def test_only_the_pattern_reads_numerators():

@@ -20,6 +20,7 @@ from oracles import (
     fraction_simplex,
     lp_basic_solution_optimum,
     random_feasible_ilp,
+    residual_system,
 )
 
 
@@ -192,29 +193,24 @@ class TestIntegerCore:
     @settings(max_examples=400, deadline=None)
     @given(rational_systems(), st.integers(0, 2))
     def test_presolve_matches_reference(self, lp, v):
-        # at k = 1 the rows are the residual of x_0 = v, each over the scale
-        # s_i*q_i of the whole system, which need not be least
-        pattern = lp.a.sparse_rows
-        rhs, mults = lp_module._int_rhs(pattern, lp.b)
-        cases = [(0, rhs, list(lp.b))]
-        if lp.n > 1:
-            head = [dict(pairs).get(0, 0) for _, pairs in pattern]
-            residual = [t - q * num * v for t, q, num in zip(rhs, mults, head)]
-            cases.append((1, residual, [bi - row[0] * v for bi, row in zip(lp.b, lp.a.rows)]))
-        for k, int_rhs, ref_rhs in cases:
-            feasible, fixed, live = lp_module._presolve(pattern, k, int_rhs, mults)
-            ref_rows = [{j: x for j, x in row.items() if j >= k} for row in dict_rows(lp.a)]
+        # the whole system, and the residual of x_0 = v with column 0 zeroed
+        for prefix in [(), (v,)] if lp.n > 1 else [()]:
+            a, b = residual_system(lp.a, lp.b, prefix)
+            prep = lp_module._prepare_system(a, b)
+            ref_rows, ref_rhs = dict_rows(a), list(b)
             ref_feasible, ref_fixed = fraction_presolve(ref_rows, ref_rhs)
-            assert feasible == ref_feasible
-            assert all(q > 0 and gcd(p, q) == 1 for p, q in fixed.values())
-            assert [(j, F(p, q)) for j, (p, q) in fixed.items()] == list(ref_fixed.items())
-            if feasible:
-                assert all(s > 0 for _, _, s in live)
-                # rows as (column, value) lists, so their column order is pinned too
-                assert [[(j, F(x, s)) for j, x in row.items()] for row, _, s in live] == [
-                    list(row.items()) for row in ref_rows
-                ]
-                assert [F(t, s) for _, t, s in live] == ref_rhs
+            if prep is None:
+                assert fraction_prepare(a, b) is None
+                continue
+            assert ref_feasible
+            assert all(q > 0 and gcd(p, q) == 1 for p, q in prep.fixed.values())
+            assert [(j, F(p, q)) for j, (p, q) in prep.fixed.items()] == list(ref_fixed.items())
+            assert all(s > 0 for _, _, s in prep.live)
+            # rows as (column, value) lists, so their column order is pinned too
+            assert [[(j, F(x, s)) for j, x in row.items()] for row, _, s in prep.live] == [
+                list(row.items()) for row in ref_rows
+            ]
+            assert [F(t, s) for _, t, s in prep.live] == ref_rhs
 
     @settings(max_examples=400, deadline=None)
     @given(rational_systems())
@@ -296,11 +292,11 @@ class TestIntegerCore:
     def test_node_presolve_is_incremental(self):
         # Only the relaxation's lp_solve presolves cold, and the enumeration
         # root reuses that preparation.  Every one of the 756 inner nodes is
-        # bound-tested, but only the 12 children of a free variable take a
-        # child step from their parent's preparation; a forced variable's
-        # child reads its parent's, where every node once presolved cold.
-        calls = {"cold": 0, "child": 0, "range": 0}
-        cold, child, node_range = lp_module._presolve, ilp_module._child, ilp_module.residual_range
+        # bound-tested, but only the 12 children of a free variable reduce
+        # from their parent's preparation; a forced variable's child is
+        # handed its parent's, where every node once presolved cold.
+        calls = {"reduce": 0, "range": 0, "pivot": 0}
+        reduce, node_range, pivot = lp_module._reduce, ilp_module.residual_range, lp_module._pivot
 
         def counted(name, function):
             def call(*args):
@@ -310,11 +306,11 @@ class TestIntegerCore:
             return call
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lp_module, "_presolve", counted("cold", cold))
-            mp.setattr(ilp_module, "_child", counted("child", child))
+            mp.setattr(lp_module, "_reduce", counted("reduce", reduce))
             mp.setattr(ilp_module, "residual_range", counted("range", node_range))
+            mp.setattr(lp_module, "_pivot", counted("pivot", pivot))
             measure_proximity_lb(gen_proximity(2, 7))
-        assert calls == {"cold": 1, "child": 12, "range": 756}
+        assert calls == {"reduce": 13, "range": 756, "pivot": 769}
 
 
 @st.composite
@@ -327,9 +323,9 @@ def residual_cases(draw):
     return lp, prefix, cost, draw(st.none() | st.integers(-3, 3))
 
 
-def cold_preparation(a, k, rhs, mults):
-    """The preparation of {x_k.. >= 0 : A[:, k:] x = r}, presolved cold (``lp._presolve`` describes r)."""
-    return lp_module._phase1_after(a.ncols, *lp_module._presolve(a.sparse_rows, k, rhs, mults))
+def cold_preparation(a, b, prefix):
+    """The cold preparation of what is left of a x = b once x_0..x_{k-1} are fixed to ``prefix``."""
+    return lp_module._prepare_system(*residual_system(a, b, prefix))
 
 
 class TestResidualRange:
@@ -340,13 +336,7 @@ class TestResidualRange:
     def test_matches_reference(self, case):
         lp, prefix, cost, cutoff = case
         k = len(prefix)
-        pattern = lp.a.sparse_rows
-        rhs, mults = lp_module._int_rhs(pattern, lp.b)
-        for i, ((_, pairs), q) in enumerate(zip(pattern, mults)):
-            for j, num in pairs:
-                if j < k:
-                    rhs[i] -= q * num * prefix[j]
-        prep = cold_preparation(lp.a, k, rhs, mults)
+        prep = cold_preparation(lp.a, lp.b, prefix)
         node_cost = {j: w for j, w in enumerate(cost) if w and j >= k}
         got = None if prep is None else lp_module.residual_range(prep, k, node_cost, cutoff)
 
@@ -372,7 +362,7 @@ class TestResidualRange:
     def test_unbounded_minimum_prunes_nothing(self):
         # x_1 - x_2 = 1 under cost -x_2 has no minimum; the node stays
         lp = StandardLp(Matrix.from_rows([[1, 1, -1]]), vec([1]), vec([0, 0, 0]))
-        prep = cold_preparation(lp.a, 1, [1], [1])
+        prep = cold_preparation(lp.a, lp.b, (0,))
         assert lp_module.residual_range(prep, 1, {2: -1}, -5) == (1, None)
 
 

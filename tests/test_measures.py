@@ -62,6 +62,35 @@ class TestDistances:
         with pytest.raises(ValueError):
             dist_point_set((0,), [], NORM_L1)
 
+    def test_equal_sets_take_linear_work(self, monkeypatch):
+        # each point is measured against its first equal y alone: a full scan
+        # of the 300 ys for each of the 300 points would be 90,000 distances
+        calls = [0]
+        dist = ilplab.measures.vec_dist
+
+        def counted(*args):
+            calls[0] += 1
+            return dist(*args)
+
+        monkeypatch.setattr(ilplab.measures, "vec_dist", counted)
+        units = [tuple(int(i == j) for j in range(300)) for i in range(300)]
+        assert dist_set_set(units, units, NORM_L1) == (0, (units[0], units[0]))
+        assert calls[0] <= 600
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 3), st.sampled_from([NORM_L1, NORM_LINF]))
+    def test_set_set_matches_full_scan(self, data, n, norm):
+        # the max over xs of the first nearest y, the first x to reach it kept
+        points = st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=6)
+        xs, ys = data.draw(points), data.draw(points)
+        best = pair = None
+        for x in xs:
+            dists = [vec_dist(x, y, norm) for y in ys]
+            d = min(dists)
+            if best is None or d > best:
+                best, pair = d, (x, ys[dists.index(d)])
+        assert dist_set_set(xs, ys, norm) == (best, pair)
+
     def test_max_consistency(self):
         xs = [(0, 0), (2, 2), (5, 1)]
         ys = [(1, 1), (4, 4)]
@@ -188,14 +217,14 @@ class TestNormFloor:
     def test_no_matching_optimum(self):
         inst = gen_proximity(2, 3)
         sols = enumerate_integral_optima(inst.lp)
-        no_matching = next(s for s in sols.solutions if sum(s[:6]) == 0)
+        no_matching = next(s for s in sols if sum(s[:6]) == 0)
         assert norm_floor(inst, no_matching) == 60
         assert sum(no_matching) == 75
 
     def test_one_matching_optimum(self):
         inst = gen_proximity(2, 3)
         sols = enumerate_integral_optima(inst.lp)
-        one = next(s for s in sols.solutions if sum(s[:6]) == 1)
+        one = next(s for s in sols if sum(s[:6]) == 1)
         # coverage ||a||_1 = 5: floor = 1 + 10*delta*p + 5*p
         assert norm_floor(inst, one) == 1 + 10 * 2 * 2 + 5 * 2
         assert sum(one) == 61
@@ -205,7 +234,7 @@ class TestNormFloor:
         # the actual norm 116; the coverage-based floor stays below it
         inst = gen_proximity(3, 3)
         sols = enumerate_integral_optima(inst.lp)
-        one = next(s for s in sols.solutions if sum(s[:6]) == 1)
+        one = next(s for s in sols if sum(s[:6]) == 1)
         assert sum(one) == 116
         assert 1 + 14 * 3 * 3 + 3 > sum(one)
         assert norm_floor(inst, one) == 1 + 10 * 3 * 3 + 5 * 3
@@ -213,7 +242,7 @@ class TestNormFloor:
     def test_d1_floor_reduces_to_matching_mass(self):
         inst = gen_proximity(2, 1)
         sols = enumerate_integral_optima(inst.lp)
-        for sol in sols.solutions:
+        for sol in sols:
             assert norm_floor(inst, sol) == sum(sol[:6])
 
     def test_certificate_satisfies_floor(self):
@@ -226,7 +255,7 @@ class TestNormFloor:
     @pytest.mark.parametrize("delta", [2, 3])
     def test_floor_never_above_the_norm(self, delta):
         inst = gen_proximity(delta, 3)
-        for sol in enumerate_integral_optima(inst.lp).solutions:
+        for sol in enumerate_integral_optima(inst.lp):
             assert norm_floor(inst, sol) <= sum(sol)
 
     def test_infeasible_point_rejected(self):
@@ -237,7 +266,7 @@ class TestNormFloor:
     @pytest.mark.parametrize("relabel", [{"delta": 3}, {"d": 5}])
     def test_mislabelled_instance_rejected(self, relabel):
         inst = gen_proximity(2, 3)
-        for sol in enumerate_integral_optima(inst.lp).solutions:
+        for sol in enumerate_integral_optima(inst.lp):
             with pytest.raises(ValueError, match="do not describe the proximity family"):
                 norm_floor(replace(inst, **relabel), sol)
 
@@ -318,7 +347,7 @@ class TestFalsification:
         monkeypatch.setattr(
             ilplab.measures,
             "max_subdet_all",
-            lambda *args, **kwargs: SubdetResult(F(0), (0,), (0,), 0),
+            lambda *args, **kwargs: SubdetResult(F(0), (0,), (0,)),
         )
 
     def test_sensitivity(self):
