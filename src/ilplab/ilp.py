@@ -21,7 +21,11 @@ preparation is ``lp._prepare_system``'s for the whole system, which is the
 one a preceding ``lp_solve`` of the same system made.  Every other node is
 a child x_k = v of the node above, prepared by ``lp._child`` from the
 parent's preparation; ``_child`` hands back the parent's own when the
-parent had forced x_k (see ``lp``).  A node whose range holds one value
+parent had forced x_k.  Otherwise the child's dominance pass tests only
+the row pairs its substitutions touched, and its phase 1 starts from the
+parent's basis (see ``lp``), so its tableau is a feasible basis but not
+in general the cold one; the node reads only optimal values off it,
+which every feasible basis gives alike.  A node whose range holds one value
 has one child, so a chain of such nodes is walked in a loop, each node of
 it still counted and bound-tested.  The nodes with more than one value sit
 on an explicit stack with the values they have left, so no path, however

@@ -15,10 +15,11 @@ every real one, so index order is the dense column order, and the entering
 column is the smallest index with a negative cost entry; the sign of an
 entry is the sign of its numerator; the ratio rhs/entry of a row is the
 ratio of its numerators, since the row's denominator cancels, and two
-ratios are compared by cross-multiplication.  So every pivot, basis,
-solution and objective is the one the Fraction tableau reaches.  Fractions
-appear only where b and c are scaled to ints (``_int_rhs``, ``lp_solve``)
-and where ``lp_solve`` builds the values it returns.
+ratios are compared by cross-multiplication.  So from the same start
+every pivot, basis, solution and objective is the one the Fraction
+tableau reaches.  Fractions appear only where b and c are scaled to ints
+(``_int_rhs``, ``lp_solve``) and where ``lp_solve`` builds the values it
+returns.
 
 A presolve pass runs first and repeatedly applies three exact reductions:
 
@@ -43,9 +44,9 @@ sides of two rows are compared by cross-multiplying with the other row's
 scale; and a forced value is a reduced int pair p/q, substituted as
 ``t - coef*p`` once the row's entries, right-hand side and scale are
 multiplied by q.  So presolve forces the same values in the same order and
-leaves the same rows.  Phase 1 divides each left-over row by the gcd of its
-scale and entries, which gives back the unique primitive integer row of
-those rationals, the row the simplex starts from.
+leaves the same rows.  A cold phase 1 divides each left-over row by the
+gcd of its scale and entries, which gives back the unique primitive
+integer row of those rationals, the row the simplex starts from.
 
 Presolve has two parts: building the rows from the pattern, and the
 reduction loop ``_reduce``, which runs to fixpoint on whatever rows it is
@@ -57,35 +58,54 @@ fixpoint is the node's but for x_k.  Its rows are the node's, so its phase
 1 is too: ``_child`` returns the node's preparation, tableau included.  A
 child of a free x_k instead starts from its parent's preparation: it
 copies the parent's live rows, substitutes v into them (v is an int, so
-each row keeps its scale), reduces, and runs phase 1 on what is left.  It
-reaches the fixpoint a cold presolve of its residual reaches.  Each
-reduction stays valid under further fixings: with x_k = v
-added, a singleton or zero-right-hand-side row of the parent is still one
-or is already settled, and a dominating pair with a zero gap keeps it,
-since x_k either has a zero difference entry or is forced to 0.  So every
-deduction of the parent is also made by the cold run, every deduction of
-the cold run is also made from the parent's state, and the two loops stop
-at the same closure: the same fixed values, the same live rows.  Rows are
-only deleted, so the survivors keep their original relative order, and of
-rows equal as rationals the first is the one kept.  Scales can differ, as
-a scale records the fractional values substituted into its row, but phase
-1 makes every row primitive, so pivots, bases and results do not move.
-Only the order of the fixed values can differ, and nothing reads it:
-``x`` and the lookups in ``_minimum`` are order-free.
+each row keeps its scale), and reduces them.  It reaches the fixpoint a
+cold presolve of its residual reaches.  Each reduction stays valid under
+further fixings: with x_k = v added, a singleton or zero-right-hand-side
+row of the parent is still one or is already settled, and a dominating
+pair with a zero gap keeps it, since x_k either has a zero difference
+entry or is forced to 0.  So every deduction of the parent is also made by
+the cold run, every deduction of the cold run is also made from the
+parent's state, and the two loops stop at the same closure: the same fixed
+values, the same live rows.  Rows are only deleted, so the survivors keep
+their original relative order, and of rows equal as rationals the first is
+the one kept.  Scales can differ, as a scale records the fractional values
+substituted into its row, but the rows are the same rationals.  Only the
+order of the fixed values can differ, and nothing reads it: ``x`` and the
+lookups in ``_minimum`` are order-free.
+
+A free child's presolve and phase 1 both start from its parent's work.
+``_reduce`` is told which rows the substitution of v touched, and adds
+every row it substitutes into.  Its row-difference pass tests only the
+pairs with a touched row: every other pair was tested at the parent's
+fixpoint without a result, and neither row has changed since.  So the
+first pair that fires is the full pass's, and the deductions, their order
+and the rows left are the full pass's too.  Phase 1 starts from the
+parent's tableau (Chvatal, Linear Programming, 1983): x_k = v and the
+values the child's presolve forced are substituted into its rows, a row
+keeps its basic column when that column is still free and the row's
+right-hand side is >= 0, and only the other rows get an artificial
+variable.  The substituted rows span the same rational row space as the
+child's live rows, so phase 1 ends in a feasible basis of an equivalent
+system, though in general not in the tableau a cold phase 1 of the live
+rows reaches.  Rows the substitution does not touch are the parent's own
+row objects, shared, never copied.
 
 An answer has two steps, each with one home.  Preparing (A, b) covers
 everything that does not depend on c: presolve, and phase 1 on the rows
 presolve left, which ends in a feasible basis of that core or proves the
-system infeasible.  Cold preparations come from ``_prepare_system``, and
-those of the children of an enumeration node's free variable from
-``_child``.  Reading a cost is ``_minimum``: it
-sums the cost over the fixed columns and, when a free column has a cost,
-prices it against a copy of the prepared tableau and runs phase 2 to
-optimality; the free part's optimum is the cost row's right-hand side,
-negated, over its denominator.  ``lp_solve`` reads c, scaled to ints,
-through it once and builds its Fractions from that reading;
+system infeasible.  Cold preparations come from ``_prepare_system``, whose
+phase 1 starts with no basic column and reaches the Fraction tableau's
+basis, and those of the children of an enumeration node's free variable
+from ``_child``, whose phase 1 starts from the parent's basis.  Reading a
+cost is ``_minimum``: it sums the cost over the fixed columns and, when a
+free column has a cost, prices it against a copy of the prepared tableau
+and runs phase 2 to optimality; the free part's optimum is the cost row's
+right-hand side, negated, over its denominator.  ``lp_solve`` reads c,
+scaled to ints, through a cold preparation once and builds its Fractions
+from that reading, so its solution is the cold tableau's.
 ``residual_range`` reads an enumeration node's objective bound and both
-ends of its variable, in ints.
+ends of its variable, in ints: optimal values, which every feasible basis
+of an equivalent system gives alike.
 
 ``_prepare_system`` remembers its last preparation, keyed on the identity
 of the matrix object and the value of b.  That is exact: a ``Matrix`` holds
@@ -108,7 +128,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .exactla import Matrix, PatternRow, Vec, vec
 
@@ -194,7 +214,7 @@ def _int_rhs(pattern: Sequence[PatternRow], b: Vec) -> tuple[list[int], list[int
     return [bi.numerator * s for (s, _), bi in zip(pattern, b)], [bi.denominator for bi in b]
 
 
-def _reduce(live: list[list], fixed: dict[int, tuple[int, int]]) -> bool:
+def _reduce(live: list[list], fixed: dict[int, tuple[int, int]], touched: set[int] | None = None) -> bool:
     """Apply the exact reductions to the rows ``live`` to fixpoint, in place; False when infeasible.
 
     ``live`` holds ``[row, t, s]`` entries: an int row dict, an int
@@ -211,6 +231,13 @@ def _reduce(live: list[list], fixed: dict[int, tuple[int, int]]) -> bool:
     more; rows never gain columns, so the index needs no other upkeep.  A
     row deleted while it still holds columns (a duplicate) is emptied, so
     the index entries that still name it do nothing.
+
+    ``touched`` is None for the rows of a cold presolve, and every row pair is
+    tested for dominance.  A child passes the ids of the entries it
+    substituted into, on rows copied from a fixpoint of this loop;
+    ``substitute`` adds each entry it touches, and the row-difference pass
+    tests only pairs with at least one row in the set.  The deductions,
+    their order and the rows left are those of the full pass.
     """
     holders: dict[int, list[list]] = {}
     for entry in live:
@@ -225,7 +252,11 @@ def _reduce(live: list[list], fixed: dict[int, tuple[int, int]]) -> bool:
         for entry in holders.pop(j, ()):
             row = entry[0]
             coef = row.pop(j, None)
-            if coef is None or not p:
+            if coef is None:
+                continue
+            if touched is not None:
+                touched.add(id(entry))
+            if not p:
                 continue
             if q != 1:
                 # t/s - coef*p/(q*s) is (t*q - coef*p)/(s*q): the row over s*q
@@ -274,9 +305,13 @@ def _reduce(live: list[list], fixed: dict[int, tuple[int, int]]) -> bool:
             continue
         # Row-difference dominance: if row_i - row_k is entrywise >= 0 then
         # (row_i - row_k).x = rhs_i - rhs_k with x >= 0 forces conclusions.
-        # The difference is kept over si*sk.
-        for i, (ri, ti, si) in enumerate(live):
-            for k, (rk, tk, sk) in enumerate(live):
+        # The difference is kept over si*sk.  With ``touched``, a pair of
+        # rows outside it was tested at the fixpoint it started from, without
+        # a result, and neither row has changed since: it is skipped.
+        fresh = None if touched is None else [(k, entry) for k, entry in enumerate(live) if id(entry) in touched]
+        for i, entry in enumerate(live):
+            ri, ti, si = entry
+            for k, (rk, tk, sk) in enumerate(live) if fresh is None or id(entry) in touched else fresh:
                 if i == k or not _dominates(ri, si, rk, sk):
                     continue
                 diff = {j: v * sk for j, v in ri.items()}
@@ -383,61 +418,81 @@ def _iterate(rows: list[dict[int, int]], dens: list[int], basis: list[int], n_en
 
 
 def _phase1(
-    live: Sequence[list], n: int
+    rows: list[dict[int, int]], dens: list[int], basis: list[int | None], n: int
 ) -> tuple[tuple[dict[int, int], ...], tuple[int, ...], tuple[int, ...]] | None:
-    """Phase 1 on presolve's left-over rows: a feasible basis, or None when infeasible.
+    """Phase 1 from a partial basis: a feasible basis, or None when infeasible.
 
-    ``live`` is ``_reduce``'s, each row's columns below ``n``.  Returns the
-    tableau over A's columns as integer rows and their denominators, with
-    redundant rows dropped, and its basis.  Nothing here depends on c.
+    Row i stands for rows[i] / dens[i], primitive, over columns below ``n``
+    with a non-negative right-hand side.  basis[i] is a column whose entry
+    is dens[i] in row i and absent from every other row, or None: such a
+    row gets the artificial column n + i, and phase 1 minimises their sum
+    by Bland's rule.  Then the artificials still basic are pivoted out, or
+    their rows dropped as redundant, and the artificial columns stripped.
+    Returns the tableau over A's columns as integer rows and their
+    denominators, and its basis.  The rows given are never written into,
+    except the rows without a basic column, which must not be shared.
+    Nothing here depends on c.  From ``_cold_start``, where no row has a
+    basic column, this is the Fraction tableau's phase 1; from
+    ``_warm_start`` it is a child's, from its parent's basis.
     """
-    # Each row and its rhs as a primitive integer row over its denominator
-    # (negated when the rhs is negative); artificial variables n..n+r-1.
-    r = len(live)
-    basis = list(range(n, n + r))
-    tableau: list[dict[int, int]] = []
-    dens: list[int] = []
-    for i, (row, t, s) in enumerate(live):
-        nums = {j: -v for j, v in row.items()} if t < 0 else dict(row)
-        if t:
-            nums[_RHS] = abs(t)
-        nums, den = _primitive(nums, s)
-        nums[n + i] = den
-        tableau.append(nums)
-        dens.append(den)
+    artificial = [i for i, bi in enumerate(basis) if bi is None]
+    for i in artificial:
+        rows[i][n + i] = dens[i]
+        basis[i] = n + i
 
-    # Objective = sum of the artificials, priced out: minus the sum of rows,
-    # in which every artificial column cancels.
-    cost_den = lcm(*dens)
-    cost = dict.fromkeys(basis, cost_den)
-    for row, den in zip(tableau, dens):
-        _subtract(cost, cost_den // den, row)
+    # Objective = sum of the artificials, priced out: minus the sum of their
+    # rows, in which every artificial column cancels.
+    cost_den = lcm(*(dens[i] for i in artificial))
+    cost = {n + i: cost_den for i in artificial}
+    for i in artificial:
+        _subtract(cost, cost_den // dens[i], rows[i])
     cost, cost_den = _primitive(cost, cost_den)
-    tableau.append(cost)
+    rows.append(cost)
     dens.append(cost_den)
 
-    if _iterate(tableau, dens, basis, n) != OPTIMAL:
+    if _iterate(rows, dens, basis, n) != OPTIMAL:
         raise AssertionError("phase-1 objective is bounded below by zero")
-    if tableau[-1].get(_RHS, 0) < 0:
+    if rows[-1].get(_RHS, 0) < 0:
         return None
 
     # Pivot leftover artificials out on their smallest real column; a row
     # with none is redundant.
     keep: list[int] = []
-    for i in range(r):
+    for i in range(len(basis)):
         if basis[i] >= n:
-            real = [j for j in tableau[i] if 0 <= j < n]
+            real = [j for j in rows[i] if 0 <= j < n]
             if not real:
                 continue
-            _pivot(tableau, dens, basis, i, min(real))
+            _pivot(rows, dens, basis, i, min(real))
         keep.append(i)
     # without the artificial columns a row can share a factor with its den
-    prepared = [_primitive({j: v for j, v in tableau[i].items() if j < n}, dens[i]) for i in keep]
+    prepared = [
+        _primitive(rows[i] if max(rows[i]) < n else {j: v for j, v in rows[i].items() if j < n}, dens[i])
+        for i in keep
+    ]
     return (
         tuple(row for row, _ in prepared),
         tuple(den for _, den in prepared),
         tuple(basis[i] for i in keep),
     )
+
+
+def _cold_start(live: Sequence[list]) -> tuple[list[dict[int, int]], list[int], list[int | None]]:
+    """Phase 1's start on presolve's left-over rows: each row primitive, no basic column.
+
+    ``live`` is ``_reduce``'s.  A row with a negative right-hand side is
+    negated.
+    """
+    rows: list[dict[int, int]] = []
+    dens: list[int] = []
+    for row, t, s in live:
+        nums = {j: -v for j, v in row.items()} if t < 0 else dict(row)
+        if t:
+            nums[_RHS] = abs(t)
+        nums, den = _primitive(nums, s)
+        rows.append(nums)
+        dens.append(den)
+    return rows, dens, [None] * len(rows)
 
 
 def _phase2(prep: _Prepared, cost: dict[int, int]) -> tuple[list[dict], list[int], list[int]] | None:
@@ -478,11 +533,14 @@ class _Prepared:
     forced them; a child's order can differ, and nothing reads it.  The
     columns of the system that it leaves out are free.  ``live`` holds the
     rows presolve left, as ``_reduce`` leaves them, for a child to start
-    from; they are never written into.  ``tableau`` is the phase-1 tableau
-    of those rows as sparse integer rows over ``dens``, or None when
-    presolve settled every row; ``basis`` holds its basic columns, by their
-    index in A.  ``x``, what every ``lp_solve`` answer starts from, is
-    computed on first use and kept with the preparation.
+    from; they are never written into.  ``tableau`` is a feasible basis of
+    those rows as sparse integer rows over ``dens``, or None when presolve
+    settled every row; ``basis`` holds its basic columns, by their index in
+    A.  A cold preparation's tableau is the one phase 1 reaches from no
+    basic column; a child's starts from its parent's tableau, and can share
+    row objects with it.  None of them is ever written into.  ``x``, what
+    every ``lp_solve`` answer starts from, is computed on first use and kept
+    with the preparation.
     """
 
     n: int
@@ -502,13 +560,17 @@ class _Prepared:
         return tuple(x)
 
 
-def _phase1_after(n: int, feasible: bool, fixed: dict[int, tuple[int, int]], live: list[list]):
-    """The preparation of a presolve result, by phase 1; None when infeasible."""
-    if not feasible:
-        return None
+def _phase1_after(n: int, fixed: dict[int, tuple[int, int]], live: list[list], start: Callable[[], tuple | None]):
+    """The preparation of presolve's result ``fixed`` and ``live``; None when infeasible.
+
+    ``start`` gives phase 1's partial basis of the live rows, as
+    ``_phase1`` takes it, or None when it finds them infeasible.  It is
+    called only when rows are left.
+    """
     if not live:
         return _Prepared(n, fixed, live, None, (), ())
-    phase1 = _phase1(live, n)
+    begin = start()
+    phase1 = None if begin is None else _phase1(*begin, n)
     if phase1 is None:
         return None
     return _Prepared(n, fixed, live, *phase1)
@@ -537,7 +599,7 @@ def _prepare_system(a: Matrix, b: Vec) -> _Prepared | None:
     live = [[dict(pairs) if q == 1 else {j: v * q for j, v in pairs}, t, s * q]
             for (s, pairs), t, q in zip(pattern, rhs, mults)]
     fixed: dict[int, tuple[int, int]] = {}
-    prep = _phase1_after(a.ncols, _reduce(live, fixed), fixed, live)
+    prep = _phase1_after(a.ncols, fixed, live, lambda: _cold_start(live)) if _reduce(live, fixed) else None
     _last_prepared = (a, b, prep)
     return prep
 
@@ -551,22 +613,79 @@ def _child(parent: _Prepared, k: int, v: int) -> _Prepared | None:
     ``parent`` itself is returned: a chain of forced variables shares one
     preparation, whose ``fixed`` then still holds columns below k.  For a
     free x_k, the node's fixed columns above k and its live rows are
-    copied, v is substituted into every row that holds x_k, ``_reduce``
-    runs to fixpoint and phase 1 runs on the rows it leaves.  Presolve ends
-    with the fixed values and the live rows, as rationals in the same
-    order, that a cold presolve reaches on the child's residual; only the
-    order of ``fixed`` can differ.  ``parent`` is not written into:
-    siblings share it.
+    copied, v is substituted into every row that holds x_k, and ``_reduce``
+    runs to fixpoint, told which rows that touched.  Presolve ends with the
+    fixed values and the live rows, as rationals in the same order, that a
+    cold presolve reaches on the child's residual; only the order of
+    ``fixed`` can differ.  Phase 1 then starts from the parent's tableau
+    with x_k = v and the newly forced values substituted (``_warm_start``),
+    and ends in a feasible basis of the child's rows, not in general the
+    cold one.  ``parent`` is not written into: siblings share it.
     """
     if k in parent.fixed:
         return parent
     fixed = {j: value for j, value in parent.fixed.items() if j > k}
     rows = [[dict(row), t, s] for row, t, s in parent.live]
+    touched: set[int] = set()
     for entry in rows:
         coef = entry[0].pop(k, None)
         if coef is not None:
             entry[1] -= coef * v
-    return _phase1_after(parent.n, _reduce(rows, fixed), fixed, rows)
+            touched.add(id(entry))
+    if not _reduce(rows, fixed, touched):
+        return None
+    return _phase1_after(parent.n, fixed, rows, lambda: _warm_start(parent, k, v, fixed))
+
+
+def _warm_start(
+    parent: _Prepared, k: int, v: int, fixed: dict[int, tuple[int, int]]
+) -> tuple[list[dict[int, int]], list[int], list[int | None]] | None:
+    """Phase 1's start for the child x_k = v: the parent's tableau with x_k = v and the child's ``fixed`` values substituted.
+
+    ``fixed`` is the child's presolve result; the columns in it that the
+    parent had fixed are in no row of the parent's tableau.  A row that
+    holds none of the substituted columns is the parent's own row object,
+    still with its basic column.  Every other row is a new one, made
+    primitive.  It keeps its basic column when that is not substituted and
+    its right-hand side is >= 0; else it has none, and a row with a
+    negative right-hand side is negated.  A row left with no columns is
+    dropped when it reads 0 = 0.  Returns None when one reads 0 = c with
+    c != 0: the child is infeasible.
+    """
+    values = {**fixed, k: (v, 1)}
+    rows: list[dict[int, int]] = []
+    dens: list[int] = []
+    basis: list[int | None] = []
+    for row, den, bi in zip(parent.tableau, parent.dens, parent.basis):
+        hit = row.keys() & values.keys()
+        if hit:
+            row = dict(row)
+            t = row.pop(_RHS, 0)
+            for j in hit:
+                coef = row.pop(j)
+                p, q = values[j]
+                if q != 1:
+                    for col in row:
+                        row[col] *= q
+                    t *= q
+                    den *= q
+                t -= coef * p
+            if not row:
+                if t:
+                    return None
+                continue
+            if t < 0 or bi in hit:
+                bi = None
+            if t < 0:
+                row = {j: -w for j, w in row.items()}
+                t = -t
+            if t:
+                row[_RHS] = t
+            row, den = _primitive(row, den)
+        rows.append(row)
+        dens.append(den)
+        basis.append(bi)
+    return rows, dens, basis
 
 
 def _minimum(prep: _Prepared, cost: dict[int, int]):

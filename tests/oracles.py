@@ -250,6 +250,39 @@ def residual_system(a: Matrix, b: Sequence[Fraction], prefix: Sequence[int]) -> 
     return Matrix(rows), rhs
 
 
+def rref(rows: Sequence[dict[int, Fraction]]) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+    """The reduced row echelon form of ``rows``, by Gauss-Jordan elimination on Fractions.
+
+    Each row maps column keys to entries; columns are eliminated in
+    ascending key order and zero rows are dropped.  The form is unique, so
+    two lists of rows span the same rational row space iff their forms are
+    equal.  Each row comes back as its (key, entry) pairs in key order.
+    """
+    work = [{j: Fraction(x) for j, x in row.items() if x} for row in rows]
+    work = [row for row in work if row]
+    done: list[dict[int, Fraction]] = []
+    for col in sorted({j for row in work for j in row}):
+        pivot = next((row for row in work if col in row), None)
+        if pivot is None:
+            continue
+        work.remove(pivot)
+        lead = pivot[col]
+        pivot = {j: x / lead for j, x in pivot.items()}
+        for row in work + done:
+            f = row.get(col)
+            if f is None:
+                continue
+            for j, x in pivot.items():
+                y = row.get(j, _ZERO) - f * x
+                if y:
+                    row[j] = y
+                else:
+                    row.pop(j, None)
+        work = [row for row in work if row]
+        done.append(pivot)
+    return tuple(sorted(tuple(sorted(row.items())) for row in done))
+
+
 def fraction_presolve(rows: list[dict[int, Fraction]], rhs: list[Fraction]):
     """Apply the exact reductions to fixpoint.
 

@@ -19,7 +19,15 @@ from ilplab.lp import StandardLp, is_feasible_point
 from ilplab.measures import fuzz_cook
 from ilplab.petersen import build_matching_system
 
-from oracles import brute_force_optima, dict_rows, fraction_presolve, oracle_box, random_feasible_ilp, residual_system
+from oracles import (
+    brute_force_optima,
+    dict_rows,
+    fraction_presolve,
+    oracle_box,
+    random_feasible_ilp,
+    residual_system,
+    rref,
+)
 
 
 def expected_block_optima(delta, d):
@@ -214,6 +222,12 @@ def rational_rows(live):
     return [[(j, F(x, s)) for j, x in row.items()] for row, _, s in live], [F(t, s) for _, t, s in live]
 
 
+def minimum(prep, cost):
+    """``lp._minimum`` of ``cost`` over ``prep`` as one rational, None when unbounded."""
+    best = lp_module._minimum(prep, cost)
+    return None if best is None else F(best[0], best[1])
+
+
 class ChildSteps:
     """Compares every preparation the enumerations read while it is installed with a cold one.
 
@@ -227,10 +241,11 @@ class ChildSteps:
     and every node's ``lp.residual_range`` call, the node's residual system
     (``oracles.residual_system``) is prepared cold by
     ``lp._prepare_system`` and presolved by the Fraction reference
-    (``oracles.fraction_presolve``), and the preparation's tableau is
-    compared with a fresh ``lp._phase1`` on its own rows.  ``steps``
-    counts the child steps and ``chained`` the nodes handed their parent's
-    preparation.
+    (``oracles.fraction_presolve``).  Presolve must match both exactly.  A
+    child's tableau starts from its parent's, so it need not be the cold
+    one: it must be a feasible basis of the node's own rows, and give every
+    minimum the cold preparation gives.  ``steps`` counts the child steps
+    and ``chained`` the nodes handed their parent's preparation.
     """
 
     def __init__(self, monkeypatch):
@@ -260,7 +275,7 @@ class ChildSteps:
 
         def spy_range(prep, k, cost, cutoff):
             a, b, prefix = self.at(prep, k)
-            self.check(a, b, prefix, replace(prep, fixed={j: x for j, x in prep.fixed.items() if j >= k}))
+            self.check(a, b, prefix, replace(prep, fixed={j: x for j, x in prep.fixed.items() if j >= k}), cost)
             return node_range(prep, k, cost, cutoff)
 
         monkeypatch.setattr(ilp_module, "_prepare_system", spy_root)
@@ -274,7 +289,11 @@ class ChildSteps:
         assert all(q == 1 for _, q in chain)
         return a, b, prefix + tuple(p for p, _ in chain)
 
-    def check(self, a, b, prefix, got):
+    def check(self, a, b, prefix, got, cost=None):
+        """``got`` prepares the residual of ``prefix``: its presolve is the cold one, its tableau a feasible basis.
+
+        ``cost``, the node's objective when given, must have the cold minimum too.
+        """
         rest_a, rest_b = residual_system(a, b, prefix)
         cold = lp_module._prepare_system(rest_a, rest_b)
         assert (got is None) == (cold is None)
@@ -290,9 +309,29 @@ class ChildSteps:
         assert all(s > 0 for _, _, s in live)
         assert rational_rows(live) == rational_rows(cold.live)
         assert rational_rows(live) == ([list(row.items()) for row in ref_rows], ref_rhs)
-        fresh = lp_module._phase1(live, a.ncols) if live else (None, (), ())
-        assert (got.tableau, got.dens, got.basis) == fresh
+        fresh = lp_module._phase1(*lp_module._cold_start(live), a.ncols) if live else (None, (), ())
         assert fresh == (cold.tableau, cold.dens, cold.basis)
+        if got.tableau is None:
+            assert not live
+        else:
+            self.check_basis(got, a.ncols)
+        free = [j for j in range(len(prefix), a.ncols) if j not in fixed]
+        for objective in [{j: sign} for j in free for sign in (1, -1)] + ([cost] if cost else []):
+            assert minimum(got, objective) == minimum(cold, objective)
+
+    @staticmethod
+    def check_basis(got, n):
+        """The tableau is a feasible basis of ``got``'s live rows [A | b], exactly."""
+        rows, dens, basis = got.tableau, got.dens, got.basis
+        assert len(rows) == len(dens) == len(basis)
+        for row, den, bi in zip(rows, dens, basis):
+            assert den > 0 and math.gcd(den, *row.values()) == 1 and 0 not in row.values()
+            assert 0 <= bi < n and row.get(bi) == den
+            assert row.get(lp_module._RHS, 0) >= 0
+        assert all(sum(bi in row for row in rows) == 1 for bi in basis)
+        tableau = [{j: F(x, den) for j, x in row.items()} for row, den in zip(rows, dens)]
+        live = [{**{j: F(x, s) for j, x in row.items()}, lp_module._RHS: F(t, s)} for row, t, s in got.live]
+        assert rref(tableau) == rref(live)
 
 
 class TestChildPresolve:

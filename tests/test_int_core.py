@@ -1,9 +1,11 @@
 """The integer core stays in ints.
 
-In the LP layer, presolve (cold, or a child node's step from its parent's), phase 1,
-phase 2, the pivots and the enumeration node's solve name no Fraction; the
-enumeration names no Fraction anywhere, and its search builds no LP
-object.  In ``exactla`` a Fraction becomes ints in one place only,
+In the LP layer, presolve (cold, or a child node's step from its
+parent's), phase 1 (from a cold start, or from a child's parent's
+tableau), phase 2, the pivots and the enumeration node's solve name no
+Fraction, and every helper they call is checked too; the enumeration
+names no Fraction anywhere, and its search builds no LP object.  In
+``exactla`` a Fraction becomes ints in one place only,
 ``Matrix.sparse_rows``; the determinant and the subdeterminant search name
 no Fraction, and ``max_subdet_all`` builds its one Fraction in its return.
 """
@@ -20,6 +22,8 @@ INT_CORE = {
     "_reduce",
     "_dominates",
     "_phase1",
+    "_cold_start",
+    "_warm_start",
     "_primitive",
     "_subtract",
     "_pivot",
@@ -55,6 +59,24 @@ def test_integer_core_names_no_fraction():
     assert INT_CORE <= lp.keys(), f"missing from lp.py: {INT_CORE - lp.keys()}"
     found = [hit for name in sorted(INT_CORE) for hit in names_used(lp[name], FRACTION_NAMES)]
     assert not found, f"Fraction arithmetic in the integer core of lp.py: {found}"
+
+
+def test_integer_core_is_closed_under_calls():
+    # every module-level lp.py function that a node's calls reach, the
+    # child's warm start included, is in INT_CORE and so checked above
+    tree = ast.parse((SRC / "lp.py").read_text(encoding="utf-8"))
+    top = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["_prepare_system", "_child", "residual_range"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [
+                node.func.id
+                for node in ast.walk(top[name])
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in top
+            ]
+    assert reached <= INT_CORE, f"called from the integer core but not checked: {reached - INT_CORE}"
 
 
 def test_search_names_no_fraction_and_no_lp_object():

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from math import ceil, floor, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ilplab import ilp as ilp_module
@@ -270,13 +270,15 @@ class TestIntegerCore:
     @pytest.mark.parametrize(
         "run, pivots",
         [
-            (lambda: measure_proximity_lb(gen_proximity(2, 7)), 769),
-            (lambda: fuzz_cook(7, 100), 2709),
+            (lambda: measure_proximity_lb(gen_proximity(2, 7)), 224),
+            (lambda: fuzz_cook(7, 100), 1760),
         ],
         ids=["measure-prox-2-7", "fuzz-seed7-100"],
     )
     def test_pivot_work_is_pinned(self, run, pivots):
-        # Bland's rule on the sparse rows makes exactly the dense Fraction tableau's pivots
+        # Cold solves make exactly the dense Fraction tableau's pivots (see
+        # test_solve_matches_reference); a child's phase 1 starts from its
+        # parent's basis, so its pivots are the warm start's
         calls = []
         pivot = lp_module._pivot
 
@@ -294,9 +296,12 @@ class TestIntegerCore:
         # root reuses that preparation.  Every one of the 756 inner nodes is
         # bound-tested, but only the 12 children of a free variable reduce
         # from their parent's preparation; a forced variable's child is
-        # handed its parent's, where every node once presolved cold.
-        calls = {"reduce": 0, "range": 0, "pivot": 0}
+        # handed its parent's, where every node once presolved cold.  A
+        # child's dominance pass tests only the row pairs its substitutions
+        # touched, and its phase 1 starts from its parent's basis.
+        calls = {"reduce": 0, "range": 0, "pivot": 0, "dominates": 0}
         reduce, node_range, pivot = lp_module._reduce, ilp_module.residual_range, lp_module._pivot
+        dominates = lp_module._dominates
 
         def counted(name, function):
             def call(*args):
@@ -309,8 +314,9 @@ class TestIntegerCore:
             mp.setattr(lp_module, "_reduce", counted("reduce", reduce))
             mp.setattr(ilp_module, "residual_range", counted("range", node_range))
             mp.setattr(lp_module, "_pivot", counted("pivot", pivot))
+            mp.setattr(lp_module, "_dominates", counted("dominates", dominates))
             measure_proximity_lb(gen_proximity(2, 7))
-        assert calls == {"reduce": 13, "range": 756, "pivot": 769}
+        assert calls == {"reduce": 13, "range": 756, "pivot": 224, "dominates": 13_510}
 
 
 @st.composite
@@ -326,6 +332,50 @@ def residual_cases(draw):
 def cold_preparation(a, b, prefix):
     """The cold preparation of what is left of a x = b once x_0..x_{k-1} are fixed to ``prefix``."""
     return lp_module._prepare_system(*residual_system(a, b, prefix))
+
+
+class TestChildReduce:
+    """A child's ``_reduce`` tests only the row pairs its substitutions touched, and loses nothing by it."""
+
+    # x_0 = 0 leaves the second row x_1 + x_2 = 1, which the first
+    # dominates with a zero gap: the child's own substitution touches it
+    _V_TOUCHES = StandardLp(Matrix.from_rows([[0, 1, 1, 1], [1, 1, 1, 0]]), vec([1, 1]), vec([0] * 4))
+    # x_0 = 1 turns the last row into x_4 + x_5 = 0, and forcing x_4 = 0
+    # leaves the second row x_1 + x_2 = 1, which the first now dominates
+    # with a zero gap: a row a zero is substituted into is touched too
+    _ZERO_TOUCHES = StandardLp(
+        Matrix.from_rows([[0, 1, 1, 1, 0, 0], [0, 1, 1, 0, 1, 0], [1, 0, 0, 0, 1, 1]]), vec([1, 1, 1]), vec([0] * 6)
+    )
+
+    @settings(max_examples=400, deadline=None)
+    @given(residual_cases(), st.integers(0, 3))
+    @example((_V_TOUCHES, [], [0] * 4, None), 0)
+    @example((_ZERO_TOUCHES, [], [0] * 6, None), 1)
+    def test_matches_full_pass(self, case, v):
+        lp, prefix, _, _ = case
+        k = len(prefix)
+        parent = cold_preparation(lp.a, lp.b, prefix)
+        if parent is None or k in parent.fixed:
+            return
+        reduce, runs = lp_module._reduce, []
+
+        def rows(live):
+            return [(list(row.items()), t, s) for row, t, s in live]
+
+        def compared(live, fixed, touched=None):
+            full_live, full_fixed = [[dict(row), t, s] for row, t, s in live], dict(fixed)
+            want = reduce(full_live, full_fixed)
+            got = reduce(live, fixed, touched)
+            runs.append(touched)
+            assert got == want
+            assert list(fixed.items()) == list(full_fixed.items())
+            assert rows(live) == rows(full_live)
+            return got
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp_module, "_reduce", compared)
+            lp_module._child(parent, k, v)
+        assert len(runs) == 1 and runs[0] is not None
 
 
 class TestResidualRange:
