@@ -267,6 +267,12 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+_NODE_BUDGET_HELP = (
+    "the most nodes the enumeration's LP search may visit; the right-hand-side DP"
+    " runs only when its work bound is within it"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ilplab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -282,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--check", choices=("polytopish", "matchings", "claims"), required=True)
     p_verify.add_argument("--in", dest="input", help="instance file (not needed for matchings)")
     p_verify.add_argument("--budget", type=_budget, default=1_000_000, help="LP-call budget for the hull walk")
-    p_verify.add_argument("--node-budget", type=_budget, default=10_000_000)
+    p_verify.add_argument("--node-budget", type=_budget, default=10_000_000, help=_NODE_BUDGET_HELP)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_measure = sub.add_parser("measure", help="measure sensitivity or proximity")
@@ -290,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_measure.add_argument("--in", dest="input", required=True)
     p_measure.add_argument("--norm", choices=NORMS, default=NORM_LINF)
     p_measure.add_argument("--csv", action="store_true", help="print one CSV row instead of JSON")
-    p_measure.add_argument("--node-budget", type=_budget, default=10_000_000)
+    p_measure.add_argument("--node-budget", type=_budget, default=10_000_000, help=_NODE_BUDGET_HELP)
     p_measure.add_argument("--subdet-budget", type=_budget, default=10_000_000)
     p_measure.set_defaults(func=_cmd_measure)
 
@@ -300,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--d", required=True, help="range a:b or comma list")
     p_sweep.add_argument("--out", help="CSV path (default stdout)")
     p_sweep.add_argument("--norm", choices=NORMS, default=NORM_LINF)
-    p_sweep.add_argument("--node-budget", type=_budget, default=10_000_000)
+    p_sweep.add_argument("--node-budget", type=_budget, default=10_000_000, help=_NODE_BUDGET_HELP)
     p_sweep.add_argument("--subdet-budget", type=_budget, default=10_000_000)
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exactla import Matrix, Vec, vec
 from .lp import OPTIMAL, StandardLp, coord_range, lp_solve
@@ -119,27 +119,37 @@ def integer_points_in_hull(
         return StandardLp(a, rhs, no_cost)
 
     def walk() -> bool:
-        """Returns False when the LP budget ran out."""
+        """Depth first, values in increasing order; returns False when the LP budget ran out.
+
+        The values each depth on the path has left sit on an explicit
+        stack, so no dimension is bounded by the interpreter's recursion
+        limit.
+        """
         nonlocal lp_calls
-        k = len(prefix)
-        if k == dim:
-            found.append(tuple(prefix[i] + offset[i] for i in range(dim)))
-            return True
-        if lp_calls + 2 > lp_budget:
-            return False
-        lp_calls += 2
-        cr = coord_range(depth_lp(k))
-        if cr.empty:
-            return True
-        if cr.hi is None:
-            raise AssertionError("hull coordinates are bounded")
-        for v in range(math.ceil(cr.lo), math.floor(cr.hi) + 1):
-            prefix.append(v)
-            ok = walk()
-            prefix.pop()
-            if not ok:
-                return False
-        return True
+        stack: list[Iterator[int]] = []
+        while True:
+            k = len(prefix)
+            if k == dim:
+                found.append(tuple(prefix[i] + offset[i] for i in range(dim)))
+            else:
+                if lp_calls + 2 > lp_budget:
+                    return False
+                lp_calls += 2
+                cr = coord_range(depth_lp(k))
+                if not cr.empty:
+                    if cr.hi is None:
+                        raise AssertionError("hull coordinates are bounded")
+                    stack.append(iter(range(math.ceil(cr.lo), math.floor(cr.hi) + 1)))
+            # the next value of the deepest depth that has one left
+            while stack:
+                del prefix[len(stack) - 1:]
+                v = next(stack[-1], None)
+                if v is not None:
+                    prefix.append(v)
+                    break
+                stack.pop()
+            else:
+                return True
 
     completed = walk()
     found.sort()

@@ -117,9 +117,11 @@ It serves three pairs of calls on one system: the min and max solves of
 ``coord_range`` (the second also reuses the fixed-value vector the
 preparation keeps), the LP relaxation that
 ``measure_proximity_lb`` solves and the enumeration root after it, and the
-same pair in ``fuzz_cook``.  Below the root an enumeration node needs no
-memo: it has its parent's preparation.  The presolve reductions follow
-Andersen and Andersen (Math. Prog. 71, 1995).
+same pair in ``fuzz_cook`` on the trials whose enumeration the search
+serves; the right-hand-side DP (see ``ilp``) prepares nothing.  Below the
+root an enumeration node needs no memo: it has its parent's preparation.
+The presolve reductions follow Andersen and Andersen (Math. Prog. 71,
+1995).
 """
 
 from __future__ import annotations

@@ -424,7 +424,8 @@ def fuzz_cook(seed: int, trials: int = 200) -> FuzzReport:
         b2 = a.mul_vec(vec(x_star2))
         lp = StandardLp(a, b, c)
         lp2 = StandardLp(a, b2, c)
-        # solved first, so the first enumeration's root reuses its preparation
+        # solved first, so that when the search serves the first enumeration
+        # its root reuses this preparation (the DP prepares nothing)
         frac = lp_solve(lp)
         if frac.status != OPTIMAL:
             raise AssertionError("bounded feasible system must solve")

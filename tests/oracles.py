@@ -16,16 +16,26 @@ rows over one denominator per row, must reproduce them bit for bit: the
 same presolve result, the same tableaus as rationals, the same pivots and
 bases.  The reference route reads a matrix's dense ``rows`` (``dict_rows``),
 never its integer pattern, so a pattern bug cannot hide on both sides.
+
+Two helpers close the file: ``shallow_stack`` lowers the recursion limit
+around a block, and ``fuzz_by_search`` runs ``fuzz_cook`` with every
+enumeration on the LP search, for the tests that cover the search on
+systems the right-hand-side DP would otherwise take.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
+import pytest
+
+from ilplab import ilp, measures
 from ilplab.exactla import Matrix
 from ilplab.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, StandardLp
 
@@ -531,3 +541,28 @@ def fraction_simplex(lp: StandardLp) -> LpResult:
             return LpResult(UNBOUNDED)
     objective = sum((cj * xj for cj, xj in zip(lp.c, x)), _ZERO)
     return LpResult(OPTIMAL, tuple(x), objective)
+
+
+# ---------------------------------------------------------------------------
+# helpers
+
+
+@contextmanager
+def shallow_stack(frames=50):
+    """A recursion limit ``frames`` above the caller's depth, for the block's duration."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def fuzz_by_search(seed: int, trials: int) -> measures.FuzzReport:
+    """``measures.fuzz_cook`` with each of its enumerations run by the LP search, none by the DP."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "enumerate_integral_optima", ilp._search)
+        return measures.fuzz_cook(seed, trials)

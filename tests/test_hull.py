@@ -17,7 +17,7 @@ from ilplab.hull import (
 )
 from ilplab.instances import gen_proximity, gen_sensitivity
 
-from oracles import caratheodory_membership, hull_box_oracle as box_oracle
+from oracles import caratheodory_membership, hull_box_oracle as box_oracle, shallow_stack
 
 
 class TestMembership:
@@ -122,6 +122,16 @@ class TestIntegerPoints:
     )
     def test_matches_box_oracle_property(self, cols):
         assert integer_points_in_hull(cols).hull_integer_points == box_oracle(cols)
+
+    def test_high_dimensions_do_not_recurse(self):
+        # 0 and e_0 in Z^150: each of the two points is a path 150 coordinates deep
+        dim = 150
+        cols = [(0,) * dim, (1,) + (0,) * (dim - 1)]
+        with shallow_stack():
+            report = integer_points_in_hull(cols)
+        assert report.verdict == VERDICT_POLYTOPISH
+        assert report.hull_integer_points == tuple(sorted(cols))
+        assert report.lp_calls == 2 + 2 * 2 * (dim - 1)
 
     def test_json_report(self):
         doc = integer_points_in_hull([(0, 1), (1, 2)]).to_json()

@@ -1,7 +1,5 @@
 import math
 import random
-import sys
-from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -23,10 +21,12 @@ from oracles import (
     brute_force_optima,
     dict_rows,
     fraction_presolve,
+    fuzz_by_search,
     oracle_box,
     random_feasible_ilp,
     residual_system,
     rref,
+    shallow_stack,
 )
 
 
@@ -53,20 +53,6 @@ def expected_block_optima(delta, d):
             prev = nxt
         sols.append(tuple(x))
     return tuple(sorted(sols))
-
-
-@contextmanager
-def shallow_stack(frames=50):
-    """A recursion limit ``frames`` above the caller's depth, for the block's duration."""
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + frames)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(limit)
 
 
 class TestStaircaseFamily:
@@ -198,11 +184,12 @@ class TestGeneralBehaviour:
 
     def test_wide_systems_do_not_recurse(self):
         # x_0 + .. + x_119 = 1: every free node on the last optimum's path has
-        # a free node above it, 120 deep
+        # a free node above it, 120 deep.  The rule gives this system to the
+        # DP, so the search is called directly.
         n = 120
         lp = StandardLp(Matrix.from_rows([[1] * n]), vec([1]), vec([0] * n))
         with shallow_stack():
-            got = enumerate_integral_optima(lp)
+            got = ilp_module._search(lp, 10_000_000)
         assert got == tuple(sorted(tuple(int(j == i) for j in range(n)) for i in range(n)))
 
     def test_node_budget(self):
@@ -215,6 +202,146 @@ class TestGeneralBehaviour:
         got = enumerate_integral_optima(lp)
         assert got == ((0, 2), (1, 1), (2, 0))
         assert {dot(lp.c, vec(x)) for x in got} == {2}
+
+
+class Routes:
+    """Counts the enumerations each engine answers while it is installed."""
+
+    def __init__(self, monkeypatch):
+        self.dp = self.search = 0
+        dp, search = ilp_module._dp_optima, ilp_module._search
+
+        def spy_dp(*args):
+            self.dp += 1
+            return dp(*args)
+
+        def spy_search(*args):
+            self.search += 1
+            return search(*args)
+
+        monkeypatch.setattr(ilp_module, "_dp_optima", spy_dp)
+        monkeypatch.setattr(ilp_module, "_search", spy_search)
+
+
+class TestEngineRule:
+    """The instance picks the engine: the DP for small non-negative integral systems, the search for the rest."""
+
+    @pytest.mark.parametrize("generate, delta, d", [(gen_proximity, 2, 7), (gen_sensitivity, 3, 10)])
+    def test_staircases_go_to_the_search(self, generate, delta, d, monkeypatch):
+        # the product over b passes the limit within a few rows, before the
+        # rule reads the matrix's pattern (a cached property, kept on first use)
+        lp = generate(delta, d).lp
+        lp = StandardLp(Matrix(lp.a.rows), lp.b, lp.c)
+        assert ilp_module._dp_plan(lp, ilp_module._DP_WORK_LIMIT) is None
+        assert "sparse_rows" not in vars(lp.a)
+        routes = Routes(monkeypatch)
+        enumerate_integral_optima(lp)
+        assert (routes.dp, routes.search) == (0, 1)
+
+    def test_fuzz_goes_mostly_to_the_dp(self, monkeypatch):
+        routes = Routes(monkeypatch)
+        fuzz_cook(7, 100)
+        assert routes.dp > routes.search > 0
+
+    def test_work_bound_meets_the_node_budget(self, monkeypatch):
+        # b = (4, 3): 5 * 4 = 20 states; x_0, x_1, x_2 take at most 4, 2 and
+        # 3 copies, so 5 + 3 + 4 = 12 arcs per state: W = 240
+        lp = StandardLp(Matrix.from_rows([[1, 2, 0], [0, 1, 1]]), vec([4, 3]), vec([1, 0, 1]))
+        routes = Routes(monkeypatch)
+        at = enumerate_integral_optima(lp, node_budget=240)
+        assert (routes.dp, routes.search) == (1, 0)
+        below = enumerate_integral_optima(lp, node_budget=239)
+        assert (routes.dp, routes.search) == (1, 1)
+        assert at == below == brute_force_optima(lp, oracle_box(lp))
+
+    def test_work_bound_meets_the_limit(self, monkeypatch):
+        # x_0 = 63: 64 states, 64 arcs each, W = 4096; a column of 64 adds
+        # one arc per state, W = 4160
+        assert ilp_module._DP_WORK_LIMIT == 4096
+        routes = Routes(monkeypatch)
+        assert enumerate_integral_optima(StandardLp(Matrix.from_rows([[1]]), vec([63]), vec([1]))) == ((63,),)
+        assert (routes.dp, routes.search) == (1, 0)
+        lp = StandardLp(Matrix.from_rows([[1, 64]]), vec([63]), vec([1, 1]))
+        assert enumerate_integral_optima(lp) == ((63, 0),)
+        assert (routes.dp, routes.search) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "rows, b, c",
+        [
+            ([[1, -1]], [1], [0, 0]),
+            ([[1, F(1, 2)]], [1], [0, 0]),
+            ([[1, 1]], [F(1, 2)], [0, 0]),
+            ([[1, 1]], [-1], [0, 0]),
+            ([[1, 0]], [1], [0, 0]),
+            ([[1, 0]], [1], [0, -1]),
+        ],
+        ids=["negative-entry", "rational-row", "rational-b", "negative-b", "zero-column-free", "zero-column-negative"],
+    )
+    def test_refused_systems(self, rows, b, c):
+        lp = StandardLp(Matrix.from_rows(rows), vec(b), vec(c))
+        assert ilp_module._dp_plan(lp, ilp_module._DP_WORK_LIMIT) is None
+
+    def test_zero_column_at_no_cost_stays_unbounded(self, monkeypatch):
+        routes = Routes(monkeypatch)
+        with pytest.raises(UnboundedSearchError, match="x_1 "):
+            enumerate_integral_optima(StandardLp(Matrix.from_rows([[1, 0]]), vec([1]), vec([0, 0])))
+        assert (routes.dp, routes.search) == (0, 1)
+
+    def test_dp_output_counts_against_the_node_budget(self, monkeypatch):
+        # x_0 + .. + x_9 = 3 at no cost: W = 4 * 10 * 4 = 160, but 220
+        # optima, and the search visits the 10 nodes above the first one and
+        # one leaf per optimum, so it needs a budget of at least 230
+        lp = StandardLp(Matrix.from_rows([[1] * 10]), vec([3]), vec([0] * 10))
+        routes = Routes(monkeypatch)
+        assert len(enumerate_integral_optima(lp, node_budget=230)) == 220
+        with pytest.raises(BudgetExceededError):
+            enumerate_integral_optima(lp, node_budget=229)
+        assert (routes.dp, routes.search) == (2, 0)
+        with pytest.raises(BudgetExceededError):
+            ilp_module._search(lp, 229)
+
+    @pytest.mark.parametrize("n", [120, 1000])
+    def test_dp_wide_systems_do_not_recurse(self, n, monkeypatch):
+        # x_0 + .. + x_{n-1} = 1: W = 2 * 2n <= 4096, and the backtrack from
+        # b is n columns deep
+        lp = StandardLp(Matrix.from_rows([[1] * n]), vec([1]), vec([0] * n))
+        routes = Routes(monkeypatch)
+        with shallow_stack():
+            got = enumerate_integral_optima(lp)
+        assert routes.dp == 1
+        assert got == tuple(sorted(tuple(int(j == i) for j in range(n)) for i in range(n)))
+
+
+_COSTS = st.sampled_from([0, 1, -1, 2, F(1, 2), F(-2, 3), F(3, 2)])
+
+
+@st.composite
+def dp_systems(draw):
+    """A non-negative integral system with 1-3 rows and entries 0-3.
+
+    b is A x for a drawn x >= 0, or drawn freely and often unreachable.  A
+    column in no row gets a positive cost; any other column any cost,
+    negative and rational ones included.
+    """
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rows = [draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)) for _ in range(d)]
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        b = list(Matrix.from_rows(rows).mul_vec(vec(x)))
+    else:
+        b = draw(st.lists(st.integers(0, 6), min_size=d, max_size=d))
+    costs = [_COSTS if any(row[j] for row in rows) else st.sampled_from([1, 2, F(1, 2)]) for j in range(n)]
+    return StandardLp(Matrix.from_rows(rows), vec(b), vec([draw(cost) for cost in costs]))
+
+
+class TestDpMatchesSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(dp_systems())
+    def test_dp_search_and_brute_force_agree(self, lp):
+        plan = ilp_module._dp_plan(lp, 10**9)
+        assert plan is not None
+        got = ilp_module._dp_optima(*plan, 10_000_000)
+        assert got == ilp_module._search(lp, 10_000_000) == brute_force_optima(lp, oracle_box(lp))
 
 
 def rational_rows(live):
@@ -347,7 +474,7 @@ class TestChildPresolve:
 
     @pytest.mark.parametrize(
         "run",
-        [lambda: enumerate_integral_optima(gen_proximity(2, 5).lp), lambda: fuzz_cook(7, 100)],
+        [lambda: enumerate_integral_optima(gen_proximity(2, 5).lp), lambda: fuzz_by_search(7, 100)],
         ids=["proximity-2-5", "fuzz-seed7-100"],
     )
     def test_every_node(self, run, monkeypatch):

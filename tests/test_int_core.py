@@ -4,10 +4,11 @@ In the LP layer, presolve (cold, or a child node's step from its
 parent's), phase 1 (from a cold start, or from a child's parent's
 tableau), phase 2, the pivots and the enumeration node's solve name no
 Fraction, and every helper they call is checked too; the enumeration
-names no Fraction anywhere, and its search builds no LP object.  In
-``exactla`` a Fraction becomes ints in one place only,
-``Matrix.sparse_rows``; the determinant and the subdeterminant search name
-no Fraction, and ``max_subdet_all`` builds its one Fraction in its return.
+names no Fraction anywhere, and neither its search nor its
+right-hand-side DP builds an LP object.  In ``exactla`` a Fraction
+becomes ints in one place only, ``Matrix.sparse_rows``; the determinant
+and the subdeterminant search name no Fraction, and ``max_subdet_all``
+builds its one Fraction in its return.
 """
 
 import ast
@@ -81,8 +82,10 @@ def test_integer_core_is_closed_under_calls():
 
 def test_search_names_no_fraction_and_no_lp_object():
     ilp = functions(SRC / "ilp.py")
-    found = names_used(ilp["walk"], SEARCH_NAMES) + names_used(ilp["_integer_system"], FRACTION_NAMES)
-    assert not found, f"the search in ilp.py leaves the ints: {found}"
+    found = names_used(ilp["walk"], SEARCH_NAMES) + names_used(ilp["_dp_optima"], SEARCH_NAMES)
+    for name in ("_integer_system", "_int_costs", "_dp_plan"):
+        found += names_used(ilp[name], FRACTION_NAMES)
+    assert not found, f"the search or the DP in ilp.py leaves the ints: {found}"
 
 
 def test_enumeration_module_names_no_fraction():

@@ -11,13 +11,14 @@ from ilplab import lp as lp_module
 from ilplab.exactla import Matrix, dot, vec
 from ilplab.instances import FAMILIES, FAMILY_PROXIMITY, expected_sensitivity_pair, gen_proximity, gen_sensitivity
 from ilplab.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, StandardLp, coord_range, is_feasible_point, lp_solve
-from ilplab.measures import fuzz_cook, measure_proximity_lb
+from ilplab.measures import measure_proximity_lb
 
 from oracles import (
     dict_rows,
     fraction_prepare,
     fraction_presolve,
     fraction_simplex,
+    fuzz_by_search,
     lp_basic_solution_optimum,
     random_feasible_ilp,
     residual_system,
@@ -271,14 +272,16 @@ class TestIntegerCore:
         "run, pivots",
         [
             (lambda: measure_proximity_lb(gen_proximity(2, 7)), 224),
-            (lambda: fuzz_cook(7, 100), 1760),
+            (lambda: fuzz_by_search(7, 100), 1760),
         ],
         ids=["measure-prox-2-7", "fuzz-seed7-100"],
     )
     def test_pivot_work_is_pinned(self, run, pivots):
         # Cold solves make exactly the dense Fraction tableau's pivots (see
         # test_solve_matches_reference); a child's phase 1 starts from its
-        # parent's basis, so its pivots are the warm start's
+        # parent's basis, so its pivots are the warm start's.  The fuzz run
+        # sends every enumeration to the search, which the DP would
+        # otherwise take from most of its systems.
         calls = []
         pivot = lp_module._pivot
 
