@@ -26,7 +26,6 @@ from .measures import (
     MeasureReport,
     norm_floor,
     cook_bounds,
-    dist_point_set,
     dist_set_set,
     fuzz_cook,
     measure_proximity_lb,

@@ -160,8 +160,8 @@ def _cmd_verify(args) -> int:
         cols = inc.cols()
         ok, report = True, {
             "matchings": len(cols),
-            "row_sums": [int(sum(row)) for row in inc.rows],
-            "column_sums": [int(sum(col)) for col in cols],
+            "row_sums": [sum(row) for row in inc.rows],
+            "column_sums": [sum(col) for col in cols],
             "pairwise_shared_edges": sorted(int(dot(u, v)) for u, v in combinations(cols, 2)),
         }
     else:

@@ -1,33 +1,30 @@
-"""Exact rational vectors, matrices, determinants, and determinant bounds.
+"""Exact vectors, integer matrices, determinants, and determinant bounds.
 
-Vectors and matrices hold ``fractions.Fraction`` entries: arithmetic is
-exact, values are always in lowest terms, and there is no rounding anywhere.
-Vectors are plain tuples of Fractions; matrices are a thin immutable wrapper
-around a tuple of row tuples.
+The data of an ILP is integral: a ``Matrix`` holds int rows, and an
+``lp.StandardLp`` holds int b and c.  ``_ints`` converts them when they are
+built, and reads an integral rational as its int; any other value is a
+``ValueError`` that names the field.  Values computed from the data stay
+exact rationals: vectors are plain tuples of ``fractions.Fraction`` (points,
+LP solutions, sizes), values are always in lowest terms, and there is no
+rounding anywhere.
 
-Most work reads a matrix as integers instead.  Clearing each row's
-denominators gives an integer row and one positive scale per row, and the
-rational row is the integer row divided by its scale.  A ``Matrix`` keeps one
-such pattern, its non-zero (column, numerator) pairs per row with the row's
-scale, computed once by ``Matrix.sparse_rows``, the only place in this module
-where an entry's numerator and denominator are read.  The LP layer presolves
-and starts phase 1 from it, the enumeration reads its residuals and columns
-from it, ``mul_vec`` reads only its non-zeros, and ``max_abs`` is the largest
-|numerator| / scale over its rows.
+A ``Matrix`` keeps its non-zero (column, entry) pairs per row, computed
+once by ``Matrix.sparse_rows``.  The LP layer presolves and starts phase 1
+from them, the enumeration reads its residuals and columns from them, and
+``mul_vec`` reads only these non-zeros.  Every row starts at scale 1: a
+row's scale arises only in the LP layer's presolve, where a forced value
+p/q with q > 1 multiplies the rows it is substituted into by q.
 
-Determinants work on the dense integer grid laid out from the same pattern,
-so fraction-free (Bareiss) elimination stays in the integers, and a
-determinant of the original is the integer determinant divided by the product
-of the chosen rows' scales.  The subdeterminant search builds that grid and
-its column-support bitmasks once per matrix.  For each row set it offers only
-the columns whose support meets those rows, and picks them in decreasing
-order of their squared norm over the row set.  By Hadamard's inequality a
-square submatrix's squared integer determinant is at most the product of its
-columns' squared norms, so a branch whose best such product, over the row
-scales squared, is below the best value squared so far holds no maximizer and
-is cut.  The search stays in the integers; the one Fraction is its result.
-The one closed-form determinant bound kept here is Hadamard's
-delta**r * r**(r/2), from ``max_abs`` and the row count alone.
+Determinants use fraction-free (Bareiss) elimination on the int rows, so
+they stay in the integers.  The subdeterminant search builds the column
+support bitmasks once per matrix.  For each row set it offers only the
+columns whose support meets those rows, and picks them in decreasing order
+of their squared norm over the row set.  By Hadamard's inequality a square
+submatrix's squared determinant is at most the product of its columns'
+squared norms, so a branch whose best such product is below the best value
+squared so far holds no maximizer and is cut.  The one closed-form
+determinant bound kept here is Hadamard's delta**r * r**(r/2), from
+``max_abs`` and the row count alone.
 """
 
 from __future__ import annotations
@@ -43,10 +40,9 @@ from .errors import BudgetExceededError
 
 Vec = tuple[Fraction, ...]
 
-#: One row of a matrix's integer pattern: a positive int scale s and the
-#: (column, numerator) pairs of the row's non-zero entries in column order;
-#: the entry in a listed column is numerator / s, every other entry is 0.
-PatternRow = tuple[int, tuple[tuple[int, int], ...]]
+#: One row of a matrix's pattern: the (column, entry) pairs of the row's
+#: non-zero entries in column order; every other entry is 0.
+PatternRow = tuple[tuple[int, int], ...]
 
 #: Serialized rationals look like "3/4", or just "3" for integers.
 #: ``str(Fraction)`` already produces exactly this form.
@@ -75,36 +71,48 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
+def _int(x, field: str) -> int:
+    """``x`` as an int when it is an int or an integral Fraction; else a ValueError naming ``field``."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction) and x == (n := int(x)):
+        return n
+    raise ValueError(f"{field!r} holds {x}, not an integer: the ILP data A, b, b' and c are integral")
+
+
+def _ints(entries: Iterable, field: str) -> tuple[int, ...]:
+    """``entries`` as a tuple of ints, read by ``_int``; a tuple of ints is returned as it is."""
+    entries = tuple(entries)
+    for x in entries:
+        if type(x) is not int:
+            return tuple(_int(y, field) for y in entries)
+    return entries
+
+
 @dataclass(frozen=True)
 class Matrix:
-    """Dense rectangular matrix of exact rationals.
+    """Dense rectangular integer matrix.
 
-    ``rows`` is a tuple of row tuples (other sequences are converted), so a
-    matrix never changes after it is built and work derived from it can be
-    kept for as long as the matrix lives.  ``sparse_rows`` is such work: the
-    matrix's one integer pattern, per row a positive scale and the
-    (column, numerator) pairs of the non-zero entries, computed on first use
-    and then kept.  On a matrix built from its entries the scale is the lcm
-    of the row's denominators, so it is 1 on every integral row.
+    ``rows`` is a tuple of int row tuples (any iterable of rows is
+    converted, and an integral Fraction becomes its int), so a matrix never
+    changes after it is built and work derived from it can be kept for as
+    long as the matrix lives.  ``sparse_rows`` is such work: per row the
+    (column, entry) pairs of its non-zero entries, computed on first use and
+    then kept.
     """
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if type(self.rows) is not tuple or any(type(r) is not tuple for r in self.rows):
-            object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        if self.rows:
-            w = len(self.rows[0])
-            if any(len(r) != w for r in self.rows):
+        rows = tuple(_ints(r, "matrix") for r in self.rows)
+        object.__setattr__(self, "rows", rows)
+        if rows:
+            w = len(rows[0])
+            if any(len(r) != w for r in rows):
                 raise ValueError("matrix rows have inconsistent lengths")
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int | str | Fraction]]) -> "Matrix":
-        return cls(tuple(vec(r) for r in rows))
-
-    @classmethod
-    def from_cols(cls, cols: Sequence[Sequence[int | str | Fraction]]) -> "Matrix":
-        cols = [vec(c) for c in cols]
+    def from_cols(cls, cols: Sequence[Sequence[int | Fraction]]) -> "Matrix":
         if not cols:
             raise ValueError("need at least one column")
         n = len(cols[0])
@@ -124,40 +132,26 @@ class Matrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def col(self, j: int) -> Vec:
+    def col(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.rows)
 
-    def cols(self) -> list[Vec]:
+    def cols(self) -> list[tuple[int, ...]]:
         return [self.col(j) for j in range(self.ncols)]
 
     @cached_property
     def sparse_rows(self) -> tuple[PatternRow, ...]:
-        """Per row, its scale and the (column, numerator) pairs of its non-zero entries."""
-        pattern = []
-        for row in self.rows:
-            s = math.lcm(*(x.denominator for x in row))
-            pairs = tuple((j, x.numerator * (s // x.denominator)) for j, x in enumerate(row) if x)
-            pattern.append((s, pairs))
-        return tuple(pattern)
+        """Per row, the (column, entry) pairs of its non-zero entries."""
+        return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.rows)
 
     def mul_vec(self, v: Sequence[Fraction]) -> Vec:
         """The product with ``v``, summing only the pattern's non-zero terms."""
         if len(v) != self.ncols:
             raise ValueError(f"matrix has {self.ncols} columns, vector has {len(v)}")
-        out = []
-        for s, pairs in self.sparse_rows:
-            total = sum((num * v[j] for j, num in pairs), Fraction(0))
-            out.append(total if s == 1 else total / s)
-        return tuple(out)
+        return tuple(sum((x * v[j] for j, x in pairs), Fraction(0)) for pairs in self.sparse_rows)
 
-    def max_abs(self) -> Fraction:
-        """Largest absolute entry: the largest |numerator| / scale over the pattern's rows."""
-        num, den = 0, 1
-        for s, pairs in self.sparse_rows:
-            top = max((abs(v) for _, v in pairs), default=0)
-            if top * den > num * s:
-                num, den = top, s
-        return Fraction(num, den)
+    def max_abs(self) -> int:
+        """Largest absolute entry."""
+        return max((abs(x) for pairs in self.sparse_rows for _, x in pairs), default=0)
 
     def to_json(self) -> list[list[str]]:
         return [[str(x) for x in r] for r in self.rows]
@@ -192,35 +186,20 @@ def _bareiss_int(a: list[list[int]]) -> int:
     return sign * a[-1][-1]
 
 
-def _int_grid(m: Matrix) -> list[list[int]]:
-    """The dense integer rows of ``m``'s pattern: row i is row i of ``m`` times its scale."""
-    grid = []
-    for _, pairs in m.sparse_rows:
-        row = [0] * m.ncols
-        for j, v in pairs:
-            row[j] = v
-        grid.append(row)
-    return grid
-
-
-def det(m: Matrix) -> Fraction:
-    """Exact determinant of a square matrix (fraction-free elimination).
-
-    The rows are scaled to an integer grid, whose determinant is divided by
-    the product of the row scales.
-    """
+def det(m: Matrix) -> int:
+    """Exact determinant of a square matrix (fraction-free elimination)."""
     if not m.is_square:
         raise ValueError(f"determinant needs a square matrix, got {m.nrows}x{m.ncols}")
     if m.nrows == 0:
-        return Fraction(1)
-    return Fraction(_bareiss_int(_int_grid(m)), math.prod(s for s, _ in m.sparse_rows))
+        return 1
+    return _bareiss_int([list(r) for r in m.rows])
 
 
 @dataclass(frozen=True)
 class SubdetResult:
     """Maximum |det| over all square submatrices, with a maximizing witness."""
 
-    value: Fraction
+    value: int
     row_indices: tuple[int, ...]
     col_indices: tuple[int, ...]
 
@@ -231,35 +210,32 @@ def subdet_enumeration_count(nrows: int, ncols: int) -> int:
 
 
 def _best_columns(
-    rows: list[list[int]],
+    rows: list[tuple[int, ...]],
     cols: list[int],
     norms: list[int],
     support: list[int],
     mask: int,
-    scale: int,
-    best_num: int,
-    best_den: int,
-) -> tuple[int, int, tuple[int, ...] | None]:
-    """The largest |det| / ``scale`` of a square submatrix on ``rows``, if it beats the incumbent.
+    best: int,
+) -> tuple[int, tuple[int, ...] | None]:
+    """The largest |det| of a square submatrix on ``rows``, if it beats the incumbent ``best``.
 
     ``cols`` are the offered columns in decreasing order of ``norms``, their
     squared norms over ``rows``; ``support`` holds the column bitmasks and
-    ``mask`` the rows' bits.  The incumbent ``best_num / best_den`` comes from
-    earlier row sets.  Returns the best numerator and denominator, and the
-    columns of a new best in lex order, or None when nothing here beats the
-    incumbent; of equal values found here, the lex-first column set is kept.
+    ``mask`` the rows' bits.  The incumbent comes from earlier row sets.
+    Returns the best value, and the columns of a new best in lex order, or
+    None when nothing here beats the incumbent; of equal values found here,
+    the lex-first column set is kept.
 
     The search picks positions p_0 < p_1 < ... in ``cols`` depth first.  With
     t columns still to pick at position p, the chosen norms times
     norms[p:p+t] bound det**2 of every completion (Hadamard), and no later
     position reaches more because ``norms`` does not increase; so once that
-    product is below (best * scale)**2 the search leaves the level.
+    product is below best**2 the search leaves the level.
     """
     k = len(rows)
     n = len(cols)
     found: tuple[int, ...] | None = None
-    # the cut compares weight * den2 against cut_num = (best_num * scale)**2
-    den2, cut_num = best_den * best_den, best_num * best_num * scale * scale
+    cut = best * best
     picks = [0] * k
     # weights[depth] and reach[depth] are the product of the first ``depth``
     # picked norms and the union of their supports
@@ -270,7 +246,7 @@ def _best_columns(
         weight = weights[depth]
         t = k - depth  # columns still to pick, this one included
         if t > 1:
-            if p + t <= n and weight * math.prod(norms[p : p + t]) * den2 >= cut_num:
+            if p + t <= n and weight * math.prod(norms[p : p + t]) >= cut:
                 picks[depth] = p
                 weights[depth + 1] = weight * norms[p]
                 reach[depth + 1] = reach[depth] | support[cols[p]]
@@ -279,20 +255,18 @@ def _best_columns(
                 continue
         else:
             prefix = [cols[q] for q in picks[:depth]]
-            while p < n and weight * norms[p] * den2 >= cut_num:
+            while p < n and weight * norms[p] >= cut:
                 j = cols[p]
                 p += 1
                 # a column set that leaves one of the rows all zero has det 0
                 if (reach[depth] | support[j]) & mask != mask:
                     continue
                 ci = tuple(sorted([*prefix, j]))
-                num = abs(_bareiss_int([[row[c] for c in ci] for row in rows]))
-                lhs, rhs = num * best_den, best_num * scale
-                if lhs > rhs or (lhs == rhs and found is not None and ci < found):
-                    best_num, best_den, found = num, scale, ci
-                    den2, cut_num = scale * scale, num * num * scale * scale
+                value = abs(_bareiss_int([[row[c] for c in ci] for row in rows]))
+                if value > best or (value == best and found is not None and ci < found):
+                    best, found, cut = value, ci, value * value
         if depth == 0:
-            return best_num, best_den, found
+            return best, found
         depth -= 1
         p = picks[depth] + 1
 
@@ -307,20 +281,17 @@ def max_subdet_all(m: Matrix, budget: int = 10_000_000) -> SubdetResult:
     The witness is the first maximizer in (size ascending, rows lex, cols
     lex) order; an all-zero matrix has value 0 with witness ((0,), (0,)).
 
-    The matrix is scaled once to an integer grid with one scale per row, so
-    a k x k submatrix on rows R has determinant D / scale(R), D the integer
-    determinant of its grid block and scale(R) the product of R's scales.
-    Sizes and row sets are visited in order.  For a row set only the columns
-    whose support meets it are offered, each with its squared norm w_j over
-    R, sorted by (-w_j, j), and ``_best_columns`` picks k of them depth
-    first.  Hadamard's inequality on the grid block gives D**2 <= the product
-    of its w_j, so a branch whose largest reachable product is below
-    best**2 * scale(R)**2 holds no submatrix above the best so far and is
-    cut.  The cut is strict: a branch that could only tie the best is still
-    searched, so within a row set the lex-first of equal maximizers wins, and
-    an earlier row set's maximizer is kept over a later tie.  A column set
-    that leaves one of the rows all zero is skipped, as is every column whose
-    support misses the rows: those determinants are 0.
+    Sizes and row sets R are visited in order.  For a row set only the
+    columns whose support meets it are offered, each with its squared norm
+    w_j over R, sorted by (-w_j, j), and ``_best_columns`` picks k of them
+    depth first.  Hadamard's inequality gives det**2 <= the product of the
+    picked w_j, so a branch whose largest reachable product is below best**2
+    holds no submatrix above the best so far and is cut.  The cut is strict:
+    a branch that could only tie the best is still searched, so within a row
+    set the lex-first of equal maximizers wins, and an earlier row set's
+    maximizer is kept over a later tie.  A column set that leaves one of the
+    rows all zero is skipped, as is every column whose support misses the
+    rows: those determinants are 0.
     """
     if m.nrows == 0 or m.ncols == 0:
         raise ValueError("max_subdet_all needs a non-empty matrix")
@@ -330,16 +301,13 @@ def max_subdet_all(m: Matrix, budget: int = 10_000_000) -> SubdetResult:
             f"subdeterminant enumeration needs {total} determinants, budget is {budget}"
         )
     ncols = m.ncols
-    grid = _int_grid(m)
-    squares = [[x * x for x in row] for row in grid]
-    scales = [s for s, _ in m.sparse_rows]
-    # support[j] has bit i set when grid[i][j] != 0
+    squares = [[x * x for x in row] for row in m.rows]
+    # support[j] has bit i set when row i has a non-zero entry in column j
     support = [0] * ncols
-    for i, (_, pairs) in enumerate(m.sparse_rows):
+    for i, pairs in enumerate(m.sparse_rows):
         for j, _ in pairs:
             support[j] |= 1 << i
-    # the best value so far is best_num / best_den; comparisons cross-multiply
-    best_num, best_den = 0, 1
+    best = 0
     best_rows: tuple[int, ...] = (0,)
     best_cols: tuple[int, ...] = (0,)
     for k in range(1, min(m.nrows, ncols) + 1):
@@ -349,13 +317,10 @@ def max_subdet_all(m: Matrix, budget: int = 10_000_000) -> SubdetResult:
             # sorting by norm, largest first, keeps equal norms in column order
             norms = list(map(sum, zip(*[squares[i] for i in ri])))
             cols = sorted([j for j in range(ncols) if norms[j]], key=norms.__getitem__, reverse=True)
-            scale = math.prod(scales[i] for i in ri)
-            best_num, best_den, found = _best_columns(
-                [grid[i] for i in ri], cols, [norms[j] for j in cols], support, mask, scale, best_num, best_den
-            )
+            best, found = _best_columns([m.rows[i] for i in ri], cols, [norms[j] for j in cols], support, mask, best)
             if found is not None:
                 best_rows, best_cols = ri, found
-    return SubdetResult(Fraction(best_num, best_den), best_rows, best_cols)
+    return SubdetResult(best, best_rows, best_cols)
 
 
 def isqrt_ceil(n: int) -> int:
@@ -366,15 +331,15 @@ def isqrt_ceil(n: int) -> int:
     return s if s * s == n else s + 1
 
 
-def hadamard_bound(m: Matrix) -> Fraction:
+def hadamard_bound(m: Matrix) -> int:
     """The closed form delta**r * r**(r/2), with r = ``m.nrows`` and delta = ``m.max_abs()``.
 
     For odd r the square root of r is rounded up to the next integer, so the
-    value is an exact rational never below delta**r * r**(r/2).  On an
-    integral matrix it bounds every square submatrix's |det|: a k x k
-    submatrix, k <= r, has columns of Euclidean norm at most delta*sqrt(k), so
-    by Hadamard's inequality its |det| is at most delta**k * k**(k/2), which
-    is at most the closed form once delta >= 1.
+    value is an int never below delta**r * r**(r/2).  It bounds every square
+    submatrix's |det|: a k x k submatrix, k <= r, has columns of Euclidean
+    norm at most delta*sqrt(k), so by Hadamard's inequality its |det| is at
+    most delta**k * k**(k/2), which is at most the closed form once
+    delta >= 1 (an integer matrix with delta = 0 has only zero minors).
     """
     r = m.nrows
     if r < 1:

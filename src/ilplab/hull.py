@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exactla import Matrix, Vec, vec
+from .exactla import Matrix, Vec, _ints, vec
 from .lp import OPTIMAL, StandardLp, coord_range, lp_solve
 
 VERDICT_POLYTOPISH = "polytopish"
@@ -48,34 +48,29 @@ class HullReport:
 def _as_int_columns(columns: Sequence[Sequence[int | Fraction]]) -> list[tuple[int, ...]]:
     if not columns:
         raise ValueError("need at least one column")
-    out = []
-    dim = len(columns[0])
-    for col in columns:
-        if len(col) != dim:
-            raise ValueError("columns have inconsistent dimensions")
-        ints = []
-        for x in col:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise ValueError(f"column entry {x} is not integral")
-            ints.append(int(f))
-        out.append(tuple(ints))
+    out = [_ints(col, "columns") for col in columns]
+    if any(len(col) != len(out[0]) for col in out):
+        raise ValueError("columns have inconsistent dimensions")
     return out
 
 
 def hull_membership(
-    columns: Sequence[Sequence[int | Fraction]], p: Sequence[int | Fraction]
+    columns: Sequence[Sequence[int | Fraction]], p: Sequence[int | str | Fraction]
 ) -> tuple[bool, Vec | None]:
-    """Exact test for p in conv(columns); returns the convex weights on success."""
-    cols = [vec(c) for c in columns]
-    point = vec(p)
+    """Exact test for the integer point p in conv(columns); returns the convex weights on success.
+
+    The columns and p must be integral (a ``ValueError`` otherwise), as the
+    membership LP's matrix and right-hand side are.
+    """
+    point = _ints(vec(p), "point")
+    cols = _as_int_columns(columns)
     dim = len(cols[0])
-    if any(len(c) != dim for c in cols) or len(point) != dim:
+    if len(point) != dim:
         raise ValueError("dimension mismatch between columns and point")
     n = len(cols)
     rows = [tuple(c[i] for c in cols) for i in range(dim)]
-    rows.append(tuple(Fraction(1) for _ in range(n)))
-    lp = StandardLp(Matrix(tuple(rows)), point + (Fraction(1),), vec([0] * n))
+    rows.append((1,) * n)
+    lp = StandardLp(Matrix(tuple(rows)), point + (1,), (0,) * n)
     res = lp_solve(lp)
     if res.status != OPTIMAL:
         return False, None
@@ -104,19 +99,17 @@ def integer_points_in_hull(
     # prefix (coordinate rows 0..k-1) and the weights summing to 1.  Only the
     # right-hand side depends on the prefix, so depth k's matrix, and with it
     # its sparse pattern, is built once per walk from rows shared by all depths.
-    zero, one = Fraction(0), Fraction(1)
-    head_rows = [(one,) + tuple(Fraction(-c[k]) for c in shifted) for k in range(dim)]
-    coord_rows = [(zero,) + tuple(Fraction(c[i]) for c in shifted) for i in range(dim)]
-    weight_row = (zero,) + (one,) * n
-    no_cost = (zero,) * (n + 1)
+    head_rows = [(1,) + tuple(-c[k] for c in shifted) for k in range(dim)]
+    coord_rows = [(0,) + tuple(c[i] for c in shifted) for i in range(dim)]
+    weight_row = (0,) + (1,) * n
+    no_cost = (0,) * (n + 1)
     depth_matrices: list[Matrix | None] = [None] * dim
 
     def depth_lp(k: int) -> StandardLp:
         a = depth_matrices[k]
         if a is None:
             a = depth_matrices[k] = Matrix((head_rows[k], *coord_rows[:k], weight_row))
-        rhs = (zero, *map(Fraction, prefix), one)
-        return StandardLp(a, rhs, no_cost)
+        return StandardLp(a, (0, *prefix, 1), no_cost)
 
     def walk() -> bool:
         """Depth first, values in increasing order; returns False when the LP budget ran out.

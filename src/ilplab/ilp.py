@@ -21,8 +21,7 @@ would have refused too.
 
 The rule picks the DP when all of these hold, and the search otherwise:
 
-  * every row of A's integer pattern has scale 1 and non-negative
-    numerators, and b is integral and >= 0;
+  * every entry of A and of b is >= 0;
   * every column in no row has a positive cost, so it is 0 in every
     optimum (at a cost <= 0 the search raises ``UnboundedSearchError``);
   * W <= min(node_budget, ``_DP_WORK_LIMIT``), where
@@ -51,14 +50,14 @@ infeasible or provably worse than the incumbent objective, and every leaf
 is checked exactly.  The search is complete whenever it returns: it has
 visited every optimal integral point.
 
-Both engines run on ints.  The objective is c times the lcm of c's
-denominators, an int at every point.  The search reads row i of A x = b
-over the fixed scale s_i*q_i, where s_i is the row's scale in the
-matrix's integer pattern and q_i is b_i's denominator, so the residual
-b - A x of a prefix is one int per row, updated from integer columns
-built once per enumeration.  Each non-leaf node has one preparation of its residual system (presolve
-and phase 1) and reads the objective bound and the range of the node's
-variable off it in one call, ``lp.residual_range``, as ints.  The root's
+Both engines run on ints: A, b and c are integral (see ``exactla``), so
+the objective is an int at every integral point, and the residual b - A x
+of a prefix is one int per row, updated from the integer columns built
+once per enumeration.  Every row starts at scale 1; a scale arises only
+inside a preparation, from a non-integral value its presolve forced (see
+``lp``).  Each non-leaf node has one preparation of its residual system
+(presolve and phase 1) and reads the objective bound and the range of the
+node's variable off it in one call, ``lp.residual_range``, as ints.  The root's
 preparation is ``lp._prepare_system``'s for the whole system, which is the
 one a preceding ``lp_solve`` of the same system made.  Every other node is
 a child x_k = v of the node above, prepared by ``lp._child`` from the
@@ -76,11 +75,10 @@ long, is bounded by the interpreter's recursion limit.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 from .errors import BudgetExceededError, UnboundedSearchError
-from .lp import StandardLp, _child, _int_rhs, _Prepared, _prepare_system, residual_range
+from .lp import StandardLp, _child, _Prepared, _prepare_system, residual_range
 
 # Not called here.  perfbench/test_perfbench.py checks that its tracer wraps
 # every module's binding of ``lp_solve``, this one included.
@@ -88,25 +86,12 @@ from .lp import lp_solve  # noqa: F401
 
 
 def _integer_system(lp: StandardLp) -> tuple[list[int], list[list[tuple[int, int]]]]:
-    """A x = b on the ints: the right-hand sides and the columns.
-
-    Row i is read over the scale s_i*q_i: b_i is rhs[i] over it, and
-    column j holds the pair (i, numerator*q_i) for each non-zero entry of
-    A's integer pattern in row i.
-    """
-    pattern = lp.a.sparse_rows
-    rhs, mults = _int_rhs(pattern, lp.b)
+    """A x = b as b in a new list, and the columns: column j holds the pair (i, a_ij) of each non-zero entry."""
     cols: list[list[tuple[int, int]]] = [[] for _ in range(lp.n)]
-    for i, ((_, pairs), q) in enumerate(zip(pattern, mults)):
-        for j, num in pairs:
-            cols[j].append((i, num * q))
-    return rhs, cols
-
-
-def _int_costs(lp: StandardLp) -> list[int]:
-    """c times the lcm of its denominators."""
-    c_den = math.lcm(*(cj.denominator for cj in lp.c))
-    return [cj.numerator * (c_den // cj.denominator) for cj in lp.c]
+    for i, pairs in enumerate(lp.a.sparse_rows):
+        for j, entry in pairs:
+            cols[j].append((i, entry))
+    return list(lp.b), cols
 
 
 #: the largest work bound W at which the DP runs (see the module docstring)
@@ -116,32 +101,23 @@ _DP_WORK_LIMIT = 4096
 def _dp_plan(lp: StandardLp, limit: int) -> tuple[list[int], list[int], list[list[tuple[int, int]]], list[int]] | None:
     """The DP's int system when the rule picks the DP for ``lp`` with W <= ``limit``, else None.
 
-    The system is b as ints, each row's place value in the mixed-radix
-    state code, the columns as (row, entry) pairs of their non-zero entries,
-    and the int costs.
+    The system is b, each row's place value in the mixed-radix state code,
+    the columns as (row, entry) pairs of their non-zero entries, and c.
     """
-    rhs: list[int] = []
     places: list[int] = []
     states = 1
     for bi in lp.b:
-        if bi.denominator != 1 or bi < 0:
+        if bi < 0:
             return None
-        rhs.append(bi.numerator)
         places.append(states)
-        states *= bi.numerator + 1
+        states *= bi + 1
         if states > limit:
             return None
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(lp.n)]
-    for i, (scale, pairs) in enumerate(lp.a.sparse_rows):
-        if scale != 1:
-            return None
-        for j, num in pairs:
-            if num < 0:
-                return None
-            cols[j].append((i, num))
-    cost = _int_costs(lp)
+    rhs, cols = _integer_system(lp)
+    if any(entry < 0 for col in cols for _, entry in col):
+        return None
     arcs = 0
-    for col, w in zip(cols, cost):
+    for col, w in zip(cols, lp.c):
         if col:
             arcs += min(rhs[i] // num for i, num in col) + 1
         elif w > 0:
@@ -150,7 +126,7 @@ def _dp_plan(lp: StandardLp, limit: int) -> tuple[list[int], list[int], list[lis
             return None  # the search raises UnboundedSearchError on it
         if states * arcs > limit:
             return None
-    return rhs, places, cols, cost
+    return rhs, places, cols, list(lp.c)
 
 
 def _dp_optima(
@@ -219,7 +195,7 @@ def _search(lp: StandardLp, node_budget: int) -> tuple[tuple[int, ...], ...]:
     """``enumerate_integral_optima`` by the LP search, on any system."""
     n = lp.n
     residual, cols = _integer_system(lp)
-    cost = _int_costs(lp)
+    cost = lp.c
     # the objective over each node's columns k.., as residual_range reads it
     node_costs = [{j: w for j, w in enumerate(cost) if w and j >= k} for k in range(n)]
     prefix: list[int] = []

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import BudgetExceededError, EmbeddingError
-from .exactla import Matrix, Vec, vec, vec_str
+from .exactla import Matrix, Vec, _ints, rat, vec, vec_str
 from .lp import StandardLp, is_feasible_point
 from .petersen import build_matching_system
 
@@ -69,7 +69,7 @@ class IlpInstance:
     family: str
     delta: int
     d: int
-    alt_rhs: Vec | None = None
+    alt_rhs: tuple[int, ...] | None = None
     notes: str = ""
     sizes: Vec | None = None
     epsilon: Fraction | None = None
@@ -91,9 +91,9 @@ def gen_sensitivity(delta: int, d: int) -> IlpInstance:
         rows[i][i] = 1
         if i > 0:
             rows[i][i - 1] = delta
-    b = vec([delta**i for i in range(d)])
-    b_prime = (Fraction(0),) + b[1:]
-    lp = StandardLp(Matrix.from_rows(rows), b, vec([0] * d))
+    b = tuple(delta**i for i in range(d))
+    b_prime = (0,) + b[1:]
+    lp = StandardLp(Matrix(rows), b, (0,) * d)
     return IlpInstance(lp, FAMILY_SENSITIVITY, delta, d, alt_rhs=b_prime)
 
 
@@ -143,7 +143,7 @@ def gen_proximity(delta: int, d: int) -> IlpInstance:
     b: list[int] = []
     for block in range(1, d + 1):
         b.extend([delta ** (block - 1)] * 15)
-    lp = StandardLp(Matrix.from_rows(rows), vec(b), vec([0] * ncols))
+    lp = StandardLp(Matrix(rows), b, (0,) * ncols)
     return IlpInstance(lp, FAMILY_PROXIMITY, delta, d)
 
 
@@ -222,14 +222,14 @@ def _embed(
     each must fit into the bin.  Every other configuration listed follows at
     cost 1.  b and b' are the staircase's own.
     """
-    cols = [tuple(int(x) for x in staircase.lp.a.col(j)) for j in range(staircase.lp.n)]
+    cols = staircase.lp.a.cols()
     for j, col in enumerate(cols):
         load = sum((k * s for k, s in zip(col, sizes) if k), Fraction(0))
         if load > 1:
             raise EmbeddingError(f"column {j} overfills the bin: load {load} > 1")
     family_cols = set(cols)
     others = [k for k in configurations if k not in family_cols]
-    c = vec([0] * len(cols) + [1] * len(others))
+    c = (0,) * len(cols) + (1,) * len(others)
     lp = StandardLp(Matrix.from_cols(cols + others), staircase.lp.b, c)
     return replace(
         staircase, lp=lp, family=family, notes=notes, sizes=sizes, epsilon=epsilon, c1_indices=tuple(range(len(cols)))
@@ -396,15 +396,17 @@ def _int(value, key: str) -> int:
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _rationals(value, key: str, memo: dict[int | str, Fraction]) -> Vec:
+def _rationals(value, key: str, memo: dict[int | str, int | Fraction]) -> tuple[int | Fraction, ...]:
     """A list of ints or 'p/q' strings, the document's form of a rational vector.
 
     A string is read only in the form ``str(Fraction)`` writes: ASCII
     digits, an optional sign and an optional denominator.  ``Fraction``
     itself also reads decimals, underscores, spaces, non-ASCII digits and
-    exponents, and a ten-byte exponent can cost half a minute.  ``memo``
-    maps each entry of the document parsed so far to its value, so an entry
-    repeated anywhere in the document is parsed once.
+    exponents, and a ten-byte exponent can cost half a minute.  An entry
+    written without a denominator is read as an int, one with a denominator
+    as a Fraction.  ``memo`` maps each entry of the document parsed so far
+    to its value, so an entry repeated anywhere in the document is parsed
+    once.
     """
     for x in _list(value, key):
         well_formed = _RATIONAL.fullmatch(x) if isinstance(x, str) else isinstance(x, int) and not isinstance(x, bool)
@@ -415,7 +417,7 @@ def _rationals(value, key: str, memo: dict[int | str, Fraction]) -> Vec:
         r = memo.get(x)
         if r is None:
             try:
-                r = memo[x] = Fraction(x)
+                r = memo[x] = Fraction(x) if isinstance(x, str) and "/" in x else int(x)
             except ZeroDivisionError:
                 raise ValueError(f"a zero denominator in {key!r}") from None
         out.append(r)
@@ -425,9 +427,12 @@ def _rationals(value, key: str, memo: dict[int | str, Fraction]) -> Vec:
 def instance_from_doc(doc: dict) -> IlpInstance:
     """Parse an instance document; every schema violation is a ``ValueError``.
 
-    A document labelled with a family must be that family's generated
-    instance at its delta and d, field for field; a mismatch, or a delta or
-    d the generator refuses, is a ``ValueError`` too.
+    The ILP data, the matrix, b, b_prime and c, must be integral: a
+    non-integer entry is a ``ValueError`` naming its field, raised while the
+    data is read, before any work on it.  ``sizes`` and ``epsilon`` are
+    rationals.  A document labelled with a family must be that family's
+    generated instance at its delta and d, field for field; a mismatch, or
+    a delta or d the generator refuses, is a ``ValueError`` too.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"an instance document is a JSON object, not {type(doc).__name__}")
@@ -439,12 +444,12 @@ def instance_from_doc(doc: dict) -> IlpInstance:
     notes = doc.get("notes", "")
     if not isinstance(notes, str):
         raise ValueError(f"expected a string for 'notes', got {notes!r}")
-    memo: dict[int | str, Fraction] = {}
+    memo: dict[int | str, int | Fraction] = {}
     a = Matrix(tuple(_rationals(row, "matrix", memo) for row in _list(doc["matrix"], "matrix")))
     lp = StandardLp(a, _rationals(doc["b"], "b", memo), _rationals(doc["c"], "c", memo))
     b_prime, sizes, epsilon, c1 = (doc.get(k) for k in ("b_prime", "sizes", "epsilon", "c1_indices"))
     if b_prime is not None:
-        b_prime = _rationals(b_prime, "b_prime", memo)
+        b_prime = _ints(_rationals(b_prime, "b_prime", memo), "b_prime")
         if len(b_prime) != a.nrows:
             raise ValueError(f"'b_prime' has length {len(b_prime)}, matrix has {a.nrows} rows")
     if c1 is not None:
@@ -456,8 +461,8 @@ def instance_from_doc(doc: dict) -> IlpInstance:
         _int(doc["d"], "d"),
         alt_rhs=b_prime,
         notes=notes,
-        sizes=_rationals(sizes, "sizes", memo) if sizes is not None else None,
-        epsilon=_rationals([epsilon], "epsilon", memo)[0] if epsilon is not None else None,
+        sizes=vec(_rationals(sizes, "sizes", memo)) if sizes is not None else None,
+        epsilon=rat(_rationals([epsilon], "epsilon", memo)[0]) if epsilon is not None else None,
         c1_indices=c1,
     )
     if family != FAMILY_CUSTOM:

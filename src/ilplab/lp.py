@@ -1,4 +1,4 @@
-"""Exact rational linear programming in equality form min{c.x : Ax = b, x >= 0}.
+"""Exact linear programming in equality form min{c.x : Ax = b, x >= 0}, A, b and c integral.
 
 The solver is a two-phase tableau simplex with Bland's smallest-index rule
 for both the entering and the leaving variable, which makes it terminating
@@ -17,9 +17,8 @@ entry is the sign of its numerator; the ratio rhs/entry of a row is the
 ratio of its numerators, since the row's denominator cancels, and two
 ratios are compared by cross-multiplication.  So from the same start
 every pivot, basis, solution and objective is the one the Fraction
-tableau reaches.  Fractions appear only where b and c are scaled to ints
-(``_int_rhs``, ``lp_solve``) and where ``lp_solve`` builds the values it
-returns.
+tableau reaches.  A, b and c are ints (see ``exactla``), so Fractions
+appear only where ``lp_solve`` builds the values it returns.
 
 A presolve pass runs first and repeatedly applies three exact reductions:
 
@@ -32,21 +31,21 @@ On the staircase systems this package mostly deals with, presolve pins
 almost every variable, so the simplex core usually sees a small residue.
 Presolve is integer-native too.  Each live row is an int row, an int
 right-hand side and one positive int scale, standing for the rational row
-and right-hand side both divided by the scale.  Row i starts from the
-matrix's integer pattern, over its pattern scale s_i times a multiplier
-q_i: b_i = p/q gives the right-hand side p*s_i over s_i*q, and the
-residual system of an enumeration node keeps that scale, with the int
-residual as right-hand side and the fixed leading columns left out.  That
-scale need not be the least one.  The
-reductions read exactly the rationals a Fraction presolve would: a scale
-is positive, so entry signs are numerator signs; entries and right-hand
-sides of two rows are compared by cross-multiplying with the other row's
-scale; and a forced value is a reduced int pair p/q, substituted as
-``t - coef*p`` once the row's entries, right-hand side and scale are
-multiplied by q.  So presolve forces the same values in the same order and
-leaves the same rows.  A cold phase 1 divides each left-over row by the
-gcd of its scale and entries, which gives back the unique primitive
-integer row of those rationals, the row the simplex starts from.
+and right-hand side both divided by the scale.  Row i starts as row i of
+A's pattern with b_i as right-hand side, at scale 1, and so does the
+residual system of an enumeration node, with the int residual as
+right-hand side and the fixed leading columns left out.  A scale above 1
+arises only from a forced value: substituting p/q with q > 1 multiplies
+the row by q (a row 2x = 1 forces 1/2).  That scale need not be the least
+one.  The reductions read exactly the rationals a Fraction presolve would:
+a scale is positive, so entry signs are numerator signs; entries and
+right-hand sides of two rows are compared by cross-multiplying with the
+other row's scale; and a forced value is a reduced int pair p/q,
+substituted as ``t - coef*p`` once the row's entries, right-hand side and
+scale are multiplied by q.  So presolve forces the same values in the same
+order and leaves the same rows.  A cold phase 1 divides each left-over
+row by the gcd of its scale and entries, which gives back the unique
+primitive integer row of those rationals, the row the simplex starts from.
 
 Presolve has two parts: building the rows from the pattern, and the
 reduction loop ``_reduce``, which runs to fixpoint on whatever rows it is
@@ -100,9 +99,9 @@ from ``_child``, whose phase 1 starts from the parent's basis.  Reading a
 cost is ``_minimum``: it sums the cost over the fixed columns and, when a
 free column has a cost, prices it against a copy of the prepared tableau
 and runs phase 2 to optimality; the free part's optimum is the cost row's
-right-hand side, negated, over its denominator.  ``lp_solve`` reads c,
-scaled to ints, through a cold preparation once and builds its Fractions
-from that reading, so its solution is the cold tableau's.
+right-hand side, negated, over its denominator.  ``lp_solve`` reads c
+through a cold preparation once and builds its Fractions from that
+reading, so its solution is the cold tableau's.
 ``residual_range`` reads an enumeration node's objective bound and both
 ends of its variable, in ints: optimal values, which every feasible basis
 of an equivalent system gives alike.
@@ -132,25 +131,30 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Sequence
 
-from .exactla import Matrix, PatternRow, Vec, vec
+from .exactla import Matrix, Vec, _ints, vec
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
 class StandardLp:
-    """min c.x subject to a x = b, x >= 0."""
+    """min c.x subject to a x = b, x >= 0.
+
+    b and c are tuples of ints, converted by ``exactla._ints`` when the LP
+    is built.
+    """
 
     a: Matrix
-    b: Vec
-    c: Vec
+    b: tuple[int, ...]
+    c: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "b", _ints(self.b, "b"))
+        object.__setattr__(self, "c", _ints(self.c, "c"))
         if self.a.ncols < 1:
             raise ValueError("need at least one variable")
         if len(self.b) != self.a.nrows:
@@ -205,15 +209,6 @@ def _dominates(ri: dict[int, int], si: int, rk: dict[int, int], sk: int) -> bool
         if coef < 0 and j not in rk:
             return False
     return True
-
-
-def _int_rhs(pattern: Sequence[PatternRow], b: Vec) -> tuple[list[int], list[int]]:
-    """b as the int right-hand sides of presolve's rows, and their multipliers.
-
-    b_i = p/q becomes p*s over the scale s*q, where s is row i's pattern
-    scale; the multipliers are the q.
-    """
-    return [bi.numerator * s for (s, _), bi in zip(pattern, b)], [bi.denominator for bi in b]
 
 
 def _reduce(live: list[list], fixed: dict[int, tuple[int, int]], touched: set[int] | None = None) -> bool:
@@ -582,24 +577,19 @@ def _phase1_after(n: int, fixed: dict[int, tuple[int, int]], live: list[list], s
 #: is held, so its identity cannot pass to another matrix while it is
 #: remembered.  Every caller in the process shares it, which changes no
 #: result: an entry is only ever reused for the system it was computed from.
-_last_prepared: tuple[Matrix, Vec, _Prepared | None] | None = None
+_last_prepared: tuple[Matrix, tuple[int, ...], _Prepared | None] | None = None
 
 
-def _prepare_system(a: Matrix, b: Vec) -> _Prepared | None:
-    """The cold preparation of {x >= 0 : a x = b}, or None when it is infeasible.
+def _prepare_system(a: Matrix, b: tuple[int, ...]) -> _Prepared | None:
+    """The cold preparation of {x >= 0 : a x = b}, b a tuple of ints, or None when it is infeasible.
 
     The last one is remembered and reused for the same matrix object and b.
     """
     global _last_prepared
-    b = tuple(b)
     last = _last_prepared  # one read, so a concurrent update cannot split the entry
     if last is not None and last[0] is a and last[1] == b:
         return last[2]
-    pattern = a.sparse_rows
-    rhs, mults = _int_rhs(pattern, b)
-    # row i over the scale s_i*q_i: its pattern numerators times q_i
-    live = [[dict(pairs) if q == 1 else {j: v * q for j, v in pairs}, t, s * q]
-            for (s, pairs), t, q in zip(pattern, rhs, mults)]
+    live = [[dict(pairs), t, 1] for pairs, t in zip(a.sparse_rows, b)]
     fixed: dict[int, tuple[int, int]] = {}
     prep = _phase1_after(a.ncols, fixed, live, lambda: _cold_start(live)) if _reduce(live, fixed) else None
     _last_prepared = (a, b, prep)
@@ -735,16 +725,14 @@ def lp_solve(lp: StandardLp) -> LpResult:
     if prep is None:
         return LpResult(INFEASIBLE)
     # c is mostly zero (coord_range's has one non-zero entry): price only its non-zeros
-    c = {j: cj for j, cj in enumerate(lp.c) if cj}
-    c_den = lcm(*(cj.denominator for cj in c.values()))
-    best = _minimum(prep, {j: cj.numerator * (c_den // cj.denominator) for j, cj in c.items()})
+    best = _minimum(prep, {j: cj for j, cj in enumerate(lp.c) if cj})
     if best is None:
         return LpResult(UNBOUNDED)
     num, den, rows, dens, basis = best
     x = list(prep.x)
     for row, row_den, j in zip(rows, dens, basis):
         x[j] = Fraction(row.get(_RHS, 0), row_den)
-    return LpResult(OPTIMAL, tuple(x), Fraction(num, den * c_den))
+    return LpResult(OPTIMAL, tuple(x), Fraction(num, den))
 
 
 def residual_range(prep: _Prepared, k: int, cost: dict[int, int], cutoff: int | None) -> tuple[int, int | None] | None:
@@ -788,12 +776,12 @@ def coord_range(lp: StandardLp) -> CoordRange:
     when x_0 is unbounded above.  Both solves see the same matrix object
     and right-hand side, so the second reuses the first's preparation.
     """
-    zeros = (_ZERO,) * (lp.n - 1)
-    res_lo = lp_solve(StandardLp(lp.a, lp.b, (_ONE,) + zeros))
+    zeros = (0,) * (lp.n - 1)
+    res_lo = lp_solve(StandardLp(lp.a, lp.b, (1,) + zeros))
     if res_lo.status == INFEASIBLE:
         return CoordRange(empty=True)
     if res_lo.status != OPTIMAL:
         raise AssertionError("objective x_0 >= 0 cannot be unbounded below")
-    res_hi = lp_solve(StandardLp(lp.a, lp.b, (-_ONE,) + zeros))
+    res_hi = lp_solve(StandardLp(lp.a, lp.b, (-1,) + zeros))
     hi = None if res_hi.status == UNBOUNDED else -res_hi.objective
     return CoordRange(False, res_lo.objective, hi)

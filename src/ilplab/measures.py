@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BudgetExceededError, ClaimFalsifiedError
-from .exactla import Matrix, det, dot, hadamard_bound, max_subdet_all, vec, vec_str
+from .exactla import Matrix, _ints, det, dot, hadamard_bound, max_subdet_all, vec, vec_str
 from .ilp import enumerate_integral_optima
 from .instances import FAMILIES, KIND_PROX, KIND_SENS, IlpInstance, p_q_constants
 from .lp import OPTIMAL, StandardLp, is_feasible_point, lp_solve
@@ -46,19 +46,6 @@ def vec_dist(x: Sequence, y: Sequence, norm: str) -> Fraction | int:
     if norm == NORM_LINF:
         return max(diffs, default=0)
     raise ValueError(f"unknown norm {norm!r}")
-
-
-def dist_point_set(x: Sequence, points: Sequence[Sequence], norm: str) -> tuple[Fraction, tuple]:
-    """Exact min distance from x to a finite set, with a minimizing witness."""
-    if not points:
-        raise ValueError("distance to an empty set is undefined")
-    best = None
-    witness = None
-    for p in points:
-        d = vec_dist(x, p, norm)
-        if best is None or d < best:
-            best, witness = d, tuple(p)
-    return best, witness
 
 
 def dist_set_set(
@@ -107,10 +94,10 @@ class CookBounds:
     of upper bounds.
     """
 
-    subdet: Fraction | None
-    hadamard: Fraction
-    prox_upper: Fraction
-    sens_upper: Fraction | None
+    subdet: int | None
+    hadamard: int
+    prox_upper: int
+    sens_upper: int | None
     via_hadamard: bool
 
 
@@ -119,30 +106,28 @@ def cook_bounds(
     alt_rhs: Sequence | None = None,
     subdet_budget: int = 10_000_000,
 ) -> CookBounds:
-    """Cook et al.'s bounds for ``lp`` and b' = ``alt_rhs``; they hold for integral A only.
+    """Cook et al.'s bounds for ``lp`` and b' = ``alt_rhs``.
 
-    A is integral exactly when every row scale of its pattern is 1 (a scale
-    is the lcm of its row's denominators), so that is what is checked.  The
-    Hadamard closed form is ``hadamard_bound(A)`` over A's rows; it replaces
-    the subdeterminant when the scan is over ``subdet_budget``.
+    They hold for integral data: every ``Matrix`` and b is integral (see
+    ``exactla``), and b' is read by ``exactla._ints`` too, so a rational b'
+    is a ``ValueError`` naming 'b_prime'.  The Hadamard closed form is
+    ``hadamard_bound(A)`` over A's rows; it replaces the subdeterminant when
+    the scan is over ``subdet_budget``.
     """
     a = lp.a
-    if any(s != 1 for s, _ in a.sparse_rows):
-        raise ValueError("the Cook bounds hold for an integral matrix A only")
     had = hadamard_bound(a)
-    subdet: Fraction | None
+    subdet: int | None
     try:
         subdet = max_subdet_all(a, budget=subdet_budget).value
     except BudgetExceededError:
         subdet = None
     via_hadamard = subdet is None
     base = had if via_hadamard else subdet
-    n = Fraction(lp.n)
-    prox_upper = n * base
+    prox_upper = lp.n * base
     sens_upper = None
     if alt_rhs is not None:
-        gap = max((abs(u - v) for u, v in zip(lp.b, alt_rhs, strict=True)), default=Fraction(0))
-        sens_upper = (gap + 2) * n * base
+        gap = max((abs(u - v) for u, v in zip(lp.b, _ints(alt_rhs, "b_prime"), strict=True)), default=0)
+        sens_upper = (gap + 2) * lp.n * base
     return CookBounds(subdet, had, prox_upper, sens_upper, via_hadamard)
 
 
@@ -159,10 +144,10 @@ class MeasureReport:
     measured: dict[str, Fraction]
     witness: dict[str, tuple]
     reference_lower: dict[str, Fraction | None]
-    cook_upper: Fraction
+    cook_upper: int
     cook_via_hadamard: bool
-    subdet: Fraction | None
-    hadamard_upper: Fraction
+    subdet: int | None
+    hadamard_upper: int
     solution_counts: dict[str, int]
     runtime_ms: int
     notes: str = ""
@@ -411,19 +396,17 @@ def fuzz_cook(seed: int, trials: int = 200) -> FuzzReport:
         d = rng.randint(1, _FUZZ_MAX_DIM)
         n = rng.randint(d, _FUZZ_MAX_COLS)
         grid = [[rng.randint(0, _FUZZ_MAX_ENTRY) for _ in range(n)] for _ in range(d)]
-        a = Matrix.from_rows(grid)
+        a = Matrix(grid)
         if any(all(grid[i][j] == 0 for i in range(d)) for j in range(n)):
             continue  # a zero column has no derivable bound
         gram = [[sum(u * v for u, v in zip(ri, rj)) for rj in grid] for ri in grid]
-        if det(Matrix.from_rows(gram)) == 0:
+        if det(Matrix(gram)) == 0:
             continue  # rank(A) < d exactly when A A^T is singular
         x_star = [rng.randint(0, 2) for _ in range(n)]
         x_star2 = [rng.randint(0, 2) for _ in range(n)]
-        c = vec([rng.randint(-1, 2) for _ in range(n)])
-        b = a.mul_vec(vec(x_star))
-        b2 = a.mul_vec(vec(x_star2))
-        lp = StandardLp(a, b, c)
-        lp2 = StandardLp(a, b2, c)
+        c = tuple(rng.randint(-1, 2) for _ in range(n))
+        lp = StandardLp(a, a.mul_vec(x_star), c)
+        lp2 = StandardLp(a, a.mul_vec(x_star2), c)
         # solved first, so that when the search serves the first enumeration
         # its root reuses this preparation (the DP prepares nothing)
         frac = lp_solve(lp)
@@ -436,16 +419,16 @@ def fuzz_cook(seed: int, trials: int = 200) -> FuzzReport:
             skipped += 1
             continue
         done += 1
-        bounds = cook_bounds(lp, b2)
+        bounds = cook_bounds(lp, lp2.b)
         for kind, xs, ys, bound, b_prime in (
             ("proximity", [frac.solution], sols, bounds.prox_upper, None),
-            ("sensitivity_forward", sols, sols2, bounds.sens_upper, b2),
-            ("sensitivity_backward", sols2, sols, bounds.sens_upper, b2),
+            ("sensitivity_forward", sols, sols2, bounds.sens_upper, lp2.b),
+            ("sensitivity_backward", sols2, sols, bounds.sens_upper, lp2.b),
         ):
             dist, _ = dist_set_set(xs, ys, NORM_LINF)
             checks += 1
             if dist > bound:
-                violation = {"kind": kind, "matrix": a.to_json(), "b": vec_str(b), "c": vec_str(c),
+                violation = {"kind": kind, "matrix": a.to_json(), "b": vec_str(lp.b), "c": vec_str(c),
                              "distance": str(dist), "bound": str(bound)}
                 if b_prime is not None:
                     violation["b_prime"] = vec_str(b_prime)

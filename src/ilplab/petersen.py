@@ -99,7 +99,7 @@ def build_matching_system() -> MatchingSystem:
     matchings = enumerate_perfect_matchings(g)
     if len(matchings) != 6:
         raise RuntimeError(f"expected 6 perfect matchings, found {len(matchings)}")
-    incidence = Matrix.from_rows(
+    incidence = Matrix(
         [[1 if e in m else 0 for m in matchings] for e in range(len(g.edges))]
     )
     for m in matchings:

@@ -15,7 +15,8 @@ core, presolve on int rows over one scale per row and the simplex on int
 rows over one denominator per row, must reproduce them bit for bit: the
 same presolve result, the same tableaus as rationals, the same pivots and
 bases.  The reference route reads a matrix's dense ``rows`` (``dict_rows``),
-never its integer pattern, so a pattern bug cannot hide on both sides.
+never its pattern, so a pattern bug cannot hide on both sides.  The
+library's A, b and c are ints; every oracle reads them as Fractions.
 
 Two helpers close the file: ``shallow_stack`` lowers the recursion limit
 around a block, and ``fuzz_by_search`` runs ``fuzz_cook`` with every
@@ -92,7 +93,7 @@ def oracle_box(lp: StandardLp) -> list[int]:
     rows = [(r, bi) for r, bi in zip(lp.a.rows, lp.b) if all(x >= 0 for x in r)]
     box = []
     for j in range(lp.n):
-        bounds = [bi / r[j] for r, bi in rows if r[j] > 0]
+        bounds = [Fraction(bi, r[j]) for r, bi in rows if r[j] > 0]
         if bounds:
             box.append(math.floor(min(bounds)))
         elif lp.c[j] > 0 and not any(r[j] for r in lp.a.rows):
@@ -201,8 +202,8 @@ def lp_basic_solution_optimum(lp: StandardLp) -> Fraction | None:
     d, n = lp.d, lp.n
     best = None
     for subset in combinations(range(n), d):
-        rows = [[lp.a.rows[i][j] for j in subset] for i in range(d)]
-        sol = _solve_square(rows, list(lp.b))
+        rows = [[Fraction(lp.a.rows[i][j]) for j in subset] for i in range(d)]
+        sol = _solve_square(rows, [Fraction(bi) for bi in lp.b])
         if sol is None or any(v < 0 for v in sol):
             continue
         obj = sum((lp.c[j] * v for j, v in zip(subset, sol)), Fraction(0))
@@ -232,7 +233,7 @@ def random_feasible_ilp(rng: random.Random, max_dim=3, max_cols=4, max_entry=3):
         if any(all(grid[i][j] == 0 for i in range(d)) for j in range(n)):
             continue
         x_star = [rng.randint(0, 2) for _ in range(n)]
-        a = Matrix.from_rows(grid)
+        a = Matrix(grid)
         b = a.mul_vec(tuple(Fraction(v) for v in x_star))
         c = tuple(Fraction(rng.randint(-1, 2)) for _ in range(n))
         return StandardLp(a, b, c), x_star
@@ -243,11 +244,11 @@ def random_feasible_ilp(rng: random.Random, max_dim=3, max_cols=4, max_entry=3):
 
 
 def dict_rows(m: Matrix) -> list[dict[int, Fraction]]:
-    """Each dense row of ``m`` as a {column: entry} dict of its non-zero entries."""
-    return [{j: x for j, x in enumerate(row) if x} for row in m.rows]
+    """Each dense row of ``m`` as a {column: Fraction entry} dict of its non-zero entries."""
+    return [{j: Fraction(x) for j, x in enumerate(row) if x} for row in m.rows]
 
 
-def residual_system(a: Matrix, b: Sequence[Fraction], prefix: Sequence[int]) -> tuple[Matrix, tuple[Fraction, ...]]:
+def residual_system(a: Matrix, b: Sequence[int], prefix: Sequence[int]) -> tuple[Matrix, tuple[int, ...]]:
     """What is left of a x = b once x_0..x_{k-1} are fixed to ``prefix``: a with those columns zeroed, and b - a.prefix.
 
     Columns keep their indices, so a preparation of it names columns as an
@@ -255,8 +256,8 @@ def residual_system(a: Matrix, b: Sequence[Fraction], prefix: Sequence[int]) -> 
     ``lp._prepare_system`` prepares it cold.
     """
     k = len(prefix)
-    rows = tuple(tuple(_ZERO if j < k else x for j, x in enumerate(row)) for row in a.rows)
-    rhs = tuple(bi - sum((row[j] * prefix[j] for j in range(k)), _ZERO) for row, bi in zip(a.rows, b))
+    rows = tuple(tuple(0 if j < k else x for j, x in enumerate(row)) for row in a.rows)
+    rhs = tuple(bi - sum(row[j] * prefix[j] for j in range(k)) for row, bi in zip(a.rows, b))
     return Matrix(rows), rhs
 
 
@@ -501,7 +502,7 @@ def fraction_prepare(a: Matrix, b) -> tuple | None:
     None when presolve settled every row; None when the system is infeasible.
     """
     rows = dict_rows(a)
-    rhs = list(b)
+    rhs = [Fraction(bi) for bi in b]
     feasible, fixedvals = fraction_presolve(rows, rhs)
     if not feasible:
         return None

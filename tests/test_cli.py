@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import ilplab.cli
+import ilplab.measures
 from ilplab.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from ilplab.instances import instance_from_doc
 from ilplab.measures import CSV_HEADER
@@ -254,14 +256,34 @@ class TestMalformedInstance:
         assert code == EXIT_USAGE
         assert "'b_prime'" in stderr
 
-    def test_bounds_refuse_non_integral_matrix(self, sens_file, tmp_path, capsys):
-        with open(sens_file) as fh:
-            doc = json.load(fh)
+    @pytest.mark.parametrize(
+        "command", [("measure", "sens"), ("bounds",), ("verify", "--check", "polytopish")],
+        ids=["measure-sens", "bounds", "verify-polytopish"],
+    )
+    @pytest.mark.parametrize("key", ["matrix", "b", "b_prime", "c"])
+    def test_rational_ilp_data_is_refused_before_any_work(self, sens_file, tmp_path, capsys, monkeypatch, key, command):
+        # A, b, b' and c are integral: one "1/2" is refused while the document
+        # is read, before an enumeration, a subdeterminant search or a hull walk
+        def never(*args, **kwargs):
+            raise AssertionError("work started on a refused document")
+
+        for module, name in [
+            (ilplab.cli, "enumerate_integral_optima"),
+            (ilplab.cli, "integer_points_in_hull"),
+            (ilplab.measures, "enumerate_integral_optima"),
+            (ilplab.measures, "max_subdet_all"),
+        ]:
+            monkeypatch.setattr(module, name, never)
+        doc = json.loads(Path(sens_file).read_text())
         doc["family"] = "custom"
-        doc["matrix"][0][0] = "1/2"
-        code, _, stderr = run(capsys, "bounds", "--in", self.write(tmp_path, json.dumps(doc)))
-        assert code == EXIT_USAGE
-        assert "integral" in stderr
+        if key == "matrix":
+            doc["matrix"][0][0] = "1/2"
+        else:
+            doc[key] = ["1/2", *doc[key][1:]]
+        code, stdout, stderr = run(capsys, *command, "--in", self.write(tmp_path, json.dumps(doc)))
+        assert code == EXIT_USAGE and stdout == ""
+        assert stderr.startswith("usage error: cannot read instance")
+        assert f"{key!r} holds 1/2, not an integer" in stderr
 
 
 class TestFamilyLabels:
@@ -326,9 +348,13 @@ class TestRationalStrings:
         assert stderr.startswith("usage error:") and "'p/q' string for 'matrix'" in stderr
 
     def test_the_written_forms_are_read(self, sens_file, capsys):
+        # an integral 'p/q' is read as its int in the ILP data; sizes stay rational
         doc = json.loads(Path(sens_file).read_text())
-        doc.update(family="custom", b=["1", "-2/3", 4, "007"])
+        doc.update(family="custom", b=["1", "-4/2", 4, "007"], sizes=["3/10", "1/3"])
         Path(sens_file).write_text(json.dumps(doc))
+        inst = instance_from_doc(doc)
+        assert inst.lp.b == (1, -2, 4, 7) and all(type(x) is int for x in inst.lp.b)
+        assert inst.sizes == (Fraction(3, 10), Fraction(1, 3))
         assert run(capsys, "bounds", "--in", sens_file)[0] == EXIT_OK
 
 

@@ -25,7 +25,7 @@ from oracles import cofactor_det, max_subdet_oracle, submatrix
 
 
 def identity(n):
-    return Matrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+    return Matrix([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 small_int = st.integers(min_value=-4, max_value=4)
@@ -37,20 +37,24 @@ def square(n):
 
 @st.composite
 def sparse_matrices(draw):
-    """Small integer or rational matrices, many zeros, some zero rows and columns."""
+    """Small integer matrices, many zeros, some zero rows and columns.
+
+    Entries are small ints, or integral Fractions, which the matrix reads as
+    their ints.
+    """
     nrows = draw(st.integers(min_value=1, max_value=4))
     ncols = draw(st.integers(min_value=1, max_value=5))
     nonzero = small_int.map(F)
     if draw(st.booleans()):
-        nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=6)
-    entry = st.one_of(st.just(F(0)), nonzero)
+        nonzero = st.integers(min_value=-12, max_value=12)
+    entry = st.one_of(st.just(0), nonzero)
     row = st.lists(entry, min_size=ncols, max_size=ncols)
     rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
     zero_rows = draw(st.sets(st.integers(min_value=0, max_value=nrows - 1)))
     zero_cols = draw(st.sets(st.integers(min_value=0, max_value=ncols - 1)))
-    return Matrix.from_rows(
+    return Matrix(
         [
-            [F(0) if i in zero_rows or j in zero_cols else x for j, x in enumerate(r)]
+            [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(r)]
             for i, r in enumerate(rows)
         ]
     )
@@ -61,8 +65,8 @@ def tie_heavy_matrices(draw):
     """Small matrices with many equal subdeterminants, so the witness rests on the tie rule.
 
     Entries come from {-1, 0, 1} or from small ints.  Columns and rows repeat
-    earlier ones, columns possibly negated, and some rows are divided by 2, 3
-    or 4, which gives them a scale above 1.
+    earlier ones, columns possibly negated, and some rows are multiplied by
+    2, 3 or 4.
     """
     nrows = draw(st.integers(min_value=1, max_value=4))
     ncols = draw(st.integers(min_value=1, max_value=6))
@@ -78,8 +82,8 @@ def tie_heavy_matrices(draw):
     for i in range(1, nrows):
         if draw(st.booleans()):
             rows[i] = list(rows[draw(st.integers(min_value=0, max_value=i - 1))])
-    denominators = draw(st.lists(st.sampled_from((1, 1, 2, 3, 4)), min_size=nrows, max_size=nrows))
-    return Matrix.from_rows([[F(x, q) for x in row] for row, q in zip(rows, denominators)])
+    factors = draw(st.lists(st.sampled_from((1, 1, 2, 3, 4)), min_size=nrows, max_size=nrows))
+    return Matrix([[x * f for x in row] for row, f in zip(rows, factors)])
 
 
 class TestDet:
@@ -91,32 +95,36 @@ class TestDet:
         assert det(inst.lp.a) == 1
 
     def test_2x2(self):
-        m = Matrix.from_rows([[2, 1], [1, 2]])
+        m = Matrix([[2, 1], [1, 2]])
         assert det(m) == cofactor_det([[F(2), F(1)], [F(1), F(2)]]) == 3
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            det(Matrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+            det(Matrix([[1, 2, 3], [4, 5, 6]]))
 
     def test_rational_entries(self):
-        rows = [[F(1, 2), F(1, 3)], [F(2, 5), F(3, 7)]]
-        assert det(Matrix(tuple(tuple(r) for r in rows))) == cofactor_det(rows)
+        # an integral Fraction is read as its int; any other rational is refused
+        m = Matrix(((F(4, 2), F(1)), (F(-3), 5)))
+        assert all(type(x) is int for r in m.rows for x in r)
+        assert det(m) == cofactor_det([[2, 1], [-3, 5]]) == 13
+        with pytest.raises(ValueError, match="'matrix' holds 1/2, not an integer"):
+            Matrix(((F(1, 2), 1), (0, 1)))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=4).flatmap(square))
     def test_matches_cofactor_expansion(self, rows):
-        m = Matrix.from_rows(rows)
+        m = Matrix(rows)
         assert det(m) == cofactor_det([[F(x) for x in r] for r in rows])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=2, max_value=4).flatmap(square), st.randoms(use_true_random=False))
     def test_abs_invariant_under_permutation(self, rows, rnd):
-        m = Matrix.from_rows(rows)
+        m = Matrix(rows)
         perm_r = list(range(len(rows)))
         perm_c = list(range(len(rows)))
         rnd.shuffle(perm_r)
         rnd.shuffle(perm_c)
-        shuffled = Matrix.from_rows([[rows[i][j] for j in perm_c] for i in perm_r])
+        shuffled = Matrix([[rows[i][j] for j in perm_c] for i in perm_r])
         assert abs(det(m)) == abs(det(shuffled))
 
     def test_triangular_det_is_diagonal_product(self):
@@ -124,7 +132,7 @@ class TestDet:
         for _ in range(25):
             n = rng.randint(1, 5)
             rows = [[rng.randint(-3, 3) if j <= i else 0 for j in range(n)] for i in range(n)]
-            m = Matrix.from_rows(rows)
+            m = Matrix(rows)
             expected = F(1)
             for i in range(n):
                 expected *= rows[i][i]
@@ -143,7 +151,7 @@ class TestMaxSubdet:
         assert res.row_indices == (1, 2, 3) and res.col_indices == (0, 1, 2)
 
     def test_small_witness(self):
-        res = max_subdet_all(Matrix.from_rows([[1, 0], [5, 1]]))
+        res = max_subdet_all(Matrix([[1, 0], [5, 1]]))
         # enumeration oracle: four 1x1 dets {1,0,5,1} and one 2x2 det {1}
         assert res.value == 5
         assert subdet_enumeration_count(2, 2) == 5
@@ -157,7 +165,7 @@ class TestMaxSubdet:
     def test_dominates_sampled_submatrices(self):
         rng = random.Random(5)
         rows = [[rng.randint(0, 3) for _ in range(5)] for _ in range(4)]
-        m = Matrix.from_rows(rows)
+        m = Matrix(rows)
         res = max_subdet_all(m)
         for _ in range(50):
             k = rng.randint(1, 4)
@@ -169,15 +177,15 @@ class TestMaxSubdet:
         rng = random.Random(17)
         for _ in range(10):
             rows = [[rng.randint(-2, 3) for _ in range(4)] for _ in range(4)]
-            m = Matrix.from_rows(rows)
+            m = Matrix(rows)
             res = max_subdet_all(m)
             sub = submatrix(m, res.row_indices, res.col_indices)
             assert res.value**2 <= column_norms_squared(sub)
 
     @settings(max_examples=200, deadline=None)
     @given(sparse_matrices())
-    @example(Matrix.from_rows([[0] * 4 for _ in range(3)]))
-    @example(Matrix.from_rows([[F(1, 10), 0], [0, F(1, 10)], [0, 0]]))
+    @example(Matrix([[0] * 4 for _ in range(3)]))
+    @example(Matrix([[10, 0], [0, 10], [0, 0]]))
     def test_matches_cofactor_oracle(self, m):
         res = max_subdet_all(m)
         assert (res.value, res.row_indices, res.col_indices, subdet_enumeration_count(m.nrows, m.ncols)) == max_subdet_oracle(m)
@@ -186,18 +194,19 @@ class TestMaxSubdet:
     @given(tie_heavy_matrices())
     # the lex-first maximizer (0, 1) has equal norms and a Hadamard-tight
     # det 8, and is reached after (0, 2), whose column 2 has the larger norm
-    @example(Matrix.from_rows([[2, 2, 4, 0], [2, -2, 0, 2]]))
+    @example(Matrix([[2, 2, 4, 0], [2, -2, 0, 2]]))
     # column 2 is the maximizer but sits after column 1's small norm
-    @example(Matrix.from_rows([[2, 1, 5]]))
+    @example(Matrix([[2, 1, 5]]))
     def test_tie_heavy_matches_oracle(self, m):
         res = max_subdet_all(m)
         assert (res.value, res.row_indices, res.col_indices, subdet_enumeration_count(m.nrows, m.ncols)) == max_subdet_oracle(m)
 
-    @pytest.mark.parametrize("denominator", [1, 2])
-    def test_search_evaluates_few_determinants(self, monkeypatch, denominator):
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_search_evaluates_few_determinants(self, monkeypatch, factor):
         # At (3,10) the scan evaluated 18,288 determinants, one per submatrix
-        # without a zero row or column, and the cut leaves 1,471.  Halving
-        # every row halves a k x k det k times, so the cut must read the scales.
+        # without a zero row or column, and the cut leaves 1,471.  Doubling
+        # every row doubles a k x k det k times, so the cut is not fooled by
+        # the larger entries.
         calls = [0]
         bareiss = ilplab.exactla._bareiss_int
 
@@ -207,8 +216,8 @@ class TestMaxSubdet:
 
         monkeypatch.setattr(ilplab.exactla, "_bareiss_int", counting)
         a = gen_sensitivity(3, 10).lp.a
-        res = max_subdet_all(Matrix(tuple(tuple(x / denominator for x in row) for row in a.rows)))
-        assert (res.value, res.row_indices, res.col_indices) == (F(3, denominator) ** 9, tuple(range(1, 10)), tuple(range(9)))
+        res = max_subdet_all(Matrix(tuple(tuple(x * factor for x in row) for row in a.rows)))
+        assert (res.value, res.row_indices, res.col_indices) == ((3 * factor) ** 9, tuple(range(1, 10)), tuple(range(9)))
         assert calls[0] < 2_000
 
     def test_sensitivity_family_at_3_10(self):
@@ -218,20 +227,19 @@ class TestMaxSubdet:
         assert res.col_indices == tuple(range(0, 9))
 
     def test_budget_refusal(self):
-        big = Matrix.from_rows([[1] * 10 for _ in range(10)])
+        big = Matrix([[1] * 10 for _ in range(10)])
         assert subdet_enumeration_count(10, 10) > 100
         with pytest.raises(BudgetExceededError):
             max_subdet_all(big, budget=100)
 
 
 def assert_pattern_matches_dense_rows(m):
-    """Each pattern row over its scale is exactly its dense row's non-zeros."""
+    """Each pattern row is exactly its dense row's non-zeros, in column order."""
     assert len(m.sparse_rows) == m.nrows
-    for (s, pairs), row in zip(m.sparse_rows, m.rows):
-        assert s > 0
-        assert all(num for _, num in pairs)
+    for pairs, row in zip(m.sparse_rows, m.rows):
+        assert all(type(x) is int and x for _, x in pairs)
         assert [j for j, _ in pairs] == sorted({j for j, _ in pairs})
-        assert {j: F(num, s) for j, num in pairs} == {j: x for j, x in enumerate(row) if x}
+        assert dict(pairs) == {j: x for j, x in enumerate(row) if x}
 
 
 def stacked_parts(m, data):
@@ -243,9 +251,9 @@ def stacked_parts(m, data):
 
 
 class TestSparseRows:
-    def test_fresh_scale_clears_the_row_denominators(self):
-        m = Matrix.from_rows([[1, 0, -2], [F(1, 2), 0, F(-2, 3)], [0, 0, 0]])
-        assert m.sparse_rows == ((1, ((0, 1), (2, -2))), (6, ((0, 3), (2, -4))), (1, ()))
+    def test_pattern_lists_the_non_zero_entries(self):
+        m = Matrix([[1, 0, -2], [F(3), 0, -4], [0, 0, 0]])
+        assert m.sparse_rows == (((0, 1), (2, -2)), ((0, 3), (2, -4)), ())
 
     @settings(max_examples=40, deadline=None)
     @given(sparse_matrices())
@@ -255,14 +263,15 @@ class TestSparseRows:
     def test_rows_are_tuples(self):
         m = Matrix([[F(1), F(0)], [F(0), F(1)]])
         assert type(m.rows) is tuple and all(type(r) is tuple for r in m.rows)
+        assert all(type(x) is int for r in m.rows for x in r)
         assert m == identity(2)
 
 
 @st.composite
-def rational_squares(draw):
-    """Small square matrices with zero, negative and rational entries."""
+def integer_squares(draw):
+    """Small square matrices with zero, negative and larger entries."""
     n = draw(st.integers(min_value=1, max_value=4))
-    entry = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=6))
+    entry = st.one_of(st.just(0), st.integers(min_value=-12, max_value=12))
     return Matrix(tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n)))
 
 
@@ -270,7 +279,7 @@ class TestPatternRoute:
     """``det``, ``max_subdet_all`` and ``max_abs`` read the pattern; the oracles read the dense rows."""
 
     @settings(max_examples=100, deadline=None)
-    @given(rational_squares(), st.data())
+    @given(integer_squares(), st.data())
     def test_det_matches_cofactor_oracle(self, m, data):
         expected = cofactor_det([list(r) for r in m.rows])
         assert det(m) == expected
@@ -288,11 +297,6 @@ class TestPatternRoute:
         expected = max(abs(x) for r in m.rows for x in r)
         assert m.max_abs() == expected
         assert stacked_parts(m, data).max_abs() == expected
-
-    def test_max_abs_divides_by_the_scale(self):
-        # the second row's pattern is 6 * (5/2, -7/3) = (15, -14)
-        assert Matrix.from_rows([[1, 0], [F(5, 2), F(-7, 3)]]).max_abs() == F(5, 2)
-        assert Matrix.from_rows([[0, 0]]).max_abs() == 0
 
 
 class TestMulVec:
@@ -323,14 +327,14 @@ class TestHadamard:
 
     def test_closed_form_odd_is_upper_bound(self):
         # odd exponent uses ceil(sqrt(r)), so the value must dominate r**(r/2)
-        m = Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        m = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         closed = hadamard_bound(m)
         assert closed == 3 * 2  # 1**3 * 3**1 * ceil(sqrt(3))
         assert closed**2 >= 3**3
 
     def test_closed_form_reads_the_row_count(self):
-        # a 2x3 matrix: r = 2 rows, delta = 3/2, so (3/2)**2 * 2
-        assert hadamard_bound(Matrix.from_rows([[F(3, 2), 0, 1], [0, -1, F(1, 2)]])) == F(9, 2)
+        # a 2x3 matrix: r = 2 rows, delta = 3, so 3**2 * 2
+        assert hadamard_bound(Matrix([[3, 0, 1], [0, -1, 2]])) == 18
 
     def test_empty_matrix_refused(self):
         with pytest.raises(ValueError):
@@ -341,7 +345,7 @@ class TestHadamard:
         for _ in range(20):
             n = rng.randint(1, 4)
             rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            m = Matrix.from_rows(rows)
+            m = Matrix(rows)
             assert det(m) ** 2 <= column_norms_squared(m)
             assert abs(det(m)) <= hadamard_bound(m)
 
@@ -356,9 +360,9 @@ class TestSerialization:
         assert rat("-7/2") == F(-7, 2)
 
     def test_matrix_round_trip(self):
-        m = Matrix.from_rows([[F(1, 2), 3], [0, F(-5, 7)]])
-        assert Matrix.from_rows(m.to_json()) == m
-        assert m.to_json() == [["1/2", "3"], ["0", "-5/7"]]
+        m = Matrix([[-2, 3], [0, 7]])
+        assert Matrix([[rat(x) for x in row] for row in m.to_json()]) == m
+        assert m.to_json() == [["-2", "3"], ["0", "7"]]
 
     def test_vector_helpers(self):
         v = vec(["1/3", 2])

@@ -26,7 +26,7 @@ class TestMembership:
         assert ok and lam == (1, 0)
 
     def test_midpoint_is_member(self):
-        ok, lam = hull_membership([(1, 2), (0, 1)], (F(1, 2), F(3, 2)))
+        ok, lam = hull_membership([(2, 4), (0, 2)], (1, 3))
         assert ok and lam == (F(1, 2), F(1, 2))
 
     def test_off_segment_point_is_not(self):
@@ -34,13 +34,18 @@ class TestMembership:
         assert not ok and lam is None
 
     def test_certificate_reconstructs_point(self):
-        cols = [(0, 0, 1), (2, 1, 0), (1, 3, 2)]
-        point = (1, F(4, 3), 1)
+        cols = [(0, 0, 3), (6, 3, 0), (3, 9, 6)]
+        point = (3, 4, 3)
         ok, lam = hull_membership(cols, point)
         assert ok
         assert sum(lam) == 1
         for i in range(3):
             assert sum(l * c[i] for l, c in zip(lam, cols)) == point[i]
+
+    def test_rational_point_refused(self):
+        # the membership LP's right-hand side is the point, and LP data is integral
+        with pytest.raises(ValueError, match="'point' holds 1/2"):
+            hull_membership([(1, 2), (0, 1)], (F(1, 2), F(3, 2)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -5,10 +5,11 @@ parent's), phase 1 (from a cold start, or from a child's parent's
 tableau), phase 2, the pivots and the enumeration node's solve name no
 Fraction, and every helper they call is checked too; the enumeration
 names no Fraction anywhere, and neither its search nor its
-right-hand-side DP builds an LP object.  In ``exactla`` a Fraction
-becomes ints in one place only, ``Matrix.sparse_rows``; the determinant
-and the subdeterminant search name no Fraction, and ``max_subdet_all``
-builds its one Fraction in its return.
+right-hand-side DP builds an LP object.  In ``exactla`` the determinant
+and the subdeterminant search name no Fraction.  The ILP data is
+integral from the start, so no function of the numeric kernels
+(``exactla``, ``lp``, ``ilp`` and ``hull``) reads a numerator or a
+denominator.
 """
 
 import ast
@@ -17,7 +18,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "ilplab"
 
 INT_CORE = {
-    "_int_rhs",
     "_prepare_system",
     "_child",
     "_reduce",
@@ -83,7 +83,7 @@ def test_integer_core_is_closed_under_calls():
 def test_search_names_no_fraction_and_no_lp_object():
     ilp = functions(SRC / "ilp.py")
     found = names_used(ilp["walk"], SEARCH_NAMES) + names_used(ilp["_dp_optima"], SEARCH_NAMES)
-    for name in ("_integer_system", "_int_costs", "_dp_plan"):
+    for name in ("_integer_system", "_dp_plan"):
         found += names_used(ilp[name], FRACTION_NAMES)
     assert not found, f"the search or the DP in ilp.py leaves the ints: {found}"
 
@@ -102,30 +102,18 @@ def test_enumeration_module_names_no_fraction():
     assert not names & (FRACTION_NAMES | {"fractions"}), "ilp.py names a Fraction"
 
 
-def test_only_the_pattern_reads_numerators():
-    tree = ast.parse((SRC / "exactla.py").read_text(encoding="utf-8"))
-    readers = set()
-    for top in tree.body:
-        scopes = top.body if isinstance(top, ast.ClassDef) else [top]
-        for scope in scopes:
-            for node in ast.walk(scope):
-                if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator"):
-                    owner = f"{top.name}." if isinstance(top, ast.ClassDef) else ""
-                    readers.add(owner + getattr(scope, "name", "<module>"))
-    assert readers == {"Matrix.sparse_rows"}
+def test_no_kernel_reads_a_numerator_or_denominator():
+    reads = [
+        f"{name}:{node.lineno}"
+        for name in ("exactla.py", "lp.py", "ilp.py", "hull.py")
+        for node in ast.walk(ast.parse((SRC / name).read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator")
+    ]
+    assert not reads, f"numerator or denominator read in the kernels: {reads}"
 
 
 def test_subdeterminant_search_names_no_fraction():
     exactla = functions(SRC / "exactla.py")
-    found = [hit for name in ("_bareiss_int", "_best_columns") for hit in names_used(exactla[name], FRACTION_NAMES)]
-    assert not found, f"Fraction arithmetic in the subdeterminant search: {found}"
-    top = exactla["max_subdet_all"]
-    last = top.body[-1]
-    assert isinstance(last, ast.Return)
-    in_return = {id(node) for node in ast.walk(last)}
-    outside = [
-        f"max_subdet_all:{node.lineno}"
-        for node in ast.walk(top)
-        if isinstance(node, ast.Name) and node.id in FRACTION_NAMES and id(node) not in in_return
-    ]
-    assert not outside, f"max_subdet_all builds a Fraction before its return: {outside}"
+    names = ("_bareiss_int", "_best_columns", "max_subdet_all", "det")
+    found = [hit for name in names for hit in names_used(exactla[name], FRACTION_NAMES)]
+    assert not found, f"Fraction arithmetic in the determinant or the subdeterminant search: {found}"

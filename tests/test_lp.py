@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from math import ceil, floor, gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 from ilplab import ilp as ilp_module
@@ -44,11 +44,11 @@ class TestLpSolve:
         assert res.objective == 0
 
     def test_sign_infeasible(self):
-        res = lp_solve(StandardLp(Matrix.from_rows([[1]]), vec([-1]), vec([0])))
+        res = lp_solve(StandardLp(Matrix([[1]]), vec([-1]), vec([0])))
         assert res.status == INFEASIBLE
 
     def test_unbounded(self):
-        lp = StandardLp(Matrix.from_rows([[1, -1]]), vec([1]), vec([0, -1]))
+        lp = StandardLp(Matrix([[1, -1]]), vec([1]), vec([0, -1]))
         assert lp_solve(lp).status == UNBOUNDED
 
     def test_certificate_is_optimal_for_block_system(self):
@@ -102,7 +102,7 @@ class TestLpSolve:
         for _ in range(200):
             d, n = rng.randint(1, 3), rng.randint(1, 4)
             grid = [[rng.randint(0, 3) for _ in range(n)] for _ in range(d)]
-            a = Matrix.from_rows(grid)
+            a = Matrix(grid)
             b = vec([rng.randint(0, 6) for _ in range(d)])
             lp = StandardLp(a, b, vec([0] * n))
             res = lp_solve(lp)
@@ -142,20 +142,21 @@ class TestSharedPreparation:
                 assert got.objective == oracle
 
 
-_ENTRIES = st.sampled_from([0, 0, 0, 1, 1, 2, 3, -1, -2, F(1, 2), F(-2, 3), F(3, 4), F(5, 3)])
-_VALUES = st.sampled_from([0, 0, 1, 2, F(1, 3), F(5, 2)])
+_ENTRIES = st.sampled_from([0, 0, 0, 1, 1, 2, 3, -1, -2, 5])
+_VALUES = st.sampled_from([0, 0, 1, 2, 3])
 
 
 @st.composite
-def rational_systems(draw):
-    """A small LP with zero, negative and rational entries, and negative rhs.
+def integral_systems(draw):
+    """A small integral LP with zero and negative entries, and negative rhs.
 
     Some rows repeat another (the dominance deletion), or are a sum or a
     negative multiple of others, which keeps them past presolve as redundant
     rows that leave an artificial basic after phase 1.  Some rows hold one
     column that another row also holds, so presolve forces a value, often a
-    non-integral one, into a row that keeps other columns.  b is either A x
-    for a drawn x >= 0, so the system is feasible, or drawn freely.
+    non-integral one (2 x_j = 1 forces 1/2), into a row that keeps other
+    columns.  b is either A x for a drawn x >= 0, so the system is feasible,
+    or drawn freely.  Entries 2, 3, -2 and 5 keep LP optima fractional.
     """
     d, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     grid = [draw(st.lists(_ENTRIES, min_size=n, max_size=n)) for _ in range(d)]
@@ -164,8 +165,8 @@ def rational_systems(draw):
         i, k = draw(st.integers(0, len(grid) - 1)), draw(st.integers(0, len(grid) - 1))
         if kind == "single":
             j = draw(st.integers(0, n - 1))
-            grid[i][j] = grid[i][j] or draw(st.sampled_from([1, -1, F(2, 3)]))
-            coef = draw(st.sampled_from([2, 3, -2, F(3, 2)]))
+            grid[i][j] = grid[i][j] or draw(st.sampled_from([1, -1, 3]))
+            coef = draw(st.sampled_from([2, 3, -2, 5]))
             grid.append([coef if col == j else 0 for col in range(n)])
         elif kind == "copy":
             grid.append(list(grid[i]))
@@ -173,12 +174,12 @@ def rational_systems(draw):
             grid.append([x + y for x, y in zip(grid[i], grid[k])])
         else:
             grid.append([-2 * x for x in grid[i]])
-    a = Matrix.from_rows(grid)
+    a = Matrix(grid)
     if draw(st.booleans()):
-        b = a.mul_vec(vec(draw(st.lists(_VALUES, min_size=n, max_size=n))))
+        b = a.mul_vec(draw(st.lists(_VALUES, min_size=n, max_size=n)))
     else:
-        b = vec(draw(st.lists(st.sampled_from([0, 1, -1, 2, F(1, 2), F(-3, 2)]), min_size=a.nrows, max_size=a.nrows)))
-    c = vec(draw(st.lists(st.sampled_from([0, 1, -1, 2, F(-1, 2)]), min_size=n, max_size=n)))
+        b = draw(st.lists(st.sampled_from([0, 1, -1, 2, 3, -3]), min_size=a.nrows, max_size=a.nrows))
+    c = draw(st.lists(st.sampled_from([0, 1, -1, 2, -2]), min_size=n, max_size=n))
     return StandardLp(a, b, c)
 
 
@@ -191,8 +192,24 @@ def assert_primitive(rows, dens):
 class TestIntegerCore:
     """The integer-row core against the Fraction reference route in ``oracles``."""
 
+    def test_systems_reach_fractional_values(self):
+        # the integral strategy still reaches what rational data used to
+        # give: presolve forcing a non-integral value, and a fractional optimum
+        def forced_fraction(lp):
+            prep = lp_module._prepare_system(Matrix(lp.a.rows), lp.b)
+            return prep is not None and any(q > 1 for _, q in prep.fixed.values())
+
+        def fractional_optimum(lp):
+            res = lp_solve(lp)
+            return res.status == OPTIMAL and any(x.denominator > 1 for x in res.solution)
+
+        config = settings(derandomize=True, database=None, max_examples=2_000)
+        for condition in (forced_fraction, fractional_optimum):
+            lp = find(integral_systems(), condition, settings=config)
+            assert condition(lp) and all(type(x) is int for x in (*lp.b, *lp.c, *lp.a.rows[0]))
+
     @settings(max_examples=400, deadline=None)
-    @given(rational_systems(), st.integers(0, 2))
+    @given(integral_systems(), st.integers(0, 2))
     def test_presolve_matches_reference(self, lp, v):
         # the whole system, and the residual of x_0 = v with column 0 zeroed
         for prefix in [(), (v,)] if lp.n > 1 else [()]:
@@ -214,7 +231,7 @@ class TestIntegerCore:
             assert [F(t, s) for _, t, s in prep.live] == ref_rhs
 
     @settings(max_examples=400, deadline=None)
-    @given(rational_systems())
+    @given(integral_systems())
     def test_solve_matches_reference(self, lp):
         def checked_pivot(rows, dens, basis, pr, pc):
             pivot(rows, dens, basis, pr, pc)
@@ -324,8 +341,8 @@ class TestIntegerCore:
 
 @st.composite
 def residual_cases(draw):
-    """A rational system, a prefix x_0..x_{k-1}, int costs and a cutoff or None."""
-    lp = draw(rational_systems())
+    """An integral system, a prefix x_0..x_{k-1}, int costs and a cutoff or None."""
+    lp = draw(integral_systems())
     k = draw(st.integers(0, lp.n - 1))
     prefix = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
     cost = draw(st.lists(st.integers(-2, 2), min_size=lp.n, max_size=lp.n))
@@ -342,12 +359,12 @@ class TestChildReduce:
 
     # x_0 = 0 leaves the second row x_1 + x_2 = 1, which the first
     # dominates with a zero gap: the child's own substitution touches it
-    _V_TOUCHES = StandardLp(Matrix.from_rows([[0, 1, 1, 1], [1, 1, 1, 0]]), vec([1, 1]), vec([0] * 4))
+    _V_TOUCHES = StandardLp(Matrix([[0, 1, 1, 1], [1, 1, 1, 0]]), vec([1, 1]), vec([0] * 4))
     # x_0 = 1 turns the last row into x_4 + x_5 = 0, and forcing x_4 = 0
     # leaves the second row x_1 + x_2 = 1, which the first now dominates
     # with a zero gap: a row a zero is substituted into is touched too
     _ZERO_TOUCHES = StandardLp(
-        Matrix.from_rows([[0, 1, 1, 1, 0, 0], [0, 1, 1, 0, 1, 0], [1, 0, 0, 0, 1, 1]]), vec([1, 1, 1]), vec([0] * 6)
+        Matrix([[0, 1, 1, 1, 0, 0], [0, 1, 1, 0, 1, 0], [1, 0, 0, 0, 1, 1]]), vec([1, 1, 1]), vec([0] * 6)
     )
 
     @settings(max_examples=400, deadline=None)
@@ -414,7 +431,7 @@ class TestResidualRange:
 
     def test_unbounded_minimum_prunes_nothing(self):
         # x_1 - x_2 = 1 under cost -x_2 has no minimum; the node stays
-        lp = StandardLp(Matrix.from_rows([[1, 1, -1]]), vec([1]), vec([0, 0, 0]))
+        lp = StandardLp(Matrix([[1, 1, -1]]), vec([1]), vec([0, 0, 0]))
         prep = cold_preparation(lp.a, lp.b, (0,))
         assert lp_module.residual_range(prep, 1, {2: -1}, -5) == (1, None)
 
@@ -428,7 +445,7 @@ class TestIsFeasiblePoint:
         assert is_feasible_point(alt, (0, 2, 0, 8))
 
     def test_negative_entry_rejected(self):
-        lp = StandardLp(Matrix.from_rows([[1, 1]]), vec([0]), vec([0, 0]))
+        lp = StandardLp(Matrix([[1, 1]]), vec([0]), vec([0, 0]))
         assert not is_feasible_point(lp, (1, -1))
 
     def test_dimension_error(self):
@@ -438,7 +455,7 @@ class TestIsFeasiblePoint:
 
 class TestCoordRange:
     def test_single_constraint(self):
-        lp = StandardLp(Matrix.from_rows([[1, 1]]), vec([1]), vec([0, 0]))
+        lp = StandardLp(Matrix([[1, 1]]), vec([1]), vec([0, 0]))
         cr = coord_range(lp)
         assert (cr.lo, cr.hi) == (0, 1)
         cr2 = coord_range(restricted(lp, (1,)))
@@ -449,7 +466,7 @@ class TestCoordRange:
         assert (cr.lo, cr.hi) == (1, 1)
 
     def test_infeasible_prefix_is_empty_not_error(self):
-        lp = StandardLp(Matrix.from_rows([[1, 1]]), vec([1]), vec([0, 0]))
+        lp = StandardLp(Matrix([[1, 1]]), vec([1]), vec([0, 0]))
         assert coord_range(restricted(lp, (2,))).empty
         # x_0 = -1 leaves a feasible rest (x_1 = 2), but is itself outside x >= 0
         prefix = (F(-1),)
@@ -457,7 +474,7 @@ class TestCoordRange:
         assert not coord_range(restricted(lp, prefix)).empty
 
     def test_unbounded_direction(self):
-        lp = StandardLp(Matrix.from_rows([[1, -1]]), vec([0]), vec([0, 0]))
+        lp = StandardLp(Matrix([[1, -1]]), vec([0]), vec([0, 0]))
         cr = coord_range(lp)
         assert cr.lo == 0 and cr.hi is None
 

@@ -28,7 +28,6 @@ from ilplab.measures import (
     NORM_LINF,
     norm_floor,
     cook_bounds,
-    dist_point_set,
     dist_set_set,
     fuzz_cook,
     measure_proximity_lb,
@@ -38,13 +37,16 @@ from ilplab.measures import (
 
 
 class TestDistances:
+    # a point's distance to a set is dist_set_set from the one-point set,
+    # as measure_proximity_lb measures its certificate
+
     def test_member_distance_zero(self):
-        d, w = dist_point_set((1, 2), [(0, 0), (1, 2)], NORM_LINF)
-        assert d == 0 and w == (1, 2)
+        d, w = dist_set_set([(1, 2)], [(0, 0), (1, 2)], NORM_LINF)
+        assert d == 0 and w == ((1, 2), (1, 2))
 
     def test_point_set_example(self):
-        d, w = dist_point_set((0, 0), [(1, 0), (3, 3)], NORM_LINF)
-        assert d == 1 and w == (1, 0)
+        d, w = dist_set_set([(0, 0)], [(1, 0), (3, 3)], NORM_LINF)
+        assert d == 1 and w == ((0, 0), (1, 0))
 
     def test_set_set_examples(self):
         d, _ = dist_set_set([(0, 0)], [(1, 0), (0, 2)], NORM_L1)
@@ -60,7 +62,7 @@ class TestDistances:
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            dist_point_set((0,), [], NORM_L1)
+            dist_set_set([(0,)], [], NORM_L1)
 
     def test_equal_sets_take_linear_work(self, monkeypatch):
         # each point is measured against its first equal y alone: a full scan
@@ -96,7 +98,7 @@ class TestDistances:
         ys = [(1, 1), (4, 4)]
         dmax, _ = dist_set_set(xs, ys, NORM_L1)
         for x in xs:
-            assert dist_point_set(x, ys, NORM_L1)[0] <= dmax
+            assert min(vec_dist(x, y, NORM_L1) for y in ys) <= dmax
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -194,13 +196,13 @@ class TestProximityMeasurement:
 
     def test_rejects_suboptimal_certificate(self):
         # feasible but with positive cost under a non-zero objective
-        lp = StandardLp(Matrix.from_rows([[1, 1]]), vec([2]), vec([0, 1]))
+        lp = StandardLp(Matrix([[1, 1]]), vec([2]), vec([0, 1]))
         inst = IlpInstance(lp, FAMILY_CUSTOM, 1, 1)
         with pytest.raises(ValueError, match="differs from the LP optimum"):
             measure_proximity_lb(inst, z=[0, 2])
 
     def test_explicit_certificate_on_custom_instance(self):
-        lp = StandardLp(Matrix.from_rows([[1, 1]]), vec([2]), vec([0, 1]))
+        lp = StandardLp(Matrix([[1, 1]]), vec([2]), vec([0, 1]))
         inst = IlpInstance(lp, FAMILY_CUSTOM, 1, 1)
         rep = measure_proximity_lb(inst, z=[2, 0])
         assert rep.measured[NORM_LINF] == 0  # (2,0) is itself the integral optimum
@@ -294,17 +296,12 @@ class TestCookBounds:
         with pytest.raises(ValueError):
             cook_bounds(gen_sensitivity(2, 4).lp, vec([0]))
 
-    def test_non_integral_matrix_refused(self):
-        # the closed form understates this matrix's subdet (3/500 < 1/10)
-        a = Matrix.from_rows([[F(1, 10), 0], [0, F(1, 10)], [0, 0]])
-        with pytest.raises(ValueError, match="integral"):
-            cook_bounds(StandardLp(a, vec([0, 0, 0]), vec([1, 1])))
-
-    def test_non_integral_stacked_part_refused(self):
-        # only the last part's row is non-integral, so a first-row test misses it
-        a = Matrix.from_rows([[1, 2], [0, 1], [3, F(1, 2)]])
-        with pytest.raises(ValueError, match="integral"):
-            cook_bounds(StandardLp(a, vec([0, 0, 0]), vec([1, 1])))
+    def test_rational_alternate_rhs_refused(self):
+        # the sensitivity bound holds for integral b' only; an integral Fraction is read as its int
+        lp = gen_sensitivity(2, 4).lp
+        assert cook_bounds(lp, vec([0, 2, 4, 8])).sens_upper == 96
+        with pytest.raises(ValueError, match="'b_prime' holds 1/2"):
+            cook_bounds(lp, (F(1, 2), 2, 4, 8))
 
     def test_measured_below_bound_on_small_grid(self):
         for delta in (1, 2, 3):
