@@ -97,19 +97,14 @@ def integer_points_in_hull(
     # Variables: the next coordinate value, then the convex weights.  Depth k
     # bounds coordinate k (head row k) with coordinates 0..k-1 pinned to the
     # prefix (coordinate rows 0..k-1) and the weights summing to 1.  Only the
-    # right-hand side depends on the prefix, so depth k's matrix, and with it
-    # its sparse pattern, is built once per walk from rows shared by all depths.
-    head_rows = [(1,) + tuple(-c[k] for c in shifted) for k in range(dim)]
+    # right-hand side (0, *prefix, 1) depends on the prefix, so depth k's
+    # matrix, and with it its sparse pattern, is built once per walk from rows
+    # shared by all depths.
     coord_rows = [(0,) + tuple(c[i] for c in shifted) for i in range(dim)]
     weight_row = (0,) + (1,) * n
-    no_cost = (0,) * (n + 1)
-    depth_matrices: list[Matrix | None] = [None] * dim
-
-    def depth_lp(k: int) -> StandardLp:
-        a = depth_matrices[k]
-        if a is None:
-            a = depth_matrices[k] = Matrix((head_rows[k], *coord_rows[:k], weight_row))
-        return StandardLp(a, (0, *prefix, 1), no_cost)
+    depth_matrices = [
+        Matrix(((1,) + tuple(-c[k] for c in shifted), *coord_rows[:k], weight_row)) for k in range(dim)
+    ]
 
     def walk() -> bool:
         """Depth first, values in increasing order; returns False when the LP budget ran out.
@@ -128,11 +123,12 @@ def integer_points_in_hull(
                 if lp_calls + 2 > lp_budget:
                     return False
                 lp_calls += 2
-                cr = coord_range(depth_lp(k))
-                if not cr.empty:
-                    if cr.hi is None:
+                span = coord_range(depth_matrices[k], (0, *prefix, 1))
+                if span is not None:
+                    lo, hi = span
+                    if hi is None:
                         raise AssertionError("hull coordinates are bounded")
-                    stack.append(iter(range(math.ceil(cr.lo), math.floor(cr.hi) + 1)))
+                    stack.append(iter(range(math.ceil(lo), math.floor(hi) + 1)))
             # the next value of the deepest depth that has one left
             while stack:
                 del prefix[len(stack) - 1:]

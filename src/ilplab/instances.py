@@ -282,18 +282,9 @@ def gen_binpack_proximity(delta: int, d: int) -> IlpInstance:
     staircase = gen_proximity(delta, d)
     n_sizes = 15 * d
     base = Fraction(1, 30 * delta)
-    caps: list[Fraction] = []
-    # single largest item
-    caps.append((1 - base) / n_sizes)
-    # one item of size r together with delta items of size r+15
-    for r in range(1, 15 * (d - 1) + 1):
-        caps.append((1 - base - delta * base) / (r + delta * (r + 15)))
-    # the five items of each matching column
-    matchings = build_matching_system().matchings
-    for m in matchings:
-        caps.append((1 - 5 * base) / sum(e + 1 for e in m))
-    cap = Fraction(57, 60 * (n_sizes - 2 + delta * (n_sizes - 1)))
-    eps = min(min(caps), cap)
+    # column k fits while sum_r k_r (base + r eps) <= 1, r = 1..n_sizes
+    fit = min((1 - base * sum(col)) / sum(r * k for r, k in enumerate(col, 1)) for col in staircase.lp.a.cols())
+    eps = min(fit, Fraction(57, 60 * (n_sizes - 2 + delta * (n_sizes - 1))))
     sizes = tuple(base + r * eps for r in range(1, n_sizes + 1))
     return _embed(staircase, FAMILY_BINPACK_PROX, sizes, eps, (), "configurations=distinguished only")
 

@@ -49,59 +49,59 @@ primitive integer row of those rationals, the row the simplex starts from.
 
 Presolve has two parts: building the rows from the pattern, and the
 reduction loop ``_reduce``, which runs to fixpoint on whatever rows it is
-given.  A cold presolve starts only from a whole system: ``_prepare_system``
-builds its rows and reduces them.  Every other presolve is an enumeration
-node's child x_k = v, and ``_child`` decides how it is prepared.  If the
-node forced x_k, the LP range of x_k is that one value, and the child's
-fixpoint is the node's but for x_k.  Its rows are the node's, so its phase
-1 is too: ``_child`` returns the node's preparation, tableau included.  A
-child of a free x_k instead starts from its parent's preparation: it
-copies the parent's live rows, substitutes v into them (v is an int, so
-each row keeps its scale), and reduces them.  It reaches the fixpoint a
-cold presolve of its residual reaches.  Each reduction stays valid under
-further fixings: with x_k = v added, a singleton or zero-right-hand-side
-row of the parent is still one or is already settled, and a dominating
-pair with a zero gap keeps it, since x_k either has a zero difference
-entry or is forced to 0.  So every deduction of the parent is also made by
-the cold run, every deduction of the cold run is also made from the
-parent's state, and the two loops stop at the same closure: the same fixed
-values, the same live rows.  Rows are only deleted, so the survivors keep
-their original relative order, and of rows equal as rationals the first is
-the one kept.  Scales can differ, as a scale records the fractional values
-substituted into its row, but the rows are the same rationals.  Only the
-order of the fixed values can differ, and nothing reads it: ``x`` and the
-lookups in ``_minimum`` are order-free.
+given.  A cold presolve starts only from a whole system:
+``_prepare_system`` builds its rows and reduces them.  Every other
+presolve is an enumeration node's child x_k = v, and ``_child`` decides
+how it is prepared.  If the node forced x_k, the LP range of x_k is that
+one value, and the child's fixpoint is the node's but for x_k.  Its rows
+are the node's, so its phase 1 is too: ``_child`` returns the node's
+preparation, tableau included.  A child of a free x_k instead starts from
+its parent's preparation: ``_reduce`` runs on copies of the parent's live
+rows, substitutes x_k = v into them first (v is an int, so each row keeps
+its scale), and reduces them.  It reaches the fixpoint a cold presolve of
+its residual reaches.  Each reduction stays valid under further fixings:
+with x_k = v added, a singleton or zero-right-hand-side row of the parent
+is still one or is already settled, and a dominating pair with a zero gap
+keeps it, since x_k either has a zero difference entry or is forced to 0.
+So every deduction of the parent is also made by the cold run, every
+deduction of the cold run is also made from the parent's state, and the
+two loops stop at the same closure: the same fixed values, the same live
+rows.  Rows are only deleted, so the survivors keep their original
+relative order, and of rows equal as rationals the first is the one kept.
+Scales can differ, as a scale records the fractional values substituted
+into its row, but the rows are the same rationals.  Only the order of the
+fixed values can differ, and nothing reads it: ``x`` and the lookups in
+``_minimum`` are order-free.
 
 A free child's presolve and phase 1 both start from its parent's work.
-``_reduce`` is told which rows the substitution of v touched, and adds
-every row it substitutes into.  Its row-difference pass tests only the
-pairs with a touched row: every other pair was tested at the parent's
-fixpoint without a result, and neither row has changed since.  So the
-first pair that fires is the full pass's, and the deductions, their order
-and the rows left are the full pass's too.  Phase 1 starts from the
-parent's tableau (Chvatal, Linear Programming, 1983): x_k = v and the
-values the child's presolve forced are substituted into its rows, a row
-keeps its basic column when that column is still free and the row's
-right-hand side is >= 0, and only the other rows get an artificial
-variable.  The substituted rows span the same rational row space as the
-child's live rows, so phase 1 ends in a feasible basis of an equivalent
-system, though in general not in the tableau a cold phase 1 of the live
-rows reaches.  Rows the substitution does not touch are the parent's own
-row objects, shared, never copied.
+``_reduce`` marks every row it substitutes into, x_k = v's rows first, and
+its row-difference pass tests only the pairs with a marked row: every
+other pair was tested at the parent's fixpoint without a result, and
+neither row has changed since.  So the first pair that fires is the full
+pass's, and the deductions, their order and the rows left are the full
+pass's too.  Phase 1 starts from the parent's tableau (Chvatal, Linear
+Programming, 1983): the child's fixed values, x_k = v among them, are
+substituted into its rows, a row keeps its basic column when that column
+is still free and the row's right-hand side is >= 0, and only the other
+rows get an artificial variable.  The substituted rows span the same
+rational row space as the child's live rows, so phase 1 ends in a feasible
+basis of an equivalent system, though in general not in the tableau a cold
+phase 1 of the live rows reaches.  Rows the substitution does not touch
+are the parent's own row objects, shared, never copied.
 
 An answer has two steps, each with one home.  Preparing (A, b) covers
 everything that does not depend on c: presolve, and phase 1 on the rows
 presolve left, which ends in a feasible basis of that core or proves the
-system infeasible.  Cold preparations come from ``_prepare_system``, whose
-phase 1 starts with no basic column and reaches the Fraction tableau's
-basis, and those of the children of an enumeration node's free variable
-from ``_child``, whose phase 1 starts from the parent's basis.  Reading a
-cost is ``_minimum``: it sums the cost over the fixed columns and, when a
-free column has a cost, prices it against a copy of the prepared tableau
-and runs phase 2 to optimality; the free part's optimum is the cost row's
-right-hand side, negated, over its denominator.  ``lp_solve`` reads c
-through a cold preparation once and builds its Fractions from that
-reading, so its solution is the cold tableau's.
+system infeasible.  ``_prepare`` does both on the rows it is given.  For
+``_prepare_system`` it starts phase 1 cold, with no basic column, and
+reaches the Fraction tableau's basis; for ``_child``, the child of an
+enumeration node's free variable, it starts from the parent's basis.
+Reading a cost is ``_minimum``: it sums the cost over the fixed columns
+and, when a free column has a cost, prices it against a copy of the
+prepared tableau and runs phase 2 to optimality; the free part's optimum
+is the cost row's right-hand side, negated, over its denominator.
+``lp_solve`` reads c through a cold preparation once and builds its
+Fractions from that reading, so its solution is the cold tableau's.
 ``residual_range`` reads an enumeration node's objective bound and both
 ends of its variable, in ints: optimal values, which every feasible basis
 of an equivalent system gives alike.
@@ -129,7 +129,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .exactla import Matrix, Vec, _ints, vec
 
@@ -178,19 +178,6 @@ class LpResult:
     objective: Fraction | None = None
 
 
-@dataclass(frozen=True)
-class CoordRange:
-    """Exact range of one coordinate over an LP feasible region.
-
-    ``empty`` marks an infeasible system.  ``hi`` is None when the
-    coordinate is unbounded above.
-    """
-
-    empty: bool
-    lo: Fraction | None = None
-    hi: Fraction | None = None
-
-
 # ---------------------------------------------------------------------------
 # presolve
 
@@ -211,7 +198,7 @@ def _dominates(ri: dict[int, int], si: int, rk: dict[int, int], sk: int) -> bool
     return True
 
 
-def _reduce(live: list[list], fixed: dict[int, tuple[int, int]], touched: set[int] | None = None) -> bool:
+def _reduce(live: list[list], fixed: dict[int, tuple[int, int]], forced: tuple[int, int] | None = None) -> bool:
     """Apply the exact reductions to the rows ``live`` to fixpoint, in place; False when infeasible.
 
     ``live`` holds ``[row, t, s]`` entries: an int row dict, an int
@@ -229,17 +216,20 @@ def _reduce(live: list[list], fixed: dict[int, tuple[int, int]], touched: set[in
     row deleted while it still holds columns (a duplicate) is emptied, so
     the index entries that still name it do nothing.
 
-    ``touched`` is None for the rows of a cold presolve, and every row pair is
-    tested for dominance.  A child passes the ids of the entries it
-    substituted into, on rows copied from a fixpoint of this loop;
-    ``substitute`` adds each entry it touches, and the row-difference pass
-    tests only pairs with at least one row in the set.  The deductions,
-    their order and the rows left are those of the full pass.
+    ``forced`` is None for the rows of a cold presolve, and every row pair
+    is tested for dominance.  A child x_k = v passes (k, v), on rows copied
+    from a fixpoint of this loop.  x_k = v is then substituted first, like
+    any forced value: it goes into ``fixed``, and ``substitute`` marks every
+    row it touches, then and in the loop.  The row-difference pass tests
+    only pairs with at least one marked row.  The deductions, their order
+    and the rows left are those of the full pass.
     """
     holders: dict[int, list[list]] = {}
     for entry in live:
         for j in entry[0]:
             holders.setdefault(j, []).append(entry)
+    # the ids of the rows a child's substitutions touched
+    touched: set[int] | None = None if forced is None else set()
 
     def substitute(j: int, p: int, q: int) -> bool:
         """Force x_j = p/q (q > 0) in every row that holds column j."""
@@ -264,6 +254,8 @@ def _reduce(live: list[list], fixed: dict[int, tuple[int, int]], touched: set[in
             entry[1] -= coef * p
         return True
 
+    if forced is not None and not substitute(*forced, 1):
+        return False
     changed = True
     while changed:
         changed = False
@@ -302,9 +294,9 @@ def _reduce(live: list[list], fixed: dict[int, tuple[int, int]], touched: set[in
             continue
         # Row-difference dominance: if row_i - row_k is entrywise >= 0 then
         # (row_i - row_k).x = rhs_i - rhs_k with x >= 0 forces conclusions.
-        # The difference is kept over si*sk.  With ``touched``, a pair of
-        # rows outside it was tested at the fixpoint it started from, without
-        # a result, and neither row has changed since: it is skipped.
+        # The difference is kept over si*sk.  On a child, a pair of rows
+        # outside ``touched`` was tested at the fixpoint it started from,
+        # without a result, and neither row has changed since: it is skipped.
         fresh = None if touched is None else [(k, entry) for k, entry in enumerate(live) if id(entry) in touched]
         for i, entry in enumerate(live):
             ri, ti, si = entry
@@ -526,9 +518,10 @@ class _Prepared:
     """The objective-independent part of a solve of a feasible residual system.
 
     ``fixed`` maps each column presolve forced to its value as a reduced int
-    pair (p, q).  A cold preparation lists them in the order its presolve
-    forced them; a child's order can differ, and nothing reads it.  The
-    columns of the system that it leaves out are free.  ``live`` holds the
+    pair (p, q); a child's also holds its x_k = v as (v, 1).  A cold
+    preparation lists them in the order its presolve forced them; a
+    child's order can differ, and nothing reads it.  The columns of the
+    system that it leaves out are free.  ``live`` holds the
     rows presolve left, as ``_reduce`` leaves them, for a child to start
     from; they are never written into.  ``tableau`` is a feasible basis of
     those rows as sparse integer rows over ``dens``, or None when presolve
@@ -557,22 +550,6 @@ class _Prepared:
         return tuple(x)
 
 
-def _phase1_after(n: int, fixed: dict[int, tuple[int, int]], live: list[list], start: Callable[[], tuple | None]):
-    """The preparation of presolve's result ``fixed`` and ``live``; None when infeasible.
-
-    ``start`` gives phase 1's partial basis of the live rows, as
-    ``_phase1`` takes it, or None when it finds them infeasible.  It is
-    called only when rows are left.
-    """
-    if not live:
-        return _Prepared(n, fixed, live, None, (), ())
-    begin = start()
-    phase1 = None if begin is None else _phase1(*begin, n)
-    if phase1 is None:
-        return None
-    return _Prepared(n, fixed, live, *phase1)
-
-
 #: (a, b, preparation) of the last system ``_prepare_system`` prepared.  ``a``
 #: is held, so its identity cannot pass to another matrix while it is
 #: remembered.  Every caller in the process shares it, which changes no
@@ -589,9 +566,7 @@ def _prepare_system(a: Matrix, b: tuple[int, ...]) -> _Prepared | None:
     last = _last_prepared  # one read, so a concurrent update cannot split the entry
     if last is not None and last[0] is a and last[1] == b:
         return last[2]
-    live = [[dict(pairs), t, 1] for pairs, t in zip(a.sparse_rows, b)]
-    fixed: dict[int, tuple[int, int]] = {}
-    prep = _phase1_after(a.ncols, fixed, live, lambda: _cold_start(live)) if _reduce(live, fixed) else None
+    prep = _prepare(a.ncols, [[dict(pairs), t, 1] for pairs, t in zip(a.sparse_rows, b)], {})
     _last_prepared = (a, b, prep)
     return prep
 
@@ -604,58 +579,71 @@ def _child(parent: _Prepared, k: int, v: int) -> _Prepared | None:
     forced value and the child's residual system is the node's own, so
     ``parent`` itself is returned: a chain of forced variables shares one
     preparation, whose ``fixed`` then still holds columns below k.  For a
-    free x_k, the node's fixed columns above k and its live rows are
-    copied, v is substituted into every row that holds x_k, and ``_reduce``
-    runs to fixpoint, told which rows that touched.  Presolve ends with the
-    fixed values and the live rows, as rationals in the same order, that a
-    cold presolve reaches on the child's residual; only the order of
-    ``fixed`` can differ.  Phase 1 then starts from the parent's tableau
-    with x_k = v and the newly forced values substituted (``_warm_start``),
-    and ends in a feasible basis of the child's rows, not in general the
-    cold one.  ``parent`` is not written into: siblings share it.
+    free x_k, ``_prepare`` runs on copies of the node's live rows and of its
+    fixed columns above k: ``_reduce`` substitutes x_k = v and runs to
+    fixpoint, which leaves the fixed values and the live rows, as rationals
+    in the same order, that a cold presolve reaches on the child's
+    residual.  Only the order of ``fixed`` can differ, and it also holds
+    x_k = v.  Phase 1 then starts from the parent's tableau
+    (``_warm_start``) and ends in a feasible basis of the child's rows, not
+    in general the cold one.  ``parent`` is not written into: siblings
+    share it.
     """
     if k in parent.fixed:
         return parent
+    live = [[dict(row), t, s] for row, t, s in parent.live]
     fixed = {j: value for j, value in parent.fixed.items() if j > k}
-    rows = [[dict(row), t, s] for row, t, s in parent.live]
-    touched: set[int] = set()
-    for entry in rows:
-        coef = entry[0].pop(k, None)
-        if coef is not None:
-            entry[1] -= coef * v
-            touched.add(id(entry))
-    if not _reduce(rows, fixed, touched):
+    return _prepare(parent.n, live, fixed, (parent, k, v))
+
+
+def _prepare(
+    n: int,
+    live: list[list],
+    fixed: dict[int, tuple[int, int]],
+    child: tuple[_Prepared, int, int] | None = None,
+) -> _Prepared | None:
+    """Presolve the rows ``live`` into ``fixed`` and run phase 1 on the rows left; None when infeasible.
+
+    Without ``child`` this is a cold preparation, and phase 1 starts from
+    ``_cold_start``.  A child passes ``child`` = (parent, k, v): ``_reduce``
+    substitutes x_k = v first, and phase 1 then starts from the parent's
+    tableau (``_warm_start``).
+    """
+    if not _reduce(live, fixed, None if child is None else child[1:]):
         return None
-    return _phase1_after(parent.n, fixed, rows, lambda: _warm_start(parent, k, v, fixed))
+    if not live:
+        return _Prepared(n, fixed, live, None, (), ())
+    start = _cold_start(live) if child is None else _warm_start(child[0], fixed)
+    phase1 = None if start is None else _phase1(*start, n)
+    return None if phase1 is None else _Prepared(n, fixed, live, *phase1)
 
 
 def _warm_start(
-    parent: _Prepared, k: int, v: int, fixed: dict[int, tuple[int, int]]
+    parent: _Prepared, fixed: dict[int, tuple[int, int]]
 ) -> tuple[list[dict[int, int]], list[int], list[int | None]] | None:
-    """Phase 1's start for the child x_k = v: the parent's tableau with x_k = v and the child's ``fixed`` values substituted.
+    """Phase 1's start for a child: the parent's tableau with the child's ``fixed`` values substituted.
 
-    ``fixed`` is the child's presolve result; the columns in it that the
-    parent had fixed are in no row of the parent's tableau.  A row that
-    holds none of the substituted columns is the parent's own row object,
-    still with its basic column.  Every other row is a new one, made
-    primitive.  It keeps its basic column when that is not substituted and
-    its right-hand side is >= 0; else it has none, and a row with a
+    ``fixed`` is the child's presolve result, x_k = v included; the columns
+    in it that the parent had fixed are in no row of the parent's tableau.
+    A row that holds none of the substituted columns is the parent's own
+    row object, still with its basic column.  Every other row is a new one,
+    made primitive.  It keeps its basic column when that is not substituted
+    and its right-hand side is >= 0; else it has none, and a row with a
     negative right-hand side is negated.  A row left with no columns is
     dropped when it reads 0 = 0.  Returns None when one reads 0 = c with
     c != 0: the child is infeasible.
     """
-    values = {**fixed, k: (v, 1)}
     rows: list[dict[int, int]] = []
     dens: list[int] = []
     basis: list[int | None] = []
     for row, den, bi in zip(parent.tableau, parent.dens, parent.basis):
-        hit = row.keys() & values.keys()
+        hit = row.keys() & fixed.keys()
         if hit:
             row = dict(row)
             t = row.pop(_RHS, 0)
             for j in hit:
                 coef = row.pop(j)
-                p, q = values[j]
+                p, q = fixed[j]
                 if q != 1:
                     for col in row:
                         row[col] *= q
@@ -769,19 +757,18 @@ def is_feasible_point(lp: StandardLp, x: Sequence[Fraction | int | str]) -> bool
     return lp.a.mul_vec(xv) == tuple(lp.b)
 
 
-def coord_range(lp: StandardLp) -> CoordRange:
-    """Exact [min, max] of x_0 over {x >= 0 : A x = b}.
+def coord_range(a: Matrix, b: Sequence[int]) -> tuple[Fraction, Fraction | None] | None:
+    """Exact (min, max) of x_0 over {x >= 0 : a x = b}, b integral; None when the system is infeasible.
 
-    Returns an empty range when the system is infeasible; ``hi`` is None
-    when x_0 is unbounded above.  Both solves see the same matrix object
-    and right-hand side, so the second reuses the first's preparation.
+    The max is None when x_0 is unbounded above.  Both solves see the same
+    matrix object and right-hand side, so the second reuses the first's
+    preparation.
     """
-    zeros = (0,) * (lp.n - 1)
-    res_lo = lp_solve(StandardLp(lp.a, lp.b, (1,) + zeros))
-    if res_lo.status == INFEASIBLE:
-        return CoordRange(empty=True)
-    if res_lo.status != OPTIMAL:
+    zeros = (0,) * (a.ncols - 1)
+    low = lp_solve(StandardLp(a, b, (1, *zeros)))
+    if low.status == INFEASIBLE:
+        return None
+    if low.status != OPTIMAL:
         raise AssertionError("objective x_0 >= 0 cannot be unbounded below")
-    res_hi = lp_solve(StandardLp(lp.a, lp.b, (-1,) + zeros))
-    hi = None if res_hi.status == UNBOUNDED else -res_hi.objective
-    return CoordRange(False, res_lo.objective, hi)
+    high = lp_solve(StandardLp(a, b, (-1, *zeros)))
+    return low.objective, None if high.status == UNBOUNDED else -high.objective

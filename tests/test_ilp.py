@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -393,6 +392,8 @@ class ChildSteps:
                 self.chained += 1
                 return got
             assert k not in parent.fixed
+            # a child's ``fixed`` holds x_k = v and no column of the chain below k
+            assert got is None or (got.fixed[k] == (v, 1) and min(got.fixed) == k)
             self.check(a, b, prefix + (v,), got)
             self.steps += 1
             if got is not None:
@@ -401,7 +402,7 @@ class ChildSteps:
 
         def spy_range(prep, k, cost, cutoff):
             a, b, prefix = self.at(prep, k)
-            self.check(a, b, prefix, replace(prep, fixed={j: x for j, x in prep.fixed.items() if j >= k}), cost)
+            self.check(a, b, prefix, prep, cost)
             return node_range(prep, k, cost, cutoff)
 
         monkeypatch.setattr(ilp_module, "_prepare_system", spy_root)
@@ -428,7 +429,9 @@ class ChildSteps:
         if got is None:
             return
         assert ref_feasible
-        fixed, live = got.fixed, got.live
+        # a preparation's ``fixed`` can also hold columns of the prefix: a
+        # chain's, and a child's x_k = v
+        fixed, live = {j: x for j, x in got.fixed.items() if j >= len(prefix)}, got.live
         assert all(q > 0 and math.gcd(p, q) == 1 for p, q in fixed.values())
         assert fixed == cold.fixed  # as dicts: the forcing order may differ
         assert {j: F(p, q) for j, (p, q) in fixed.items()} == ref_fixed

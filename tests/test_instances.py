@@ -216,6 +216,12 @@ class TestBinPackingProximity:
         cap = F(57, 60 * (45 - 2 + 2 * (45 - 1)))
         assert 0 < inst.epsilon <= cap
 
+    def test_epsilon_from_the_fit_below_the_cap(self):
+        # at (100, 3) a family column fills the bin exactly before the cap binds
+        inst = gen_binpack_proximity(100, 3)
+        assert inst.epsilon == F(2899, 13590000) < F(57, 60 * (45 - 2 + 100 * (45 - 1)))
+        assert max(dot(col, inst.sizes) for col in inst.lp.a.cols()) == 1
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             gen_binpack_proximity(1, 3)

@@ -30,7 +30,7 @@ INT_CORE = {
     "_pivot",
     "_iterate",
     "_phase2",
-    "_phase1_after",
+    "_prepare",
     "_minimum",
     "residual_range",
 }
