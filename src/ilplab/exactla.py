@@ -22,7 +22,17 @@ columns whose support meets those rows, and picks them in decreasing order
 of their squared norm over the row set.  By Hadamard's inequality a square
 submatrix's squared determinant is at most the product of its columns'
 squared norms, so a branch whose best such product is below the best value
-squared so far holds no maximizer and is cut.  The one closed-form
+squared so far holds no maximizer and is cut.
+
+When the bipartite row/column support graph is a forest, the maximum
+comes from a matching instead: each square submatrix's support has at most
+one perfect matching, so its det is 0 or +- the product of the matched
+entries, and a tree DP over (product, -size) pairs finds the largest
+product V and the least size reaching it.  The search then scans only that
+size's row sets from an incumbent of V - 1, and stops at the first that
+reaches V, which gives the same first maximizer in (size, rows lex, cols
+lex) order as the full search.  A support with a cycle takes the full
+search.  The one closed-form
 determinant bound kept here is Hadamard's delta**r * r**(r/2), from
 ``max_abs`` and the row count alone.
 """
@@ -143,11 +153,15 @@ class Matrix:
         """Per row, the (column, entry) pairs of its non-zero entries."""
         return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.rows)
 
-    def mul_vec(self, v: Sequence[Fraction]) -> Vec:
-        """The product with ``v``, summing only the pattern's non-zero terms."""
+    def mul_vec(self, v: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:
+        """The product with ``v``, summing only the pattern's non-zero terms.
+
+        An int ``v`` gives ints; any other gives Fractions, zero rows included.
+        """
         if len(v) != self.ncols:
             raise ValueError(f"matrix has {self.ncols} columns, vector has {len(v)}")
-        return tuple(sum((x * v[j] for j, x in pairs), Fraction(0)) for pairs in self.sparse_rows)
+        zero = 0 if all(type(x) is int for x in v) else Fraction(0)
+        return tuple(sum((x * v[j] for j, x in pairs), zero) for pairs in self.sparse_rows)
 
     def max_abs(self) -> int:
         """Largest absolute entry."""
@@ -271,35 +285,25 @@ def _best_columns(
         p = picks[depth] + 1
 
 
-def max_subdet_all(m: Matrix, budget: int = 10_000_000) -> SubdetResult:
-    """Max |det| over every square submatrix of every size k >= 1.
+def _search(m: Matrix, sizes: Iterable[int], best: int = 0, target: int | None = None) -> SubdetResult:
+    """The first square submatrix of ``m`` whose |det| is the largest above ``best``.
 
-    The enumeration count is checked up front against ``budget``; oversize
-    inputs are refused with ``BudgetExceededError``.  The search below
-    evaluates far fewer determinants than that count, but the refusal reads
-    the count, so whether an input is refused does not depend on the search.
-    The witness is the first maximizer in (size ascending, rows lex, cols
-    lex) order; an all-zero matrix has value 0 with witness ((0,), (0,)).
+    Sizes in ``sizes`` and row sets R are visited in order.  For a row set
+    only the columns whose support meets it are offered, each with its
+    squared norm w_j over R, sorted by (-w_j, j), and ``_best_columns``
+    picks k of them depth first.  Hadamard's inequality gives det**2 <= the
+    product of the picked w_j, so a branch whose largest reachable product
+    is below best**2 holds no submatrix above the best so far and is cut.
+    The cut is strict: a branch that could only tie the best is still
+    searched, so within a row set the lex-first of equal maximizers wins,
+    and an earlier row set's maximizer is kept over a later tie.  A column
+    set that leaves one of the rows all zero is skipped, as is every column
+    whose support misses the rows: those determinants are 0.
 
-    Sizes and row sets R are visited in order.  For a row set only the
-    columns whose support meets it are offered, each with its squared norm
-    w_j over R, sorted by (-w_j, j), and ``_best_columns`` picks k of them
-    depth first.  Hadamard's inequality gives det**2 <= the product of the
-    picked w_j, so a branch whose largest reachable product is below best**2
-    holds no submatrix above the best so far and is cut.  The cut is strict:
-    a branch that could only tie the best is still searched, so within a row
-    set the lex-first of equal maximizers wins, and an earlier row set's
-    maximizer is kept over a later tie.  A column set that leaves one of the
-    rows all zero is skipped, as is every column whose support misses the
-    rows: those determinants are 0.
+    The search returns at the first row set that reaches ``target``, a
+    value no submatrix exceeds.  When nothing beats ``best`` the witness is
+    ((0,), (0,)).
     """
-    if m.nrows == 0 or m.ncols == 0:
-        raise ValueError("max_subdet_all needs a non-empty matrix")
-    total = subdet_enumeration_count(m.nrows, m.ncols)
-    if total > budget:
-        raise BudgetExceededError(
-            f"subdeterminant enumeration needs {total} determinants, budget is {budget}"
-        )
     ncols = m.ncols
     squares = [[x * x for x in row] for row in m.rows]
     # support[j] has bit i set when row i has a non-zero entry in column j
@@ -307,10 +311,9 @@ def max_subdet_all(m: Matrix, budget: int = 10_000_000) -> SubdetResult:
     for i, pairs in enumerate(m.sparse_rows):
         for j, _ in pairs:
             support[j] |= 1 << i
-    best = 0
     best_rows: tuple[int, ...] = (0,)
     best_cols: tuple[int, ...] = (0,)
-    for k in range(1, min(m.nrows, ncols) + 1):
+    for k in sizes:
         for ri in combinations(range(m.nrows), k):
             mask = sum(1 << i for i in ri)
             # a column's squared norm over the rows is 0 exactly when its support misses them;
@@ -319,8 +322,124 @@ def max_subdet_all(m: Matrix, budget: int = 10_000_000) -> SubdetResult:
             cols = sorted([j for j in range(ncols) if norms[j]], key=norms.__getitem__, reverse=True)
             best, found = _best_columns([m.rows[i] for i in ri], cols, [norms[j] for j in cols], support, mask, best)
             if found is not None:
+                if best == target:
+                    return SubdetResult(best, ri, found)
                 best_rows, best_cols = ri, found
     return SubdetResult(best, best_rows, best_cols)
+
+
+def _forest_matching(m: Matrix) -> tuple[int, int] | None:
+    """The largest product of |entries| over a matching of ``m``'s support, and the least size reaching it.
+
+    The support is the bipartite graph with a node per row and per column
+    and an edge per non-zero entry.  Returns None when it has a cycle: at
+    once when nnz > nrows + ncols - 1, which no forest has, and otherwise
+    when union-find meets an edge whose ends are already joined.  On a
+    forest it returns (1, 1) when the best matching is empty (every
+    non-zero entry is +-1), and (0, 0) when no entry is non-zero.
+
+    A tree DP finds the best matching.  A matching's key is (product,
+    -size), so a larger product wins and, of equal products, the smaller
+    matching.  Joining the matchings of two disjoint subtrees multiplies
+    the products and adds the sizes, which keeps the order, as every
+    product is at least 1.  Each tree is listed in preorder from an explicit
+    stack and folded up in reverse preorder.  For a node u, ``free[u]`` is
+    the best matching of u's folded subtrees that leaves u unmatched, and
+    ``matched[u]`` the best that matches u to one of its folded children.
+    Folding a child c with edge weight w gives
+    matched[u] = max(matched[u] + best(c), free[u] + free[c] + (w, -1)) and
+    free[u] = free[u] + best(c), with + the join.
+    """
+    nrows = m.nrows
+    nodes = nrows + m.ncols
+    if sum(map(len, m.sparse_rows)) > nodes - 1:
+        return None
+    # node i is row i, node nrows + j is column j; head[u] leads towards u's set's root
+    head = list(range(nodes))
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(nodes)]
+    for i, pairs in enumerate(m.sparse_rows):
+        for j, x in pairs:
+            u, v = i, nrows + j
+            while head[u] != u:
+                head[u] = u = head[head[u]]
+            while head[v] != v:
+                head[v] = v = head[head[v]]
+            if u == v:
+                return None
+            head[u] = v
+            adjacent[i].append((nrows + j, abs(x)))
+            adjacent[nrows + j].append((i, abs(x)))
+    # matchings as (product, -size); (0, 0) stands for "none yet" and loses every comparison
+    free = [(1, 0)] * nodes
+    matched = [(0, 0)] * nodes
+    parent = [(-1, 0)] * nodes  # (parent node, edge weight) in the tree's preorder
+    seen = [False] * nodes
+    product, size = 1, 0
+    for start in range(nodes):
+        if seen[start]:
+            continue
+        seen[start] = True
+        order, stack = [], [start]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            for v, w in adjacent[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    parent[v] = (u, w)
+                    stack.append(v)
+        for u in reversed(order[1:]):
+            best = max(free[u], matched[u])
+            p, w = parent[u]
+            take = (free[p][0] * free[u][0] * w, free[p][1] + free[u][1] - 1)
+            matched[p] = max((matched[p][0] * best[0], matched[p][1] + best[1]), take)
+            free[p] = (free[p][0] * best[0], free[p][1] + best[1])
+        best = max(free[start], matched[start])
+        product, size = product * best[0], size - best[1]
+    if size == 0:
+        return (1, 1) if any(m.sparse_rows) else (0, 0)
+    return product, size
+
+
+def max_subdet_all(m: Matrix, budget: int = 10_000_000) -> SubdetResult:
+    """Max |det| over every square submatrix of every size k >= 1.
+
+    The enumeration count is checked up front against ``budget``; oversize
+    inputs are refused with ``BudgetExceededError``.  The routes below
+    evaluate far fewer determinants than that count, but the refusal reads
+    the count, so whether an input is refused does not depend on the route.
+    The witness is the first maximizer in (size ascending, rows lex, cols
+    lex) order; an all-zero matrix has value 0 with witness ((0,), (0,)).
+
+    When the row/column support graph has a cycle, ``_search`` visits every
+    size from an incumbent of 0.  When it is a forest, the value comes from
+    a matching instead.  A forest has at most one perfect matching, so a
+    square submatrix's support has at most one, and its det is 0 or +- the
+    product of the matched entries.  Every matching M of the support is the
+    perfect matching of its own submatrix, rows(M) x cols(M), whose det is
+    then non-zero.  So the maximum |det| is V, the largest product of
+    |entries| over the non-empty matchings, and the maximizers have sizes
+    exactly the sizes of the matchings reaching V.  The entries are
+    non-zero ints, so every |entry| is at least 1 and every comparison is
+    exact.  ``_forest_matching`` gives V and the least such size k, and
+    ``_search`` runs over the size-k row sets alone, from an incumbent of
+    V - 1, and stops at the first row set that reaches V: that row set and
+    its lex-first columns reaching V are the first maximizer.
+    """
+    if m.nrows == 0 or m.ncols == 0:
+        raise ValueError("max_subdet_all needs a non-empty matrix")
+    total = subdet_enumeration_count(m.nrows, m.ncols)
+    if total > budget:
+        raise BudgetExceededError(
+            f"subdeterminant enumeration needs {total} determinants, budget is {budget}"
+        )
+    forest = _forest_matching(m)
+    if forest is None:
+        return _search(m, range(1, min(m.nrows, m.ncols) + 1))
+    value, size = forest
+    if value == 0:
+        return SubdetResult(0, (0,), (0,))
+    return _search(m, (size,), value - 1, value)
 
 
 def isqrt_ceil(n: int) -> int:

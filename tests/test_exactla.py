@@ -86,6 +86,55 @@ def tie_heavy_matrices(draw):
     return Matrix([[x * f for x in row] for row, f in zip(rows, factors)])
 
 
+@st.composite
+def forest_matrices(draw):
+    """Small matrices whose bipartite row/column support graph is a forest.
+
+    Each column draws a set of rows to join, and an edge that would close a
+    cycle is dropped, so rows and columns may stay zero.  Some draws are a
+    1 x n star or an n x 1 column.  Entries are +-1 or +-delta for a drawn
+    delta, or come from +-1, +-2, 3, 4 and 5, so equal products often arise
+    at several matching sizes, as 2 * 2 = 4 does.
+    """
+    shape = draw(st.sampled_from(("any", "any", "any", "any", "row", "column")))
+    nrows = 1 if shape == "row" else draw(st.integers(min_value=1, max_value=5))
+    ncols = 1 if shape == "column" else draw(st.integers(min_value=1, max_value=6))
+    if draw(st.booleans()):
+        delta = draw(st.integers(min_value=2, max_value=4))
+        entry = st.sampled_from((1, -1, delta, -delta))
+    else:
+        entry = st.sampled_from((1, -1, 1, -1, 2, -2, 3, 4, 5))
+    root = list(range(nrows + ncols))
+
+    def find(u):
+        while root[u] != u:
+            u = root[u]
+        return u
+
+    rows = [[0] * ncols for _ in range(nrows)]
+    for j in range(ncols):
+        for i in sorted(draw(st.sets(st.integers(0, nrows - 1)))):
+            u, v = find(i), find(nrows + j)
+            if u != v:
+                root[u] = v
+                rows[i][j] = draw(entry)
+    return Matrix(rows)
+
+
+#: supports with a cycle; all but the first two have nnz <= nrows + ncols - 1,
+#: so only union-find can tell them from a forest
+CYCLE_MATRICES = {
+    "2x2-block": [[1, 1], [1, 1]],
+    "6-cycle": [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+    "2x2-block-padded": [[1, 1, 0], [1, -1, 0], [0, 0, 0]],
+    "6-cycle-padded": [[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0], [0, 0, 0, 0]],
+    "4-cycle-and-leaf": [[2, 1, 0], [1, 2, 0], [0, 3, 0]],
+    # the cycle closes at column 1, which row 0's edge to column 2 has
+    # already joined below column 2
+    "4-cycle-closed-below-a-root": [[1, 1, 1], [1, -1, 0], [0, 0, 0]],
+}
+
+
 class TestDet:
     def test_identity(self):
         assert det(identity(3)) == 1
@@ -206,19 +255,23 @@ class TestMaxSubdet:
         # At (3,10) the scan evaluated 18,288 determinants, one per submatrix
         # without a zero row or column, and the cut leaves 1,471.  Doubling
         # every row doubles a k x k det k times, so the cut is not fooled by
-        # the larger entries.
-        calls = [0]
-        bareiss = ilplab.exactla._bareiss_int
-
-        def counting(a):
-            calls[0] += 1
-            return bareiss(a)
-
-        monkeypatch.setattr(ilplab.exactla, "_bareiss_int", counting)
-        a = gen_sensitivity(3, 10).lp.a
-        res = max_subdet_all(Matrix(tuple(tuple(x * factor for x in row) for row in a.rows)))
+        # the larger entries.  The staircase's support is a path, so
+        # ``max_subdet_all`` takes the forest route; the general search is
+        # run directly.
+        calls = count_determinants(monkeypatch)
+        a = scaled_staircase(factor)
+        res = ilplab.exactla._search(a, range(1, 11))
         assert (res.value, res.row_indices, res.col_indices) == ((3 * factor) ** 9, tuple(range(1, 10)), tuple(range(9)))
         assert calls[0] < 2_000
+
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_forest_route_evaluates_few_determinants(self, monkeypatch, factor):
+        # the matching DP gives the value and the size 9; the witness scan
+        # then reaches it at its first fitting row set
+        calls = count_determinants(monkeypatch)
+        res = max_subdet_all(scaled_staircase(factor))
+        assert (res.value, res.row_indices, res.col_indices) == ((3 * factor) ** 9, tuple(range(1, 10)), tuple(range(9)))
+        assert calls[0] <= 10
 
     def test_sensitivity_family_at_3_10(self):
         res = max_subdet_all(gen_sensitivity(3, 10).lp.a)
@@ -231,6 +284,80 @@ class TestMaxSubdet:
         assert subdet_enumeration_count(10, 10) > 100
         with pytest.raises(BudgetExceededError):
             max_subdet_all(big, budget=100)
+
+
+def count_determinants(monkeypatch):
+    """A one-element list counting the determinants ``exactla`` evaluates from now on."""
+    calls = [0]
+    bareiss = ilplab.exactla._bareiss_int
+
+    def counting(a):
+        calls[0] += 1
+        return bareiss(a)
+
+    monkeypatch.setattr(ilplab.exactla, "_bareiss_int", counting)
+    return calls
+
+
+def scaled_staircase(factor):
+    """The sensitivity (3,10) matrix with every entry multiplied by ``factor``."""
+    a = gen_sensitivity(3, 10).lp.a
+    return Matrix(tuple(tuple(x * factor for x in row) for row in a.rows))
+
+
+def spy_routes(monkeypatch):
+    """Record what ``_forest_matching`` returns and the sizes each ``_search`` call scans."""
+    seen = {"forest": [], "sizes": []}
+    forest, search = ilplab.exactla._forest_matching, ilplab.exactla._search
+
+    def forest_spy(m):
+        seen["forest"].append(forest(m))
+        return seen["forest"][-1]
+
+    def search_spy(m, sizes, *args):
+        seen["sizes"].append(tuple(sizes))
+        return search(m, sizes, *args)
+
+    monkeypatch.setattr(ilplab.exactla, "_forest_matching", forest_spy)
+    monkeypatch.setattr(ilplab.exactla, "_search", search_spy)
+    return seen
+
+
+class TestForestRoute:
+    """On forest support the value comes from a matching DP, and the witness from one size's row sets."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(forest_matrices())
+    # equal products 2 at sizes 1 and 2: the witness is the 1 x 1 minor
+    @example(Matrix([[2, 1], [0, 1]]))
+    # every entry +-1: the best matching is empty, and the first 1 x 1 minor wins
+    @example(Matrix([[0, -1, 1], [0, 0, 0], [1, 0, 0]]))
+    # products 8 at sizes 2 and 3, where the DP meets the size-3 matching first
+    @example(Matrix([[0, 0, 0], [0, 2, 0], [2, 0, 0], [4, 0, 2], [2, 2, 0]]))
+    # two row sets reach 4 at size 1; the first is kept
+    @example(Matrix([[0, 0], [4, 0], [0, -4]]))
+    @example(Matrix([[0, 0, 0]]))
+    def test_matches_oracle(self, m):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            seen = spy_routes(monkeypatch)
+            res = max_subdet_all(m)
+        assert (res.value, res.row_indices, res.col_indices, subdet_enumeration_count(m.nrows, m.ncols)) == max_subdet_oracle(m)
+        assert seen["forest"] == [(res.value, len(res.row_indices)) if res.value else (0, 0)]
+        assert seen["sizes"] in ([], [(len(res.row_indices),)])
+
+    @pytest.mark.parametrize("rows", list(CYCLE_MATRICES.values()), ids=list(CYCLE_MATRICES))
+    def test_cycles_take_the_general_search(self, monkeypatch, rows):
+        m = Matrix(rows)
+        seen = spy_routes(monkeypatch)
+        res = max_subdet_all(m)
+        assert seen == {"forest": [None], "sizes": [tuple(range(1, min(m.nrows, m.ncols) + 1))]}
+        assert (res.value, res.row_indices, res.col_indices, subdet_enumeration_count(m.nrows, m.ncols)) == max_subdet_oracle(m)
+
+    def test_refused_before_the_route(self, monkeypatch):
+        seen = spy_routes(monkeypatch)
+        with pytest.raises(BudgetExceededError):
+            max_subdet_all(gen_sensitivity(2, 14).lp.a)
+        assert seen == {"forest": [], "sizes": []}
 
 
 def assert_pattern_matches_dense_rows(m):
@@ -308,6 +435,14 @@ class TestMulVec:
             got = child.mul_vec(v)
             assert got == tuple(dot(row, v) for row in child.rows)
             assert all(type(x) is F for x in got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_matrices(), st.data())
+    def test_int_vector_gives_ints(self, m, data):
+        v = data.draw(st.lists(st.integers(-3, 3), min_size=m.ncols, max_size=m.ncols))
+        got = m.mul_vec(v)
+        assert got == tuple(dot(row, vec(v)) for row in m.rows)
+        assert all(type(x) is int for x in got)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

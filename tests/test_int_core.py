@@ -114,6 +114,6 @@ def test_no_kernel_reads_a_numerator_or_denominator():
 
 def test_subdeterminant_search_names_no_fraction():
     exactla = functions(SRC / "exactla.py")
-    names = ("_bareiss_int", "_best_columns", "max_subdet_all", "det")
+    names = ("_bareiss_int", "_best_columns", "_search", "_forest_matching", "max_subdet_all", "det")
     found = [hit for name in names for hit in names_used(exactla[name], FRACTION_NAMES)]
     assert not found, f"Fraction arithmetic in the determinant or the subdeterminant search: {found}"
