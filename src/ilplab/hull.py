@@ -4,9 +4,12 @@ A column system is *polytopish* when the integer points of the convex hull
 of its columns are exactly the columns themselves.  The verifier walks the
 point coordinate by coordinate: at depth i it bounds coordinate i over the
 hull intersected with the fixed prefix (an exact LP over the convex weights)
-and branches on every integer in that range.  The staircase structure of the
-systems verified here collapses almost every coordinate to a single value
-once a short prefix is fixed, so the walk stays desk-scale even in Z^45.
+and branches on every integer in that range.  The LPs nest: the weights are
+the only variables, and depth i+1's system is depth i's with the row that
+pins coordinate i appended, so the LP layer prepares a depth by growing the
+preparation of the depth above.  The staircase structure of the systems
+verified here collapses almost every coordinate to a single value once a
+short prefix is fixed, so the walk stays desk-scale even in Z^45.
 """
 
 from __future__ import annotations
@@ -85,7 +88,9 @@ def integer_points_in_hull(
     dim = len(cols[0])
     n = len(cols)
     # Shift so all coordinates are non-negative; hull points shift with the
-    # columns, so the search can treat each coordinate as an LP variable.
+    # columns.  Every coordinate row then has non-negative entries, and a
+    # coordinate pinned at its least value, 0, is a row with a zero
+    # right-hand side that presolve settles at once.
     offset = [min(c[i] for c in cols) for i in range(dim)]
     shifted = [tuple(c[i] - offset[i] for i in range(dim)) for c in cols]
 
@@ -94,17 +99,17 @@ def integer_points_in_hull(
     exhausted = False
     prefix: list[int] = []
 
-    # Variables: the next coordinate value, then the convex weights.  Depth k
-    # bounds coordinate k (head row k) with coordinates 0..k-1 pinned to the
-    # prefix (coordinate rows 0..k-1) and the weights summing to 1.  Only the
-    # right-hand side (0, *prefix, 1) depends on the prefix, so depth k's
-    # matrix, and with it its sparse pattern, is built once per walk from rows
-    # shared by all depths.
-    coord_rows = [(0,) + tuple(c[i] for c in shifted) for i in range(dim)]
-    weight_row = (0,) + (1,) * n
-    depth_matrices = [
-        Matrix(((1,) + tuple(-c[k] for c in shifted), *coord_rows[:k], weight_row)) for k in range(dim)
-    ]
+    # Variables: the convex weights alone.  Depth k bounds coordinate k, the
+    # objective coordinate row k, over the weights summing to 1 (the weight
+    # row) with coordinates 0..k-1 pinned to the prefix (coordinate rows
+    # 0..k-1): its matrix is the weight row and coordinate rows 0..k-1, its
+    # right-hand side (1, *prefix).  So depth k+1's system is depth k's with
+    # one row appended, and the LP layer prepares a child depth from its
+    # parent's preparation (see ``lp._prepare_system``).  Each depth's matrix
+    # is built once per walk from row tuples shared by all depths.
+    coord_rows = [tuple(c[i] for c in shifted) for i in range(dim)]
+    weight_row = (1,) * n
+    depth_matrices = [Matrix((weight_row, *coord_rows[:k])) for k in range(dim)]
 
     def walk() -> bool:
         """Depth first, values in increasing order; returns False when the LP budget ran out.
@@ -123,10 +128,10 @@ def integer_points_in_hull(
                 if lp_calls + 2 > lp_budget:
                     return False
                 lp_calls += 2
-                span = coord_range(depth_matrices[k], (0, *prefix, 1))
+                span = coord_range(depth_matrices[k], (1, *prefix), coord_rows[k])
                 if span is not None:
                     lo, hi = span
-                    if hi is None:
+                    if lo is None or hi is None:
                         raise AssertionError("hull coordinates are bounded")
                     stack.append(iter(range(math.ceil(lo), math.floor(hi) + 1)))
             # the next value of the deepest depth that has one left

@@ -49,10 +49,11 @@ primitive integer row of those rationals, the row the simplex starts from.
 
 Presolve has two parts: building the rows from the pattern, and the
 reduction loop ``_reduce``, which runs to fixpoint on whatever rows it is
-given.  A cold presolve starts only from a whole system:
-``_prepare_system`` builds its rows and reduces them.  Every other
-presolve is an enumeration node's child x_k = v, and ``_child`` decides
-how it is prepared.  If the node forced x_k, the LP range of x_k is that
+given.  ``_prepare_system`` presolves a whole system: cold, on the rows it
+builds from the pattern, or grown from the remembered presolve of a system
+the new one extends by rows (see the memo below).  Every other presolve is
+an enumeration node's child x_k = v, and ``_child`` decides how it is
+prepared.  If the node forced x_k, the LP range of x_k is that
 one value, and the child's fixpoint is the node's but for x_k.  Its rows
 are the node's, so its phase 1 is too: ``_child`` returns the node's
 preparation, tableau included.  A child of a free x_k instead starts from
@@ -112,13 +113,33 @@ only tuples, so the same object always has the same entries; the memo
 holds the matrix, so its identity cannot pass to another one; and phase 2
 never writes into the prepared tableau.  A reused preparation is the one a
 cold one would compute, so results are bit-for-bit those of a cold solve.
-It serves three pairs of calls on one system: the min and max solves of
-``coord_range`` (the second also reuses the fixed-value vector the
-preparation keeps), the LP relaxation that
-``measure_proximity_lb`` solves and the enumeration root after it, and the
-same pair in ``fuzz_cook`` on the trials whose enumeration the search
-serves; the right-hand-side DP (see ``ilp``) prepares nothing.  Below the
-root an enumeration node needs no memo: it has its parent's preparation.
+It serves the min and max solves of ``coord_range`` (the second also
+reuses the fixed-value vector the preparation keeps), the LP relaxation
+that ``measure_proximity_lb`` solves and the enumeration root after it,
+and the same pair in ``fuzz_cook`` on the trials whose enumeration the
+search serves; the right-hand-side DP (see ``ilp``) prepares nothing.
+Below the root an enumeration node needs no memo: it has its parent's
+preparation.
+
+The memo also serves a system that extends the remembered one by rows:
+the same column count, the remembered rows as its first m rows, and the
+remembered b as the first m entries of b.  The row count is tested first,
+so every other system is turned away in O(1).  The hull walk's depths nest
+this way (see ``hull``).  If the remembered system is infeasible, so is
+the extension.  Otherwise ``_extend`` runs ``_reduce`` on copies of the
+remembered live rows followed by the new rows, with the remembered fixed
+values substituted into the new rows first and the new rows marked fresh,
+so the row-difference pass tests only pairs with a new or touched row.
+That reaches a cold presolve's closure, by the argument a free child's
+rests on: adding rows only adds deductions.  Every deduction of the
+remembered presolve is made by a cold presolve of the whole system too,
+and every deduction of that cold run is also made from the remembered
+fixpoint with the rows added.  Rows are only deleted, and the new rows
+come last on both routes, so the survivors are the same rationals in the
+same order.  Phase 1 then starts cold on them, and the tableau, the basis
+and the ``lp_solve`` solution are bit-for-bit the cold route's; only the
+order of the fixed values can differ, and nothing reads it.
+
 The presolve reductions follow Andersen and Andersen (Math. Prog. 71,
 1995).
 """
@@ -131,7 +152,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .exactla import Matrix, Vec, _ints, vec
+from .exactla import Matrix, PatternRow, Vec, _ints, vec
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -198,7 +219,11 @@ def _dominates(ri: dict[int, int], si: int, rk: dict[int, int], sk: int) -> bool
     return True
 
 
-def _reduce(live: list[list], fixed: dict[int, tuple[int, int]], forced: tuple[int, int] | None = None) -> bool:
+def _reduce(
+    live: list[list],
+    fixed: dict[int, tuple[int, int]],
+    start: tuple[dict[int, tuple[int, int]], Sequence[list]] | None = None,
+) -> bool:
     """Apply the exact reductions to the rows ``live`` to fixpoint, in place; False when infeasible.
 
     ``live`` holds ``[row, t, s]`` entries: an int row dict, an int
@@ -216,20 +241,25 @@ def _reduce(live: list[list], fixed: dict[int, tuple[int, int]], forced: tuple[i
     row deleted while it still holds columns (a duplicate) is emptied, so
     the index entries that still name it do nothing.
 
-    ``forced`` is None for the rows of a cold presolve, and every row pair
-    is tested for dominance.  A child x_k = v passes (k, v), on rows copied
-    from a fixpoint of this loop.  x_k = v is then substituted first, like
-    any forced value: it goes into ``fixed``, and ``substitute`` marks every
-    row it touches, then and in the loop.  The row-difference pass tests
-    only pairs with at least one marked row.  The deductions, their order
-    and the rows left are those of the full pass.
+    ``start`` is None for the rows of a cold presolve, and every row pair
+    is tested for dominance.  Otherwise it is (values, fresh): the rows are
+    a fixpoint of this loop, copied, with the rows ``fresh`` added, and
+    ``values`` maps columns to reduced pairs (p, q) to substitute first.  A
+    child x_k = v passes ({k: (v, 1)}, ()); a system extended by rows
+    passes the fixed values of the system it extends that the appended rows
+    hold, and those rows.
+    Each value goes into ``fixed`` like any forced one, and ``substitute``
+    marks every row it touches, then and in the loop, as it marks the rows
+    ``fresh`` from the start.  The row-difference pass tests only pairs
+    with at least one marked row.  The deductions, their order and the rows
+    left are those of the full pass.
     """
     holders: dict[int, list[list]] = {}
     for entry in live:
         for j in entry[0]:
             holders.setdefault(j, []).append(entry)
-    # the ids of the rows a child's substitutions touched
-    touched: set[int] | None = None if forced is None else set()
+    # the ids of the rows changed or added since the fixpoint the rows started from
+    touched: set[int] | None = None if start is None else {id(entry) for entry in start[1]}
 
     def substitute(j: int, p: int, q: int) -> bool:
         """Force x_j = p/q (q > 0) in every row that holds column j."""
@@ -254,8 +284,10 @@ def _reduce(live: list[list], fixed: dict[int, tuple[int, int]], forced: tuple[i
             entry[1] -= coef * p
         return True
 
-    if forced is not None and not substitute(*forced, 1):
-        return False
+    if start is not None:
+        for j, (p, q) in start[0].items():
+            if not substitute(j, p, q):
+                return False
     changed = True
     while changed:
         changed = False
@@ -294,13 +326,14 @@ def _reduce(live: list[list], fixed: dict[int, tuple[int, int]], forced: tuple[i
             continue
         # Row-difference dominance: if row_i - row_k is entrywise >= 0 then
         # (row_i - row_k).x = rhs_i - rhs_k with x >= 0 forces conclusions.
-        # The difference is kept over si*sk.  On a child, a pair of rows
-        # outside ``touched`` was tested at the fixpoint it started from,
-        # without a result, and neither row has changed since: it is skipped.
-        fresh = None if touched is None else [(k, entry) for k, entry in enumerate(live) if id(entry) in touched]
+        # The difference is kept over si*sk.  From a ``start``, a pair of
+        # rows outside ``touched`` was tested at the fixpoint the rows started
+        # from, without a result, and neither row has changed since: it is
+        # skipped.
+        marked = None if touched is None else [(k, entry) for k, entry in enumerate(live) if id(entry) in touched]
         for i, entry in enumerate(live):
             ri, ti, si = entry
-            for k, (rk, tk, sk) in enumerate(live) if fresh is None or id(entry) in touched else fresh:
+            for k, (rk, tk, sk) in enumerate(live) if marked is None or id(entry) in touched else marked:
                 if i == k or not _dominates(ri, si, rk, sk):
                     continue
                 diff = {j: v * sk for j, v in ri.items()}
@@ -519,14 +552,14 @@ class _Prepared:
 
     ``fixed`` maps each column presolve forced to its value as a reduced int
     pair (p, q); a child's also holds its x_k = v as (v, 1).  A cold
-    preparation lists them in the order its presolve forced them; a
-    child's order can differ, and nothing reads it.  The columns of the
-    system that it leaves out are free.  ``live`` holds the
-    rows presolve left, as ``_reduce`` leaves them, for a child to start
-    from; they are never written into.  ``tableau`` is a feasible basis of
-    those rows as sparse integer rows over ``dens``, or None when presolve
-    settled every row; ``basis`` holds its basic columns, by their index in
-    A.  A cold preparation's tableau is the one phase 1 reaches from no
+    presolve lists them in the order it forced them; a grown preparation's
+    or a child's order can differ, and nothing reads it.  The columns of
+    the system that it leaves out are free.  ``live`` holds the rows
+    presolve left, as ``_reduce`` leaves them, for a child or an extension
+    to start from; they are never written into.  ``tableau`` is a feasible
+    basis of those rows as sparse integer rows over ``dens``, or None when
+    presolve settled every row; ``basis`` holds its basic columns, by their
+    index in A.  A cold preparation's tableau is the one phase 1 reaches from no
     basic column; a child's starts from its parent's tableau, and can share
     row objects with it.  None of them is ever written into.  ``x``, what
     every ``lp_solve`` answer starts from, is computed on first use and kept
@@ -553,22 +586,51 @@ class _Prepared:
 #: (a, b, preparation) of the last system ``_prepare_system`` prepared.  ``a``
 #: is held, so its identity cannot pass to another matrix while it is
 #: remembered.  Every caller in the process shares it, which changes no
-#: result: an entry is only ever reused for the system it was computed from.
+#: result: an entry is only ever reused for the system it was computed from,
+#: or grown into the cold preparation of a system that extends it by rows.
 _last_prepared: tuple[Matrix, tuple[int, ...], _Prepared | None] | None = None
 
 
 def _prepare_system(a: Matrix, b: tuple[int, ...]) -> _Prepared | None:
-    """The cold preparation of {x >= 0 : a x = b}, b a tuple of ints, or None when it is infeasible.
+    """The preparation of {x >= 0 : a x = b}, b a tuple of ints, phase 1 started cold; None when infeasible.
 
-    The last one is remembered and reused for the same matrix object and b.
+    The last one is remembered.  It is reused for the same matrix object
+    and b, and grown by the appended rows for a system that extends it (see
+    ``_extend``): same column count, the remembered rows first and the
+    remembered b a prefix of b.  The row count is tested first, so any
+    other system is turned away at once.
     """
     global _last_prepared
     last = _last_prepared  # one read, so a concurrent update cannot split the entry
-    if last is not None and last[0] is a and last[1] == b:
-        return last[2]
+    if last is not None:
+        head, head_b, head_prep = last
+        if head is a and head_b == b:
+            return head_prep
+        m = len(head_b)
+        if a.nrows > m and a.ncols == head.ncols and b[:m] == head_b and a.rows[:m] == head.rows:
+            prep = None if head_prep is None else _extend(head_prep, a.sparse_rows[m:], b[m:])
+            _last_prepared = (a, b, prep)
+            return prep
     prep = _prepare(a.ncols, [[dict(pairs), t, 1] for pairs, t in zip(a.sparse_rows, b)], {})
     _last_prepared = (a, b, prep)
     return prep
+
+
+def _extend(head: _Prepared, pattern: Sequence[PatternRow], rhs: Sequence[int]) -> _Prepared | None:
+    """The cold preparation of the system ``head`` prepares with the rows ``pattern`` = ``rhs`` appended.
+
+    ``_reduce`` runs on copies of the head's live rows followed by the new
+    rows, marked fresh, and first substitutes the head's fixed values that
+    the new rows hold; no live row of the head holds a fixed column.  Phase
+    1 then starts cold on the rows left, so the result holds a cold
+    preparation's fixed values, live rows (as rationals, in order) and
+    tableau.  ``head`` is not written into.
+    """
+    live = [[dict(row), t, s] for row, t, s in head.live]
+    fresh = [[dict(pairs), t, 1] for pairs, t in zip(pattern, rhs)]
+    fixed = head.fixed
+    held = {j: fixed[j] for row, _, _ in fresh for j in row if j in fixed}
+    return _prepare(head.n, live + fresh, dict(fixed), (held, fresh))
 
 
 def _child(parent: _Prepared, k: int, v: int) -> _Prepared | None:
@@ -593,28 +655,29 @@ def _child(parent: _Prepared, k: int, v: int) -> _Prepared | None:
         return parent
     live = [[dict(row), t, s] for row, t, s in parent.live]
     fixed = {j: value for j, value in parent.fixed.items() if j > k}
-    return _prepare(parent.n, live, fixed, (parent, k, v))
+    return _prepare(parent.n, live, fixed, ({k: (v, 1)}, ()), parent)
 
 
 def _prepare(
     n: int,
     live: list[list],
     fixed: dict[int, tuple[int, int]],
-    child: tuple[_Prepared, int, int] | None = None,
+    start: tuple[dict[int, tuple[int, int]], Sequence[list]] | None = None,
+    parent: _Prepared | None = None,
 ) -> _Prepared | None:
     """Presolve the rows ``live`` into ``fixed`` and run phase 1 on the rows left; None when infeasible.
 
-    Without ``child`` this is a cold preparation, and phase 1 starts from
-    ``_cold_start``.  A child passes ``child`` = (parent, k, v): ``_reduce``
-    substitutes x_k = v first, and phase 1 then starts from the parent's
-    tableau (``_warm_start``).
+    ``start`` is ``_reduce``'s: None for a cold presolve, else the values
+    to substitute first and the rows to mark fresh.  Phase 1 starts from
+    ``parent``'s tableau (``_warm_start``) when a child passes its parent,
+    and from ``_cold_start`` otherwise.
     """
-    if not _reduce(live, fixed, None if child is None else child[1:]):
+    if not _reduce(live, fixed, start):
         return None
     if not live:
         return _Prepared(n, fixed, live, None, (), ())
-    start = _cold_start(live) if child is None else _warm_start(child[0], fixed)
-    phase1 = None if start is None else _phase1(*start, n)
+    begin = _cold_start(live) if parent is None else _warm_start(parent, fixed)
+    phase1 = None if begin is None else _phase1(*begin, n)
     return None if phase1 is None else _Prepared(n, fixed, live, *phase1)
 
 
@@ -757,18 +820,18 @@ def is_feasible_point(lp: StandardLp, x: Sequence[Fraction | int | str]) -> bool
     return lp.a.mul_vec(xv) == tuple(lp.b)
 
 
-def coord_range(a: Matrix, b: Sequence[int]) -> tuple[Fraction, Fraction | None] | None:
-    """Exact (min, max) of x_0 over {x >= 0 : a x = b}, b integral; None when the system is infeasible.
+def coord_range(a: Matrix, b: Sequence[int], c: Sequence[int]) -> tuple[Fraction | None, Fraction | None] | None:
+    """Exact (min, max) of c.x over {x >= 0 : a x = b}, b and c integral; None when the system is infeasible.
 
-    The max is None when x_0 is unbounded above.  Both solves see the same
-    matrix object and right-hand side, so the second reuses the first's
-    preparation.
+    An end is None when c.x is unbounded in its direction.  Both solves see
+    the same matrix object and right-hand side, so the second reuses the
+    first's preparation.
     """
-    zeros = (0,) * (a.ncols - 1)
-    low = lp_solve(StandardLp(a, b, (1, *zeros)))
+    low = lp_solve(StandardLp(a, b, c))
     if low.status == INFEASIBLE:
         return None
-    if low.status != OPTIMAL:
-        raise AssertionError("objective x_0 >= 0 cannot be unbounded below")
-    high = lp_solve(StandardLp(a, b, (-1, *zeros)))
-    return low.objective, None if high.status == UNBOUNDED else -high.objective
+    high = lp_solve(StandardLp(a, b, tuple(-cj for cj in c)))
+    return (
+        None if low.status == UNBOUNDED else low.objective,
+        None if high.status == UNBOUNDED else -high.objective,
+    )

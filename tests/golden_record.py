@@ -1,0 +1,125 @@
+"""The CLI golden corpus: command lines, their canonical outputs and exit codes.
+
+``tests/golden/cli.json`` pins what each command below prints, so an output
+that is meant to stay byte-identical is checked on every test run
+(``tests/test_golden_cli.py``).  Each command runs through ``ilplab.cli.main``
+in-process, on instance files that ``gen`` writes into a temporary
+directory first.  An argument ``@name`` stands for the path of instance
+``name``.  An output is canonical once JSON output has lost its
+``runtime_ms`` key and the temporary directory's path reads ``@``.
+
+A change that alters an output on purpose re-records the file and commits
+it, so the file's diff shows what changed::
+
+    PYTHONPATH=src python -m tests.golden_record
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from ilplab.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
+
+#: name -> (``gen`` family, delta, d) of every instance the commands read
+INSTANCES = {
+    "prox-2-1": ("proximity", 2, 1),
+    "prox-2-3": ("proximity", 2, 3),
+    "prox-2-5": ("proximity", 2, 5),
+    "prox-2-7": ("proximity", 2, 7),
+    "sens-2-4": ("sensitivity", 2, 4),
+    "sens-3-6": ("sensitivity", 3, 6),
+    "sens-3-10": ("sensitivity", 3, 10),
+    "bps-2-4": ("binpack-sens", 2, 4),
+    "bpp-2-3": ("binpack-prox", 2, 3),
+}
+
+#: the one document the loader refuses: sens-2-4 relabelled custom, with b_0 = 1/2
+RATIONAL = "rational"
+
+COMMANDS = [
+    ["gen", "sensitivity", "--delta", "2", "--d", "4"],
+    ["verify", "--check", "polytopish", "--in", "@prox-2-1"],
+    ["verify", "--check", "polytopish", "--in", "@prox-2-3"],
+    ["verify", "--check", "polytopish", "--in", "@prox-2-5"],
+    ["verify", "--check", "polytopish", "--in", "@sens-3-6"],
+    ["verify", "--check", "polytopish", "--in", "@prox-2-3", "--budget", "9"],
+    ["verify", "--check", "claims", "--in", "@prox-2-3"],
+    ["verify", "--check", "claims", "--in", "@sens-2-4"],
+    ["verify", "--check", "matchings"],
+    ["measure", "prox", "--in", "@prox-2-3"],
+    ["measure", "prox", "--in", "@prox-2-7"],
+    ["measure", "prox", "--in", "@prox-2-3", "--node-budget", "1"],
+    ["measure", "sens", "--in", "@sens-3-10"],
+    ["measure", "sens", "--in", "@bps-2-4"],
+    ["bounds", "--in", "@sens-2-4"],
+    ["bounds", "--in", "@prox-2-3"],
+    ["bounds", "--in", "@bps-2-4"],
+    ["bounds", "--in", "@bpp-2-3"],
+    ["fuzz", "--seed", "7", "--trials", "300"],
+    ["bounds", "--in", f"@{RATIONAL}"],
+]
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _canonical(text: str) -> str:
+    """A JSON report without its ``runtime_ms``, printed as the CLI prints it; any other text as it is."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return text
+    if not isinstance(doc, dict) or doc.pop("runtime_ms", None) is None:
+        return text
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _write_instances(tmp: Path) -> dict[str, str]:
+    paths = {}
+    for name, (family, delta, d) in INSTANCES.items():
+        path = tmp / f"{name}.json"
+        code, _, _ = _run(["gen", family, "--delta", str(delta), "--d", str(d), "--out", str(path)])
+        if code != EXIT_OK:
+            raise RuntimeError(f"gen {name} exited {code}")
+        paths[name] = str(path)
+    doc = json.loads(Path(paths["sens-2-4"]).read_text(encoding="utf-8"))
+    doc["family"] = "custom"
+    doc["b"] = ["1/2", *doc["b"][1:]]
+    path = tmp / f"{RATIONAL}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    paths[RATIONAL] = str(path)
+    return paths
+
+
+def record() -> list[dict]:
+    """Run every command and return its entry: argv, exit code, canonical stdout and stderr."""
+    entries = []
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = _write_instances(Path(tmp))
+        for argv in COMMANDS:
+            code, out, err = _run([paths[a[1:]] if a.startswith("@") else a for a in argv])
+            entries.append(
+                {
+                    "argv": argv,
+                    "exit": code,
+                    "stdout": _canonical(out).replace(tmp, "@"),
+                    "stderr": err.replace(tmp, "@"),
+                }
+            )
+    return entries
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(record(), indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN} ({len(COMMANDS)} commands)", file=sys.stderr)

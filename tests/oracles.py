@@ -253,7 +253,8 @@ def residual_system(a: Matrix, b: Sequence[int], prefix: Sequence[int]) -> tuple
 
     Columns keep their indices, so a preparation of it names columns as an
     enumeration node's does.  Every call builds a new matrix object, so
-    ``lp._prepare_system`` prepares it cold.
+    ``lp._prepare_system`` cannot hand back a remembered preparation as it
+    is; it can grow one that the new system extends by rows.
     """
     k = len(prefix)
     rows = tuple(tuple(0 if j < k else x for j, x in enumerate(row)) for row in a.rows)

@@ -174,3 +174,14 @@ class TestCallGraph:
         assert report.verdict == VERDICT_POLYTOPISH
         assert len(report.hull_integer_points) == 51
         assert report.lp_calls == len(solves) == 2 * len(ranges) > 0
+
+    def test_each_depth_grows_the_preparation_of_the_depth_above(self, monkeypatch):
+        # a depth's system is its parent depth's with one row appended, so
+        # only the 51 starts after a sibling's subtree are prepared cold; the
+        # other 1,226 depths extend the preparation the depth above left
+        prepared = count_calls(monkeypatch, lp_module._prepare)
+        extended = count_calls(monkeypatch, lp_module._extend)
+        monkeypatch.setattr(lp_module, "_last_prepared", None)
+        report = integer_points_in_hull(gen_proximity(2, 3).lp.a.cols())
+        assert (len(prepared) - len(extended), len(extended)) == (51, 1226)
+        assert report.lp_calls == 2554

@@ -1,7 +1,7 @@
 """The integer core stays in ints.
 
-In the LP layer, presolve (cold, or a child node's step from its
-parent's), phase 1 (from a cold start, or from a child's parent's
+In the LP layer, presolve (cold, grown from a remembered system by
+appended rows, or a child node's step from its parent's), phase 1 (from a cold start, or from a child's parent's
 tableau), phase 2, the pivots and the enumeration node's solve name no
 Fraction, and every helper they call is checked too; the enumeration
 names no Fraction anywhere, and neither its search nor its
@@ -20,6 +20,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ilplab"
 INT_CORE = {
     "_prepare_system",
     "_child",
+    "_extend",
     "_reduce",
     "_dominates",
     "_phase1",

@@ -36,6 +36,12 @@ def restricted(lp, prefix):
     return StandardLp(Matrix(tuple(row[k:] for row in lp.a.rows)), rhs, lp.c[k:])
 
 
+def prepare_cold(a, b):
+    """``lp._prepare_system`` with nothing remembered, so whatever ran before, it takes the cold route."""
+    lp_module._last_prepared = None
+    return lp_module._prepare_system(a, b)
+
+
 class TestLpSolve:
     def test_staircase_2_2(self):
         res = lp_solve(staircase(2, 2))
@@ -214,7 +220,7 @@ class TestIntegerCore:
         # the whole system, and the residual of x_0 = v with column 0 zeroed
         for prefix in [(), (v,)] if lp.n > 1 else [()]:
             a, b = residual_system(lp.a, lp.b, prefix)
-            prep = lp_module._prepare_system(a, b)
+            prep = prepare_cold(a, b)
             ref_rows, ref_rhs = dict_rows(a), list(b)
             ref_feasible, ref_fixed = fraction_presolve(ref_rows, ref_rhs)
             if prep is None:
@@ -246,7 +252,7 @@ class TestIntegerCore:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lp_module, "_pivot", checked_pivot)
             mp.setattr(lp_module, "_iterate", checked_iterate)
-            prep = lp_module._prepare_system(lp.a, lp.b)
+            prep = prepare_cold(lp.a, lp.b)
             got = lp_solve(lp)
         ref = fraction_prepare(lp.a, lp.b)
         if ref is None:
@@ -351,7 +357,7 @@ def residual_cases(draw):
 
 def cold_preparation(a, b, prefix):
     """The cold preparation of what is left of a x = b once x_0..x_{k-1} are fixed to ``prefix``."""
-    return lp_module._prepare_system(*residual_system(a, b, prefix))
+    return prepare_cold(*residual_system(a, b, prefix))
 
 
 class TestChildReduce:
@@ -382,14 +388,14 @@ class TestChildReduce:
         def rows(live):
             return [(list(row.items()), t, s) for row, t, s in live]
 
-        def compared(live, fixed, forced=None):
+        def compared(live, fixed, start=None):
             # the full pass, on copies with x_k = v substituted by hand
             full_live, full_fixed = [[dict(row), t, s] for row, t, s in live], {**fixed, k: (v, 1)}
             for entry in full_live:
                 entry[1] -= entry[0].pop(k, 0) * v
             want = reduce(full_live, full_fixed)
-            got = reduce(live, fixed, forced)
-            runs.append(forced)
+            got = reduce(live, fixed, start)
+            runs.append(start)
             assert got == want
             assert list(fixed.items()) == list(full_fixed.items())
             assert rows(live) == rows(full_live)
@@ -398,7 +404,58 @@ class TestChildReduce:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lp_module, "_reduce", compared)
             lp_module._child(parent, k, v)
-        assert runs == [(k, v)]
+        assert runs == [({k: (v, 1)}, ())]
+
+
+@st.composite
+def extended_cases(draw):
+    """An integral system of two or more rows, and m: its first m rows are the head the rest extend."""
+    lp = draw(integral_systems().filter(lambda lp: lp.d >= 2))
+    return lp, draw(st.integers(1, lp.d - 1))
+
+
+def rational_live(prep):
+    """A preparation's live rows as rationals, in order, each row's columns in order too."""
+    return [([(j, F(x, s)) for j, x in row.items()], F(t, s)) for row, t, s in prep.live]
+
+
+class TestExtendedPreparation:
+    """A system that appends rows to the remembered one is prepared from it, and exactly as cold."""
+
+    # the appended row minus the head's row is x_3 >= 0 with a zero gap: it
+    # forces x_3 = 0 and is then the head's row again, so it is deleted.  It
+    # holds no column the head fixed, so only its fresh mark gets it tested.
+    _DOMINATES_OLD = StandardLp(Matrix([[1, 1, 1, 0], [1, 1, 1, 1]]), vec([1, 1]), vec([0, 0, 0, -1]))
+    # the head x_0 + x_1 = -1 is infeasible, and so is every extension of it
+    _INFEASIBLE_HEAD = StandardLp(Matrix([[1, 1], [1, 0]]), vec([-1, 0]), vec([0, 1]))
+
+    @settings(max_examples=400, deadline=None)
+    @given(extended_cases())
+    @example((_DOMINATES_OLD, 1))
+    @example((_INFEASIBLE_HEAD, 1))
+    def test_matches_cold_preparation(self, case):
+        lp, m = case
+        head = Matrix(lp.a.rows[:m])
+        extend, extended = lp_module._extend, []
+
+        def counted(*args):
+            extended.append(None)
+            return extend(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp_module, "_extend", counted)
+            head_prep = prepare_cold(head, lp.b[:m])
+            got = lp_module._prepare_system(lp.a, lp.b)
+            assert len(extended) == (head_prep is not None)
+            grown_solve = lp_solve(lp)  # the same system: served by the grown preparation
+        want = prepare_cold(Matrix(lp.a.rows), lp.b)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.fixed == want.fixed  # as dicts: the forcing order may differ
+            assert rational_live(got) == rational_live(want)
+            assert (got.tableau, got.dens, got.basis) == (want.tableau, want.dens, want.basis)
+        lp_module._last_prepared = None
+        assert grown_solve == lp_solve(StandardLp(Matrix(lp.a.rows), lp.b, lp.c))
 
 
 class TestResidualRange:
@@ -456,35 +513,41 @@ class TestIsFeasiblePoint:
             is_feasible_point(staircase(2, 2), (1,))
 
 
+def e0(n):
+    """The objective x_0 over n variables."""
+    return (1,) + (0,) * (n - 1)
+
+
 class TestCoordRange:
     def test_single_constraint(self):
         lp = StandardLp(Matrix([[1, 1]]), vec([1]), vec([0, 0]))
-        assert coord_range(lp.a, lp.b) == (0, 1)
+        assert coord_range(lp.a, lp.b, e0(2)) == (0, 1)
         rest = restricted(lp, (1,))
-        assert coord_range(rest.a, rest.b) == (0, 0)
+        assert coord_range(rest.a, rest.b, e0(1)) == (0, 0)
 
     def test_forced_first_coordinate(self):
         lp = staircase(2, 2)
-        assert coord_range(lp.a, lp.b) == (1, 1)
+        assert coord_range(lp.a, lp.b, e0(lp.n)) == (1, 1)
 
     def test_infeasible_prefix_is_empty_not_error(self):
         lp = StandardLp(Matrix([[1, 1]]), vec([1]), vec([0, 0]))
         rest = restricted(lp, (2,))
-        assert coord_range(rest.a, rest.b) is None
+        assert coord_range(rest.a, rest.b, e0(rest.n)) is None
         # x_0 = -1 leaves a feasible rest (x_1 = 2), but is itself outside x >= 0
         prefix = (F(-1),)
         assert not is_feasible_point(lp, prefix + (2,))
         rest = restricted(lp, prefix)
-        assert coord_range(rest.a, rest.b) is not None
+        assert coord_range(rest.a, rest.b, e0(rest.n)) is not None
 
     def test_unbounded_direction(self):
-        assert coord_range(Matrix([[1, -1]]), (0,)) == (0, None)
+        assert coord_range(Matrix([[1, -1]]), (0,), (1, 0)) == (0, None)
+        assert coord_range(Matrix([[1, -1]]), (0,), (-1, 0)) == (None, 0)
 
     def test_matches_lp_solve_extremes(self):
         rng = random.Random(23)
         for _ in range(40):
             lp, _ = random_feasible_ilp(rng)
-            span = coord_range(lp.a, lp.b)
+            span = coord_range(lp.a, lp.b, e0(lp.n))
             assert span is not None
             lo = lp_solve(StandardLp(lp.a, lp.b, vec([1] + [0] * (lp.n - 1))))
             hi = lp_solve(StandardLp(lp.a, lp.b, vec([-1] + [0] * (lp.n - 1))))
