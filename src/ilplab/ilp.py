@@ -24,22 +24,32 @@ The rule picks the DP when all of these hold, and the search otherwise:
   * every entry of A and of b is >= 0;
   * every column in no row has a positive cost, so it is 0 in every
     optimum (at a cost <= 0 the search raises ``UnboundedSearchError``);
-  * W <= min(node_budget, ``_DP_WORK_LIMIT``), where
-    W = prod_i (b_i + 1) * sum_j (kmax_j + 1) with kmax_j taken at s = 0.
+  * P <= min(node_budget, ``_DP_WORK_LIMIT``), where
+    P = sum_j min(prod_{i<j} (kmax_i + 1), prod_i (b_i + 1)) * (kmax_j + 1)
+    and kmax_j = kmax(0), the most copies of column j that fit in b.
 
-W bounds the arcs the forward pass visits, so the DP never does more work
-than the caller allows the search.  The product over b is tested first,
-and the test stops as soon as it passes the limit, so a staircase is
-refused within a few rows.  Where the engines cross depends on the
-system; measured per enumeration on one host (CPython 3.11), the DP is 2
-to 47 times faster than the search on fuzz's random 1-3-row systems at
-every W up to 4,096, and still 7 times faster near 65,000.  On the
-staircases, where presolve pins almost every variable, the search wins:
-sensitivity (2,4) at W = 2,430 and 5,130 takes the DP 0.09 and 0.11 ms
-against the search's 0.05 ms, and binpack-sens (2,4) at W = 10,530 and
-23,760 takes it 10 and 17 ms against 1.3 and 1.6 ms.  A limit of 4,096
-keeps those family cells on the search and gives the DP 1,583 of the
-2,000 enumerations of ``fuzz --seed 7 --trials 1000``.
+P bounds the (state, k) arcs the forward pass visits, so the DP never does
+more work than the caller allows the search.  Layer j holds only the
+partial sums that the columns before j reach, column i at most kmax_i
+times each: at most prod_{i<j} (kmax_i + 1) of them, and at most
+prod_i (b_i + 1), the states in the box b.  Each of them takes column j
+k = 0..kmax(s) times, and kmax(s) <= kmax_j.  The rule sums P column by column from A's dense
+rows, both products capped at the limit + 1, and stops as soon as P passes
+the limit; only then does it build the columns' integer pattern.  So a
+staircase is refused within a few columns (5 on sensitivity (3,10), 12 on
+proximity (2,7)), before its pattern exists.
+
+Where the engines cross depends on the system.  Measured per enumeration
+on one host (CPython 3.11), on the 1,947 of the 2,000 enumerations of
+``fuzz --seed 7 --trials 1000`` that the rule gives the DP, the DP takes
+68 ms in all against the search's 544 ms, and its median lead is 2.6 to 6
+times at every P up to 4,096; the search, whose root reuses a preparation
+made before, is faster on 133 of them, most of them with P <= 128.  On the
+staircases presolve pins almost every variable, so the search is cheap.
+The rule gives the DP sensitivity (2,4) at P = 308 and 154 and (3,4) at
+P = 2,330 and 1,165, where it takes 0.03 to 0.10 ms against the search's
+0.02 to 0.03 ms.  It keeps binpack-sens (2,4) at P = 18,938 and 8,254 on
+the search, where the DP would take 4.6 and 2.7 ms against 1.0 and 0.6 ms.
 
 The search is a depth-first search over the variables in index order.
 At every node the current variable is bounded by the exact LP range of
@@ -95,43 +105,63 @@ def _integer_system(lp: StandardLp) -> tuple[list[int], list[list[tuple[int, int
     return list(lp.b), cols
 
 
-#: the largest work bound W at which the DP runs (see the module docstring)
+#: the largest work bound P at which the DP runs (see the module docstring)
 _DP_WORK_LIMIT = 4096
 
 
-def _dp_plan(lp: StandardLp, limit: int) -> tuple[list[int], list[int], list[list[tuple[int, int]]], list[int]] | None:
-    """The DP's int system when the rule picks the DP for ``lp`` with W <= ``limit``, else None.
+def _dp_plan(
+    lp: StandardLp, limit: int
+) -> tuple[list[int], list[int], list[list[tuple[int, int]]], list[int], list[int]] | None:
+    """The DP's int system when the rule picks the DP for ``lp`` with P <= ``limit``, else None.
 
     The system is b, each row's place value in the mixed-radix state code,
-    the columns as (row, entry) pairs of their non-zero entries, and c.
+    the columns as (row, entry) pairs of their non-zero entries, c, and
+    each column's kmax: the most copies of it that fit in b.
     """
-    places: list[int] = []
-    states = 1
-    for bi in lp.b:
-        if bi < 0:
-            return None
-        places.append(states)
-        states *= bi + 1
-        if states > limit:
-            return None
-    rhs, cols = _integer_system(lp)
-    if any(entry < 0 for col in cols for _, entry in col):
+    rows, b = lp.a.rows, lp.b
+    if any(bi < 0 for bi in b):
         return None
-    arcs = 0
-    for col, w in zip(cols, lp.c):
-        if col:
-            arcs += min(rhs[i] // num for i, num in col) + 1
-        elif w > 0:
-            arcs += 1
-        else:
-            return None  # the search raises UnboundedSearchError on it
-        if states * arcs > limit:
+    # both products are capped at limit + 1, which is all the test reads of them
+    cap = limit + 1
+    states = 1
+    for bi in b:
+        states = min(states * (bi + 1), cap)
+    reach = 1  # the partial sums the columns before j reach, at most
+    work = 0
+    most: list[int] = []
+    for j, w in enumerate(lp.c):
+        kmax = None
+        for row, bi in zip(rows, b):
+            entry = row[j]
+            if entry < 0:
+                return None
+            if entry and (kmax is None or bi // entry < kmax):
+                kmax = bi // entry
+        if kmax is None:
+            if w <= 0:
+                return None  # the search raises UnboundedSearchError on it
+            kmax = 0
+        work += min(reach, states) * (kmax + 1)
+        if work > limit:
             return None
-    return rhs, places, cols, list(lp.c)
+        reach = min(reach * (kmax + 1), cap)
+        most.append(kmax)
+    rhs, cols = _integer_system(lp)
+    places: list[int] = []
+    place = 1
+    for bi in rhs:
+        places.append(place)
+        place *= bi + 1
+    return rhs, places, cols, list(lp.c), most
 
 
 def _dp_optima(
-    rhs: list[int], places: list[int], cols: list[list[tuple[int, int]]], cost: list[int], node_budget: int
+    rhs: list[int],
+    places: list[int],
+    cols: list[list[tuple[int, int]]],
+    cost: list[int],
+    most: list[int],
+    node_budget: int,
 ) -> tuple[tuple[int, ...], ...]:
     """Every optimum of the system ``_dp_plan`` returned, sorted lexicographically; empty when none exists."""
     n = len(cols)
@@ -140,10 +170,15 @@ def _dp_optima(
     digits = [[(places[i], rhs[i] + 1, num) for i, num in col] for col in cols]
     # layers[j]: the least cost of each partial sum of the columns before j
     layers = [{0: 0}]
-    for step, rows, w in zip(steps, digits, cost):
+    for step, rows, w, kmax in zip(steps, digits, cost, most):
         here: dict[int, int] = {}
         for s, f in layers[-1].items():
-            top = min(((radix - 1 - s // place % radix) // num for place, radix, num in rows), default=0)
+            # the copies that fit in b - s: at most kmax, fewer in a row s has filled
+            top = kmax
+            for place, radix, num in rows:
+                left = (radix - 1 - s // place % radix) // num
+                if left < top:
+                    top = left
             for k in range(top + 1):
                 t, g = s + k * step, f + k * w
                 old = here.get(t)
@@ -169,7 +204,11 @@ def _dp_optima(
             continue
         j -= 1
         f, below, step, w = layers[j + 1][s], layers[j], steps[j], cost[j]
-        top = min((s // place % radix // num for place, radix, num in digits[j]), default=0)
+        top = most[j]
+        for place, radix, num in digits[j]:
+            left = s // place % radix // num
+            if left < top:
+                top = left
         for k in range(top + 1):
             prev = below.get(s - k * step)
             if prev is not None and prev + k * w == f:

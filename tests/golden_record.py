@@ -34,6 +34,7 @@ INSTANCES = {
     "prox-2-5": ("proximity", 2, 5),
     "prox-2-7": ("proximity", 2, 7),
     "sens-2-4": ("sensitivity", 2, 4),
+    "sens-3-4": ("sensitivity", 3, 4),
     "sens-3-6": ("sensitivity", 3, 6),
     "sens-3-10": ("sensitivity", 3, 10),
     "bps-2-4": ("binpack-sens", 2, 4),
@@ -56,6 +57,8 @@ COMMANDS = [
     ["measure", "prox", "--in", "@prox-2-3"],
     ["measure", "prox", "--in", "@prox-2-7"],
     ["measure", "prox", "--in", "@prox-2-3", "--node-budget", "1"],
+    ["measure", "sens", "--in", "@sens-2-4"],
+    ["measure", "sens", "--in", "@sens-3-4"],
     ["measure", "sens", "--in", "@sens-3-10"],
     ["measure", "sens", "--in", "@bps-2-4"],
     ["bounds", "--in", "@sens-2-4"],
@@ -63,6 +66,7 @@ COMMANDS = [
     ["bounds", "--in", "@bps-2-4"],
     ["bounds", "--in", "@bpp-2-3"],
     ["fuzz", "--seed", "7", "--trials", "300"],
+    ["fuzz", "--seed", "3", "--trials", "200"],
     ["bounds", "--in", f"@{RATIONAL}"],
 ]
 

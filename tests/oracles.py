@@ -3,8 +3,9 @@
 Everything here is deliberately naive and re-derives results along a
 different route than the library: Laplace cofactor expansion instead of
 fraction-free elimination, full box enumeration instead of LP-pruned
-search, basic-solution enumeration instead of the simplex, and
-Caratheodory-style simplex-subset search instead of a feasibility LP.
+search, basic-solution enumeration instead of the simplex,
+Caratheodory-style simplex-subset search instead of a feasibility LP, and
+partial sums as tuples instead of the DP's mixed-radix codes.
 
 The LP layer also keeps its Fraction reference route here:
 ``fraction_presolve`` is the presolve that scans every row on each
@@ -118,6 +119,32 @@ def brute_force_optima(lp: StandardLp, box: list[int]) -> tuple[tuple[int, ...],
         elif obj == best:
             sols.append(point)
     return tuple(sorted(sols))
+
+
+def dp_arc_count(lp: StandardLp) -> int:
+    """The (state, k) arcs the right-hand-side DP's forward pass takes, counted on partial sums as tuples.
+
+    Layer j is the set of partial sums s <= b of the columns before j; each
+    takes column j k = 0..kmax(s) times, where kmax(s) is the least
+    floor((b_i - s_i) / a_ij) over the rows with a_ij > 0, and 0 for a
+    column in no row.  Costs play no part: every arc of a reachable sum is
+    taken, kept or not.
+    """
+    cols = [[(i, r[j]) for i, r in enumerate(lp.a.rows) if r[j]] for j in range(lp.n)]
+    layer = {tuple(0 for _ in lp.b)}
+    arcs = 0
+    for col in cols:
+        after = set()
+        for s in layer:
+            top = min(((lp.b[i] - s[i]) // a for i, a in col), default=0)
+            arcs += top + 1
+            for k in range(top + 1):
+                t = list(s)
+                for i, a in col:
+                    t[i] += k * a
+                after.add(tuple(t))
+        layer = after
+    return arcs
 
 
 def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:

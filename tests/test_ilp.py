@@ -11,7 +11,7 @@ from ilplab import lp as lp_module
 from ilplab.errors import BudgetExceededError, UnboundedSearchError
 from ilplab.exactla import Matrix, dot, vec
 from ilplab.ilp import enumerate_integral_optima
-from ilplab.instances import expected_sensitivity_pair, gen_proximity, gen_sensitivity
+from ilplab.instances import expected_sensitivity_pair, gen_binpack_sensitivity, gen_proximity, gen_sensitivity
 from ilplab.lp import StandardLp, is_feasible_point
 from ilplab.measures import fuzz_cook
 from ilplab.petersen import build_matching_system
@@ -19,6 +19,7 @@ from ilplab.petersen import build_matching_system
 from oracles import (
     brute_force_optima,
     dict_rows,
+    dp_arc_count,
     fraction_presolve,
     fuzz_by_search,
     oracle_box,
@@ -241,29 +242,53 @@ class TestEngineRule:
     def test_fuzz_goes_mostly_to_the_dp(self, monkeypatch):
         routes = Routes(monkeypatch)
         fuzz_cook(7, 100)
-        assert routes.dp > routes.search > 0
+        assert (routes.dp, routes.search) == (194, 6)
 
     def test_work_bound_meets_the_node_budget(self, monkeypatch):
         # b = (4, 3): 5 * 4 = 20 states; x_0, x_1, x_2 take at most 4, 2 and
-        # 3 copies, so 5 + 3 + 4 = 12 arcs per state: W = 240
+        # 3 copies, and the columns before them reach 1, 5 and 15 sums:
+        # P = 1 * 5 + 5 * 3 + 15 * 4 = 80
         lp = StandardLp(Matrix([[1, 2, 0], [0, 1, 1]]), vec([4, 3]), vec([1, 0, 1]))
         routes = Routes(monkeypatch)
-        at = enumerate_integral_optima(lp, node_budget=240)
+        at = enumerate_integral_optima(lp, node_budget=80)
         assert (routes.dp, routes.search) == (1, 0)
-        below = enumerate_integral_optima(lp, node_budget=239)
+        below = enumerate_integral_optima(lp, node_budget=79)
         assert (routes.dp, routes.search) == (1, 1)
         assert at == below == brute_force_optima(lp, oracle_box(lp))
 
     def test_work_bound_meets_the_limit(self, monkeypatch):
-        # x_0 = 63: 64 states, 64 arcs each, W = 4096; a column of 64 adds
-        # one arc per state, W = 4160
+        # x_0 = 4095: one sum, 4096 arcs, P = 4096; x_0 + 16 x_1 = 240: x_0
+        # takes 241 arcs from the one sum, then x_1 16 from each of the 241
+        # it reaches, P = 241 + 241 * 16 = 4097
         assert ilp_module._DP_WORK_LIMIT == 4096
         routes = Routes(monkeypatch)
-        assert enumerate_integral_optima(StandardLp(Matrix([[1]]), vec([63]), vec([1]))) == ((63,),)
+        assert enumerate_integral_optima(StandardLp(Matrix([[1]]), vec([4095]), vec([1]))) == ((4095,),)
         assert (routes.dp, routes.search) == (1, 0)
-        lp = StandardLp(Matrix([[1, 64]]), vec([63]), vec([1, 1]))
-        assert enumerate_integral_optima(lp) == ((63, 0),)
+        lp = StandardLp(Matrix([[1, 16]]), vec([240]), vec([1, 1]))
+        assert enumerate_integral_optima(lp) == ((0, 15),)
         assert (routes.dp, routes.search) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "generate, delta, d, alt, bound, engine",
+        [
+            (gen_sensitivity, 2, 4, False, 308, "dp"),
+            (gen_sensitivity, 2, 4, True, 154, "dp"),
+            (gen_sensitivity, 3, 4, False, 2330, "dp"),
+            (gen_sensitivity, 3, 4, True, 1165, "dp"),
+            (gen_binpack_sensitivity, 2, 4, False, 18938, "search"),
+            (gen_binpack_sensitivity, 2, 4, True, 8254, "search"),
+        ],
+        ids=["sens-2-4-b", "sens-2-4-alt", "sens-3-4-b", "sens-3-4-alt", "bps-2-4-b", "bps-2-4-alt"],
+    )
+    def test_family_cells(self, generate, delta, d, alt, bound, engine, monkeypatch):
+        inst = generate(delta, d)
+        lp = StandardLp(inst.lp.a, inst.alt_rhs if alt else inst.lp.b, inst.lp.c)
+        assert ilp_module._dp_plan(lp, bound) is not None
+        assert ilp_module._dp_plan(lp, bound - 1) is None
+        routes = Routes(monkeypatch)
+        got = enumerate_integral_optima(lp)
+        assert (routes.dp, routes.search) == ((1, 0) if engine == "dp" else (0, 1))
+        assert got == ilp_module._search(lp, 10_000_000)
 
     @pytest.mark.parametrize(
         "rows, b, c",
@@ -286,7 +311,7 @@ class TestEngineRule:
         assert (routes.dp, routes.search) == (0, 1)
 
     def test_dp_output_counts_against_the_node_budget(self, monkeypatch):
-        # x_0 + .. + x_9 = 3 at no cost: W = 4 * 10 * 4 = 160, but 220
+        # x_0 + .. + x_9 = 3 at no cost: P = 4 + 9 * 4 * 4 = 148, but 220
         # optima, and the search visits the 10 nodes above the first one and
         # one leaf per optimum, so it needs a budget of at least 230
         lp = StandardLp(Matrix([[1] * 10]), vec([3]), vec([0] * 10))
@@ -300,8 +325,8 @@ class TestEngineRule:
 
     @pytest.mark.parametrize("n", [120, 1000])
     def test_dp_wide_systems_do_not_recurse(self, n, monkeypatch):
-        # x_0 + .. + x_{n-1} = 1: W = 2 * 2n <= 4096, and the backtrack from
-        # b is n columns deep
+        # x_0 + .. + x_{n-1} = 1: P = 2 + (n - 1) * 2 * 2 = 4n - 2 <= 4096,
+        # and the backtrack from b is n columns deep
         lp = StandardLp(Matrix([[1] * n]), vec([1]), vec([0] * n))
         routes = Routes(monkeypatch)
         with shallow_stack():
@@ -340,6 +365,19 @@ class TestDpMatchesSearch:
         assert plan is not None
         got = ilp_module._dp_optima(*plan, 10_000_000)
         assert got == ilp_module._search(lp, 10_000_000) == brute_force_optima(lp, oracle_box(lp))
+
+    @settings(max_examples=200, deadline=None)
+    @given(dp_systems())
+    def test_work_bound_counts_the_arcs(self, lp):
+        # W counts every state of the box b at every layer, P only the sums
+        # the columns before each layer can reach; the rule reads P
+        kmax = [min((bi // r[j] for r, bi in zip(lp.a.rows, lp.b) if r[j]), default=0) for j in range(lp.n)]
+        states = math.prod(bi + 1 for bi in lp.b)
+        work = states * sum(k + 1 for k in kmax)
+        bound = sum(min(math.prod(k + 1 for k in kmax[:j]), states) * (k + 1) for j, k in enumerate(kmax))
+        assert work >= bound >= dp_arc_count(lp)
+        assert ilp_module._dp_plan(lp, bound) is not None
+        assert ilp_module._dp_plan(lp, bound - 1) is None
 
 
 def rational_rows(live):
