@@ -10,10 +10,11 @@ rounding anywhere.
 
 A ``Matrix`` keeps its non-zero (column, entry) pairs per row, computed
 once by ``Matrix.sparse_rows``.  The LP layer presolves and starts phase 1
-from them, the enumeration reads its residuals and columns from them, and
-``mul_vec`` reads only these non-zeros.  Every row starts at scale 1: a
-row's scale arises only in the LP layer's presolve, where a forced value
-p/q with q > 1 multiplies the rows it is substituted into by q.
+from them, the enumeration's right-hand-side DP reads its columns from
+them, and ``mul_vec``, which checks the search's leaves, reads only these
+non-zeros.  Every row starts at scale 1: a row's scale arises only in the
+LP layer's presolve, where a forced value p/q with q > 1 multiplies the
+rows it is substituted into by q.
 
 Determinants use fraction-free (Bareiss) elimination on the int rows, so
 they stay in the integers.  The subdeterminant search builds the column

@@ -94,11 +94,6 @@ def integer_points_in_hull(
     offset = [min(c[i] for c in cols) for i in range(dim)]
     shifted = [tuple(c[i] - offset[i] for i in range(dim)) for c in cols]
 
-    found: list[tuple[int, ...]] = []
-    lp_calls = 0
-    exhausted = False
-    prefix: list[int] = []
-
     # Variables: the convex weights alone.  Depth k bounds coordinate k, the
     # objective coordinate row k, over the weights summing to 1 (the weight
     # row) with coordinates 0..k-1 pinned to the prefix (coordinate rows
@@ -111,47 +106,47 @@ def integer_points_in_hull(
     weight_row = (1,) * n
     depth_matrices = [Matrix((weight_row, *coord_rows[:k])) for k in range(dim)]
 
-    def walk() -> bool:
-        """Depth first, values in increasing order; returns False when the LP budget ran out.
+    # Depth first, values in increasing order.  The walk is one loop over an
+    # explicit stack of (k, values of coordinate k left) of each depth on the
+    # path, so no dimension is bounded by the interpreter's recursion limit.
+    found: list[tuple[int, ...]] = []
+    lp_calls = 0
+    exhausted = False
+    stack: list[tuple[int, Iterator[int]]] = []
+    prefix: list[int] = []
+    k = 0
+    while True:
+        if k == dim:
+            found.append(tuple(prefix[i] + offset[i] for i in range(dim)))
+        elif lp_calls + 2 > lp_budget:
+            exhausted = True
+            break
+        else:
+            lp_calls += 2
+            span = coord_range(depth_matrices[k], (1, *prefix), coord_rows[k])
+            if span is not None:
+                lo, hi = span
+                if lo is None or hi is None:
+                    raise AssertionError("hull coordinates are bounded")
+                stack.append((k, iter(range(math.ceil(lo), math.floor(hi) + 1))))
+        # the next value of the deepest depth that has one left
+        while stack:
+            k, values = stack[-1]
+            v = next(values, None)
+            if v is not None:
+                break
+            stack.pop()
+        else:
+            break
+        del prefix[k:]
+        prefix.append(v)
+        k += 1
 
-        The values each depth on the path has left sit on an explicit
-        stack, so no dimension is bounded by the interpreter's recursion
-        limit.
-        """
-        nonlocal lp_calls
-        stack: list[Iterator[int]] = []
-        while True:
-            k = len(prefix)
-            if k == dim:
-                found.append(tuple(prefix[i] + offset[i] for i in range(dim)))
-            else:
-                if lp_calls + 2 > lp_budget:
-                    return False
-                lp_calls += 2
-                span = coord_range(depth_matrices[k], (1, *prefix), coord_rows[k])
-                if span is not None:
-                    lo, hi = span
-                    if lo is None or hi is None:
-                        raise AssertionError("hull coordinates are bounded")
-                    stack.append(iter(range(math.ceil(lo), math.floor(hi) + 1)))
-            # the next value of the deepest depth that has one left
-            while stack:
-                del prefix[len(stack) - 1:]
-                v = next(stack[-1], None)
-                if v is not None:
-                    prefix.append(v)
-                    break
-                stack.pop()
-            else:
-                return True
-
-    completed = walk()
     found.sort()
     column_set = set(cols)
     extras = tuple(sorted(set(found) - column_set))
-    if not completed:
+    if exhausted:
         verdict = VERDICT_INCONCLUSIVE
-        exhausted = True
     elif extras:
         verdict = VERDICT_NOT_POLYTOPISH
     else:

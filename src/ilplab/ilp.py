@@ -61,27 +61,32 @@ is checked exactly.  The search is complete whenever it returns: it has
 visited every optimal integral point.
 
 Both engines run on ints: A, b and c are integral (see ``exactla``), so
-the objective is an int at every integral point, and the residual b - A x
-of a prefix is one int per row, updated from the integer columns built
-once per enumeration.  Every row starts at scale 1; a scale arises only
-inside a preparation, from a non-integral value its presolve forced (see
-``lp``).  Each non-leaf node has one preparation of its residual system
-(presolve and phase 1) and reads the objective bound and the range of the
-node's variable off it in one call, ``lp.residual_range``, as ints.  The root's
-preparation is ``lp._prepare_system``'s for the whole system, which is the
-one a preceding ``lp_solve`` of the same system made.  Every other node is
-a child x_k = v of the node above, prepared by ``lp._child`` from the
+the objective is an int at every integral point, and every leaf's exact
+check A x = b is a product of int vectors.  Every row starts at scale 1; a
+scale arises only inside a preparation, from a non-integral value its
+presolve forced (see ``lp``).  Each non-leaf node has one preparation of
+its residual system (presolve and phase 1) and reads the objective bound
+and the range of the node's variable off it in one call,
+``lp.residual_range``, as ints.  The root's preparation is
+``lp._prepare_system``'s for the whole system, which is the one a
+preceding ``lp_solve`` of the same system made.  Every other node is a
+child x_k = v of the node above, prepared by ``lp._child`` from the
 parent's preparation, k and v alone; ``_child`` hands back the parent's
 own when the parent had forced x_k.  Otherwise the child's presolve
 substitutes x_k = v, its dominance pass tests only the row pairs its
 substitutions touched, and its phase 1 starts from the parent's basis
 (see ``lp``), so its tableau is a feasible basis but not in general the
 cold one; the node reads only optimal values off it, which every
-feasible basis gives alike.  A node whose range holds one value
-has one child, so a chain of such nodes is walked in a loop, each node of
-it still counted and bound-tested.  The nodes with more than one value sit
-on an explicit stack with the values they have left, so no path, however
-long, is bounded by the interpreter's recursion limit.
+feasible basis gives alike.
+
+The search is one loop over an explicit stack, so no path, however long,
+is bounded by the interpreter's recursion limit.  Each node on the path
+has one entry: its depth k, its preparation, the cost of x_0..x_{k-1}, and
+the values of x_k it has left, high to low.  A node whose range holds one
+value pushes an entry with that one value, so a forced node and a free
+one take the same path.  The loop evaluates a node, then takes the next
+value of the deepest entry that has one left; the prefix x_0..x_{k-1} is
+cut back to that entry's depth before the value is appended.
 """
 
 from __future__ import annotations
@@ -94,15 +99,6 @@ from .lp import StandardLp, _child, _Prepared, _prepare_system, residual_range
 # Not called here.  perfbench/test_perfbench.py checks that its tracer wraps
 # every module's binding of ``lp_solve``, this one included.
 from .lp import lp_solve  # noqa: F401
-
-
-def _integer_system(lp: StandardLp) -> tuple[list[int], list[list[tuple[int, int]]]]:
-    """A x = b as b in a new list, and the columns: column j holds the pair (i, a_ij) of each non-zero entry."""
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(lp.n)]
-    for i, pairs in enumerate(lp.a.sparse_rows):
-        for j, entry in pairs:
-            cols[j].append((i, entry))
-    return list(lp.b), cols
 
 
 #: the largest work bound P at which the DP runs (see the module docstring)
@@ -146,13 +142,17 @@ def _dp_plan(
             return None
         reach = min(reach * (kmax + 1), cap)
         most.append(kmax)
-    rhs, cols = _integer_system(lp)
+    # column j holds the pair (i, a_ij) of each non-zero entry
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(lp.n)]
+    for i, pairs in enumerate(lp.a.sparse_rows):
+        for j, entry in pairs:
+            cols[j].append((i, entry))
     places: list[int] = []
     place = 1
-    for bi in rhs:
+    for bi in b:
         places.append(place)
         place *= bi + 1
-    return rhs, places, cols, list(lp.c), most
+    return list(b), places, cols, list(lp.c), most
 
 
 def _dp_optima(
@@ -234,89 +234,55 @@ def enumerate_integral_optima(lp: StandardLp, node_budget: int = 10_000_000) -> 
 def _search(lp: StandardLp, node_budget: int) -> tuple[tuple[int, ...], ...]:
     """``enumerate_integral_optima`` by the LP search, on any system."""
     n = lp.n
-    residual, cols = _integer_system(lp)
     cost = lp.c
     # the objective over each node's columns k.., as residual_range reads it
     node_costs = [{j: w for j, w in enumerate(cost) if w and j >= k} for k in range(n)]
-    prefix: list[int] = []
-    prefix_cost = 0
     incumbent: int | None = None
     sols: list[tuple[int, ...]] = []
     nodes = 0
-
-    def shift(sign: int) -> None:
-        """Take the last fixed variable's value into the residual and the cost (sign 1), or back out (sign -1)."""
-        nonlocal prefix_cost
-        k, v = len(prefix) - 1, prefix[-1]
-        if v:
-            for i, w in cols[k]:
-                residual[i] -= sign * w * v
-            prefix_cost += sign * cost[k] * v
-
-    # (k, preparation, values left high to low) of each node on the path with more than one value
-    stack: list[tuple[int, _Prepared, Iterator[int]]] = []
-
-    def walk(prep: _Prepared | None) -> None:
-        """The node at depth len(prefix), then the chain of one-value nodes below it, in one loop.
-
-        ``prep`` is the parent's preparation, or at the root the root's own
-        (None when the system is infeasible); below the root each node takes
-        a ``_child`` step from it.  A chain that ends in a node with more
-        than one value puts it on the stack.
-        """
-        nonlocal nodes, incumbent
-        while True:
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceededError(f"enumeration exceeded node budget {node_budget}")
-            k = len(prefix)
-            if k == n:
-                if not any(residual):
-                    if incumbent is None or prefix_cost < incumbent:
-                        incumbent = prefix_cost
-                        sols.clear()
-                        sols.append(tuple(prefix))
-                    elif prefix_cost == incumbent:
-                        sols.append(tuple(prefix))
-                return
+    # (k, preparation, cost of x_0..x_{k-1}, values of x_k left high to low) of each node on the path
+    stack: list[tuple[int, _Prepared, int, Iterator[int]]] = []
+    prefix: list[int] = []
+    # the node at depth k: the root, prepared whole, and then each child of the node above
+    k, prep, prefix_cost = 0, _prepare_system(lp.a, lp.b), 0
+    while True:
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceededError(f"enumeration exceeded node budget {node_budget}")
+        if k == n:
+            if lp.a.mul_vec(prefix) == lp.b:
+                if incumbent is None or prefix_cost < incumbent:
+                    incumbent = prefix_cost
+                    sols.clear()
+                if prefix_cost == incumbent:
+                    sols.append(tuple(prefix))
+        else:
             if k:
                 prep = _child(prep, k - 1, prefix[-1])
-            if prep is None:
-                return
             # Objective-bound pruning: only subtrees strictly worse than the
             # incumbent may be cut, equal-valued ones can hold more optima.
             cutoff = None if incumbent is None else incumbent - prefix_cost
-            node = residual_range(prep, k, node_costs[k], cutoff)
-            if node is None:
-                return
-            lo, hi = node
-            if hi is None:
-                if cols[k] or cost[k] <= 0:
-                    raise UnboundedSearchError(
-                        f"x_{k} is unbounded above at a search node: the enumeration needs a bounded system"
-                    )
-                hi = lo  # in no row and at a positive cost: 0 in every optimum
-            if lo == hi:  # one value: its node is walked on
-                prefix.append(lo)
-                shift(1)
-                continue
-            # High values first: on the staircase families this finds the cheap
-            # incumbent immediately, which lets the bound prune everything else.
-            stack.append((k, prep, iter(range(hi, lo - 1, -1))))
-            return
-
-    walk(_prepare_system(lp.a, lp.b))
-    while stack:
-        # the next value of the deepest free node, after backing out of the last one's subtree
-        k, prep, values = stack[-1]
-        while len(prefix) > k:
-            shift(-1)
-            prefix.pop()
-        v = next(values, None)
-        if v is None:
+            span = None if prep is None else residual_range(prep, k, node_costs[k], cutoff)
+            if span is not None:
+                lo, hi = span
+                if hi is None:
+                    if cost[k] <= 0 or any(row[k] for row in lp.a.rows):
+                        raise UnboundedSearchError(
+                            f"x_{k} is unbounded above at a search node: the enumeration needs a bounded system"
+                        )
+                    hi = lo  # in no row and at a positive cost: 0 in every optimum
+                # High values first: on the staircase families this finds the cheap
+                # incumbent immediately, which lets the bound prune everything else.
+                stack.append((k, prep, prefix_cost, iter(range(hi, lo - 1, -1))))
+        # the next node: the next value of the deepest node on the path that has one left
+        while stack:
+            k, prep, prefix_cost, values = stack[-1]
+            v = next(values, None)
+            if v is not None:
+                break
             stack.pop()
-            continue
+        else:
+            return tuple(sorted(sols))
+        del prefix[k:]
         prefix.append(v)
-        shift(1)
-        walk(prep)
-    return tuple(sorted(sols))
+        k, prefix_cost = k + 1, prefix_cost + cost[k] * v

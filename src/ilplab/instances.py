@@ -31,7 +31,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetExceededError, EmbeddingError
 from .exactla import Matrix, Vec, _ints, rat, vec, vec_str
@@ -189,23 +189,33 @@ def enumerate_configurations(sizes: Sequence[Fraction | int | str], limit: int =
     s = vec(sizes)
     if any(x <= 0 or x > 1 for x in s):
         raise ValueError("sizes must lie in (0, 1]")
+    # sizes and capacities in units of 1/q, q the sizes' common denominator, so each count is an int quotient
+    q = math.lcm(*(x.denominator for x in s))
+    units = [int(x * q) for x in s]
     out: list[tuple[int, ...]] = []
-    k = [0] * len(s)
-
-    def rec(i: int, capacity: Fraction):
+    # (i, capacity left for items i.., values of k_i left low to high) of each item on the path
+    stack: list[tuple[int, int, Iterator[int]]] = []
+    k: list[int] = []
+    i, capacity = 0, q
+    while True:
         if i == len(s):
             if len(out) >= limit:
                 raise BudgetExceededError(f"more than {limit} configurations")
             out.append(tuple(k))
-            return
-        top = math.floor(capacity / s[i])
-        for v in range(top + 1):
-            k[i] = v
-            rec(i + 1, capacity - v * s[i])
-        k[i] = 0
-
-    rec(0, Fraction(1))
-    return out
+        else:
+            stack.append((i, capacity, iter(range(capacity // units[i] + 1))))
+        # the next count of the deepest item that has one left
+        while stack:
+            i, capacity, values = stack[-1]
+            v = next(values, None)
+            if v is not None:
+                break
+            stack.pop()
+        else:
+            return out
+        del k[i:]
+        k.append(v)
+        i, capacity = i + 1, capacity - v * units[i]
 
 
 def _embed(

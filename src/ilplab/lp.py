@@ -775,7 +775,7 @@ def lp_solve(lp: StandardLp) -> LpResult:
     prep = _prepare_system(lp.a, lp.b)
     if prep is None:
         return LpResult(INFEASIBLE)
-    # c is mostly zero (coord_range's has one non-zero entry): price only its non-zeros
+    # c is often mostly zero (a hull depth's is one row of a sparse matrix): price only its non-zeros
     best = _minimum(prep, {j: cj for j, cj in enumerate(lp.c) if cj})
     if best is None:
         return LpResult(UNBOUNDED)

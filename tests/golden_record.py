@@ -6,7 +6,8 @@ that is meant to stay byte-identical is checked on every test run
 in-process, on instance files that ``gen`` writes into a temporary
 directory first.  An argument ``@name`` stands for the path of instance
 ``name``.  An output is canonical once JSON output has lost its
-``runtime_ms`` key and the temporary directory's path reads ``@``.
+``runtime_ms`` key, each CSV row has its ``runtime_ms`` cell blank, and
+the temporary directory's path reads ``@``.
 
 A change that alters an output on purpose re-records the file and commits
 it, so the file's diff shows what changed::
@@ -24,6 +25,7 @@ import tempfile
 from pathlib import Path
 
 from ilplab.cli import EXIT_OK, main
+from ilplab.measures import CSV_HEADER
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
 
@@ -41,8 +43,10 @@ INSTANCES = {
     "bpp-2-3": ("binpack-prox", 2, 3),
 }
 
-#: the one document the loader refuses: sens-2-4 relabelled custom, with b_0 = 1/2
+#: a document the loader refuses: sens-2-4 relabelled custom, with b_0 = 1/2
 RATIONAL = "rational"
+#: a document the loader refuses: prox-2-3 relabelled d = 5
+RELABELLED = "relabelled"
 
 COMMANDS = [
     ["gen", "sensitivity", "--delta", "2", "--d", "4"],
@@ -68,7 +72,17 @@ COMMANDS = [
     ["fuzz", "--seed", "7", "--trials", "300"],
     ["fuzz", "--seed", "3", "--trials", "200"],
     ["bounds", "--in", f"@{RATIONAL}"],
+    ["sweep", "sensitivity", "--delta", "2", "--d", "2,4"],
+    ["sweep", "sensitivity", "--delta", "2", "--d", "3,4"],
+    ["measure", "sens", "--in", "@sens-2-4", "--csv", "--norm", "l1"],
+    ["measure", "prox", "--in", "@prox-2-3", "--node-budget", "342"],
+    ["measure", "prox", "--in", "@prox-2-3", "--node-budget", "343"],
+    ["gen", "binpack-sens", "--delta", "1", "--d", "4"],
+    ["measure", "prox", "--in", f"@{RELABELLED}"],
 ]
+
+#: the column of ``runtime_ms`` in a CSV row
+_RUNTIME_CELL = CSV_HEADER.split(",").index("runtime_ms")
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
@@ -78,12 +92,21 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _csv_canonical(line: str) -> str:
+    """A CSV row with its ``runtime_ms`` cell blank; the header and any other line as it is."""
+    cells = line.split(",")
+    if line == CSV_HEADER or len(cells) != len(CSV_HEADER.split(",")):
+        return line
+    cells[_RUNTIME_CELL] = ""
+    return ",".join(cells)
+
+
 def _canonical(text: str) -> str:
-    """A JSON report without its ``runtime_ms``, printed as the CLI prints it; any other text as it is."""
+    """A JSON report without its ``runtime_ms``, printed as the CLI prints it; CSV rows without theirs; any other text as it is."""
     try:
         doc = json.loads(text)
     except ValueError:
-        return text
+        return "\n".join(_csv_canonical(line) for line in text.split("\n"))
     if not isinstance(doc, dict) or doc.pop("runtime_ms", None) is None:
         return text
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -103,6 +126,11 @@ def _write_instances(tmp: Path) -> dict[str, str]:
     path = tmp / f"{RATIONAL}.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     paths[RATIONAL] = str(path)
+    doc = json.loads(Path(paths["prox-2-3"]).read_text(encoding="utf-8"))
+    doc["d"] = 5
+    path = tmp / f"{RELABELLED}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    paths[RELABELLED] = str(path)
     return paths
 
 

@@ -54,6 +54,14 @@ class TestGen:
             main(["gen", "mystery", "--delta", "2", "--d", "2"])
         assert exc.value.code == EXIT_USAGE
 
+    def test_a_thousand_sizes_fail_the_embedding_not_the_stack(self, capsys):
+        # delta = 1 gives 1,000 item sizes in (1/2, 1], so the configuration
+        # walk is 1,000 items deep; the embedding check then refuses the cell
+        code, stdout, stderr = run(capsys, "gen", "binpack-sens", "--delta", "1", "--d", "1000")
+        assert (code, stdout) == (EXIT_CHECK_FAILED, "")
+        assert stderr.startswith("check failed: column 0 overfills the bin: load ")
+        assert "Traceback" not in stderr
+
 
 @pytest.mark.parametrize(
     "argv, name",

@@ -197,6 +197,23 @@ class TestGeneralBehaviour:
         with pytest.raises(BudgetExceededError):
             enumerate_integral_optima(gen_proximity(2, 3).lp, node_budget=10)
 
+    @pytest.mark.parametrize(
+        "gen, delta, d, nodes",
+        [
+            (gen_proximity, 2, 3, 343),
+            (gen_proximity, 2, 7, 763),
+            (gen_sensitivity, 3, 10, 11),
+            (gen_binpack_sensitivity, 2, 4, 40),
+        ],
+    )
+    def test_node_budget_is_the_search_node_count(self, gen, delta, d, nodes):
+        # the search visits exactly ``nodes`` nodes, each node whose range
+        # holds one value included: that budget suffices and one less does not
+        lp = gen(delta, d).lp
+        enumerate_integral_optima(lp, node_budget=nodes)
+        with pytest.raises(BudgetExceededError):
+            enumerate_integral_optima(lp, node_budget=nodes - 1)
+
     def test_nonzero_objective_keeps_all_ties(self):
         # min x1+x2 subject to x1+x2 = 2: three optimal integral points
         lp = StandardLp(Matrix([[1, 1]]), vec([2]), vec([1, 1]))

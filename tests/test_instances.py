@@ -23,6 +23,8 @@ from ilplab.instances import (
 )
 from ilplab.lp import is_feasible_point
 
+from oracles import shallow_stack
+
 
 class TestSensitivityFamily:
     def test_matrix_and_rhs(self):
@@ -130,6 +132,14 @@ class TestConfigurations:
     def test_size_validation(self):
         with pytest.raises(ValueError):
             enumerate_configurations([F(3, 2)])
+
+    def test_many_sizes_do_not_recurse(self):
+        # 1,000 sizes in (1/2, 1]: the empty bin and each item alone, on paths 1,000 items deep
+        sizes = [F(1, 2) + F(i, 2000) for i in range(1, 1001)]
+        with shallow_stack():
+            got = enumerate_configurations(sizes)
+        assert len(got) == 1001 and got == sorted(got)
+        assert got[0] == (0,) * 1000 and got[-1] == (1,) + (0,) * 999
 
     @settings(max_examples=30, deadline=None)
     @given(
