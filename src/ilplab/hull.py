@@ -9,7 +9,10 @@ the only variables, and depth i+1's system is depth i's with the row that
 pins coordinate i appended, so the LP layer prepares a depth by growing the
 preparation of the depth above.  The staircase structure of the systems
 verified here collapses almost every coordinate to a single value once a
-short prefix is fixed, so the walk stays desk-scale even in Z^45.
+short prefix is fixed, so the walk stays desk-scale even in Z^45: once the
+prefix fixes every weight, a deeper depth's appended row is only evaluated
+at the fixed weights and reuses the preparation above, and a node reads
+only the two optimal values of its coordinate, not an optimal solution.
 """
 
 from __future__ import annotations

@@ -101,8 +101,10 @@ Reading a cost is ``_minimum``: it sums the cost over the fixed columns
 and, when a free column has a cost, prices it against a copy of the
 prepared tableau and runs phase 2 to optimality; the free part's optimum
 is the cost row's right-hand side, negated, over its denominator.
-``lp_solve`` reads c through a cold preparation once and builds its
-Fractions from that reading, so its solution is the cold tableau's.
+``lp_solve`` reads c through a cold preparation once, and its result
+builds the Fraction solution from that reading when the solution is first
+read, so the solution is the cold tableau's; a caller that reads only the
+objective, as ``coord_range`` does, builds no vector.
 ``residual_range`` reads an enumeration node's objective bound and both
 ends of its variable, in ints: optimal values, which every feasible basis
 of an equivalent system gives alike.
@@ -113,8 +115,7 @@ only tuples, so the same object always has the same entries; the memo
 holds the matrix, so its identity cannot pass to another one; and phase 2
 never writes into the prepared tableau.  A reused preparation is the one a
 cold one would compute, so results are bit-for-bit those of a cold solve.
-It serves the min and max solves of ``coord_range`` (the second also
-reuses the fixed-value vector the preparation keeps), the LP relaxation
+It serves the min and max solves of ``coord_range``, the LP relaxation
 that ``measure_proximity_lb`` solves and the enumeration root after it,
 and the same pair in ``fuzz_cook`` on the trials whose enumeration the
 search serves; the right-hand-side DP (see ``ilp``) prepares nothing.
@@ -125,20 +126,25 @@ The memo also serves a system that extends the remembered one by rows:
 the same column count, the remembered rows as its first m rows, and the
 remembered b as the first m entries of b.  The row count is tested first,
 so every other system is turned away in O(1).  The hull walk's depths nest
-this way (see ``hull``).  If the remembered system is infeasible, so is
-the extension.  Otherwise ``_extend`` runs ``_reduce`` on copies of the
-remembered live rows followed by the new rows, with the remembered fixed
-values substituted into the new rows first and the new rows marked fresh,
-so the row-difference pass tests only pairs with a new or touched row.
-That reaches a cold presolve's closure, by the argument a free child's
-rests on: adding rows only adds deductions.  Every deduction of the
-remembered presolve is made by a cold presolve of the whole system too,
-and every deduction of that cold run is also made from the remembered
-fixpoint with the rows added.  Rows are only deleted, and the new rows
-come last on both routes, so the survivors are the same rationals in the
-same order.  Phase 1 then starts cold on them, and the tableau, the basis
-and the ``lp_solve`` solution are bit-for-bit the cold route's; only the
-order of the fixed values can differ, and nothing reads it.
+this way (see ``hull``), and only the new rows' pattern is read.  If the
+remembered system is infeasible, so is the extension.  Otherwise
+``_extend`` runs ``_reduce`` on copies of the remembered live rows followed
+by the new rows, with the remembered fixed values substituted into the new
+rows first and the new rows marked fresh, so the row-difference pass tests
+only pairs with a new or touched row.  That reaches a cold presolve's
+closure, by the argument a free child's rests on: adding rows only adds
+deductions.  Every deduction of the remembered presolve is made by a cold
+presolve of the whole system too, and every deduction of that cold run is
+also made from the remembered fixpoint with the rows added.  Rows are only
+deleted, and the new rows come last on both routes, so the survivors are
+the same rationals in the same order.  Phase 1 then starts cold on them,
+and the tableau, the basis and the ``lp_solve`` solution are bit-for-bit
+the cold route's; only the order of the fixed values can differ, and
+nothing reads it.  When the new rows hold only remembered fixed columns,
+as most of a hull walk's do, that run is known in advance: each new row
+reads 0 = 0 once substituted, or 0 = c with c != 0, and touches no live
+row, so ``_extend`` only evaluates the new rows at the fixed values and
+returns the remembered preparation, or None.
 
 The presolve reductions follow Andersen and Andersen (Math. Prog. 71,
 1995).
@@ -147,12 +153,11 @@ The presolve reductions follow Andersen and Andersen (Math. Prog. 71,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .exactla import Matrix, PatternRow, Vec, _ints, vec
+from .exactla import Matrix, Vec, _ints, vec
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -192,11 +197,50 @@ class StandardLp:
         return self.a.nrows
 
 
-@dataclass(frozen=True)
 class LpResult:
-    status: str
-    solution: Vec | None = None
-    objective: Fraction | None = None
+    """An LP's status and, when it is optimal, its objective and an optimal basic solution.
+
+    ``LpResult(status, solution, objective)`` holds the values given.  An
+    optimal answer of ``lp_solve`` holds its preparation and the optimal
+    tableau it read the objective from instead, and builds the Fraction
+    solution from them the first time ``solution`` is read, as most callers
+    (``coord_range``) read only the objective.  Results are equal when
+    their status, solution and objective are.
+    """
+
+    __slots__ = ("status", "objective", "_solution", "_optimum")
+
+    def __init__(self, status: str, solution: Vec | None = None, objective: Fraction | None = None):
+        self.status = status
+        self.objective = objective
+        self._solution = solution
+        self._optimum: tuple[_Prepared, Sequence[dict[int, int]], Sequence[int], Sequence[int]] | None = None
+
+    @property
+    def solution(self) -> Vec | None:
+        """The fixed values and the basic values at their columns, 0 everywhere else."""
+        if self._optimum is not None:
+            prep, rows, dens, basis = self._optimum
+            x = [_ZERO] * prep.n
+            for j, (p, q) in prep.fixed.items():
+                if p:
+                    x[j] = Fraction(p, q)
+            for row, den, j in zip(rows, dens, basis):
+                x[j] = Fraction(row.get(_RHS, 0), den)
+            self._solution, self._optimum = tuple(x), None
+        return self._solution
+
+    def _key(self) -> tuple:
+        return self.status, self.solution, self.objective
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if isinstance(other, LpResult) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"LpResult(status={self.status!r}, solution={self.solution!r}, objective={self.objective!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +605,7 @@ class _Prepared:
     presolve settled every row; ``basis`` holds its basic columns, by their
     index in A.  A cold preparation's tableau is the one phase 1 reaches from no
     basic column; a child's starts from its parent's tableau, and can share
-    row objects with it.  None of them is ever written into.  ``x``, what
-    every ``lp_solve`` answer starts from, is computed on first use and kept
-    with the preparation.
+    row objects with it.  None of them is ever written into.
     """
 
     n: int
@@ -572,15 +614,6 @@ class _Prepared:
     tableau: tuple[dict[int, int], ...] | None
     dens: tuple[int, ...]
     basis: tuple[int, ...]
-
-    @cached_property
-    def x(self) -> Vec:
-        """The fixed values at their columns, 0 everywhere else."""
-        x = [_ZERO] * self.n
-        for j, (p, q) in self.fixed.items():
-            if p:
-                x[j] = Fraction(p, q)
-        return tuple(x)
 
 
 #: (a, b, preparation) of the last system ``_prepare_system`` prepared.  ``a``
@@ -608,7 +641,7 @@ def _prepare_system(a: Matrix, b: tuple[int, ...]) -> _Prepared | None:
             return head_prep
         m = len(head_b)
         if a.nrows > m and a.ncols == head.ncols and b[:m] == head_b and a.rows[:m] == head.rows:
-            prep = None if head_prep is None else _extend(head_prep, a.sparse_rows[m:], b[m:])
+            prep = None if head_prep is None else _extend(head_prep, a.rows[m:], b[m:])
             _last_prepared = (a, b, prep)
             return prep
     prep = _prepare(a.ncols, [[dict(pairs), t, 1] for pairs, t in zip(a.sparse_rows, b)], {})
@@ -616,19 +649,40 @@ def _prepare_system(a: Matrix, b: tuple[int, ...]) -> _Prepared | None:
     return prep
 
 
-def _extend(head: _Prepared, pattern: Sequence[PatternRow], rhs: Sequence[int]) -> _Prepared | None:
-    """The cold preparation of the system ``head`` prepares with the rows ``pattern`` = ``rhs`` appended.
+def _extend(head: _Prepared, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> _Prepared | None:
+    """The cold preparation of the system ``head`` prepares with the dense rows ``rows`` = ``rhs`` appended.
 
-    ``_reduce`` runs on copies of the head's live rows followed by the new
-    rows, marked fresh, and first substitutes the head's fixed values that
-    the new rows hold; no live row of the head holds a fixed column.  Phase
-    1 then starts cold on the rows left, so the result holds a cold
-    preparation's fixed values, live rows (as rationals, in order) and
-    tableau.  ``head`` is not written into.
+    When every column the new rows hold is fixed in ``head``, each row is
+    evaluated at those values, a sum of int pairs p/q kept over one
+    denominator and compared with its right-hand side by
+    cross-multiplication: a row that fails makes the system infeasible, and
+    if all hold ``head`` itself is the answer.  That is what the general
+    route below computes.  There each new row has the head's values
+    substituted, reads 0 = 0 and is deleted; it touched no live row of the
+    head, so the row-difference pass has no marked row to test and the
+    head's live rows are left as they are.  A cold phase 1 on copies of them
+    reaches the head's tableau, which its own cold phase 1 reached.
+
+    Otherwise ``_reduce`` runs on copies of the head's live rows followed by
+    the new rows' patterns, marked fresh, and first substitutes the head's
+    fixed values that the new rows hold; no live row of the head holds a
+    fixed column.  Phase 1 then starts cold on the rows left, so the result
+    holds a cold preparation's fixed values, live rows (as rationals, in
+    order) and tableau.  ``head`` is not written into.
     """
-    live = [[dict(row), t, s] for row, t, s in head.live]
-    fresh = [[dict(pairs), t, 1] for pairs, t in zip(pattern, rhs)]
     fixed = head.fixed
+    fresh = [[{j: x for j, x in enumerate(row) if x}, t, 1] for row, t in zip(rows, rhs)]
+    if all(j in fixed for row, _, _ in fresh for j in row):
+        for row, t, _ in fresh:
+            num, den = 0, 1
+            for j, coef in row.items():
+                p, q = fixed[j]
+                if p:
+                    num, den = num * q + coef * p * den, den * q
+            if num != t * den:
+                return None
+        return head
+    live = [[dict(row), t, s] for row, t, s in head.live]
     held = {j: fixed[j] for row, _, _ in fresh for j in row if j in fixed}
     return _prepare(head.n, live + fresh, dict(fixed), (held, fresh))
 
@@ -780,10 +834,9 @@ def lp_solve(lp: StandardLp) -> LpResult:
     if best is None:
         return LpResult(UNBOUNDED)
     num, den, rows, dens, basis = best
-    x = list(prep.x)
-    for row, row_den, j in zip(rows, dens, basis):
-        x[j] = Fraction(row.get(_RHS, 0), row_den)
-    return LpResult(OPTIMAL, tuple(x), Fraction(num, den))
+    result = LpResult(OPTIMAL, None, Fraction(num, den))
+    result._optimum = prep, rows, dens, basis
+    return result
 
 
 def residual_range(prep: _Prepared, k: int, cost: dict[int, int], cutoff: int | None) -> tuple[int, int | None] | None:
@@ -827,10 +880,11 @@ def coord_range(a: Matrix, b: Sequence[int], c: Sequence[int]) -> tuple[Fraction
     the same matrix object and right-hand side, so the second reuses the
     first's preparation.
     """
-    low = lp_solve(StandardLp(a, b, c))
+    lp = StandardLp(a, b, c)
+    low = lp_solve(lp)
     if low.status == INFEASIBLE:
         return None
-    high = lp_solve(StandardLp(a, b, tuple(-cj for cj in c)))
+    high = lp_solve(StandardLp(a, lp.b, tuple(-cj for cj in c)))
     return (
         None if low.status == UNBOUNDED else low.objective,
         None if high.status == UNBOUNDED else -high.objective,

@@ -39,7 +39,10 @@ INSTANCES = {
     "sens-3-4": ("sensitivity", 3, 4),
     "sens-3-6": ("sensitivity", 3, 6),
     "sens-3-10": ("sensitivity", 3, 10),
+    "sens-2-14": ("sensitivity", 2, 14),
+    "sens-2-16": ("sensitivity", 2, 16),
     "bps-2-4": ("binpack-sens", 2, 4),
+    "bps-2-6": ("binpack-sens", 2, 6),
     "bpp-2-3": ("binpack-prox", 2, 3),
 }
 
@@ -47,6 +50,9 @@ INSTANCES = {
 RATIONAL = "rational"
 #: a document the loader refuses: prox-2-3 relabelled d = 5
 RELABELLED = "relabelled"
+#: a custom document whose columns (2,0), (0,2), (0,0) span a triangle with
+#: three more integer points, so it is not polytopish
+TRIANGLE = "triangle"
 
 COMMANDS = [
     ["gen", "sensitivity", "--delta", "2", "--d", "4"],
@@ -79,6 +85,14 @@ COMMANDS = [
     ["measure", "prox", "--in", "@prox-2-3", "--node-budget", "343"],
     ["gen", "binpack-sens", "--delta", "1", "--d", "4"],
     ["measure", "prox", "--in", f"@{RELABELLED}"],
+    ["verify", "--check", "polytopish", "--in", "@prox-2-7"],
+    ["verify", "--check", "polytopish", "--in", f"@{TRIANGLE}"],
+    ["gen", "sensitivity", "--delta", "2", "--d", "14"],
+    ["gen", "sensitivity", "--delta", "2", "--d", "16"],
+    ["gen", "binpack-sens", "--delta", "2", "--d", "6"],
+    ["bounds", "--in", "@sens-2-14"],
+    ["bounds", "--in", "@sens-2-16"],
+    ["bounds", "--in", "@bps-2-6"],
 ]
 
 #: the column of ``runtime_ms`` in a CSV row
@@ -131,6 +145,19 @@ def _write_instances(tmp: Path) -> dict[str, str]:
     path = tmp / f"{RELABELLED}.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     paths[RELABELLED] = str(path)
+    doc = {
+        "schema_version": doc["schema_version"],
+        "family": "custom",
+        "delta": 2,
+        "d": 2,
+        "matrix": [["2", "0", "0"], ["0", "2", "0"]],
+        "b": ["2", "2"],
+        "b_prime": ["2", "2"],
+        "c": ["0", "0", "0"],
+    }
+    path = tmp / f"{TRIANGLE}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    paths[TRIANGLE] = str(path)
     return paths
 
 

@@ -163,6 +163,20 @@ def count_calls(monkeypatch, fn) -> list:
     return calls
 
 
+def count_solution_builds(monkeypatch) -> list:
+    """Spy on ``LpResult.solution``; one entry each time an ``lp_solve`` result builds its vector."""
+    builds = []
+    solution = lp_module.LpResult.solution
+
+    def spied(result):
+        if result._optimum is not None:
+            builds.append(None)
+        return solution.fget(result)
+
+    monkeypatch.setattr(lp_module.LpResult, "solution", property(spied))
+    return builds
+
+
 class TestCallGraph:
     def test_each_depth_is_one_coord_range_and_two_lp_solves(self, monkeypatch):
         # the benchmark's traced run checks exactly these identities on this
@@ -178,10 +192,40 @@ class TestCallGraph:
     def test_each_depth_grows_the_preparation_of_the_depth_above(self, monkeypatch):
         # a depth's system is its parent depth's with one row appended, so
         # only the 51 starts after a sibling's subtree are prepared cold; the
-        # other 1,226 depths extend the preparation the depth above left
+        # other 1,226 depths extend the preparation the depth above left.
+        # Most append a row that holds only weights the depth above fixed:
+        # that row is settled by substitution, with no presolve or phase 1,
+        # and the rest are presolved once from the depth above
         prepared = count_calls(monkeypatch, lp_module._prepare)
-        extended = count_calls(monkeypatch, lp_module._extend)
+        extend, presolved = lp_module._extend, []
+
+        def extended(*args):
+            before = len(prepared)
+            prep = extend(*args)
+            presolved.append(len(prepared) - before)
+            return prep
+
+        monkeypatch.setattr(lp_module, "_extend", extended)
         monkeypatch.setattr(lp_module, "_last_prepared", None)
         report = integer_points_in_hull(gen_proximity(2, 3).lp.a.cols())
-        assert (len(prepared) - len(extended), len(extended)) == (51, 1226)
+        assert set(presolved) == {0, 1}
+        reduced = sum(presolved)
+        assert (len(prepared) - reduced, len(presolved) - reduced, reduced) == (51, 1176, 50)
         assert report.lp_calls == 2554
+
+    def test_polytopish_walk_builds_no_solution(self, monkeypatch):
+        # coord_range reads only objectives, so no Fraction vector is built
+        builds = count_solution_builds(monkeypatch)
+        report = integer_points_in_hull(gen_proximity(2, 3).lp.a.cols())
+        assert report.verdict == VERDICT_POLYTOPISH
+        assert builds == []
+
+    def test_each_extra_point_builds_one_solution(self, monkeypatch):
+        # the triangle (2,0), (0,2), (0,0) holds (0,1), (1,0) and (1,1) too;
+        # each certificate is the solution of one membership LP
+        builds = count_solution_builds(monkeypatch)
+        report = integer_points_in_hull([(2, 0), (0, 2), (0, 0)])
+        assert report.verdict == VERDICT_NOT_POLYTOPISH
+        assert report.extra_points == ((0, 1), (1, 0), (1, 1))
+        assert report.extra_certificates == ((0, F(1, 2), F(1, 2)), (F(1, 2), 0, F(1, 2)), (F(1, 2), F(1, 2), 0))
+        assert len(builds) == 3

@@ -3,14 +3,14 @@ from fractions import Fraction as F
 from math import ceil, floor, gcd
 
 import pytest
-from hypothesis import example, find, given, settings
+from hypothesis import assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from ilplab import ilp as ilp_module
 from ilplab import lp as lp_module
 from ilplab.exactla import Matrix, dot, vec
 from ilplab.instances import FAMILIES, FAMILY_PROXIMITY, expected_sensitivity_pair, gen_proximity, gen_sensitivity
-from ilplab.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, StandardLp, coord_range, is_feasible_point, lp_solve
+from ilplab.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, StandardLp, coord_range, is_feasible_point, lp_solve
 from ilplab.measures import measure_proximity_lb
 
 from oracles import (
@@ -419,6 +419,68 @@ def rational_live(prep):
     return [([(j, F(x, s)) for j, x in row.items()], F(t, s)) for row, t, s in prep.live]
 
 
+@st.composite
+def substituted_cases(draw):
+    """An integral system and m: the rows past the first m hold only columns the head's cold presolve fixed.
+
+    Each appended row draws entries on some of those columns (none when the
+    head fixed none, an all-zero row) and is scaled so that it reads an
+    integer at the head's fixed values, often fractional ones.  Its
+    right-hand side is that integer, except that one row is off by a drawn
+    non-zero amount when the case is drawn inconsistent.
+    """
+    head = draw(integral_systems())
+    prep = prepare_cold(head.a, head.b)
+    assume(prep is not None)
+    fixed = sorted(prep.fixed)
+    rows, rhs = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        row = [0] * head.n
+        for j in draw(st.lists(st.sampled_from(fixed), min_size=1, unique=True)) if fixed else ():
+            row[j] = draw(_ENTRIES.filter(bool))
+        value = sum((x * F(*prep.fixed[j]) for j, x in enumerate(row) if x), F(0))
+        rows.append([x * value.denominator for x in row])
+        rhs.append(value.numerator)
+    if draw(st.booleans()):
+        rhs[draw(st.integers(0, len(rhs) - 1))] += draw(st.sampled_from([1, -1, 2, -3]))
+    return StandardLp(Matrix([*head.a.rows, *rows]), (*head.b, *rhs), head.c), head.d
+
+
+def grow_and_compare(lp, m):
+    """Prepare lp's first m rows cold, then lp from them, and check that against lp's cold preparation.
+
+    Returns the head's preparation, the grown one and the number of
+    ``_prepare`` runs the growth made.
+    """
+    head = Matrix(lp.a.rows[:m])
+    extend, prepare, extended, presolved = lp_module._extend, lp_module._prepare, [], []
+
+    def counted_extend(*args):
+        extended.append(None)
+        return extend(*args)
+
+    def counted_prepare(*args):
+        presolved.append(None)
+        return prepare(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_module, "_extend", counted_extend)
+        head_prep = prepare_cold(head, lp.b[:m])
+        mp.setattr(lp_module, "_prepare", counted_prepare)
+        got = lp_module._prepare_system(lp.a, lp.b)
+        assert len(extended) == (head_prep is not None)
+        grown_solve = lp_solve(lp)  # the same system: served by the grown preparation
+    want = prepare_cold(Matrix(lp.a.rows), lp.b)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.fixed == want.fixed  # as dicts: the forcing order may differ
+        assert rational_live(got) == rational_live(want)
+        assert (got.tableau, got.dens, got.basis) == (want.tableau, want.dens, want.basis)
+    lp_module._last_prepared = None
+    assert grown_solve == lp_solve(StandardLp(Matrix(lp.a.rows), lp.b, lp.c))
+    return head_prep, got, len(presolved)
+
+
 class TestExtendedPreparation:
     """A system that appends rows to the remembered one is prepared from it, and exactly as cold."""
 
@@ -428,34 +490,52 @@ class TestExtendedPreparation:
     _DOMINATES_OLD = StandardLp(Matrix([[1, 1, 1, 0], [1, 1, 1, 1]]), vec([1, 1]), vec([0, 0, 0, -1]))
     # the head x_0 + x_1 = -1 is infeasible, and so is every extension of it
     _INFEASIBLE_HEAD = StandardLp(Matrix([[1, 1], [1, 0]]), vec([-1, 0]), vec([0, 1]))
+    # the head fixes x_0 = 1/2 by 2 x_0 = 1 and keeps x_1 + x_2 = 1 live;
+    # 4 x_0 = 2 holds there only when its sum 4 * 1 over 2 is compared with 2 * 2
+    _HALF = StandardLp(Matrix([[2, 0, 0], [0, 1, 1], [4, 0, 0]]), vec([1, 1, 2]), vec([0, 1, 0]))
+    # an all-zero appended row reads 0 = t: it holds for t = 0 only
+    _ZERO_ROW = StandardLp(Matrix([[1, 1], [0, 0]]), vec([1, 0]), vec([0, 1]))
+    _ZERO_ROW_OFF = StandardLp(Matrix([[1, 1], [0, 0]]), vec([1, 3]), vec([0, 1]))
 
     @settings(max_examples=400, deadline=None)
     @given(extended_cases())
     @example((_DOMINATES_OLD, 1))
     @example((_INFEASIBLE_HEAD, 1))
     def test_matches_cold_preparation(self, case):
-        lp, m = case
-        head = Matrix(lp.a.rows[:m])
-        extend, extended = lp_module._extend, []
+        grow_and_compare(*case)
 
-        def counted(*args):
-            extended.append(None)
-            return extend(*args)
+    @settings(max_examples=120, deadline=None)
+    @given(substituted_cases())
+    @example((_HALF, 2))
+    @example((_ZERO_ROW, 1))
+    @example((_ZERO_ROW_OFF, 1))
+    def test_rows_of_fixed_columns_are_substituted(self, case):
+        # each appended row is evaluated at the head's fixed values: the
+        # head's own preparation when all hold, None when one fails, and no
+        # presolve or phase 1 runs
+        head, got, presolved = grow_and_compare(*case)
+        assert presolved == 0
+        assert got is None or got is head
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lp_module, "_extend", counted)
-            head_prep = prepare_cold(head, lp.b[:m])
-            got = lp_module._prepare_system(lp.a, lp.b)
-            assert len(extended) == (head_prep is not None)
-            grown_solve = lp_solve(lp)  # the same system: served by the grown preparation
-        want = prepare_cold(Matrix(lp.a.rows), lp.b)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert got.fixed == want.fixed  # as dicts: the forcing order may differ
-            assert rational_live(got) == rational_live(want)
-            assert (got.tableau, got.dens, got.basis) == (want.tableau, want.dens, want.basis)
-        lp_module._last_prepared = None
-        assert grown_solve == lp_solve(StandardLp(Matrix(lp.a.rows), lp.b, lp.c))
+
+class TestLazySolution:
+    """An optimal ``lp_solve`` result builds its Fraction solution when it is first read."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(integral_systems())
+    def test_read_twice_is_the_oracle(self, lp):
+        got, want = lp_solve(lp), fraction_simplex(lp)
+        first = got.solution
+        assert got.solution == first == want.solution
+        assert got == want and hash(got) == hash(want)
+
+    def test_fractional_solution(self):
+        # 2 x_0 = 1 forces 1/2; under the cost x_2, x_1 is basic at 3/2 in 2 x_0 + 4 x_1 + x_2 = 7
+        lp = StandardLp(Matrix([[2, 0, 0], [2, 4, 1]]), vec([1, 7]), vec([0, 0, 1]))
+        got = lp_solve(lp)
+        assert got == LpResult(OPTIMAL, (F(1, 2), F(3, 2), F(0)), F(0))
+        assert got.solution == (F(1, 2), F(3, 2), 0)
+        assert repr(got) == repr(LpResult(OPTIMAL, got.solution, F(0)))
 
 
 class TestResidualRange:
