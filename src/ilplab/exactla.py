@@ -9,12 +9,14 @@ LP solutions, sizes), values are always in lowest terms, and there is no
 rounding anywhere.
 
 A ``Matrix`` keeps its non-zero (column, entry) pairs per row, computed
-once by ``Matrix.sparse_rows``.  The LP layer presolves and starts phase 1
-from them, the enumeration's right-hand-side DP reads its columns from
-them, and ``mul_vec``, which checks the search's leaves, reads only these
-non-zeros.  Every row starts at scale 1: a row's scale arises only in the
-LP layer's presolve, where a forced value p/q with q > 1 multiplies the
-rows it is substituted into by q.
+once by ``Matrix.sparse_rows``.  The enumeration's right-hand-side DP reads
+its columns from them, and ``mul_vec``, which checks the search's leaves,
+reads only these non-zeros.  The LP layer does not read them: it presolves
+from the dense rows, only the appended ones when it grows a remembered
+system, so a matrix that only LPs read, as a hull walk's depth matrices
+are, never builds its pattern.  Every row starts at scale 1: a row's
+scale arises only in the LP layer's presolve, where a forced value p/q
+with q > 1 multiplies the rows it is substituted into by q.
 
 Determinants use fraction-free (Bareiss) elimination on the int rows, so
 they stay in the integers.  The subdeterminant search builds the column
@@ -151,7 +153,12 @@ class Matrix:
 
     @cached_property
     def sparse_rows(self) -> tuple[PatternRow, ...]:
-        """Per row, the (column, entry) pairs of its non-zero entries."""
+        """Per row, the (column, entry) pairs of its non-zero entries.
+
+        The LP layer never reads them (see the module docstring), so only
+        the DP, the subdeterminant search, ``max_abs`` and ``mul_vec`` build
+        them.
+        """
         return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.rows)
 
     def mul_vec(self, v: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:

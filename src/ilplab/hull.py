@@ -102,9 +102,10 @@ def integer_points_in_hull(
     # row) with coordinates 0..k-1 pinned to the prefix (coordinate rows
     # 0..k-1): its matrix is the weight row and coordinate rows 0..k-1, its
     # right-hand side (1, *prefix).  So depth k+1's system is depth k's with
-    # one row appended, and the LP layer prepares a child depth from its
-    # parent's preparation (see ``lp._prepare_system``).  Each depth's matrix
-    # is built once per walk from row tuples shared by all depths.
+    # one row appended, and the LP layer grows the parent depth's
+    # preparation by that row (see ``lp._prepare_system``).  Each depth's
+    # matrix is built once per walk from row tuples shared by all depths;
+    # the LP layer reads only its dense rows, so none builds its pattern.
     coord_rows = [tuple(c[i] for c in shifted) for i in range(dim)]
     weight_row = (1,) * n
     depth_matrices = [Matrix((weight_row, *coord_rows[:k])) for k in range(dim)]

@@ -72,9 +72,10 @@ and the range of the node's variable off it in one call,
 preceding ``lp_solve`` of the same system made.  Every other node is a
 child x_k = v of the node above, prepared by ``lp._child`` from the
 parent's preparation, k and v alone; ``_child`` hands back the parent's
-own when the parent had forced x_k.  Otherwise the child's presolve
-substitutes x_k = v, its dominance pass tests only the row pairs its
-substitutions touched, and its phase 1 starts from the parent's basis
+own when the parent had forced x_k.  Otherwise it grows the parent's
+preparation by the unit row x_k = v: the child's presolve substitutes
+x_k = v, its dominance pass tests only the row pairs its substitutions
+touched, and its phase 1 starts from the parent's basis
 (see ``lp``), so its tableau is a feasible basis but not in general the
 cold one; the node reads only optimal values off it, which every
 feasible basis gives alike.

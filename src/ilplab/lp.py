@@ -31,8 +31,8 @@ On the staircase systems this package mostly deals with, presolve pins
 almost every variable, so the simplex core usually sees a small residue.
 Presolve is integer-native too.  Each live row is an int row, an int
 right-hand side and one positive int scale, standing for the rational row
-and right-hand side both divided by the scale.  Row i starts as row i of
-A's pattern with b_i as right-hand side, at scale 1, and so does the
+and right-hand side both divided by the scale.  Row i starts as the non-zero
+entries of row i of A with b_i as right-hand side, at scale 1, and so does the
 residual system of an enumeration node, with the int residual as
 right-hand side and the fixed leading columns left out.  A scale above 1
 arises only from a forced value: substituting p/q with q > 1 multiplies
@@ -47,64 +47,81 @@ order and leaves the same rows.  A cold phase 1 divides each left-over
 row by the gcd of its scale and entries, which gives back the unique
 primitive integer row of those rationals, the row the simplex starts from.
 
-Presolve has two parts: building the rows from the pattern, and the
-reduction loop ``_reduce``, which runs to fixpoint on whatever rows it is
-given.  ``_prepare_system`` presolves a whole system: cold, on the rows it
-builds from the pattern, or grown from the remembered presolve of a system
-the new one extends by rows (see the memo below).  Every other presolve is
-an enumeration node's child x_k = v, and ``_child`` decides how it is
-prepared.  If the node forced x_k, the LP range of x_k is that
-one value, and the child's fixpoint is the node's but for x_k.  Its rows
-are the node's, so its phase 1 is too: ``_child`` returns the node's
-preparation, tableau included.  A child of a free x_k instead starts from
-its parent's preparation: ``_reduce`` runs on copies of the parent's live
-rows, substitutes x_k = v into them first (v is an int, so each row keeps
-its scale), and reduces them.  It reaches the fixpoint a cold presolve of
-its residual reaches.  Each reduction stays valid under further fixings:
-with x_k = v added, a singleton or zero-right-hand-side row of the parent
-is still one or is already settled, and a dominating pair with a zero gap
-keeps it, since x_k either has a zero difference entry or is forced to 0.
-So every deduction of the parent is also made by the cold run, every
-deduction of the cold run is also made from the parent's state, and the
-two loops stop at the same closure: the same fixed values, the same live
-rows.  Rows are only deleted, so the survivors keep their original
-relative order, and of rows equal as rationals the first is the one kept.
-Scales can differ, as a scale records the fractional values substituted
-into its row, but the rows are the same rationals.  Only the order of the
-fixed values can differ, and nothing reads it: ``x`` and the lookups in
-``_minimum`` are order-free.
+Every preparation is a growth: ``_grow`` returns the preparation of the
+system a prepared ``head`` stands for with rows appended, each read from
+its entries as a row dict at scale 1.  There are three kinds of head:
 
-A free child's presolve and phase 1 both start from its parent's work.
-``_reduce`` marks every row it substitutes into, x_k = v's rows first, and
-its row-difference pass tests only the pairs with a marked row: every
-other pair was tested at the parent's fixpoint without a result, and
-neither row has changed since.  So the first pair that fires is the full
-pass's, and the deductions, their order and the rows left are the full
-pass's too.  Phase 1 starts from the parent's tableau (Chvatal, Linear
-Programming, 1983): the child's fixed values, x_k = v among them, are
-substituted into its rows, a row keeps its basic column when that column
-is still free and the row's right-hand side is >= 0, and only the other
-rows get an artificial variable.  The substituted rows span the same
-rational row space as the child's live rows, so phase 1 ends in a feasible
-basis of an equivalent system, though in general not in the tableau a cold
-phase 1 of the live rows reaches.  Rows the substitution does not touch
-are the parent's own row objects, shared, never copied.
+  * cold: ``_prepare_system`` grows the empty preparation, of no rows, by
+    all of A's rows;
+  * extension: ``_prepare_system`` grows the preparation it remembers by
+    the rows a system appends to it (see the memo below);
+  * child: an enumeration node's child x_k = v of a free x_k grows the
+    node's preparation by the unit row x_k = v, as the child's residual is
+    the node's with x_k = v substituted.  If the node forced x_k, the LP
+    range of x_k is that one value, and the child's fixpoint is the node's
+    but for x_k.  Its rows are the node's, so its phase 1 is too:
+    ``_child`` returns the node's preparation, tableau included.
 
-An answer has two steps, each with one home.  Preparing (A, b) covers
-everything that does not depend on c: presolve, and phase 1 on the rows
-presolve left, which ends in a feasible basis of that core or proves the
-system infeasible.  ``_prepare`` does both on the rows it is given.  For
-``_prepare_system`` it starts phase 1 cold, with no basic column, and
-reaches the Fraction tableau's basis; for ``_child``, the child of an
-enumeration node's free variable, it starts from the parent's basis.
-Reading a cost is ``_minimum``: it sums the cost over the fixed columns
-and, when a free column has a cost, prices it against a copy of the
-prepared tableau and runs phase 2 to optimality; the free part's optimum
-is the cost row's right-hand side, negated, over its denominator.
-``lp_solve`` reads c through a cold preparation once, and its result
-builds the Fraction solution from that reading when the solution is first
-read, so the solution is the cold tableau's; a caller that reads only the
-objective, as ``coord_range`` does, builds no vector.
+Presolve runs ``_reduce`` on copies of the head's live rows followed by
+the new rows, with the head's fixed values that the new rows hold
+substituted into them first; no live row of the head holds a fixed
+column.  It reaches the closure a cold presolve of the whole system
+reaches, as adding rows only adds deductions.  Each reduction stays valid
+under further fixings: with a column fixed, a singleton or
+zero-right-hand-side row of the head is still one or is already settled,
+and a dominating pair with a zero gap keeps it, since the column either
+has a zero difference entry or is forced to 0.  So every deduction of the
+head is also made by the cold run, every deduction of the cold run is
+also made from the head's fixpoint with the rows added, and the two loops
+stop at the same closure: the same fixed values, the same live rows.
+Rows are only deleted and the new rows come last on both routes, so the
+survivors keep their relative order, and of rows equal as rationals the
+first is the one kept.  Scales can differ, as a scale records the
+fractional values substituted into its row, but the rows are the same
+rationals.  Only the order of the fixed values can differ, and nothing
+reads it: an optimal solution and the lookups in ``_minimum`` are
+order-free.  A child's ``_reduce`` meets the node's rows first, which are
+at their fixpoint and stay as they are, then the unit row, which
+substitutes x_k = v; from there its loop is the one a cold presolve of
+the child's residual runs.
+
+``_reduce`` marks the new rows and every row it substitutes into, and its
+row-difference pass tests only the pairs with a marked row: every other
+pair was tested at the head's fixpoint without a result, and neither row
+has changed since.  So the first pair that fires is the full pass's, and
+the deductions, their order and the rows left are the full pass's too.
+From the empty preparation every row is new, so every pair is tested.
+When the new rows hold only columns the head fixed, as most of a hull
+walk's do, the run is known in advance: each new row reads 0 = 0 once
+substituted, or 0 = c with c != 0, and touches no live row, so ``_grow``
+only evaluates the new rows at the fixed values and returns the head, or
+None.
+
+Phase 1 then runs on the rows left.  For ``_prepare_system`` it starts
+cold, with no basic column, and reaches the Fraction tableau's basis, so
+the tableau, the basis and the ``lp_solve`` solution of a grown
+preparation are bit-for-bit a cold one's.  A child's starts from its
+parent's tableau (Chvatal, Linear Programming, 1983): the child's fixed
+values, x_k = v among them, are substituted into its rows, a row keeps
+its basic column when that column is still free and the row's right-hand
+side is >= 0, and only the other rows get an artificial variable.  The
+substituted rows span the same rational row space as the child's live
+rows, so phase 1 ends in a feasible basis of an equivalent system, though
+in general not in the tableau a cold phase 1 of the live rows reaches.
+Rows the substitution does not touch are the parent's own row objects,
+shared, never copied.
+
+An answer has two steps, each with one home.  Preparing (A, b) is
+``_grow``: everything that does not depend on c, presolve and phase 1 on
+the rows presolve left, which ends in a feasible basis of that core or
+proves the system infeasible.  Reading a cost is ``_minimum``: it sums the
+cost over the fixed columns and, when a free column has a cost, prices it
+against a copy of the prepared tableau and runs phase 2 to optimality;
+the free part's optimum is the cost row's right-hand side, negated, over
+its denominator.  ``lp_solve`` reads c through a cold preparation once,
+and its result builds the Fraction solution from that reading when the
+solution is first read, so the solution is the cold tableau's; a caller
+that reads only the objective, as ``coord_range`` does, builds no vector.
 ``residual_range`` reads an enumeration node's objective bound and both
 ends of its variable, in ints: optimal values, which every feasible basis
 of an equivalent system gives alike.
@@ -120,31 +137,15 @@ that ``measure_proximity_lb`` solves and the enumeration root after it,
 and the same pair in ``fuzz_cook`` on the trials whose enumeration the
 search serves; the right-hand-side DP (see ``ilp``) prepares nothing.
 Below the root an enumeration node needs no memo: it has its parent's
-preparation.
-
-The memo also serves a system that extends the remembered one by rows:
-the same column count, the remembered rows as its first m rows, and the
-remembered b as the first m entries of b.  The row count is tested first,
-so every other system is turned away in O(1).  The hull walk's depths nest
-this way (see ``hull``), and only the new rows' pattern is read.  If the
-remembered system is infeasible, so is the extension.  Otherwise
-``_extend`` runs ``_reduce`` on copies of the remembered live rows followed
-by the new rows, with the remembered fixed values substituted into the new
-rows first and the new rows marked fresh, so the row-difference pass tests
-only pairs with a new or touched row.  That reaches a cold presolve's
-closure, by the argument a free child's rests on: adding rows only adds
-deductions.  Every deduction of the remembered presolve is made by a cold
-presolve of the whole system too, and every deduction of that cold run is
-also made from the remembered fixpoint with the rows added.  Rows are only
-deleted, and the new rows come last on both routes, so the survivors are
-the same rationals in the same order.  Phase 1 then starts cold on them,
-and the tableau, the basis and the ``lp_solve`` solution are bit-for-bit
-the cold route's; only the order of the fixed values can differ, and
-nothing reads it.  When the new rows hold only remembered fixed columns,
-as most of a hull walk's do, that run is known in advance: each new row
-reads 0 = 0 once substituted, or 0 = c with c != 0, and touches no live
-row, so ``_extend`` only evaluates the new rows at the fixed values and
-returns the remembered preparation, or None.
+preparation.  The memo also serves a system that extends the remembered
+one by rows: the same column count, the remembered rows as its first m
+rows, and the remembered b as the first m entries of b.  The row count is
+tested first, so every other system is turned away in O(1).  The hull
+walk's depths nest this way (see ``hull``).  If the remembered system is
+infeasible, so is the extension; otherwise it grows the remembered
+preparation by its rows past the m-th.  The rows grown by are read from
+A's dense rows, the appended ones alone on an extension, so no route
+builds the matrix's pattern (``Matrix.sparse_rows``).
 
 The presolve reductions follow Andersen and Andersen (Math. Prog. 71,
 1995).
@@ -266,7 +267,8 @@ def _dominates(ri: dict[int, int], si: int, rk: dict[int, int], sk: int) -> bool
 def _reduce(
     live: list[list],
     fixed: dict[int, tuple[int, int]],
-    start: tuple[dict[int, tuple[int, int]], Sequence[list]] | None = None,
+    values: dict[int, tuple[int, int]],
+    fresh: Sequence[list],
 ) -> bool:
     """Apply the exact reductions to the rows ``live`` to fixpoint, in place; False when infeasible.
 
@@ -285,25 +287,23 @@ def _reduce(
     row deleted while it still holds columns (a duplicate) is emptied, so
     the index entries that still name it do nothing.
 
-    ``start`` is None for the rows of a cold presolve, and every row pair
-    is tested for dominance.  Otherwise it is (values, fresh): the rows are
-    a fixpoint of this loop, copied, with the rows ``fresh`` added, and
-    ``values`` maps columns to reduced pairs (p, q) to substitute first.  A
-    child x_k = v passes ({k: (v, 1)}, ()); a system extended by rows
-    passes the fixed values of the system it extends that the appended rows
-    hold, and those rows.
-    Each value goes into ``fixed`` like any forced one, and ``substitute``
-    marks every row it touches, then and in the loop, as it marks the rows
-    ``fresh`` from the start.  The row-difference pass tests only pairs
-    with at least one marked row.  The deductions, their order and the rows
-    left are those of the full pass.
+    The rows are a fixpoint of this loop, copied, followed by the rows
+    ``fresh``, and ``values`` maps columns to reduced pairs (p, q) to
+    substitute first: ``_grow`` passes the appended rows and the fixed
+    values of the system it grows that they hold.  A cold presolve has no
+    fixpoint rows, so every row is fresh.  Each value goes into ``fixed``
+    like any forced one, and ``substitute`` marks every row it touches,
+    then and in the loop, as the rows ``fresh`` are marked from the start.
+    The row-difference pass tests only pairs with at least one marked row,
+    which from a cold start is every pair.  The deductions, their order and
+    the rows left are those of the full pass.
     """
     holders: dict[int, list[list]] = {}
     for entry in live:
         for j in entry[0]:
             holders.setdefault(j, []).append(entry)
     # the ids of the rows changed or added since the fixpoint the rows started from
-    touched: set[int] | None = None if start is None else {id(entry) for entry in start[1]}
+    touched = {id(entry) for entry in fresh}
 
     def substitute(j: int, p: int, q: int) -> bool:
         """Force x_j = p/q (q > 0) in every row that holds column j."""
@@ -315,8 +315,7 @@ def _reduce(
             coef = row.pop(j, None)
             if coef is None:
                 continue
-            if touched is not None:
-                touched.add(id(entry))
+            touched.add(id(entry))
             if not p:
                 continue
             if q != 1:
@@ -328,10 +327,9 @@ def _reduce(
             entry[1] -= coef * p
         return True
 
-    if start is not None:
-        for j, (p, q) in start[0].items():
-            if not substitute(j, p, q):
-                return False
+    for j, (p, q) in values.items():
+        if not substitute(j, p, q):
+            return False
     changed = True
     while changed:
         changed = False
@@ -370,14 +368,13 @@ def _reduce(
             continue
         # Row-difference dominance: if row_i - row_k is entrywise >= 0 then
         # (row_i - row_k).x = rhs_i - rhs_k with x >= 0 forces conclusions.
-        # The difference is kept over si*sk.  From a ``start``, a pair of
-        # rows outside ``touched`` was tested at the fixpoint the rows started
-        # from, without a result, and neither row has changed since: it is
-        # skipped.
-        marked = None if touched is None else [(k, entry) for k, entry in enumerate(live) if id(entry) in touched]
+        # The difference is kept over si*sk.  A pair of rows outside
+        # ``touched`` was tested at the fixpoint the rows started from,
+        # without a result, and neither row has changed since: it is skipped.
+        marked = [(k, entry) for k, entry in enumerate(live) if id(entry) in touched]
         for i, entry in enumerate(live):
             ri, ti, si = entry
-            for k, (rk, tk, sk) in enumerate(live) if marked is None or id(entry) in touched else marked:
+            for k, (rk, tk, sk) in enumerate(live) if id(entry) in touched else marked:
                 if i == k or not _dominates(ri, si, rk, sk):
                     continue
                 diff = {j: v * sk for j, v in ri.items()}
@@ -595,17 +592,19 @@ class _Prepared:
     """The objective-independent part of a solve of a feasible residual system.
 
     ``fixed`` maps each column presolve forced to its value as a reduced int
-    pair (p, q); a child's also holds its x_k = v as (v, 1).  A cold
-    presolve lists them in the order it forced them; a grown preparation's
-    or a child's order can differ, and nothing reads it.  The columns of
-    the system that it leaves out are free.  ``live`` holds the rows
-    presolve left, as ``_reduce`` leaves them, for a child or an extension
-    to start from; they are never written into.  ``tableau`` is a feasible
+    pair (p, q); a child's also holds its x_k = v as (v, 1).  They are
+    listed in the order they were forced, which can differ between a grown
+    preparation and a cold one of the same system, and nothing reads it.
+    The columns of the system that it leaves out are free.  ``live`` holds
+    the rows presolve left, as ``_reduce`` leaves them, for a growth to
+    start from; they are never written into.  ``tableau`` is a feasible
     basis of those rows as sparse integer rows over ``dens``, or None when
     presolve settled every row; ``basis`` holds its basic columns, by their
-    index in A.  A cold preparation's tableau is the one phase 1 reaches from no
-    basic column; a child's starts from its parent's tableau, and can share
-    row objects with it.  None of them is ever written into.
+    index in A.  The empty preparation, that of a system with no rows, has
+    no fixed column, no live row and no tableau.  The tableau of a
+    ``_prepare_system`` preparation is the one phase 1 reaches from no basic
+    column; a child's starts from its parent's tableau, and can share row
+    objects with it.  None of them is ever written into.
     """
 
     n: int
@@ -627,53 +626,53 @@ _last_prepared: tuple[Matrix, tuple[int, ...], _Prepared | None] | None = None
 def _prepare_system(a: Matrix, b: tuple[int, ...]) -> _Prepared | None:
     """The preparation of {x >= 0 : a x = b}, b a tuple of ints, phase 1 started cold; None when infeasible.
 
-    The last one is remembered.  It is reused for the same matrix object
-    and b, and grown by the appended rows for a system that extends it (see
-    ``_extend``): same column count, the remembered rows first and the
-    remembered b a prefix of b.  The row count is tested first, so any
-    other system is turned away at once.
+    The last one is remembered and reused for the same matrix object and
+    b.  A system that extends it grows it by the appended rows: same column
+    count, the remembered rows first and the remembered b a prefix of b.
+    The row count is tested first, so any other system is turned away at
+    once, and grows the empty preparation by all of its rows.  The rows
+    grown by are read from ``a.rows``, so the matrix's pattern is not built.
     """
     global _last_prepared
     last = _last_prepared  # one read, so a concurrent update cannot split the entry
+    if last is not None and last[0] is a and last[1] == b:
+        return last[2]
+    head, m = _Prepared(a.ncols, {}, [], None, (), ()), 0
     if last is not None:
-        head, head_b, head_prep = last
-        if head is a and head_b == b:
-            return head_prep
-        m = len(head_b)
-        if a.nrows > m and a.ncols == head.ncols and b[:m] == head_b and a.rows[:m] == head.rows:
-            prep = None if head_prep is None else _extend(head_prep, a.rows[m:], b[m:])
-            _last_prepared = (a, b, prep)
-            return prep
-    prep = _prepare(a.ncols, [[dict(pairs), t, 1] for pairs, t in zip(a.sparse_rows, b)], {})
+        head_a, head_b, head_prep = last
+        k = len(head_b)
+        if a.nrows > k and a.ncols == head_a.ncols and b[:k] == head_b and a.rows[:k] == head_a.rows:
+            head, m = head_prep, k
+    prep = None if head is None else _grow(head, [{j: x for j, x in enumerate(row) if x} for row in a.rows[m:]], b[m:])
     _last_prepared = (a, b, prep)
     return prep
 
 
-def _extend(head: _Prepared, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> _Prepared | None:
-    """The cold preparation of the system ``head`` prepares with the dense rows ``rows`` = ``rhs`` appended.
+def _grow(head: _Prepared, rows: list[dict[int, int]], rhs: Sequence[int], warm: bool = False) -> _Prepared | None:
+    """The preparation of the system ``head`` prepares with the rows ``rows`` = ``rhs`` appended; None when infeasible.
 
-    When every column the new rows hold is fixed in ``head``, each row is
-    evaluated at those values, a sum of int pairs p/q kept over one
-    denominator and compared with its right-hand side by
-    cross-multiplication: a row that fails makes the system infeasible, and
-    if all hold ``head`` itself is the answer.  That is what the general
-    route below computes.  There each new row has the head's values
-    substituted, reads 0 = 0 and is deleted; it touched no live row of the
-    head, so the row-difference pass has no marked row to test and the
-    head's live rows are left as they are.  A cold phase 1 on copies of them
-    reaches the head's tableau, which its own cold phase 1 reached.
+    Each of ``rows`` is a new row's non-zero entries, a dict from column
+    to int; the result takes the dicts over and writes into them.  When every
+    column the new rows hold is fixed in ``head``, each row is evaluated at
+    those values, a sum of int pairs p/q kept over one denominator and
+    compared with its right-hand side by cross-multiplication: a row that
+    fails makes the system infeasible, and if all hold ``head`` itself is
+    the answer.  That is what the general route below computes.  There
+    each new row has the head's values substituted, reads 0 = 0 and is
+    deleted; it touched no live row of the head, so the row-difference pass
+    has no marked row to test and the head's live rows are left as they
+    are, and so is the tableau phase 1 reaches from them.
 
     Otherwise ``_reduce`` runs on copies of the head's live rows followed by
-    the new rows' patterns, marked fresh, and first substitutes the head's
-    fixed values that the new rows hold; no live row of the head holds a
-    fixed column.  Phase 1 then starts cold on the rows left, so the result
-    holds a cold preparation's fixed values, live rows (as rationals, in
-    order) and tableau.  ``head`` is not written into.
+    the new rows, marked fresh, and first substitutes the head's fixed
+    values that the new rows hold; no live row of the head holds a fixed
+    column.  Phase 1 then runs on the rows left, cold (``_cold_start``), or
+    from the head's tableau (``_warm_start``) when ``warm``.  ``head`` is
+    not written into.
     """
     fixed = head.fixed
-    fresh = [[{j: x for j, x in enumerate(row) if x}, t, 1] for row, t in zip(rows, rhs)]
-    if all(j in fixed for row, _, _ in fresh for j in row):
-        for row, t, _ in fresh:
+    if all(j in fixed for row in rows for j in row):
+        for row, t in zip(rows, rhs):
             num, den = 0, 1
             for j, coef in row.items():
                 p, q = fixed[j]
@@ -682,9 +681,17 @@ def _extend(head: _Prepared, rows: Sequence[Sequence[int]], rhs: Sequence[int]) 
             if num != t * den:
                 return None
         return head
-    live = [[dict(row), t, s] for row, t, s in head.live]
-    held = {j: fixed[j] for row, _, _ in fresh for j in row if j in fixed}
-    return _prepare(head.n, live + fresh, dict(fixed), (held, fresh))
+    held = {j: fixed[j] for row in rows for j in row if j in fixed}
+    fresh = [[row, t, 1] for row, t in zip(rows, rhs)]
+    live = [[dict(row), t, s] for row, t, s in head.live] + fresh
+    fixed = dict(fixed)
+    if not _reduce(live, fixed, held, fresh):
+        return None
+    if not live:
+        return _Prepared(head.n, fixed, live, None, (), ())
+    begin = _warm_start(head, fixed) if warm else _cold_start(live)
+    phase1 = None if begin is None else _phase1(*begin, head.n)
+    return None if phase1 is None else _Prepared(head.n, fixed, live, *phase1)
 
 
 def _child(parent: _Prepared, k: int, v: int) -> _Prepared | None:
@@ -695,44 +702,22 @@ def _child(parent: _Prepared, k: int, v: int) -> _Prepared | None:
     forced value and the child's residual system is the node's own, so
     ``parent`` itself is returned: a chain of forced variables shares one
     preparation, whose ``fixed`` then still holds columns below k.  For a
-    free x_k, ``_prepare`` runs on copies of the node's live rows and of its
-    fixed columns above k: ``_reduce`` substitutes x_k = v and runs to
-    fixpoint, which leaves the fixed values and the live rows, as rationals
-    in the same order, that a cold presolve reaches on the child's
-    residual.  Only the order of ``fixed`` can differ, and it also holds
-    x_k = v.  Phase 1 then starts from the parent's tableau
-    (``_warm_start``) and ends in a feasible basis of the child's rows, not
-    in general the cold one.  ``parent`` is not written into: siblings
-    share it.
+    free x_k, ``_grow`` grows the node's preparation, its fixed columns
+    restricted to those above k, by the unit row x_k = v, with a warm
+    phase 1.  Its ``_reduce`` meets the node's rows first, which are at
+    their fixpoint and stay as they are, then the unit row, which
+    substitutes x_k = v; from there it reaches the fixed values and the
+    live rows, as rationals in the same order, that a cold presolve reaches
+    on the child's residual.  Only the order of ``fixed`` can differ, and
+    it also holds x_k = v.  Phase 1 starts from the parent's tableau and
+    ends in a feasible basis of the child's rows, not in general the cold
+    one.  ``parent`` is not written into: siblings share it.
     """
     if k in parent.fixed:
         return parent
-    live = [[dict(row), t, s] for row, t, s in parent.live]
     fixed = {j: value for j, value in parent.fixed.items() if j > k}
-    return _prepare(parent.n, live, fixed, ({k: (v, 1)}, ()), parent)
-
-
-def _prepare(
-    n: int,
-    live: list[list],
-    fixed: dict[int, tuple[int, int]],
-    start: tuple[dict[int, tuple[int, int]], Sequence[list]] | None = None,
-    parent: _Prepared | None = None,
-) -> _Prepared | None:
-    """Presolve the rows ``live`` into ``fixed`` and run phase 1 on the rows left; None when infeasible.
-
-    ``start`` is ``_reduce``'s: None for a cold presolve, else the values
-    to substitute first and the rows to mark fresh.  Phase 1 starts from
-    ``parent``'s tableau (``_warm_start``) when a child passes its parent,
-    and from ``_cold_start`` otherwise.
-    """
-    if not _reduce(live, fixed, start):
-        return None
-    if not live:
-        return _Prepared(n, fixed, live, None, (), ())
-    begin = _cold_start(live) if parent is None else _warm_start(parent, fixed)
-    phase1 = None if begin is None else _phase1(*begin, n)
-    return None if phase1 is None else _Prepared(n, fixed, live, *phase1)
+    head = _Prepared(parent.n, fixed, parent.live, parent.tableau, parent.dens, parent.basis)
+    return _grow(head, [{k: 1}], (v,), warm=True)
 
 
 def _warm_start(
@@ -843,14 +828,16 @@ def residual_range(prep: _Prepared, k: int, cost: dict[int, int], cutoff: int | 
     """The integer range of x_k over a prepared residual system, or None when the node is pruned.
 
     ``prep`` prepares {x_k.. >= 0 : A[:, k:] x = r}, what is left of
-    A x = b once x_0..x_{k-1} are fixed: ``_prepare_system``'s at the root
-    and ``_child``'s below it (its ``fixed`` may hold columns below k).
-    Returns (ceil(min x_k), floor(max x_k)), the last None when x_k is
-    unbounded above.  Returns None when ``cutoff`` is given and the minimum
-    of cost.x over the system is larger than it; ``cost`` maps the
-    system's columns to non-zero ints, and an unbounded minimum prunes
-    nothing.  Every answer is one ``_minimum`` of the
-    preparation, in ints: no Fraction is built.
+    A x = b once x_0..x_{k-1} are fixed: ``_prepare_system``'s at the root,
+    grown from the empty preparation by A's rows, and ``_child``'s below
+    it, grown from the node above's by the unit row that fixes its
+    variable (its ``fixed`` may hold columns below k).  Returns
+    (ceil(min x_k), floor(max x_k)), the last None when x_k is unbounded
+    above.  Returns None when ``cutoff`` is given and the minimum of cost.x
+    over the system is larger than it; ``cost`` maps the system's columns
+    to non-zero ints, and an unbounded minimum prunes nothing.  Every
+    answer is one ``_minimum`` of the preparation, in ints: no Fraction is
+    built.
     """
     if cutoff is not None:
         bound = _minimum(prep, cost)

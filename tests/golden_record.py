@@ -35,6 +35,7 @@ INSTANCES = {
     "prox-2-3": ("proximity", 2, 3),
     "prox-2-5": ("proximity", 2, 5),
     "prox-2-7": ("proximity", 2, 7),
+    "prox-3-3": ("proximity", 3, 3),
     "sens-2-4": ("sensitivity", 2, 4),
     "sens-3-4": ("sensitivity", 3, 4),
     "sens-3-6": ("sensitivity", 3, 6),
@@ -93,6 +94,12 @@ COMMANDS = [
     ["bounds", "--in", "@sens-2-14"],
     ["bounds", "--in", "@sens-2-16"],
     ["bounds", "--in", "@bps-2-6"],
+    ["verify", "--check", "polytopish", "--in", "@bps-2-4"],
+    ["verify", "--check", "polytopish", "--in", "@bpp-2-3"],
+    ["verify", "--check", "polytopish", "--in", "@prox-3-3"],
+    ["measure", "prox", "--in", "@bpp-2-3"],
+    ["measure", "prox", "--in", "@prox-3-3"],
+    ["verify", "--check", "claims", "--in", "@bpp-2-3"],
 ]
 
 #: the column of ``runtime_ms`` in a CSV row

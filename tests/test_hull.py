@@ -1,3 +1,4 @@
+import collections
 import functools
 import random
 import sys
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ilplab import hull as hull_module
 from ilplab import lp as lp_module
 from ilplab.hull import (
     VERDICT_INCONCLUSIVE,
@@ -191,27 +193,45 @@ class TestCallGraph:
 
     def test_each_depth_grows_the_preparation_of_the_depth_above(self, monkeypatch):
         # a depth's system is its parent depth's with one row appended, so
-        # only the 51 starts after a sibling's subtree are prepared cold; the
-        # other 1,226 depths extend the preparation the depth above left.
-        # Most append a row that holds only weights the depth above fixed:
-        # that row is settled by substitution, with no presolve or phase 1,
-        # and the rest are presolved once from the depth above
-        prepared = count_calls(monkeypatch, lp_module._prepare)
-        extend, presolved = lp_module._extend, []
+        # only the 51 starts after a sibling's subtree grow the empty
+        # preparation (a cold presolve); the other 1,226 depths grow the
+        # preparation the depth above left.  Most append a row that holds
+        # only weights the depth above fixed: that row is settled by
+        # substitution, with no presolve or phase 1, and the rest are
+        # presolved once from the depth above
+        reduced = count_calls(monkeypatch, lp_module._reduce)
+        grow, growths = lp_module._grow, collections.Counter()
 
-        def extended(*args):
-            before = len(prepared)
-            prep = extend(*args)
-            presolved.append(len(prepared) - before)
+        def grown(head, *args, **kwargs):
+            before = len(reduced)
+            prep = grow(head, *args, **kwargs)
+            growths[not head.fixed and not head.live, len(reduced) - before] += 1
             return prep
 
-        monkeypatch.setattr(lp_module, "_extend", extended)
+        monkeypatch.setattr(lp_module, "_grow", grown)
         monkeypatch.setattr(lp_module, "_last_prepared", None)
         report = integer_points_in_hull(gen_proximity(2, 3).lp.a.cols())
-        assert set(presolved) == {0, 1}
-        reduced = sum(presolved)
-        assert (len(prepared) - reduced, len(presolved) - reduced, reduced) == (51, 1176, 50)
+        # (from the empty preparation, presolves run): growths
+        assert growths == {(True, 1): 51, (False, 0): 1176, (False, 1): 50}
         assert report.lp_calls == 2554
+
+    def test_walk_builds_no_matrix_pattern(self, monkeypatch):
+        # every depth is prepared from its matrix's dense rows, the appended
+        # ones alone when it grows the depth above, so no depth matrix holds
+        # its (column, entry) pairs, which the walk would keep once per depth
+        matrices = []
+        coord_range = hull_module.coord_range
+
+        def spied(a, *args):
+            matrices.append(a)
+            return coord_range(a, *args)
+
+        monkeypatch.setattr(hull_module, "coord_range", spied)
+        monkeypatch.setattr(lp_module, "_last_prepared", None)
+        report = integer_points_in_hull(gen_proximity(2, 3).lp.a.cols())
+        assert report.lp_calls == 2 * len(matrices) == 2554
+        assert len({id(a) for a in matrices}) == 45
+        assert [a for a in matrices if "sparse_rows" in vars(a)] == []
 
     def test_polytopish_walk_builds_no_solution(self, monkeypatch):
         # coord_range reads only objectives, so no Fraction vector is built

@@ -1,9 +1,10 @@
 """The integer core stays in ints.
 
-In the LP layer, presolve (cold, grown from a remembered system by
-appended rows, or a child node's step from its parent's), phase 1 (from a cold start, or from a child's parent's
-tableau), phase 2, the pivots and the enumeration node's solve name no
-Fraction, and every helper they call is checked too; the enumeration
+In the LP layer, presolve (one growth by appended rows: from the empty
+system, from a remembered system, or from a child node's parent), phase 1
+(from a cold start, or from a child's parent's tableau), phase 2, the
+pivots and the enumeration node's solve name no Fraction, and every
+helper they call is checked too; the enumeration
 names no Fraction anywhere, and neither its search nor its
 right-hand-side DP builds an LP object.  In ``exactla`` the determinant
 and the subdeterminant search name no Fraction.  The ILP data is
@@ -20,7 +21,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ilplab"
 INT_CORE = {
     "_prepare_system",
     "_child",
-    "_extend",
+    "_grow",
     "_reduce",
     "_dominates",
     "_phase1",
@@ -31,7 +32,6 @@ INT_CORE = {
     "_pivot",
     "_iterate",
     "_phase2",
-    "_prepare",
     "_minimum",
     "residual_range",
 }

@@ -388,14 +388,17 @@ class TestChildReduce:
         def rows(live):
             return [(list(row.items()), t, s) for row, t, s in live]
 
-        def compared(live, fixed, start=None):
-            # the full pass, on copies with x_k = v substituted by hand
-            full_live, full_fixed = [[dict(row), t, s] for row, t, s in live], {**fixed, k: (v, 1)}
+        def compared(live, fixed, values, fresh):
+            # the full pass, every row fresh, on copies of the parent's rows
+            # with x_k = v substituted by hand; the unit row x_k = v, which
+            # then reads 0 = 0, comes last and is left out
+            parent_rows = live[: len(live) - len(fresh)]
+            full_live, full_fixed = [[dict(row), t, s] for row, t, s in parent_rows], {**fixed, k: (v, 1)}
             for entry in full_live:
                 entry[1] -= entry[0].pop(k, 0) * v
-            want = reduce(full_live, full_fixed)
-            got = reduce(live, fixed, start)
-            runs.append(start)
+            want = reduce(full_live, full_fixed, {}, full_live)
+            runs.append((dict(values), rows(fresh)))
+            got = reduce(live, fixed, values, fresh)
             assert got == want
             assert list(fixed.items()) == list(full_fixed.items())
             assert rows(live) == rows(full_live)
@@ -404,7 +407,8 @@ class TestChildReduce:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lp_module, "_reduce", compared)
             lp_module._child(parent, k, v)
-        assert runs == [({k: (v, 1)}, ())]
+        # the child grows its parent by the unit row x_k = v, and nothing else
+        assert runs == [({}, [([(k, 1)], v, 1)])]
 
 
 @st.composite
@@ -450,25 +454,26 @@ def grow_and_compare(lp, m):
     """Prepare lp's first m rows cold, then lp from them, and check that against lp's cold preparation.
 
     Returns the head's preparation, the grown one and the number of
-    ``_prepare`` runs the growth made.
+    ``_reduce`` runs the growth made.
     """
     head = Matrix(lp.a.rows[:m])
-    extend, prepare, extended, presolved = lp_module._extend, lp_module._prepare, [], []
+    grow, reduce, heads, presolved = lp_module._grow, lp_module._reduce, [], []
 
-    def counted_extend(*args):
-        extended.append(None)
-        return extend(*args)
+    def counted_grow(head, *args, **kwargs):
+        heads.append(head)
+        return grow(head, *args, **kwargs)
 
-    def counted_prepare(*args):
+    def counted_reduce(*args):
         presolved.append(None)
-        return prepare(*args)
+        return reduce(*args)
 
+    head_prep = prepare_cold(head, lp.b[:m])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp_module, "_extend", counted_extend)
-        head_prep = prepare_cold(head, lp.b[:m])
-        mp.setattr(lp_module, "_prepare", counted_prepare)
+        mp.setattr(lp_module, "_grow", counted_grow)
+        mp.setattr(lp_module, "_reduce", counted_reduce)
         got = lp_module._prepare_system(lp.a, lp.b)
-        assert len(extended) == (head_prep is not None)
+        # one growth, of the head's own preparation; none when the head is infeasible
+        assert len(heads) == (head_prep is not None) and all(grown is head_prep for grown in heads)
         grown_solve = lp_solve(lp)  # the same system: served by the grown preparation
     want = prepare_cold(Matrix(lp.a.rows), lp.b)
     assert (got is None) == (want is None)
@@ -512,10 +517,27 @@ class TestExtendedPreparation:
     def test_rows_of_fixed_columns_are_substituted(self, case):
         # each appended row is evaluated at the head's fixed values: the
         # head's own preparation when all hold, None when one fails, and no
-        # presolve or phase 1 runs
+        # presolve, so no phase 1, runs
         head, got, presolved = grow_and_compare(*case)
         assert presolved == 0
         assert got is None or got is head
+
+
+class TestDenseRows:
+    """Preparing a system reads the matrix's dense rows and leaves its pattern unbuilt."""
+
+    @pytest.mark.parametrize(
+        "lp", [gen_proximity(2, 3).lp, staircase(3, 4), staircase(2, 2)], ids=["prox-2-3", "sens-3-4", "sens-2-2"]
+    )
+    def test_preparation_builds_no_pattern(self, lp):
+        a = Matrix(lp.a.rows)
+        assert prepare_cold(a, lp.b) is not None
+        assert "sparse_rows" not in vars(a)
+        # a system that appends a row grows the remembered preparation, from
+        # the appended row's dense entries
+        grown = Matrix((*a.rows, a.rows[-1]))
+        assert lp_module._prepare_system(grown, (*lp.b, lp.b[-1])) is not None
+        assert "sparse_rows" not in vars(grown)
 
 
 class TestLazySolution:
