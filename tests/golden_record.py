@@ -100,6 +100,9 @@ COMMANDS = [
     ["measure", "prox", "--in", "@bpp-2-3"],
     ["measure", "prox", "--in", "@prox-3-3"],
     ["verify", "--check", "claims", "--in", "@bpp-2-3"],
+    ["verify", "--check", "claims", "--in", "@prox-3-3"],
+    ["verify", "--check", "claims", "--in", "@sens-3-6"],
+    ["gen", "binpack-sens", "--delta", "2", "--d", "300"],
 ]
 
 #: the column of ``runtime_ms`` in a CSV row

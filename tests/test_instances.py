@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -6,10 +8,11 @@ from hypothesis import strategies as st
 
 from ilplab import instances as instances_module
 from ilplab.errors import BudgetExceededError, EmbeddingError
-from ilplab.exactla import dot, vec
+from ilplab.exactla import dot, vec, vec_str
 from ilplab.instances import (
     FAMILIES,
     FAMILY_PROXIMITY,
+    FAMILY_SENSITIVITY,
     doc_dumps,
     enumerate_configurations,
     expected_sensitivity_pair,
@@ -102,6 +105,52 @@ class TestBlockFamily:
     def test_certificate_feasible(self, delta, d):
         inst = gen_proximity(delta, d)
         assert is_feasible_point(inst.lp, FAMILIES[FAMILY_PROXIMITY].certificate(delta, d))
+
+
+#: sha256 of each cell's generated document followed by its expected pair
+#: (sensitivity) or its certificate (proximity), as JSON lists of rationals
+GENERATED_SHA256 = {
+    (FAMILY_SENSITIVITY, 1, 2): "3e7ce61bfd78b0ecb715f95464bdebf2759d4efaa2287e9c40dee078a7929dd6",
+    (FAMILY_SENSITIVITY, 1, 4): "94ef67309b631f32cfbfd0997bf4ff0adc87ecb3af0a41c6aa176b41b48fb715",
+    (FAMILY_SENSITIVITY, 1, 10): "b65f744686b8a7e72e9ae7ec92b9e2fb92b42ef7d94af1e575503172e4724746",
+    (FAMILY_SENSITIVITY, 1, 16): "69a9afa186afb965cadd4c563a38632db95392b7d2ed159769860042517c005b",
+    (FAMILY_SENSITIVITY, 2, 2): "9330d72e5baf53166d8654e90fd6a20f75fb7eadb26df448e54eda18d560e362",
+    (FAMILY_SENSITIVITY, 2, 4): "42f10a5bb1d64e9ab01fe9cf26bfbcdf8beffd2a7df01c96b052369c3c38b766",
+    (FAMILY_SENSITIVITY, 2, 10): "520d0af7b56e822fa85c2e58bafaac3c5e7481c78ba448e655ddfb27d9b281a0",
+    (FAMILY_SENSITIVITY, 2, 16): "00c13aae79bad0f14ba3527bb68675f679b9f9c34d14cd79894d7031ce50d6c4",
+    (FAMILY_SENSITIVITY, 3, 2): "5e461652619a68fc5cf1282f0bf5dc9a06f762a66a0270596b171a7115e78c5d",
+    (FAMILY_SENSITIVITY, 3, 4): "37c5e27b62341120feaf08ccf291e71b52b85b5841b31d36cb14af6bf027276a",
+    (FAMILY_SENSITIVITY, 3, 10): "41a26a39477c3468e7f846dcc440da781d17e1211f0bb70126d700cc650a89cc",
+    (FAMILY_SENSITIVITY, 3, 16): "718be03c4f84546fe16d04e2d9fcecc93a8573a43d6ab000c78203a26430dd59",
+    (FAMILY_SENSITIVITY, 5, 2): "957ef58cfc5e1b983c45d392dd2eb970815999ea7b54c06e9e5bd4968e033c19",
+    (FAMILY_SENSITIVITY, 5, 4): "72f0e48a7dbe5323341399c94769b17486e41f138cd3b918d2069adc00383357",
+    (FAMILY_SENSITIVITY, 5, 10): "cb1166d21d9430062ea23b36ca8d8fdd3968c0df943a0a5b4edf25b37c1ebbb3",
+    (FAMILY_SENSITIVITY, 5, 16): "474bbc3bae07c566f8969927b187c4eb4f791b608ff4f9acc1c4a91996d74991",
+    (FAMILY_PROXIMITY, 2, 1): "aef7f2f20dbafd0633d8bce6c5048110a0094403d2fd3130997130f6aeb4c620",
+    (FAMILY_PROXIMITY, 2, 3): "8d1be60a22310e7166ebe6d18efec7c7622de10b460076131a13517212bc1f94",
+    (FAMILY_PROXIMITY, 2, 7): "e2266a34dbcf0b10fbec023b19a22e6632581a71dd76c7f97a89b4a026bef46a",
+    (FAMILY_PROXIMITY, 2, 9): "654031e9f62d5fd498559bb8adcf91dcf9800d0209d58a07e936cb52765b01f6",
+    (FAMILY_PROXIMITY, 3, 1): "66f75376bf9196a5f4eebc0af4279fb77021e2c10edd630febc80082e2a8da65",
+    (FAMILY_PROXIMITY, 3, 3): "4b265ddacda47d96140c4d0969143a7845382280ad5617f21ca2ad8f0c467ad9",
+    (FAMILY_PROXIMITY, 3, 7): "f7e31e429f4b38adde02534fe305910ef7ca902507cf602126d921c8f2f695e3",
+    (FAMILY_PROXIMITY, 3, 9): "bde909a9eada4474db931fc92b4622dc0383e8b2ad1ab56d11a514288897e8c0",
+    (FAMILY_PROXIMITY, 5, 1): "28ff9b5a0993d4d242f310f6459e9609f7dc9be27286eb54acaa5a119560fa2a",
+    (FAMILY_PROXIMITY, 5, 3): "0ba06b3533e1b8cd8afca5a8186fbc2ffebfafdebd7432394a3e7bdcc12a6b10",
+    (FAMILY_PROXIMITY, 5, 7): "03d5b21e3143953241a6924ed5a5ca4a74af24c26e05ab77ff9907ffaaed8fd8",
+    (FAMILY_PROXIMITY, 5, 9): "a87d626bdbdb7e396be8713b500babd79b6a78f74692b4105647b386b32d629d",
+}
+
+
+@pytest.mark.parametrize("family, delta, d", list(GENERATED_SHA256))
+def test_generated_cell_is_pinned(family, delta, d):
+    record = FAMILIES[family]
+    text = doc_dumps(instance_to_doc(record.generate(delta, d)))
+    if record.expected_pair is not None:
+        extra = [vec_str(x) for x in record.expected_pair(delta, d)]
+    else:
+        extra = vec_str(record.certificate(delta, d))
+    got = hashlib.sha256((text + json.dumps(extra)).encode()).hexdigest()
+    assert got == GENERATED_SHA256[family, delta, d]
 
 
 class TestTailSums:
