@@ -7,15 +7,26 @@ and ``instance_from_doc``, where outside instances enter, refuses a document
 that is not its family's generated instance.  So measures and checks read a
 family's facts from ``FAMILIES.get(inst.family)`` without checking again.
 
-Two staircase families are generated directly:
+The two staircase families are one shape, the d-block staircase over an
+r x m base M (``_block_staircase``): row block 1 is [M | I], every later row
+block j couples delta*I in column group j-1 with I in column group j, and
+the right-hand side of block j is the constant vector delta**(j-1).
 
-  * sensitivity family: d x d unit lower bidiagonal matrix with subdiagonal
-    delta, right-hand side (1, delta, ..., delta**(d-1)), plus an alternate
+  * sensitivity family: the staircase over the empty 1 x 0 base, a d x d
+    unit lower bidiagonal matrix with subdiagonal delta, plus an alternate
     right-hand side with the first entry zeroed;
-  * proximity family: 15d x (6+15d) block staircase built from the Petersen
-    matching incidence matrix M: the first row block is [M | I], every later
-    row block j couples delta*I in column group j-1 with I in column group j,
-    and the right-hand side of block j is the constant vector delta**(j-1).
+  * proximity family: the staircase over the 15 x 6 Petersen matching
+    incidence matrix, 15d x (6+15d).
+
+Each staircase row forces its block's value from the block before it:
+w_1 = b_e - (M.y)_e is what row e of block 1 leaves to its identity column,
+and w_j = delta**(j-1) - delta*w_(j-1) (``_tail``).  Tails started at 0 and
+at 1 differ by delta**(j-1) in block j, the gap both lower bounds come from.
+The recurrence has one home and three readers: the sensitivity family's
+expected optima are the tails from 1 and from 0, the proximity
+certificate's tail is the tail from 0, and p and q (``p_q_constants``, read
+by ``norm_floor`` and the proximity reference) are the sums of the tails
+from 0 and from 1.
 
 Both are also embedded into bin-packing configuration systems by one step,
 ``_embed``: each family column, re-read as an item multiplicity vector, must
@@ -80,45 +91,60 @@ class IlpInstance:
 # staircase families
 
 
+def _block_staircase(base: Sequence[Sequence[int]], delta: int, d: int) -> tuple[list[list[int]], list[int]]:
+    """The rows and b of the d-block staircase over the r x m matrix ``base``.
+
+    Its r*d rows and m + r*d columns hold d row blocks: block 1 is
+    [base | I], block j > 1 puts delta*I under block j-1's identity columns
+    and I in its own, and the right-hand side of block j is delta**(j-1) on
+    each of its r rows.
+    """
+    r, m = len(base), len(base[0])
+    rows = []
+    for j in range(d):
+        for k in range(r):
+            row = [0] * (m + r * d)
+            if j:
+                row[m + r * (j - 1) + k] = delta
+            else:
+                row[:m] = base[k]
+            row[m + r * j + k] = 1
+            rows.append(row)
+    return rows, [delta**j for j in range(d) for _ in range(r)]
+
+
+def _tail(delta: int, d: int, first: int) -> list[int]:
+    """The values a staircase row forces on blocks 1..d: w_1 = first, w_j = delta**(j-1) - delta*w_(j-1)."""
+    w = [first]
+    for j in range(1, d):
+        w.append(delta**j - delta * w[-1])
+    return w
+
+
 def gen_sensitivity(delta: int, d: int) -> IlpInstance:
-    """Unit lower bidiagonal system with subdiagonal delta; b' zeroes b[0]."""
+    """The staircase over the empty 1 x 0 base: unit lower bidiagonal, subdiagonal delta; b' zeroes b[0]."""
     if delta < 1:
         raise ValueError("delta must be >= 1")
     if d < 2 or d % 2 != 0:
         raise ValueError("d must be even and >= 2")
-    rows = [[0] * d for _ in range(d)]
-    for i in range(d):
-        rows[i][i] = 1
-        if i > 0:
-            rows[i][i - 1] = delta
-    b = tuple(delta**i for i in range(d))
-    b_prime = (0,) + b[1:]
+    rows, b = _block_staircase(((),), delta, d)
     lp = StandardLp(Matrix(rows), b, (0,) * d)
-    return IlpInstance(lp, FAMILY_SENSITIVITY, delta, d, alt_rhs=b_prime)
-
-
-def _forward_substitute(a: Matrix, b: Vec) -> Vec:
-    """Solve a lower-triangular system with unit diagonal, exactly."""
-    x: list[Fraction] = []
-    for i in range(a.nrows):
-        x.append(b[i] - sum((a.rows[i][j] * x[j] for j in range(i) if a.rows[i][j]), Fraction(0)))
-    return tuple(x)
+    return IlpInstance(lp, FAMILY_SENSITIVITY, delta, d, alt_rhs=(0, *b[1:]))
 
 
 def expected_sensitivity_pair(delta: int, d: int) -> tuple[Vec, Vec]:
-    """The unique solutions for b and b', computed by forward substitution."""
+    """The unique solutions for b and b': the tails from 1 and from 0."""
     inst = gen_sensitivity(delta, d)
-    x = _forward_substitute(inst.lp.a, inst.lp.b)
-    x_prime = _forward_substitute(inst.lp.a, inst.alt_rhs)
+    x, x_prime = tuple(_tail(delta, d, 1)), tuple(_tail(delta, d, 0))
     if not is_feasible_point(inst.lp, x):
-        raise AssertionError("forward substitution produced an infeasible point for b")
+        raise AssertionError("the tail from 1 is infeasible for b")
     if not is_feasible_point(StandardLp(inst.lp.a, inst.alt_rhs, inst.lp.c), x_prime):
-        raise AssertionError("forward substitution produced an infeasible point for b'")
+        raise AssertionError("the tail from 0 is infeasible for b'")
     return x, x_prime
 
 
 def gen_proximity(delta: int, d: int) -> IlpInstance:
-    """Block staircase over the Petersen matching incidence matrix.
+    """The staircase over the Petersen matching incidence matrix.
 
     15d rows, 6+15d columns; every entry is 0, 1, or delta; the right-hand
     side of row block j is the constant vector delta**(j-1).
@@ -127,54 +153,32 @@ def gen_proximity(delta: int, d: int) -> IlpInstance:
         raise ValueError("delta must be >= 2")
     if d < 1 or d % 2 != 1:
         raise ValueError("d must be odd and >= 1")
-    m = build_matching_system().incidence
-    nrows, ncols = 15 * d, 6 + 15 * d
-    rows = [[0] * ncols for _ in range(nrows)]
-    for e in range(15):
-        for j in range(6):
-            if m.rows[e][j]:
-                rows[e][j] = 1
-        rows[e][6 + e] = 1
-    for block in range(2, d + 1):
-        for k in range(15):
-            r = 15 * (block - 1) + k
-            rows[r][6 + 15 * (block - 2) + k] = delta
-            rows[r][6 + 15 * (block - 1) + k] = 1
-    b: list[int] = []
-    for block in range(1, d + 1):
-        b.extend([delta ** (block - 1)] * 15)
-    lp = StandardLp(Matrix(rows), b, (0,) * ncols)
+    rows, b = _block_staircase(build_matching_system().incidence.rows, delta, d)
+    lp = StandardLp(Matrix(rows), b, (0,) * len(rows[0]))
     return IlpInstance(lp, FAMILY_PROXIMITY, delta, d)
 
 
 def _half_matchings(delta: int, d: int) -> Vec:
-    """Every matching column half a time, the tail forward-substituted.
+    """Every matching column half a time, then the tail from 0 on each of the 15 rows of every block.
 
-    The tail follows the block recurrence
-    w_1 = 0, delta*w_{j-1} + w_j = delta**(j-1) * ones.
+    The halves cover every edge exactly once, so block 1's identity
+    columns are 0 and each later block takes the value the tail forces.
     """
-    z: list[Fraction] = [Fraction(1, 2)] * 6
-    w_prev = [Fraction(0)] * 15  # matching halves cover block 1 exactly
-    z.extend(w_prev)
-    for block in range(2, d + 1):
-        target = Fraction(delta ** (block - 1))
-        w_next = [target - delta * w for w in w_prev]
-        z.extend(w_next)
-        w_prev = w_next
-    return tuple(z)
+    return (Fraction(1, 2),) * 6 + tuple(w for w in _tail(delta, d, 0) for _ in range(15))
 
 
 def p_q_constants(delta: int, d: int) -> tuple[int, int]:
-    """Odd/even tail sums of the block recurrence, taken literally.
+    """The sums of the tails from 0 and from 1, for odd d.
 
-    p sums delta**(2i-1) for i = 1..(d-1)/2 and q sums delta**(2i-2) for
-    i = 1..(d+1)/2, so q = delta*p + 1; the relation p = delta*(q - delta**(d-1))
-    is asserted as a self-check.
+    The tail from 0 alternates 0, delta, 0, delta**3, ..., so p sums
+    delta**(2i-1) for i = 1..(d-1)/2; the tail from 1 alternates 1, 0,
+    delta**2, 0, ..., so q sums delta**(2i-2) for i = 1..(d+1)/2, and
+    q = delta*p + 1.  The relation p = delta*(q - delta**(d-1)) is checked
+    as a self-check.
     """
     if d % 2 != 1 or d < 1:
         raise ValueError("d must be odd and >= 1")
-    p = sum(delta ** (2 * i - 1) for i in range(1, (d - 1) // 2 + 1))
-    q = sum(delta ** (2 * i - 2) for i in range(1, (d + 1) // 2 + 1))
+    p, q = sum(_tail(delta, d, 0)), sum(_tail(delta, d, 1))
     if p != delta * (q - delta ** (d - 1)):
         raise AssertionError("tail-sum identity failed")
     return p, q
@@ -184,14 +188,43 @@ def p_q_constants(delta: int, d: int) -> tuple[int, int]:
 # bin-packing embeddings
 
 
+def _count_configurations(units: Sequence[int], capacity: int, limit: int) -> int:
+    """How many k >= 0 have k.units <= capacity; a ``BudgetExceededError`` once those seen pass ``limit``.
+
+    The configurations of the items seen so far are kept counted by load,
+    one item at a time: each grows by every count of the next item that
+    still fits.  Every count added is of configurations not counted before,
+    so the running count refuses as soon as it passes ``limit``, and no more
+    than ``limit`` loads are ever kept.
+    """
+    by_load = {0: 1}
+    count = 1
+    for u in units:
+        grown: dict[int, int] = {}
+        count = 0
+        for low, n in by_load.items():
+            for load in range(low, capacity + 1, u):
+                grown[load] = grown.get(load, 0) + n
+                count += n
+                if count > limit:
+                    raise BudgetExceededError(f"more than {limit} configurations")
+        by_load = grown
+    return count
+
+
 def enumerate_configurations(sizes: Sequence[Fraction | int | str], limit: int = 1_000_000) -> list[tuple[int, ...]]:
-    """Every k in Z^d_{>=0} with k.sizes <= 1, in lexicographic order."""
+    """Every k in Z^d_{>=0} with k.sizes <= 1, in lexicographic order.
+
+    They are counted first, so more than ``limit`` of them are refused
+    before any is listed.
+    """
     s = vec(sizes)
     if any(x <= 0 or x > 1 for x in s):
         raise ValueError("sizes must lie in (0, 1]")
     # sizes and capacities in units of 1/q, q the sizes' common denominator, so each count is an int quotient
     q = math.lcm(*(x.denominator for x in s))
     units = [int(x * q) for x in s]
+    _count_configurations(units, q, limit)
     out: list[tuple[int, ...]] = []
     # (i, capacity left for items i.., values of k_i left low to high) of each item on the path
     stack: list[tuple[int, int, Iterator[int]]] = []
@@ -199,8 +232,6 @@ def enumerate_configurations(sizes: Sequence[Fraction | int | str], limit: int =
     i, capacity = 0, q
     while True:
         if i == len(s):
-            if len(out) >= limit:
-                raise BudgetExceededError(f"more than {limit} configurations")
             out.append(tuple(k))
         else:
             stack.append((i, capacity, iter(range(capacity // units[i] + 1))))
@@ -290,7 +321,7 @@ def gen_binpack_proximity(delta: int, d: int) -> IlpInstance:
     if d < 3 or d % 2 != 1:
         raise ValueError("d must be odd and >= 3")
     staircase = gen_proximity(delta, d)
-    n_sizes = 15 * d
+    n_sizes = staircase.lp.a.nrows
     base = Fraction(1, 30 * delta)
     # column k fits while sum_r k_r (base + r eps) <= 1, r = 1..n_sizes
     fit = min((1 - base * sum(col)) / sum(r * k for r, k in enumerate(col, 1)) for col in staircase.lp.a.cols())
@@ -312,8 +343,8 @@ class Family:
     closed form, and ``least_columns`` then a lower bound on them at
     (delta, d), or None; ``reference`` gives the paper's lower bounds for it as
     (l1, linf).  ``certificate`` is the canonical optimal fractional point
-    and ``expected_pair`` the unique optima for b and b' by forward
-    substitution, or None.
+    and ``expected_pair`` the unique optima for b and b', the tails from 1
+    and from 0, or None.
     """
 
     name: str

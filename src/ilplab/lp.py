@@ -205,8 +205,7 @@ class LpResult:
     optimal answer of ``lp_solve`` holds its preparation and the optimal
     tableau it read the objective from instead, and builds the Fraction
     solution from them the first time ``solution`` is read, as most callers
-    (``coord_range``) read only the objective.  Results are equal when
-    their status, solution and objective are.
+    (``coord_range``) read only the objective.
     """
 
     __slots__ = ("status", "objective", "_solution", "_optimum")
@@ -230,18 +229,6 @@ class LpResult:
                 x[j] = Fraction(row.get(_RHS, 0), den)
             self._solution, self._optimum = tuple(x), None
         return self._solution
-
-    def _key(self) -> tuple:
-        return self.status, self.solution, self.objective
-
-    def __eq__(self, other) -> bool:
-        return self._key() == other._key() if isinstance(other, LpResult) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"LpResult(status={self.status!r}, solution={self.solution!r}, objective={self.objective!r})"
 
 
 # ---------------------------------------------------------------------------

@@ -308,8 +308,10 @@ def norm_floor(inst: IlpInstance, x: Sequence) -> Fraction:
     """l1-norm floor for feasible points of the proximity families.
 
     With y the six leading (matching) coordinates and a the per-edge
-    coverage a = M.y, feasibility forces the entire tail of x, whose norm is
-    exactly (15 - ||a||_1)*q + ||a||_1*p.  Since q = delta*p + 1, this gives
+    coverage a = M.y, feasibility forces the entire tail of x: edge e's
+    tail starts at 1 - a_e, and p and q (``p_q_constants``) are the sums of
+    the tails from 0 and from 1, so the tail's norm is exactly
+    (15 - ||a||_1)*q + ||a||_1*p.  Since q = delta*p + 1, this gives
 
         ||x||_1 = ||y||_1 + (15 - ||a||_1)*delta*p + ||a||_1*p + (15 - ||a||_1),
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -165,6 +166,20 @@ class TestTailSums:
         p, q = p_q_constants(delta, d)
         assert q == delta * p + 1
 
+    @pytest.mark.parametrize("delta", [2, 3, 5, 7])
+    @pytest.mark.parametrize("d", [1, 3, 5, 7, 9, 11])
+    def test_literal_sums(self, delta, d):
+        p = sum(delta ** (2 * i - 1) for i in range(1, (d - 1) // 2 + 1))
+        q = sum(delta ** (2 * i - 2) for i in range(1, (d + 1) // 2 + 1))
+        assert p_q_constants(delta, d) == (p, q)
+
+    @pytest.mark.parametrize("delta", [1, 2, 3, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 10, 16])
+    def test_tails_differ_by_the_staircase_reference(self, delta, d):
+        # the paper's closed forms: the tails from 1 and from 0 differ by delta**(j-1) in block j
+        gap = [abs(x - y) for x, y in zip(instances_module._tail(delta, d, 1), instances_module._tail(delta, d, 0))]
+        assert instances_module._staircase_reference(delta, d) == (sum(gap), max(gap))
+
 
 class TestConfigurations:
     def test_single_size(self):
@@ -202,6 +217,17 @@ class TestConfigurations:
         k = rnd.choice(sorted(configs))
         smaller = tuple(max(v - rnd.randint(0, 1), 0) for v in k)
         assert smaller in configs
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.fractions(min_value=F(1, 6), max_value=1), min_size=1, max_size=3))
+    def test_count_is_the_listing_length(self, sizes):
+        sizes = sorted(set(sizes))
+        q = math.lcm(*(x.denominator for x in sizes))
+        n = len(enumerate_configurations(sizes))
+        assert instances_module._count_configurations([int(x * q) for x in sizes], q, n) == n
+        # so the listing is refused exactly when it would pass the limit
+        with pytest.raises(BudgetExceededError, match=f"more than {n - 1} configurations"):
+            enumerate_configurations(sizes, limit=n - 1)
 
 
 def configurations(inst):
